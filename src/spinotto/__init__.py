@@ -6,7 +6,7 @@ replaced by partner-pairing algorithmic cooling, which pumps the target
 qubit's polarization past the bath limit and shortens the cycle.
 """
 
-from .adiabatic import COMPRESSION, EXPANSION, StrokeSpec, drive_hamiltonian, evolve_stroke, stroke_work
+from .adiabatic import COMPRESSION, EXPANSION, StrokeSpec, evolve_stroke, stroke_work
 from .engines import (
     CycleReport,
     SweepTable,
@@ -23,7 +23,6 @@ from .hbac import PpaTrace, RoundRecord, initial_stage, ppa_round, run_ppa, shan
 from .qmath import (
     DensityMatrix,
     StateInvariantError,
-    evolve_lvn,
     fidelity,
     kron,
     partial_trace,

@@ -36,7 +36,6 @@ class RunConfig:
     field_scale: float | None = None
     omega_s_mhz: tuple[float, ...] | None = None
     tau: float | None = None
-    dt: float | None = None
     out: Path | None = None
     output_format: str = "csv"
 
@@ -55,8 +54,6 @@ class RunConfig:
             )
         if self.tau is not None:
             lines.append(f"tau={reports.fmt(self.tau)}")
-        if self.dt is not None:
-            lines.append(f"dt={reports.fmt(self.dt)}")
         return lines
 
 
@@ -102,8 +99,8 @@ def _parse_positive(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"value must be positive, got {value}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"value must be positive and finite, got {value}")
     return value
 
 
@@ -142,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_four = sub.add_parser("four-stroke", help="sweep the four-stroke engine over round counts")
     p_four.add_argument("--rounds", "-n", type=_parse_rounds, default=tuple(range(11)))
     p_four.add_argument("--tau", type=_parse_positive, default=0.1, help="drive period in seconds")
-    p_four.add_argument("--dt", type=_parse_positive, default=None, help="integrator step in seconds")
     add_common(p_four, "four_stroke_sweep.csv")
 
     p_two = sub.add_parser("two-stroke", help="sweep the two-stroke engine over partner frequencies")
@@ -196,7 +192,7 @@ def _cmd_ppa(config: RunConfig, system: SpinSystem) -> int:
 
 
 def _cmd_four_stroke(config: RunConfig, system: SpinSystem) -> int:
-    stroke = StrokeSpec(COMPRESSION, tau=config.tau or 0.1, dt=config.dt)
+    stroke = StrokeSpec(COMPRESSION, tau=config.tau or 0.1)
     table = engines.sweep_four_stroke(system, config.rounds, stroke)
     best = table.argmax_power()
     crossover = engines.isochoric_crossover(table)
@@ -245,7 +241,6 @@ def run(argv: list[str] | None = None) -> int:
         field_scale=getattr(args, "field_scale", None),
         omega_s_mhz=getattr(args, "omega_s", None),
         tau=getattr(args, "tau", None),
-        dt=getattr(args, "dt", None),
         out=args.out,
         output_format=args.output_format,
     )

@@ -5,13 +5,15 @@ the first label owns the most significant bit of a computational-basis
 index.  Operators are plain complex ``numpy`` arrays; ``DensityMatrix``
 adds the slot labels and enforces the physical invariants on every
 construction.  Register sizes stay at or below four qubits, so everything
-is dense and eager (no sparse or iterative machinery).
+is dense and eager (no sparse or iterative machinery, and no time
+integration: the field-ramp strokes are propagated in closed form by
+``spinotto.adiabatic``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -85,11 +87,12 @@ class DensityMatrix:
                 f"matrix dimension {arr.shape[0]} does not match "
                 f"{len(qubits)} qubit labels"
             )
+        # Written as ``not (x <= ATOL)`` so NaN entries fail the checks too.
         tr = complex(np.trace(arr))
-        if abs(tr - 1.0) > ATOL:
+        if not abs(tr - 1.0) <= ATOL:
             raise StateInvariantError(f"trace is {tr}, expected 1 within {ATOL}")
-        if np.max(np.abs(arr - arr.conj().T)) > ATOL:
-            raise StateInvariantError("matrix is not Hermitian within tolerance")
+        if not np.max(np.abs(arr - arr.conj().T)) <= ATOL:
+            raise StateInvariantError("matrix is not Hermitian and finite within tolerance")
         eigenvalues = np.linalg.eigvalsh(arr)
         if float(eigenvalues.min()) < EIGENVALUE_FLOOR:
             raise StateInvariantError(
@@ -204,58 +207,3 @@ def permute_register(matrix, src: Sequence[str], dst: Sequence[str]) -> np.ndarr
             src_idx |= bit << (k - 1 - src_pos[q])
         perm[idx] = src_idx
     return arr[np.ix_(perm, perm)]
-
-
-def evolve_lvn(
-    rho0: DensityMatrix,
-    hamiltonian_at: Callable[[float], np.ndarray],
-    t_span: tuple[float, float],
-    dt: float,
-    hbar: float,
-) -> DensityMatrix:
-    """Integrate the Liouville-von Neumann equation with fixed-step RK4.
-
-    Solves ``drho/dt = -(i/hbar) [H(t), rho]`` from ``t_span[0]`` to
-    ``t_span[1]``.  The state is re-symmetrized after every step; trace is
-    conserved to round-off because the commutator is traceless.  The step
-    must tile the span exactly (within 1e-9 relative).
-
-    Raises
-    ------
-    ValueError
-        If ``H(t)`` is non-Hermitian beyond tolerance, has the wrong
-        dimension, or the step does not divide the span.
-    """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    span = t1 - t0
-    if span < 0:
-        raise ValueError(f"t_span runs backwards: {t_span}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if span == 0:
-        return rho0
-    n_steps = max(1, round(span / dt))
-    if abs(n_steps * dt - span) > 1e-9 * span:
-        raise ValueError(f"dt={dt} does not tile the span {span} evenly")
-    h = span / n_steps
-
-    dim = rho0.dim
-
-    def deriv(t: float, state: np.ndarray) -> np.ndarray:
-        ham = np.asarray(hamiltonian_at(t), dtype=complex)
-        if ham.shape != (dim, dim):
-            raise ValueError(f"H(t) has shape {ham.shape}, state is {dim}x{dim}")
-        if not is_hermitian(ham):
-            raise ValueError(f"H(t={t}) is not Hermitian within tolerance")
-        return (-1j / hbar) * (ham @ state - state @ ham)
-
-    rho = rho0.matrix.astype(complex).copy()
-    for step in range(n_steps):
-        t = t0 + step * h
-        k1 = deriv(t, rho)
-        k2 = deriv(t + h / 2, rho + (h / 2) * k1)
-        k3 = deriv(t + h / 2, rho + (h / 2) * k2)
-        k4 = deriv(t + h, rho + h * k3)
-        rho = rho + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(rho, rho0.qubits)

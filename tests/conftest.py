@@ -5,8 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from spinotto import StrokeSpec, tce_system, thermal_state
-from spinotto.adiabatic import COMPRESSION
+from spinotto import tce_system, thermal_state
 
 
 @pytest.fixture(scope="session")
@@ -24,9 +23,3 @@ def tce_thermal(tce):
 def tce_thermal_half(tce):
     """Half-field register Gibbs state at the bath temperature."""
     return thermal_state(tce, 0.5)
-
-
-@pytest.fixture(scope="session")
-def coarse_stroke():
-    """Cheap stroke spec for engine tests; populations are exact at any dt."""
-    return StrokeSpec(COMPRESSION, tau=0.1, dt=0.1 / 200)

@@ -46,7 +46,7 @@ def within(value, target, rel):
 
 @pytest.fixture(scope="module")
 def default_four_stroke_table(tce):
-    # default stroke timing: tau = 0.1 s, dt = tau / 10^4
+    # default stroke timing: tau = 0.1 s
     return sweep_four_stroke(tce, 10)
 
 

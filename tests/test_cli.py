@@ -69,7 +69,7 @@ class TestPpaCommand:
 
 class TestFourStrokeCommand:
     def test_default_sweep_summary_and_schema(self, tmp_path, monkeypatch, capsys):
-        rc = run_cli(["four-stroke", "--dt", "0.0005"], tmp_path, monkeypatch)
+        rc = run_cli(["four-stroke"], tmp_path, monkeypatch)
         assert rc == 0
         out = capsys.readouterr().out
         assert "max power at n=2" in out
@@ -91,9 +91,7 @@ class TestFourStrokeCommand:
         assert [r[7] for r in rows] == ["false"] * 6 + ["true"] * 5
 
     def test_single_point_range(self, tmp_path, monkeypatch, capsys):
-        rc = run_cli(
-            ["four-stroke", "--rounds", "1..1", "--dt", "0.0005"], tmp_path, monkeypatch
-        )
+        rc = run_cli(["four-stroke", "--rounds", "1..1"], tmp_path, monkeypatch)
         assert rc == 0
         _, rows = data_rows(tmp_path / "four_stroke_sweep.csv")
         assert len(rows) == 1
@@ -177,6 +175,32 @@ class TestOutputContract:
         assert rc == 0
         assert not (tmp_path / "ppa_trace.csv").exists()
         assert "final eps_target" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["four-stroke", "--tau", "nan"],
+            ["four-stroke", "--tau", "inf"],
+            ["ppa", "--field-scale", "inf"],
+            ["four-stroke", "--dt", "0.001"],  # not an option
+        ],
+        ids=["tau-nan", "tau-inf", "field-scale-inf", "dt-removed"],
+    )
+    def test_bad_arguments_exit_2(self, args, tmp_path, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(args, tmp_path, monkeypatch)
+        assert excinfo.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_stroke_phase_exits_3(self, tmp_path, monkeypatch, capsys):
+        # tau = 1e308 is finite, but the level phases overflow to NaN
+        rc = run_cli(["four-stroke", "--rounds", "1", "--tau", "1e308"], tmp_path, monkeypatch)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical invariant violated" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_numerical_invariant_violation_exits_3(self, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):

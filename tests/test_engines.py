@@ -27,8 +27,8 @@ def mhz(value):
 
 
 @pytest.fixture(scope="module")
-def four_stroke_table(tce, coarse_stroke):
-    return sweep_four_stroke(tce, 10, coarse_stroke)
+def four_stroke_table(tce):
+    return sweep_four_stroke(tce, 10)
 
 
 class TestFourStroke:
@@ -68,13 +68,13 @@ class TestFourStroke:
         for report in four_stroke_table.reports:
             assert report.w1 < 0 < report.w2
 
-    def test_rejects_negative_rounds(self, tce, coarse_stroke):
+    def test_rejects_negative_rounds(self, tce):
         with pytest.raises(ValueError):
-            run_four_stroke(tce, -1, coarse_stroke)
+            run_four_stroke(tce, -1)
 
 
 class TestIsochoricReference:
-    def test_matched_cold_bath_reproduces_work(self, tce, coarse_stroke, four_stroke_table):
+    def test_matched_cold_bath_reproduces_work(self, tce, four_stroke_table):
         for report, reference in zip(
             four_stroke_table.reports, four_stroke_table.reference_reports
         ):
@@ -83,23 +83,23 @@ class TestIsochoricReference:
             assert reference.cycle_time == 2 * 43.0
             assert reference.power == pytest.approx(reference.net_work / 86.0, rel=1e-12)
 
-    def test_zero_work_when_cold_bath_matches_compressed_frequency(self, tce, coarse_stroke):
+    def test_zero_work_when_cold_bath_matches_compressed_frequency(self, tce):
         # the frozen post-compression polarization equals the half-field
         # thermal polarization at bath/2, so that is the zero-work point
-        report = run_isochoric_reference(tce, tce.bath_temperature / 2, coarse_stroke)
+        report = run_isochoric_reference(tce, tce.bath_temperature / 2)
         assert abs(report.net_work) <= 1e-12  # J/mol, vs ~1e-7 at one round
 
-    def test_bath_temperature_cold_bath_consumes_work(self, tce, coarse_stroke):
+    def test_bath_temperature_cold_bath_consumes_work(self, tce):
         # "cooling" at the bath temperature under the half-field Hamiltonian
         # lowers the polarization below its frozen value: net work is negative
-        report = run_isochoric_reference(tce, tce.bath_temperature, coarse_stroke)
+        report = run_isochoric_reference(tce, tce.bath_temperature)
         assert report.net_work < 0
 
-    def test_rejects_inverted_temperatures(self, tce, coarse_stroke):
+    def test_rejects_inverted_temperatures(self, tce):
         with pytest.raises(ValueError):
-            run_isochoric_reference(tce, tce.bath_temperature * 1.5, coarse_stroke)
+            run_isochoric_reference(tce, tce.bath_temperature * 1.5)
         with pytest.raises(ValueError):
-            run_isochoric_reference(tce, 0.0, coarse_stroke)
+            run_isochoric_reference(tce, 0.0)
 
     def test_crossover_at_six_rounds(self, four_stroke_table):
         assert isochoric_crossover(four_stroke_table) == 6
@@ -283,7 +283,7 @@ class TestReportValidation:
         with pytest.raises(ValueError, match="increasing"):
             SweepTable(axes={"n_rounds": (2, 1)}, reports=())
 
-    def test_sweep_table_rejects_incomplete_rows(self, tce, coarse_stroke):
-        report = run_four_stroke(tce, 0, coarse_stroke)
+    def test_sweep_table_rejects_incomplete_rows(self, tce):
+        report = run_four_stroke(tce, 0)
         with pytest.raises(ValueError, match="incomplete"):
             SweepTable(axes={"n_rounds": (0, 1)}, reports=(report,))
