@@ -50,6 +50,17 @@ class StrokeSpec:
         return self.tau / 2
 
 
+def stroke_endpoints(
+    sys: SpinSystem,
+    spec: StrokeSpec,
+    constants: PhysicalConstants = CODATA2018,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Static Hamiltonians at the start and the end of a stroke."""
+    h_full = static_hamiltonian(sys, 1.0, constants)
+    h_half = static_hamiltonian(sys, COMPRESSED_FIELD_SCALE, constants)
+    return (h_full, h_half) if spec.direction == COMPRESSION else (h_half, h_full)
+
+
 def _level_energies(hamiltonian: np.ndarray) -> np.ndarray:
     energies = np.diag(hamiltonian)
     if not (is_diagonal(hamiltonian, atol=0.0) and np.all(energies.imag == 0.0)):
@@ -73,9 +84,7 @@ def evolve_stroke(
     diagonal that factor is exactly 1, so populations come back bit for
     bit (a drift above 1e-12 raises regardless).
     """
-    h_full = static_hamiltonian(sys, 1.0, constants)
-    h_half = static_hamiltonian(sys, COMPRESSED_FIELD_SCALE, constants)
-    start, end = (h_full, h_half) if spec.direction == COMPRESSION else (h_half, h_full)
+    start, end = stroke_endpoints(sys, spec, constants)
     e_start = _level_energies(start)
     e_end = _level_energies(end)
     area = e_start * (spec.tau / 2) + (e_end - e_start) * (spec.tau / math.pi)

@@ -7,9 +7,10 @@ from spinotto.adiabatic import (
     EXPANSION,
     StrokeSpec,
     evolve_stroke,
+    stroke_endpoints,
     stroke_work,
 )
-from spinotto.qmath import DensityMatrix, partial_trace, product_state
+from spinotto.qmath import DensityMatrix, is_diagonal, partial_trace, product_state
 from spinotto.spinsys import CODATA2018, local_hamiltonian, static_hamiltonian, thermal_state
 from test_qmath import random_density
 
@@ -41,6 +42,28 @@ class TestStrokeSpec:
     def test_rejects_non_finite_tau(self, tau):
         with pytest.raises(ValueError, match="tau"):
             StrokeSpec(COMPRESSION, tau=tau)
+
+
+class TestDriveHamiltonian:
+    # the drive (1 - s) H_start + s H_end is fixed by the stroke endpoints
+
+    def test_compression_boundaries_bit_for_bit(self, tce):
+        start, end = stroke_endpoints(tce, StrokeSpec(COMPRESSION))
+        assert np.array_equal(start, static_hamiltonian(tce, 1.0))
+        assert np.array_equal(end, static_hamiltonian(tce, 0.5))
+
+    def test_expansion_boundaries_bit_for_bit(self, tce):
+        start, end = stroke_endpoints(tce, StrokeSpec(EXPANSION))
+        assert np.array_equal(start, static_hamiltonian(tce, 0.5))
+        assert np.array_equal(end, static_hamiltonian(tce, 1.0))
+
+    def test_diagonal_at_all_times(self, tce):
+        # the closed-form stroke rests on this
+        start, end = stroke_endpoints(tce, StrokeSpec(COMPRESSION))
+        for s in np.linspace(0.0, 1.0, 7):
+            h = (1 - s) * start + s * end
+            assert is_diagonal(h, atol=0.0)
+            assert np.all(np.diag(h).imag == 0.0)
 
 
 class TestEvolveStroke:
