@@ -380,20 +380,24 @@ def sweep_two_stroke(
 ) -> SweepTable:
     """Two-stroke cycles over a partner-frequency grid (rad/s) per round count.
 
-    Rows are ordered round-count-major, frequency-minor.  The cooling run
-    is shared across the frequency axis (the cooled target state does not
-    depend on the partner).
+    Rows are ordered round-count-major, frequency-minor.  One cooling run
+    to the largest round count serves every row: its record after round
+    ``n`` is the ``n``-round cooled target, which does not depend on the
+    partner.
     """
     grid = [float(w) for w in omega_s_grid]
     n_list = [int(n) for n in n_values]
     if not grid or not n_list:
         raise ValueError("empty sweep grid")
-    rho_hot = thermal_state(sys, 1.0, constants)
+    if min(n_list) < 0:
+        raise ValueError(f"n_rounds must be >= 0, got {min(n_list)}")
+    target = sys.label_for_role(Role.TARGET)
+    trace = run_ppa(thermal_state(sys, 1.0, constants), sys, 1.0, max(n_list), constants)
     reports = []
     for n in n_list:
-        trace = run_ppa(rho_hot, sys, 1.0, n, constants)
-        cooled = trace.final_target
-        cooled_temp = trace.final_record.target_effective_temperature
+        record = trace.rounds[n]
+        cooled = partial_trace(record.state_after_round, {target})
+        cooled_temp = record.target_effective_temperature
         for omega_s in grid:
             reports.append(
                 _two_stroke_report(sys, omega_s, n, cooled, cooled_temp, constants)

@@ -1,10 +1,10 @@
-"""Ideal unitary gates on labeled registers, plus the reset channel.
+"""Ideal gates on labeled registers, plus the reset channel.
 
-Every gate used here (SWAP, CNotNot, Toffoli, and the 3-bit entropy
-compression COMP) is a classical permutation of computational-basis
-states, so conjugating a diagonal state always yields a diagonal state.
-Gates are instantaneous and perfect; their matrices are validated to be
-both unitary and 0/1 permutations.
+Both gates of the cooling schedule, SWAP and the 3-bit entropy
+compression COMP, are classical permutations of computational-basis
+states.  A gate is therefore stored as its permutation and applied by
+an index gather, which maps a diagonal state to a diagonal state
+exactly.  Gates are instantaneous and perfect.
 """
 
 from __future__ import annotations
@@ -14,49 +14,40 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmath import DensityMatrix, partial_trace, permute_register, _square_complex
-
-ATOL = 1e-12
+from .qmath import DensityMatrix, partial_trace
 
 
 @dataclass(frozen=True)
 class GateUnitary:
-    """Unitary permutation matrix bound to an ordered set of qubit labels."""
+    """Basis permutation bound to an ordered set of qubit labels.
 
-    matrix: np.ndarray
+    Basis state ``i`` goes to ``perm[i]``, i.e. ``U[perm[i], i] = 1``.
+    """
+
+    perm: tuple[int, ...]
     acts_on: tuple[str, ...]
     name: str
 
     def __post_init__(self):
-        arr = _square_complex(self.matrix).copy()
+        perm = tuple(int(i) for i in self.perm)
         acts_on = tuple(str(q) for q in self.acts_on)
-        if arr.shape[0] != 2 ** len(acts_on):
+        if sorted(perm) != list(range(2 ** len(acts_on))):
             raise ValueError(
-                f"gate {self.name}: dimension {arr.shape[0]} does not match "
-                f"{len(acts_on)} labels"
+                f"gate {self.name}: {perm} is not a permutation of the "
+                f"{2 ** len(acts_on)} basis states of {acts_on}"
             )
-        identity = np.eye(arr.shape[0])
-        if np.max(np.abs(arr @ arr.conj().T - identity)) > ATOL:
-            raise ValueError(f"gate {self.name} is not unitary within {ATOL}")
-        # This gate set is purely classical: entries must be exactly 0 or 1.
-        if not np.array_equal(np.abs(arr) ** 2, np.abs(arr)) or np.any(arr.imag != 0):
-            raise ValueError(f"gate {self.name} is not a 0/1 permutation matrix")
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "acts_on", acts_on)
 
 
-def from_permutation(perm: Sequence[int], acts_on: Sequence[str], name: str) -> GateUnitary:
-    """Gate sending basis state ``i`` to basis state ``perm[i]``."""
-    dim = len(perm)
-    matrix = np.zeros((dim, dim))
-    for src, dst in enumerate(perm):
-        matrix[dst, src] = 1.0
-    return GateUnitary(matrix.astype(complex), tuple(acts_on), name)
-
-
-def _bit(index: int, position: int, width: int) -> int:
-    return (index >> (width - 1 - position)) & 1
+def _reindex(index: int, src: Sequence[str], dst: Sequence[str]) -> int:
+    """Index in ``dst`` slot order of the basis state numbered ``index`` in ``src`` order."""
+    k = len(src)
+    out = 0
+    for position, label in enumerate(src):
+        bit = (index >> (k - 1 - position)) & 1
+        out |= bit << (k - 1 - dst.index(label))
+    return out
 
 
 def swap_unitary(register: Sequence[str], a: str, b: str) -> GateUnitary:
@@ -67,84 +58,47 @@ def swap_unitary(register: Sequence[str], a: str, b: str) -> GateUnitary:
     for label in (a, b):
         if label not in register:
             raise KeyError(f"unknown qubit label {label!r}; register is {register}")
-    k = len(register)
-    pa, pb = register.index(a), register.index(b)
-    perm = []
-    for idx in range(2**k):
-        bit_a = _bit(idx, pa, k)
-        bit_b = _bit(idx, pb, k)
-        swapped = idx
-        swapped &= ~((1 << (k - 1 - pa)) | (1 << (k - 1 - pb)))
-        swapped |= bit_b << (k - 1 - pa)
-        swapped |= bit_a << (k - 1 - pb)
-        perm.append(swapped)
-    return from_permutation(perm, register, f"SWAP({a},{b})")
-
-
-def cnotnot_unitary(register: Sequence[str], control: str, targets: Sequence[str]) -> GateUnitary:
-    """Flip every target bit when the control bit is 1."""
-    register = tuple(register)
-    positions = [register.index(q) for q in (control, *targets)]  # raises on unknown
-    k = len(register)
-    pc = positions[0]
-    perm = []
-    for idx in range(2**k):
-        out = idx
-        if _bit(idx, pc, k) == 1:
-            for pt in positions[1:]:
-                out ^= 1 << (k - 1 - pt)
-        perm.append(out)
-    return from_permutation(perm, register, f"CNotNot({control}->{','.join(targets)})")
-
-
-def toffoli_unitary(register: Sequence[str], controls: Sequence[str], target: str) -> GateUnitary:
-    """Flip the target bit when every control bit is 1."""
-    register = tuple(register)
-    control_pos = [register.index(q) for q in controls]
-    pt = register.index(target)
-    k = len(register)
-    perm = []
-    for idx in range(2**k):
-        out = idx
-        if all(_bit(idx, pc, k) == 1 for pc in control_pos):
-            out ^= 1 << (k - 1 - pt)
-        perm.append(out)
-    return from_permutation(perm, register, f"Toffoli({','.join(controls)}->{target})")
+    # Reading every basis state with the a and b slots relabelled swaps their bits.
+    relabelled = tuple(b if q == a else a if q == b else q for q in register)
+    perm = tuple(_reindex(i, register, relabelled) for i in range(2 ** len(register)))
+    return GateUnitary(perm, register, f"SWAP({a},{b})")
 
 
 def comp_unitary(register: Sequence[str]) -> GateUnitary:
     """3-bit entropy compression gate on a (target, compression, reset) register.
 
-    Built as CNotNot * Toffoli * CNotNot with the target controlling the
-    CNotNots and the compression/reset pair controlling the Toffoli.  The
-    net permutation exchanges ``|011>`` and ``|100>`` (target bit high)
-    and fixes every other basis state, which is what pumps population
-    toward the target's ``|0>`` level.
+    The net permutation of CNotNot * Toffoli * CNotNot (the target
+    controlling the CNotNots, the compression/reset pair controlling the
+    Toffoli): it exchanges ``|011>`` and ``|100>`` and fixes every other
+    basis state, which pumps population toward the target's ``|0>`` level.
     """
     register = tuple(register)
     if len(register) != 3:
         raise ValueError(f"compression gate needs a 3-qubit register, got {register}")
-    target, compression, reset = register
-    cnn = cnotnot_unitary(register, target, (compression, reset))
-    tof = toffoli_unitary(register, (compression, reset), target)
-    matrix = cnn.matrix @ tof.matrix @ cnn.matrix
-    return GateUnitary(matrix, register, "COMP")
+    perm = list(range(8))
+    perm[0b011], perm[0b100] = 0b100, 0b011
+    return GateUnitary(tuple(perm), register, "COMP")
 
 
 def apply(gate: GateUnitary, rho: DensityMatrix) -> DensityMatrix:
-    """Conjugate a state: ``U rho U^dagger``.
+    """Conjugate a state, ``U rho U^dagger``, as an index gather.
 
     The gate register must contain exactly the state's qubits; if the
-    orders differ the gate is permuted to match.
+    orders differ the permutation is re-expressed in the state's order.
     """
-    if set(gate.acts_on) != set(rho.qubits):
+    if sorted(gate.acts_on) != sorted(rho.qubits):
         raise ValueError(
             f"gate {gate.name} acts on {gate.acts_on}, state register is {rho.qubits}"
         )
-    matrix = gate.matrix
+    dst = gate.perm
     if gate.acts_on != rho.qubits:
-        matrix = permute_register(matrix, gate.acts_on, rho.qubits)
-    return DensityMatrix(matrix @ rho.matrix @ matrix.conj().T, rho.qubits)
+        dst = [
+            _reindex(gate.perm[_reindex(i, rho.qubits, gate.acts_on)], gate.acts_on, rho.qubits)
+            for i in range(len(dst))
+        ]
+    # (U rho U^dagger)[perm[i], perm[j]] = rho[i, j]
+    inv = np.argsort(dst)
+    return DensityMatrix(rho.matrix[np.ix_(inv, inv)], rho.qubits)
 
 
 def reset_channel(

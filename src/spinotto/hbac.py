@@ -101,7 +101,7 @@ def _check_register(rho: DensityMatrix, reg: _Register) -> None:
 
 def _checked_diagonal(state: DensityMatrix, enforce: bool) -> DensityMatrix:
     # Permutation gates and resets cannot create coherences; catching a
-    # violation here flags integrator or gate-construction bugs early.
+    # violation here flags gate or reset-channel bugs early.
     if enforce and not is_diagonal(state.matrix):
         raise StateInvariantError("cooling step produced off-diagonal entries")
     return state

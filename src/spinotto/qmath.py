@@ -13,7 +13,7 @@ integration: the field-ramp strokes are propagated in closed form by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -187,23 +187,3 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     root_sum = float(np.sum(np.sqrt(np.clip(eigenvalues, 0.0, None))))
     return min(1.0, root_sum**2)
 
-
-def permute_register(matrix, src: Sequence[str], dst: Sequence[str]) -> np.ndarray:
-    """Reorder the tensor slots of an operator from ``src`` to ``dst`` order."""
-    src = tuple(src)
-    dst = tuple(dst)
-    if sorted(src) != sorted(dst) or len(set(src)) != len(src):
-        raise ValueError(f"{dst} is not a permutation of {src}")
-    arr = _square_complex(matrix)
-    k = len(src)
-    if arr.shape[0] != 2**k:
-        raise ValueError(f"operator dimension {arr.shape[0]} does not match {k} labels")
-    src_pos = {q: i for i, q in enumerate(src)}
-    perm = np.empty(2**k, dtype=np.intp)
-    for idx in range(2**k):
-        src_idx = 0
-        for i, q in enumerate(dst):
-            bit = (idx >> (k - 1 - i)) & 1
-            src_idx |= bit << (k - 1 - src_pos[q])
-        perm[idx] = src_idx
-    return arr[np.ix_(perm, perm)]

@@ -28,6 +28,10 @@ class ConfigError(ValueError):
     """A system definition (preset name, file, or values) is invalid."""
 
 
+def _positive_finite(value: float) -> bool:
+    return math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """CODATA-2018 values; override only by constructing a new instance."""
@@ -64,12 +68,12 @@ class QubitSpec:
     omega_over_2pi: float | None = None  # MHz at field_scale 1
 
     def __post_init__(self):
-        if self.gamma_over_2pi <= 0:
-            raise ConfigError(f"qubit {self.label}: gamma must be positive")
-        if self.t1 <= 0:
-            raise ConfigError(f"qubit {self.label}: t1 must be positive")
-        if self.omega_over_2pi is not None and self.omega_over_2pi <= 0:
-            raise ConfigError(f"qubit {self.label}: omega must be positive")
+        if not _positive_finite(self.gamma_over_2pi):
+            raise ConfigError(f"qubit {self.label}: gamma must be positive and finite")
+        if not _positive_finite(self.t1):
+            raise ConfigError(f"qubit {self.label}: t1 must be positive and finite")
+        if self.omega_over_2pi is not None and not _positive_finite(self.omega_over_2pi):
+            raise ConfigError(f"qubit {self.label}: omega must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -89,10 +93,10 @@ class SpinSystem:
         labels = [q.label for q in self.qubits]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate qubit labels: {labels}")
-        if self.b_field <= 0:
-            raise ConfigError("b_field must be positive")
-        if self.bath_temperature <= 0:
-            raise ConfigError("bath_temperature must be positive")
+        if not _positive_finite(self.b_field):
+            raise ConfigError("b_field must be positive and finite")
+        if not _positive_finite(self.bath_temperature):
+            raise ConfigError("bath_temperature must be positive and finite")
         canonical: dict[tuple[str, str], float] = {}
         for (a, b), j in self.j_over_2pi.items():
             if a == b:
@@ -336,8 +340,8 @@ def from_config_text(text: str, origin: str = "<config>") -> SpinSystem:
             raise ConfigError(f"{origin}: {where} is missing {key}") from None
         except ValueError:
             raise ConfigError(f"{origin}: {where}: {key} is not a number") from None
-        if value <= 0:
-            raise ConfigError(f"{origin}: {where}: {key} must be positive")
+        if not _positive_finite(value):
+            raise ConfigError(f"{origin}: {where}: {key} must be positive and finite")
         return value
 
     temperature = _positive(system, "temperature_kelvin", "[system]")
@@ -393,9 +397,12 @@ def from_config_text(text: str, origin: str = "<config>") -> SpinSystem:
             if len(parts) != 2:
                 raise ConfigError(f"{origin}: [j_coupling] key {key!r} is not LABEL-LABEL")
             try:
-                couplings[(parts[0], parts[1])] = float(value)
+                j = float(value)
             except ValueError:
                 raise ConfigError(f"{origin}: [j_coupling] {key}: not a number") from None
+            if not math.isfinite(j):
+                raise ConfigError(f"{origin}: [j_coupling] {key}: must be finite")
+            couplings[(parts[0], parts[1])] = j
 
     try:
         return SpinSystem(

@@ -212,6 +212,29 @@ class TestOutputContract:
         assert "synthetic failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("t1_seconds = 43.0", "t1_seconds = nan"),
+        ("temperature_kelvin = 300.0", "temperature_kelvin = inf"),
+        ("temperature_kelvin = 300.0", "temperature_kelvin = nan"),
+        ("C1-C2 = 103.0", "C1-C2 = nan"),
+        ("C1-C2 = 103.0", "C1-C2 = -inf"),
+    ],
+    ids=["t1-nan", "temperature-inf", "temperature-nan", "j-nan", "j-minus-inf"],
+)
+def test_non_finite_config_exits_2(old, new, tmp_path, monkeypatch, capsys):
+    # every subcommand loads the system through the same call before it runs
+    config = tmp_path / "bad.cfg"
+    config.write_text(TCE_CONFIG.replace(old, new))
+    rc = run_cli(["two-stroke", "--system", str(config), "--rounds", "1"], tmp_path, monkeypatch)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "finite" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_module_entry_point(tmp_path):
     # The child runs from an unrelated directory, so a relative PYTHONPATH
     # (such as PYTHONPATH=src) would no longer resolve: put the absolute

@@ -239,6 +239,18 @@ class TestTwoStrokeSweep:
         assert [r.omega_s for r in table.reports] == [grid[0], grid[1], grid[0], grid[1]]
         assert table.axes == {"n_rounds": (1, 2), "omega_s": tuple(grid)}
 
+    def test_rows_match_single_cycles(self, tce):
+        # one shared cooling run must give each row its own n-round cycle
+        grid = [mhz(w) for w in (200.0, 430.0, 900.0)]
+        n_values = [0, 1, 5]
+        table = sweep_two_stroke(tce, grid, n_values)
+        expected = [run_two_stroke(tce, w, n) for n in n_values for w in grid]
+        assert list(table.reports) == expected
+
+    def test_rejects_negative_round_count(self, tce):
+        with pytest.raises(ValueError, match="n_rounds"):
+            sweep_two_stroke(tce, [mhz(430.0)], [-1, 2])
+
     def test_efficiency_identity_inside_window(self, one_round_fine_table):
         # the frequency-ratio efficiency must coincide with W / Q_in
         for report in one_round_fine_table.reports:

@@ -2,16 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from spinotto.gates import (
-    GateUnitary,
-    apply,
-    cnotnot_unitary,
-    comp_unitary,
-    from_permutation,
-    reset_channel,
-    swap_unitary,
-    toffoli_unitary,
-)
+from spinotto.gates import GateUnitary, apply, comp_unitary, reset_channel, swap_unitary
 from spinotto.qmath import (
     DensityMatrix,
     is_diagonal,
@@ -20,8 +11,24 @@ from spinotto.qmath import (
     single_qubit_state,
 )
 from spinotto.spinsys import polarization
+from test_qmath import random_density
 
 REG = ("t", "c", "r")
+
+
+def matrix_of(gate):
+    """Dense 0/1 matrix of a gate: column ``i`` has its 1 in row ``perm[i]``."""
+    dim = len(gate.perm)
+    u = np.zeros((dim, dim), dtype=complex)
+    u[list(gate.perm), range(dim)] = 1.0
+    return u
+
+
+def reorder_slots(matrix, axes):
+    """Operator with its tensor slots listed in the order ``axes`` of the old ones."""
+    k = len(axes)
+    tensor = matrix.reshape((2,) * (2 * k))
+    return tensor.transpose(list(axes) + [k + a for a in axes]).reshape(matrix.shape)
 
 
 def product_from_polarizations(eps_t, eps_c, eps_r):
@@ -33,26 +40,13 @@ def product_from_polarizations(eps_t, eps_c, eps_r):
 
 
 class TestGateUnitary:
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError, match="unitary"):
-            GateUnitary(np.ones((2, 2), dtype=complex), ("a",), "bad")
-
     def test_rejects_non_permutation(self):
-        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         with pytest.raises(ValueError, match="permutation"):
-            GateUnitary(h, ("a",), "hadamard")
-
-    def test_gate_set_is_unitary_permutation(self):
-        gates = [
-            swap_unitary(REG, "t", "r"),
-            cnotnot_unitary(REG, "t", ("c", "r")),
-            toffoli_unitary(REG, ("c", "r"), "t"),
-            comp_unitary(REG),
-        ]
-        for gate in gates:
-            u = gate.matrix
-            assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-15)
-            assert np.array_equal(np.sort(np.abs(u), axis=0)[-1], np.ones(8))
+            GateUnitary((0, 0), ("a",), "repeated")
+        with pytest.raises(ValueError, match="permutation"):
+            GateUnitary((0, 1), ("a", "b"), "short")
+        with pytest.raises(ValueError, match="permutation"):
+            GateUnitary((1, 0, 2), ("a",), "long")
 
 
 class TestSwap:
@@ -60,7 +54,7 @@ class TestSwap:
         gate = swap_unitary(("a", "b"), "a", "b")
         e01 = np.zeros(4)
         e01[1] = 1.0
-        out = gate.matrix @ e01
+        out = matrix_of(gate) @ e01
         assert np.array_equal(out, np.array([0, 0, 1, 0], dtype=complex))
 
     def test_exchanges_marginals_of_product(self):
@@ -77,10 +71,10 @@ class TestSwap:
         for idx in range(8):
             t, c, r = (idx >> 2) & 1, (idx >> 1) & 1, idx & 1
             expected = (r << 2) | (c << 1) | t
-            column = gate.matrix[:, idx]
+            column = matrix_of(gate)[:, idx]
             assert column[expected] == 1.0 and column.sum() == 1.0
         # (t,c,r) = (0,1,1) -> (1,1,0)
-        assert gate.matrix[0b110, 0b011] == 1.0
+        assert gate.perm[0b011] == 0b110
 
     def test_label_errors(self):
         with pytest.raises(KeyError):
@@ -94,14 +88,12 @@ class TestComp:
         gate = comp_unitary(REG)
         e0 = np.zeros(8)
         e0[0] = 1.0
-        assert np.array_equal(gate.matrix @ e0, e0.astype(complex))
+        assert np.array_equal(matrix_of(gate) @ e0, e0.astype(complex))
 
     def test_exchanges_011_and_100(self):
-        gate = comp_unitary(REG)
         expected_perm = list(range(8))
         expected_perm[0b011], expected_perm[0b100] = 0b100, 0b011
-        expected = from_permutation(expected_perm, REG, "expected").matrix
-        assert np.array_equal(gate.matrix, expected)
+        assert comp_unitary(REG).perm == tuple(expected_perm)
 
     def test_explicit_three_matrix_product(self):
         # Oracle: rebuild CNotNot and Toffoli directly as permutations and
@@ -117,7 +109,7 @@ class TestComp:
         for idx in range(8):
             cnn[cnn_perm(idx), idx] = 1.0
             tof[toffoli_perm(idx), idx] = 1.0
-        assert np.array_equal(comp_unitary(REG).matrix, cnn @ tof @ cnn)
+        assert np.array_equal(matrix_of(comp_unitary(REG)), cnn @ tof @ cnn)
 
     def test_equal_polarization_law(self):
         # brute force over all 8 basis populations predicts (3e - e^3)/2
@@ -154,8 +146,33 @@ class TestComp:
 class TestApply:
     def test_identity_gate(self):
         rho = product_from_polarizations(1e-5, 2e-5, 3e-5)
-        identity = from_permutation(range(8), REG, "I")
+        identity = GateUnitary(tuple(range(8)), REG, "I")
         assert apply(identity, rho).close_to(rho)
+
+    def test_sends_basis_state_i_to_perm_i(self):
+        # Every cooling gate is an involution, so only a gate that is not
+        # its own inverse tells the permutation from its inverse.
+        gate = GateUnitary((1, 2, 0, 3), ("a", "b"), "cycle")
+        for i in range(4):
+            basis = np.zeros((4, 4), dtype=complex)
+            basis[i, i] = 1.0
+            out = apply(gate, DensityMatrix(basis, ("a", "b")))
+            expected = np.zeros((4, 4), dtype=complex)
+            expected[gate.perm[i], gate.perm[i]] = 1.0
+            assert np.array_equal(out.matrix, expected)
+
+    def test_matches_conjugation_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        gates = [
+            swap_unitary(REG, "t", "r"),
+            swap_unitary(REG, "c", "r"),
+            comp_unitary(REG),
+            GateUnitary((1, 2, 0, 4, 3, 5, 7, 6), REG, "mixed"),
+        ]
+        for gate in gates:
+            rho = DensityMatrix(random_density(rng, 8), REG)
+            u = matrix_of(gate)
+            assert np.array_equal(apply(gate, rho).matrix, u @ rho.matrix @ u.conj().T)
 
     def test_swap_involution(self):
         rho = product_from_polarizations(1e-5, 2e-5, 3e-5)
@@ -168,6 +185,19 @@ class TestApply:
         gate = swap_unitary(("r", "c", "t"), "t", "r")  # same labels, other order
         direct = apply(swap_unitary(REG, "t", "r"), rho)
         assert apply(gate, rho).close_to(direct)
+
+    def test_comp_on_reordered_state(self):
+        # The same dense state with its slots stored as (r, t, c): COMP on
+        # the (t, c, r) register must give the (t, c, r) result, reordered.
+        rng = np.random.default_rng(12)
+        rho = DensityMatrix(random_density(rng, 8), REG)
+        order = ("r", "t", "c")
+        axes = [REG.index(q) for q in order]
+        rho_rtc = DensityMatrix(reorder_slots(rho.matrix, axes), order)
+        direct = apply(comp_unitary(REG), rho)
+        out = apply(comp_unitary(REG), rho_rtc)
+        assert out.qubits == order
+        assert np.array_equal(out.matrix, reorder_slots(direct.matrix, axes))
 
     def test_label_mismatch(self):
         rho = product_from_polarizations(1e-5, 2e-5, 3e-5)

@@ -9,7 +9,6 @@ from spinotto.qmath import (
     is_diagonal,
     kron,
     partial_trace,
-    permute_register,
     product_state,
     single_qubit_state,
 )
@@ -22,11 +21,6 @@ def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
-
-
-def random_hermitian(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (a + a.conj().T) / 2
 
 
 def random_diagonal_state(rng, label):
@@ -185,26 +179,6 @@ class TestFidelity:
             if np.max(np.abs(p - q)) > 1e-3:
                 assert f_rs < 1.0 - 1e-8
             assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestPermuteRegister:
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        m = random_hermitian(rng, 8)
-        once = permute_register(m, ("a", "b", "c"), ("c", "a", "b"))
-        back = permute_register(once, ("c", "a", "b"), ("a", "b", "c"))
-        assert np.allclose(back, m, atol=1e-15)
-
-    def test_swaps_tensor_slots(self):
-        a = np.diag([1.0, 0.0]).astype(complex)
-        b = np.diag([0.0, 1.0]).astype(complex)
-        ab = kron(a, b)
-        ba = permute_register(ab, ("a", "b"), ("b", "a"))
-        assert np.array_equal(ba, kron(b, a))
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            permute_register(np.eye(4), ("a", "b"), ("a", "c"))
 
 
 def test_is_diagonal():

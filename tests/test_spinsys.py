@@ -104,6 +104,17 @@ class TestSpinSystemValidation:
         with pytest.raises(ConfigError):
             SpinSystem((q,), {}, 1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, value):
+        for args in ((value, 1.0, None), (10.0, value, None), (10.0, 1.0, value)):
+            with pytest.raises(ConfigError, match="finite"):
+                QubitSpec("a", Role.TARGET, *args)
+        q = QubitSpec("a", Role.TARGET, 10.0, 1.0)
+        with pytest.raises(ConfigError, match="finite"):
+            SpinSystem((q,), {}, value, 300.0)
+        with pytest.raises(ConfigError, match="finite"):
+            SpinSystem((q,), {}, 1.0, value)
+
 
 class TestStaticHamiltonian:
     def test_single_qubit_zeeman(self):
@@ -302,6 +313,9 @@ class TestConfig:
             (lambda t: t.replace("[system]\ntemperature_kelvin = 300.0\n", "[system]\n"), "temperature_kelvin"),
             (lambda t: t.replace("role = target", "role = boss"), "role"),
             (lambda t: t.replace("t1_seconds = 43.0", "t1_seconds = -1"), "positive"),
+            (lambda t: t.replace("t1_seconds = 43.0", "t1_seconds = inf"), "finite"),
+            (lambda t: t.replace("omega_mhz = 125.77", "omega_mhz = nan", 1), "finite"),
+            (lambda t: t.replace("C1-H = 9.0", "C1-H = inf"), "finite"),
             (lambda t: t.replace("C1-C2", "C1-C9"), "unknown"),
             (lambda t: t.replace("reference_qubit = H", "reference_qubit = Z"), "reference_qubit"),
             (lambda t: t.replace("C1-C2 = 103.0", "C1C2 = 103.0"), "LABEL-LABEL"),
