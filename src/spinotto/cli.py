@@ -218,10 +218,11 @@ def _cmd_two_stroke(config: RunConfig, system: SpinSystem) -> int:
         f"n={best.n_rounds}: P={best.power:.6e} W/mol "
         f"(W={best.net_work:.6e} J/mol, eta={best.efficiency:.4f})"
     ]
-    for n in config.rounds:
-        report = next(r for r in table.reports if r.n_rounds == n)
+    # rows are round-count-major, so each round count's block starts every len(grid) rows
+    cooled = table.columns["cooled_target_temperature"][:: len(grid)].tolist()
+    for n, cooled_temperature in zip(table.axes["n_rounds"], cooled):
         low, high = engines.positive_work_window(
-            omega_t, system.bath_temperature, report.cooled_target_temperature
+            omega_t, system.bath_temperature, cooled_temperature
         )
         lines.append(
             f"positive-work window n={n}: "

@@ -13,8 +13,9 @@ relaxation stages: gate applications and field ramps are treated as fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, fields, replace
+from functools import reduce
 
 import numpy as np
 
@@ -26,9 +27,9 @@ from .adiabatic import (
     evolve_stroke,
     stroke_work,
 )
-from .gates import apply, reset_channel, swap_unitary
-from .hbac import run_ppa
-from .qmath import DensityMatrix, partial_trace, product_state
+from .gates import reset_channel
+from .hbac import RoundRecord, run_ppa
+from .qmath import DensityMatrix, StateInvariantError, partial_trace
 from .spinsys import (
     CODATA2018,
     PhysicalConstants,
@@ -37,7 +38,6 @@ from .spinsys import (
     gibbs_state,
     local_hamiltonian,
     thermal_state,
-    zeeman_hamiltonian,
 )
 
 FOUR_STROKE_HBAC = "four_stroke_hbac"
@@ -49,6 +49,29 @@ _CLOSURE_RTOL = 1e-9
 
 def _energy(h_local: np.ndarray, rho: DensityMatrix) -> float:
     return float(np.real(np.trace(np.asarray(h_local) @ rho.matrix)))
+
+
+_ENERGETICS = ("q_in", "q_out", "net_work", "efficiency", "w1", "w2")
+
+
+def _check_energetics(q_in, q_out, net_work, efficiency, w1, w2) -> None:
+    """First-law closure and the efficiency range, elementwise over scalars or columns."""
+    # scale for the relative closure checks; the stroke works enter
+    # because w1 and w2 can cancel almost exactly
+    scale = reduce(np.maximum, [abs(x) for x in (q_in, q_out, net_work, w1, w2) if x is not None])
+    tolerance = _CLOSURE_RTOL * scale
+    if ((scale > 0) & (abs(net_work - (q_in - q_out)) > tolerance)).any():
+        raise StateInvariantError("first-law violation: net_work != q_in - q_out")
+    if w1 is not None and w2 is not None:
+        if ((scale > 0) & (abs(net_work - (w1 + w2)) > tolerance)).any():
+            raise StateInvariantError("first-law violation: net_work != w1 + w2")
+    # only meaningfully positive work constrains the efficiency; at the
+    # degenerate frequency boundary net_work is a round-off residue
+    efficiency = np.asarray(efficiency)
+    bad = (net_work > tolerance) & ~((0.0 < efficiency) & (efficiency < 1.0))
+    if bad.any():
+        value = efficiency[bad][0]
+        raise StateInvariantError(f"efficiency {value} outside (0, 1) at positive work")
 
 
 @dataclass(frozen=True)
@@ -70,35 +93,27 @@ class CycleReport:
     in_window: bool | None = None  # two-stroke only
 
     def __post_init__(self):
-        # scale for the relative closure checks; the stroke works enter
-        # because w1 and w2 can cancel almost exactly
-        scale = max(
-            abs(self.q_in),
-            abs(self.q_out),
-            abs(self.net_work),
-            abs(self.w1 or 0.0),
-            abs(self.w2 or 0.0),
-        )
-        if scale > 0 and abs(self.net_work - (self.q_in - self.q_out)) > _CLOSURE_RTOL * scale:
-            raise ValueError("first-law violation: net_work != q_in - q_out")
-        if self.w1 is not None and self.w2 is not None:
-            if scale > 0 and abs(self.net_work - (self.w1 + self.w2)) > _CLOSURE_RTOL * scale:
-                raise ValueError("first-law violation: net_work != w1 + w2")
-        # only meaningfully positive work constrains the efficiency; at the
-        # degenerate frequency boundary net_work is a round-off residue
-        if self.net_work > _CLOSURE_RTOL * scale and not 0.0 < self.efficiency < 1.0:
-            raise ValueError(
-                f"efficiency {self.efficiency} outside (0, 1) at positive work"
-            )
+        _check_energetics(**{name: getattr(self, name) for name in _ENERGETICS})
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    """Cycle reports over a parameter grid, in deterministic grid order."""
+_COLUMN_FIELDS = tuple(f.name for f in fields(CycleReport) if f.name != "engine_kind")
+
+
+@dataclass(frozen=True, eq=False)
+class SweepTable(Sequence):
+    """Cycles of one engine kind over a parameter grid, stored as named columns.
+
+    Each column is named after a ``CycleReport`` field and holds one value
+    per grid point in deterministic grid order; a field without a column
+    is None in every row.  As a sequence the table yields ``CycleReport``
+    rows, built on access.  A four-stroke sweep carries its isochoric
+    reference cycles as a second table over the same grid.
+    """
 
     axes: dict[str, tuple]
-    reports: tuple[CycleReport, ...]
-    reference_reports: tuple[CycleReport, ...] | None = None
+    engine_kind: str
+    columns: dict[str, np.ndarray]
+    reference_reports: SweepTable | None = None
 
     def __post_init__(self):
         expected = 1
@@ -107,23 +122,35 @@ class SweepTable:
             if any(b <= a for a, b in zip(seq, seq[1:])):
                 raise ValueError("sweep axes must be strictly increasing")
             expected *= len(seq)
-        if len(self.reports) != expected:
-            raise ValueError(
-                f"incomplete sweep: {len(self.reports)} reports for {expected} grid points"
-            )
-        if self.reference_reports is not None and len(self.reference_reports) != len(
-            self.reports
-        ):
-            raise ValueError("reference reports must align with the primary reports")
-        object.__setattr__(self, "reports", tuple(self.reports))
-        if self.reference_reports is not None:
-            object.__setattr__(self, "reference_reports", tuple(self.reference_reports))
+        columns = {name: np.array(values) for name, values in self.columns.items()}
+        if any(len(column) != expected for column in columns.values()):
+            raise ValueError(f"incomplete sweep: columns do not hold {expected} grid points")
+        for column in columns.values():
+            column.setflags(write=False)
+        _check_energetics(**{name: columns.get(name) for name in _ENERGETICS})
+        if self.reference_reports is not None and len(self.reference_reports) != expected:
+            raise ValueError("reference table must align with the primary table")
+        object.__setattr__(self, "columns", columns)
+
+    def __len__(self) -> int:
+        return len(self.columns["net_work"])
+
+    def __getitem__(self, index: int) -> CycleReport:
+        index = range(len(self))[index]
+        values = dict.fromkeys(_COLUMN_FIELDS)
+        values.update((name, column.item(index)) for name, column in self.columns.items())
+        return CycleReport(engine_kind=self.engine_kind, **values)
+
+    @property
+    def reports(self) -> SweepTable:
+        return self
 
     def argmax_power(self) -> CycleReport:
-        return max(self.reports, key=lambda r: r.power)
+        # np.argmax keeps the first of equal maxima, like the builtin max
+        return self[int(np.argmax(self.columns["power"]))]
 
     def argmax_work(self) -> CycleReport:
-        return max(self.reports, key=lambda r: r.net_work)
+        return self[int(np.argmax(self.columns["net_work"]))]
 
 
 def _stroke_pair(stroke: StrokeSpec | None) -> tuple[StrokeSpec, StrokeSpec]:
@@ -259,60 +286,58 @@ def positive_work_window(
     return omega_t, omega_t * bath_t / cooled_t
 
 
-def _partner_label(sys: SpinSystem) -> str:
-    if sys.has_role(Role.SWAP_PARTNER):
-        return sys.label_for_role(Role.SWAP_PARTNER)
-    label = "S"
-    while label in sys.labels:
-        label += "'"
-    return label
-
-
-def _two_stroke_report(
+def _two_stroke_columns(
     sys: SpinSystem,
-    omega_s: float,
-    n_rounds: int,
-    cooled_target: DensityMatrix,
-    cooled_temperature: float,
+    omega_s: np.ndarray,
+    record: RoundRecord,
     constants: PhysicalConstants,
-) -> CycleReport:
+) -> dict[str, np.ndarray]:
+    """Two-stroke cycles over partner frequencies, with the target cooled as in ``record``.
+
+    The bath-equilibrated partner and the cooled target are diagonal
+    qubits, so the SWAP only exchanges their populations.  The arithmetic
+    follows the dense cycle (product state, SWAP, two partial traces)
+    operation by operation, so every column is bit-identical to it.
+    """
     target = sys.label_for_role(Role.TARGET)
     reset = sys.label_for_role(Role.RESET)
-    partner = _partner_label(sys)
     omega_t = sys.omega(target, 1.0)
+    n_rounds = record.round_index
+    cooled_temperature = record.target_effective_temperature
 
-    h_s = zeeman_hamiltonian(omega_s, constants)
-    h_t = local_hamiltonian(sys, target, 1.0, constants)
-    rho0_s = gibbs_state(h_s, sys.bath_temperature, (partner,), constants)
-    rho0_t = cooled_target
+    # Zeeman levels (-hbar w / 2, +hbar w / 2): one row per partner frequency
+    h_s = np.stack([-constants.hbar * omega_s / 2, +constants.hbar * omega_s / 2], axis=1)
+    h_t = np.real(np.diag(local_hamiltonian(sys, target, 1.0, constants)))
+    beta = 1.0 / (constants.k_boltzmann * sys.bath_temperature)
+    weights = np.exp(-beta * (h_s - h_s.min(axis=1, keepdims=True)))
+    p0_s = weights / weights.sum(axis=1, keepdims=True)
+    p0_t = partial_trace(record.state_after_round, {target}).populations
 
-    joint = product_state(rho0_s, rho0_t)
-    swapped = apply(swap_unitary(joint.qubits, partner, target), joint)
-    rho1_s = partial_trace(swapped, {partner})
-    rho1_t = partial_trace(swapped, {target})
+    # after the SWAP each qubit's marginal is the other's old populations,
+    # summed over the other slot of the product state
+    p1_s = p0_t * p0_s[:, :1] + p0_t * p0_s[:, 1:]
+    p1_t = p0_t[0] * p0_s + p0_t[1] * p0_s
 
-    q_in = _energy(h_s, rho0_s) - _energy(h_s, rho1_s)
-    q_out = _energy(h_t, rho1_t) - _energy(h_t, rho0_t)
+    q_in = (h_s * p0_s).sum(axis=-1) - (h_s * p1_s).sum(axis=-1)
+    q_out = (h_t * p1_t).sum(axis=-1) - (h_t * p0_t).sum(axis=-1)
 
     mole = constants.avogadro
     cycle_time = sys.qubit(reset).t1 * (2 * n_rounds + 1)
     net = (q_in - q_out) * mole
-    window = positive_work_window(omega_t, sys.bath_temperature, cooled_temperature)
-    return CycleReport(
-        engine_kind=TWO_STROKE_HBAC,
-        n_rounds=n_rounds,
-        w1=None,
-        w2=None,
-        q_in=q_in * mole,
-        q_out=q_out * mole,
-        net_work=net,
-        efficiency=1.0 - omega_t / omega_s,
-        power=net / cycle_time,
-        cycle_time=cycle_time,
-        cooled_target_temperature=cooled_temperature,
-        omega_s=omega_s,
-        in_window=window[0] < omega_s < window[1],
-    )
+    low, high = positive_work_window(omega_t, sys.bath_temperature, cooled_temperature)
+    points = len(omega_s)
+    return {
+        "n_rounds": np.full(points, n_rounds),
+        "q_in": q_in * mole,
+        "q_out": q_out * mole,
+        "net_work": net,
+        "efficiency": 1.0 - omega_t / omega_s,
+        "power": net / cycle_time,
+        "cycle_time": np.full(points, cycle_time),
+        "cooled_target_temperature": np.full(points, cooled_temperature),
+        "omega_s": omega_s,
+        "in_window": (low < omega_s) & (omega_s < high),
+    }
 
 
 def run_two_stroke(
@@ -328,19 +353,7 @@ def run_two_stroke(
     states through one SWAP.  A partner frequency outside the positive
     work window is reported with ``in_window=False``, not an error.
     """
-    if omega_s <= 0:
-        raise ValueError(f"omega_s must be positive, got {omega_s}")
-    if n_rounds < 0:
-        raise ValueError(f"n_rounds must be >= 0, got {n_rounds}")
-    trace = run_ppa(thermal_state(sys, 1.0, constants), sys, 1.0, n_rounds, constants)
-    return _two_stroke_report(
-        sys,
-        omega_s,
-        n_rounds,
-        trace.final_target,
-        trace.final_record.target_effective_temperature,
-        constants,
-    )
+    return sweep_two_stroke(sys, [omega_s], [n_rounds], constants)[0]
 
 
 def sweep_four_stroke(
@@ -365,11 +378,13 @@ def sweep_four_stroke(
         run_isochoric_reference(sys, r.cooled_target_temperature, stroke, constants)
         for r in reports
     ]
-    return SweepTable(
-        axes={"n_rounds": tuple(n_list)},
-        reports=tuple(reports),
-        reference_reports=tuple(references),
-    )
+
+    def table(rows: list[CycleReport], reference: SweepTable | None = None) -> SweepTable:
+        present = [name for name in _COLUMN_FIELDS if getattr(rows[0], name) is not None]
+        columns = {name: [getattr(r, name) for r in rows] for name in present}
+        return SweepTable({"n_rounds": tuple(n_list)}, rows[0].engine_kind, columns, reference)
+
+    return table(reports, table(references))
 
 
 def sweep_two_stroke(
@@ -383,28 +398,22 @@ def sweep_two_stroke(
     Rows are ordered round-count-major, frequency-minor.  One cooling run
     to the largest round count serves every row: its record after round
     ``n`` is the ``n``-round cooled target, which does not depend on the
-    partner.
+    partner.  Each round count is then one array pass over the grid.
     """
-    grid = [float(w) for w in omega_s_grid]
+    grid = np.array(omega_s_grid, dtype=float)
     n_list = [int(n) for n in n_values]
-    if not grid or not n_list:
+    if not grid.size or not n_list:
         raise ValueError("empty sweep grid")
+    if not grid.min() > 0:
+        raise ValueError(f"omega_s must be positive, got {grid.min()}")
     if min(n_list) < 0:
         raise ValueError(f"n_rounds must be >= 0, got {min(n_list)}")
-    target = sys.label_for_role(Role.TARGET)
     trace = run_ppa(thermal_state(sys, 1.0, constants), sys, 1.0, max(n_list), constants)
-    reports = []
-    for n in n_list:
-        record = trace.rounds[n]
-        cooled = partial_trace(record.state_after_round, {target})
-        cooled_temp = record.target_effective_temperature
-        for omega_s in grid:
-            reports.append(
-                _two_stroke_report(sys, omega_s, n, cooled, cooled_temp, constants)
-            )
+    parts = [_two_stroke_columns(sys, grid, trace.rounds[n], constants) for n in n_list]
     return SweepTable(
-        axes={"n_rounds": tuple(n_list), "omega_s": tuple(grid)},
-        reports=tuple(reports),
+        axes={"n_rounds": tuple(n_list), "omega_s": tuple(grid.tolist())},
+        engine_kind=TWO_STROKE_HBAC,
+        columns={name: np.concatenate([part[name] for part in parts]) for name in parts[0]},
     )
 
 
@@ -412,7 +421,5 @@ def isochoric_crossover(table: SweepTable) -> int | None:
     """First round count where the reference engine out-powers cooling."""
     if table.reference_reports is None:
         raise ValueError("table carries no reference reports")
-    for report, reference in zip(table.reports, table.reference_reports):
-        if reference.power > report.power:
-            return report.n_rounds
-    return None
+    later = np.flatnonzero(table.reference_reports.columns["power"] > table.columns["power"])
+    return int(table.columns["n_rounds"][later[0]]) if later.size else None

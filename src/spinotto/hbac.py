@@ -45,14 +45,6 @@ class RoundRecord:
     target_effective_temperature: float  # kelvin, at the scaled target frequency
     state_after_round: DensityMatrix
 
-    def __post_init__(self):
-        for name in ("target_polarization", "reset_polarization"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name}={value} outside (0, 1)")
-        if self.target_effective_temperature <= 0:
-            raise ValueError("effective temperature must be positive")
-
 
 @dataclass(frozen=True)
 class PpaTrace:
@@ -165,6 +157,13 @@ def run_ppa(
     def record(index: int, state: DensityMatrix) -> RoundRecord:
         eps_t = polarization(partial_trace(state, {reg.target}))
         eps_r = polarization(partial_trace(state, {reg.reset}))
+        # a polarization that rounds to 1 (a very cold bath) has no spin temperature
+        for name, eps in (("target", eps_t), ("reset", eps_r)):
+            if not 0.0 < eps < 1.0:
+                raise StateInvariantError(
+                    f"round {index}: {name} polarization {eps} outside (0, 1) "
+                    f"at bath temperature {sys.bath_temperature:g} K"
+                )
         return RoundRecord(
             round_index=index,
             target_polarization=eps_t,

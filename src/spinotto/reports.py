@@ -15,6 +15,8 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .engines import SweepTable
 from .hbac import PpaTrace, trace_rows
 from .spinsys import CODATA2018, PhysicalConstants, SpinSystem
@@ -76,6 +78,11 @@ def _table(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
     return lines
 
 
+def _column_rows(*columns: np.ndarray) -> Iterable[tuple]:
+    # tolist() yields Python floats, ints and bools, which fmt knows
+    return zip(*(column.tolist() for column in columns))
+
+
 def render_ppa_csv(
     trace: PpaTrace,
     sys: SpinSystem,
@@ -98,20 +105,13 @@ def render_four_stroke_csv(
     constants: PhysicalConstants = CODATA2018,
 ) -> str:
     assert table.reference_reports is not None
-    rows = []
-    for report, reference in zip(table.reports, table.reference_reports):
-        rows.append(
-            (
-                report.n_rounds,
-                report.q_in,
-                report.q_out,
-                report.net_work,
-                report.power,
-                reference.power,
-                report.cooled_target_temperature,
-                reference.power > report.power,
-            )
-        )
+    cols, ref = table.columns, table.reference_reports.columns
+    rows = _column_rows(
+        *(cols[name] for name in ("n_rounds", "q_in", "q_out", "net_work", "power")),
+        ref["power"],
+        cols["cooled_target_temperature"],
+        ref["power"] > cols["power"],
+    )
     lines = metadata_lines("four-stroke cycle sweep", config_lines, sys, constants)
     lines += _table(
         (
@@ -135,17 +135,11 @@ def render_two_stroke_csv(
     sys: SpinSystem,
     constants: PhysicalConstants = CODATA2018,
 ) -> str:
-    rows = [
-        (
-            report.omega_s / TWO_PI / 1e6,
-            report.n_rounds,
-            report.net_work,
-            report.power,
-            report.efficiency,
-            report.in_window,
-        )
-        for report in table.reports
-    ]
+    cols = table.columns
+    rows = _column_rows(
+        cols["omega_s"] / TWO_PI / 1e6,
+        *(cols[name] for name in ("n_rounds", "net_work", "power", "efficiency", "in_window")),
+    )
     lines = metadata_lines("two-stroke cycle sweep", config_lines, sys, constants)
     lines += _table(
         ("omega_s_MHz", "n", "W_J_per_mol", "P_W_per_mol", "eta", "in_window"), rows

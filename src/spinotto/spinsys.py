@@ -141,9 +141,6 @@ class SpinSystem:
             )
         return matches[0]
 
-    def has_role(self, role: Role) -> bool:
-        return any(q.role == role for q in self.qubits)
-
 
 def tce_system() -> SpinSystem:
     """Built-in 3-qubit TCE (trichloroethylene) register at 300 K.

@@ -150,6 +150,21 @@ class TestTwoStrokeCommand:
         assert len(rows) == 1
         assert float(rows[0][2]) == pytest.approx(2.95e-6, rel=2e-2)
 
+    def test_summary_text(self, tmp_path, monkeypatch, capsys):
+        rc = run_cli(
+            ["two-stroke", "--rounds", "1..3", "--omega-s", "100:900:50", "--format", "summary"],
+            tmp_path,
+            monkeypatch,
+        )
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "two-stroke max power at omega_s=450.00 MHz, n=1: "
+            "P=1.479332e-07 W/mol (W=1.553299e-06 J/mol, eta=0.7205)",
+            "positive-work window n=1: (125.77, 750.20) MHz",
+            "positive-work window n=2: (125.77, 875.23) MHz",
+            "positive-work window n=3: (125.77, 937.74) MHz",
+        ]
+
     def test_bad_grid_exits_2(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["two-stroke", "--omega-s", "900:100:1"], tmp_path, monkeypatch)
@@ -210,6 +225,29 @@ class TestOutputContract:
         rc = run_cli(["ppa", "--rounds", "1"], tmp_path, monkeypatch)
         assert rc == 3
         assert "synthetic failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["two-stroke", "--rounds", "1..2", "--omega-s", "150:200:50"],
+        ["ppa", "--field-scale", "1"],
+    ],
+    ids=["two-stroke", "ppa"],
+)
+def test_saturated_polarization_exits_3(args, tmp_path, monkeypatch, capsys):
+    # a 1 mK bath cools the target to a polarization that rounds to exactly 1.0
+    config = tmp_path / "cold.cfg"
+    config.write_text(TCE_CONFIG.replace("temperature_kelvin = 300.0", "temperature_kelvin = 0.001"))
+    rc = run_cli([*args, "--system", str(config)], tmp_path, monkeypatch)
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "numerical invariant violated: round 1: target polarization 1.0 outside (0, 1) "
+        "at bath temperature 0.001 K"
+    ]
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [config]
 
 
 @pytest.mark.parametrize(

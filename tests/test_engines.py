@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from spinotto import cli
 from spinotto.engines import (
     CycleReport,
     FOUR_STROKE_HBAC,
@@ -17,6 +18,16 @@ from spinotto.engines import (
     run_two_stroke,
     sweep_four_stroke,
     sweep_two_stroke,
+)
+from spinotto.gates import apply, swap_unitary
+from spinotto.hbac import run_ppa
+from spinotto.qmath import DensityMatrix, partial_trace, product_state
+from spinotto.spinsys import (
+    CODATA2018,
+    gibbs_state,
+    local_hamiltonian,
+    thermal_state,
+    zeeman_hamiltonian,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -247,6 +258,56 @@ class TestTwoStrokeSweep:
         expected = [run_two_stroke(tce, w, n) for n in n_values for w in grid]
         assert list(table.reports) == expected
 
+    def test_matches_dense_reference_cycle(self, tce):
+        # every 7th point of the CLI default grid, points within 1e-6 relative
+        # of both window edges for every n, and partners below omega_T
+        n_values = range(9)
+        trace = run_ppa(thermal_state(tce, 1.0), tce, 1.0, max(n_values))
+        omega_t = tce.omega("C1")
+        edges = [omega_t] + [
+            omega_t * tce.bath_temperature / trace.rounds[n].target_effective_temperature
+            for n in n_values
+        ]
+        grid = {mhz(w) for w in cli._parse_omega_grid("150:1000:1")[::7]}
+        grid |= {edge * (1.0 + k * 1e-7) for edge in edges for k in (-10, -3, -1, 0, 1, 3, 10)}
+        grid |= {omega_t * f for f in (0.25, 0.5, 0.9, 0.999)}
+        grid = sorted(grid)
+
+        table = sweep_two_stroke(tce, grid, n_values)
+        expected = [
+            dense_two_stroke_cycle(
+                tce,
+                w,
+                n,
+                partial_trace(trace.rounds[n].state_after_round, {"C1"}),
+                trace.rounds[n].target_effective_temperature,
+            )
+            for n in n_values
+            for w in grid
+        ]
+        for name in ("net_work", "power", "efficiency", "in_window"):
+            column = np.array([row[name] for row in expected])
+            assert np.array_equal(table.columns[name], column), name
+        assert table.columns["in_window"].any() and not table.columns["in_window"].all()
+
+    def test_validations_do_not_grow_with_the_grid(self, tce, monkeypatch):
+        # the exchange runs on marginals: DensityMatrix validations come from
+        # the cooling run and the per-round target, never from a grid point
+        calls = []
+        validate = DensityMatrix.__post_init__
+
+        def counted(self):
+            calls.append(None)
+            validate(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        counts = []
+        for points in (2, 200):
+            calls.clear()
+            sweep_two_stroke(tce, np.linspace(mhz(150.0), mhz(1000.0), points), [1, 2, 3])
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
     def test_rejects_negative_round_count(self, tce):
         with pytest.raises(ValueError, match="n_rounds"):
             sweep_two_stroke(tce, [mhz(430.0)], [-1, 2])
@@ -256,6 +317,35 @@ class TestTwoStrokeSweep:
         for report in one_round_fine_table.reports:
             if report.in_window:
                 assert abs(report.net_work / report.q_in - report.efficiency) <= 1e-9
+
+
+def dense_two_stroke_cycle(sys, omega_s, n_rounds, cooled_target, cooled_temperature):
+    """Reference two-stroke cycle on dense states: product state, SWAP, partial traces."""
+    h_s = zeeman_hamiltonian(omega_s)
+    h_t = local_hamiltonian(sys, "C1", 1.0)
+    rho0_s = gibbs_state(h_s, sys.bath_temperature, ("S",))
+    rho0_t = cooled_target
+
+    joint = product_state(rho0_s, rho0_t)
+    swapped = apply(swap_unitary(joint.qubits, "S", "C1"), joint)
+    rho1_s = partial_trace(swapped, {"S"})
+    rho1_t = partial_trace(swapped, {"C1"})
+
+    def energy(h, rho):
+        return float(np.real(np.trace(h @ rho.matrix)))
+
+    q_in = energy(h_s, rho0_s) - energy(h_s, rho1_s)
+    q_out = energy(h_t, rho1_t) - energy(h_t, rho0_t)
+    mole = CODATA2018.avogadro
+    net = (q_in - q_out) * mole
+    omega_t = sys.omega("C1", 1.0)
+    low, high = positive_work_window(omega_t, sys.bath_temperature, cooled_temperature)
+    return {
+        "net_work": net,
+        "power": net / (sys.qubit("H").t1 * (2 * n_rounds + 1)),
+        "efficiency": 1.0 - omega_t / omega_s,
+        "in_window": low < omega_s < high,
+    }
 
 
 class TestReportValidation:
@@ -293,9 +383,13 @@ class TestReportValidation:
 
     def test_sweep_table_rejects_unsorted_axes(self):
         with pytest.raises(ValueError, match="increasing"):
-            SweepTable(axes={"n_rounds": (2, 1)}, reports=())
+            SweepTable(axes={"n_rounds": (2, 1)}, engine_kind=FOUR_STROKE_HBAC, columns={})
 
     def test_sweep_table_rejects_incomplete_rows(self, tce):
         report = run_four_stroke(tce, 0)
         with pytest.raises(ValueError, match="incomplete"):
-            SweepTable(axes={"n_rounds": (0, 1)}, reports=(report,))
+            SweepTable(
+                {"n_rounds": (0, 1)},
+                report.engine_kind,
+                {name: [getattr(report, name)] for name in ("q_in", "q_out", "net_work", "efficiency")},
+            )

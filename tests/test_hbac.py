@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,14 @@ from spinotto.hbac import (
     thermal_reset_state,
     trace_rows,
 )
-from spinotto.qmath import is_diagonal, partial_trace, product_state, single_qubit_state
-from spinotto.spinsys import polarization, thermal_polarization
+from spinotto.qmath import (
+    StateInvariantError,
+    is_diagonal,
+    partial_trace,
+    product_state,
+    single_qubit_state,
+)
+from spinotto.spinsys import polarization, thermal_polarization, thermal_state
 
 
 def tce_product(tce, eps_t, eps_c, eps_r):
@@ -113,6 +121,13 @@ class TestRunPpa:
     def test_rejects_negative_rounds(self, tce, tce_thermal_half):
         with pytest.raises(ValueError):
             run_ppa(tce_thermal_half, tce, 0.5, -1)
+
+    def test_saturated_polarization_is_an_invariant_error(self, tce):
+        # at 1 mK the first round drives the target polarization to exactly 1.0,
+        # which has no finite spin temperature
+        cold = replace(tce, bath_temperature=0.001)
+        with pytest.raises(StateInvariantError, match=r"round 1: target .* 0\.001 K"):
+            run_ppa(thermal_state(cold, 1.0), cold, 1.0, 2)
 
     def test_full_field_run(self, tce, tce_thermal):
         # the two-stroke engine cools at the unscaled field

@@ -61,7 +61,6 @@ class TestTcePreset:
 
     def test_role_lookup(self, tce):
         assert tce.label_for_role(Role.TARGET) == "C1"
-        assert not tce.has_role(Role.SWAP_PARTNER)
         with pytest.raises(ConfigError, match="swap-partner"):
             tce.label_for_role(Role.SWAP_PARTNER)
 
