@@ -6,7 +6,7 @@ replaced by partner-pairing algorithmic cooling, which pumps the target
 qubit's polarization past the bath limit and shortens the cycle.
 """
 
-from .adiabatic import COMPRESSION, EXPANSION, StrokeSpec, evolve_stroke, stroke_work
+from .adiabatic import COMPRESSION, EXPANSION, StrokeSpec, evolve_stroke
 from .engines import (
     CycleReport,
     SweepTable,

@@ -1,12 +1,11 @@
-"""Finite-time field-ramp strokes and the local work bookkeeping.
+"""Finite-time field-ramp strokes.
 
 A stroke ramps the static field between ``B_z`` and ``B_z/2`` over half a
 drive period ``tau`` with a ``sin(pi t / tau)`` profile.  Because the
 drive contains only Iz terms it is diagonal at every instant, so the
 stroke is propagated in closed form: populations are exact fixed points
 and each coherence picks up the phase set by the time-integrated level
-energies.  Work is evaluated from the target qubit's local Hamiltonian
-and marginal state at the stroke endpoints.
+energies.
 """
 
 from __future__ import annotations
@@ -68,6 +67,30 @@ def _level_energies(hamiltonian: np.ndarray) -> np.ndarray:
     return energies.real
 
 
+def _phases(sys: SpinSystem, spec: StrokeSpec, constants: PhysicalConstants) -> np.ndarray:
+    start, end = stroke_endpoints(sys, spec, constants)
+    e_start = _level_energies(start)
+    e_end = _level_energies(end)
+    area = e_start * (spec.tau / 2) + (e_end - e_start) * (spec.tau / math.pi)
+    # Level phases run to ~1e8 rad.  Reducing each one mod 2pi (exactly, by
+    # fmod) before differencing keeps every entry on the same per-level
+    # phases, so pure states stay positive semidefinite, and leaves the
+    # diagonal difference exactly 0.  An overflow leaves NaN for the
+    # checks to reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = np.fmod(area / constants.hbar, 2.0 * math.pi)
+    return np.exp(-1j * (theta[:, None] - theta[None, :]))
+
+
+def _check_drift(before: np.ndarray, after: np.ndarray, spec: StrokeSpec) -> None:
+    drift = float(np.max(np.abs(after - before)))
+    # written so that a NaN drift fails too
+    if not drift <= 1e-12:
+        raise StateInvariantError(
+            f"{spec.direction} stroke moved diagonal populations by {drift:.3e}"
+        )
+
+
 def evolve_stroke(
     rho: DensityMatrix,
     sys: SpinSystem,
@@ -84,42 +107,24 @@ def evolve_stroke(
     diagonal that factor is exactly 1, so populations come back bit for
     bit (a drift above 1e-12 raises regardless).
     """
-    start, end = stroke_endpoints(sys, spec, constants)
-    e_start = _level_energies(start)
-    e_end = _level_energies(end)
-    area = e_start * (spec.tau / 2) + (e_end - e_start) * (spec.tau / math.pi)
-    # Level phases run to ~1e8 rad.  Reducing each one mod 2pi (exactly, by
-    # fmod) before differencing keeps every entry on the same per-level
-    # phases, so pure states stay positive semidefinite, and leaves the
-    # diagonal difference exactly 0.  An overflow leaves NaN for the
-    # validation below to reject.
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta = np.fmod(area / constants.hbar, 2.0 * math.pi)
-    phases = np.exp(-1j * (theta[:, None] - theta[None, :]))
-    evolved = DensityMatrix(rho.matrix * phases, rho.qubits)
+    evolved = DensityMatrix(rho.matrix * _phases(sys, spec, constants), rho.qubits)
     if is_diagonal(rho.matrix):
-        drift = float(np.max(np.abs(evolved.populations - rho.populations)))
-        if drift > 1e-12:
-            raise StateInvariantError(
-                f"{spec.direction} stroke moved diagonal populations by {drift:.3e}"
-            )
+        _check_drift(rho.populations, evolved.populations, spec)
     return evolved
 
 
-def stroke_work(
-    h_local_start: np.ndarray,
-    rho_local_start: DensityMatrix,
-    h_local_end: np.ndarray,
-    rho_local_end: DensityMatrix,
-) -> float:
-    """Work output of one stroke, ``Tr[H rho]`` at start minus end (J/molecule).
+def evolve_populations(
+    populations: np.ndarray,
+    sys: SpinSystem,
+    spec: StrokeSpec,
+    constants: PhysicalConstants = CODATA2018,
+) -> np.ndarray:
+    """The same ramp on diagonal states, given as populations over the last axis.
 
-    Positive values mean energy extracted from the working qubit.
+    Each population is multiplied by its diagonal phase factor as
+    ``evolve_stroke`` multiplies the matrix, so the result is what that
+    gives, with the same drift check on every state.
     """
-    h_start = np.asarray(h_local_start, dtype=complex)
-    h_end = np.asarray(h_local_end, dtype=complex)
-    if h_start.shape != rho_local_start.matrix.shape or h_end.shape != rho_local_end.matrix.shape:
-        raise ValueError("Hamiltonian and state dimensions do not match")
-    before = np.trace(h_start @ rho_local_start.matrix)
-    after = np.trace(h_end @ rho_local_end.matrix)
-    return float(np.real(before - after))
+    evolved = np.real(populations * np.diagonal(_phases(sys, spec, constants)))
+    _check_drift(populations, evolved, spec)
+    return evolved

@@ -221,13 +221,14 @@ def _cmd_two_stroke(config: RunConfig, system: SpinSystem) -> int:
     # rows are round-count-major, so each round count's block starts every len(grid) rows
     cooled = table.columns["cooled_target_temperature"][:: len(grid)].tolist()
     for n, cooled_temperature in zip(table.axes["n_rounds"], cooled):
-        low, high = engines.positive_work_window(
-            omega_t, system.bath_temperature, cooled_temperature
-        )
-        lines.append(
-            f"positive-work window n={n}: "
-            f"({low / TWO_PI / 1e6:.2f}, {high / TWO_PI / 1e6:.2f}) MHz"
-        )
+        # a target left at or above the bath temperature has no window
+        window = "none"
+        if cooled_temperature < system.bath_temperature:
+            low, high = engines.positive_work_window(
+                omega_t, system.bath_temperature, cooled_temperature
+            )
+            window = f"({low / TWO_PI / 1e6:.2f}, {high / TWO_PI / 1e6:.2f}) MHz"
+        lines.append(f"positive-work window n={n}: {window}")
     text = reports.render_two_stroke_csv(table, config.canonical_lines(), system)
     _emit(config, text, "\n".join(lines))
     return EXIT_OK

@@ -24,19 +24,19 @@ from .adiabatic import (
     COMPRESSION,
     EXPANSION,
     StrokeSpec,
+    evolve_populations,
     evolve_stroke,
-    stroke_work,
 )
-from .gates import reset_channel
-from .hbac import RoundRecord, run_ppa
-from .qmath import DensityMatrix, StateInvariantError, partial_trace
+from .hbac import RoundRecord, check_populations, marginal, reset, run_ppa
+from .qmath import StateInvariantError
 from .spinsys import (
     CODATA2018,
+    ConfigError,
     PhysicalConstants,
     Role,
     SpinSystem,
-    gibbs_state,
     local_hamiltonian,
+    thermal_populations,
     thermal_state,
 )
 
@@ -45,10 +45,6 @@ FOUR_STROKE_ISOCHORIC_REF = "four_stroke_isochoric_ref"
 TWO_STROKE_HBAC = "two_stroke_hbac"
 
 _CLOSURE_RTOL = 1e-9
-
-
-def _energy(h_local: np.ndarray, rho: DensityMatrix) -> float:
-    return float(np.real(np.trace(np.asarray(h_local) @ rho.matrix)))
 
 
 _ENERGETICS = ("q_in", "q_out", "net_work", "efficiency", "w1", "w2")
@@ -153,9 +149,86 @@ class SweepTable(Sequence):
         return self[int(np.argmax(self.columns["net_work"]))]
 
 
-def _stroke_pair(stroke: StrokeSpec | None) -> tuple[StrokeSpec, StrokeSpec]:
-    base = stroke if stroke is not None else StrokeSpec(COMPRESSION)
-    return replace(base, direction=COMPRESSION), replace(base, direction=EXPANSION)
+def _levels(sys: SpinSystem, label: str, field_scale: float, constants) -> np.ndarray:
+    return np.real(np.diag(local_hamiltonian(sys, label, field_scale, constants)))
+
+
+def _energy(levels: np.ndarray, populations: np.ndarray) -> np.ndarray:
+    """``Tr[H rho]`` of diagonal qubit states, over the last axis."""
+    return (levels * populations).sum(axis=-1)
+
+
+class _FourStroke:
+    """The hot and compressed states that every four-stroke cycle of one system shares.
+
+    Each method takes the cooling stages of many cycles at once and
+    returns their columns.  Every state is diagonal, and the arithmetic
+    follows the dense cycle (partial traces, ``Tr[H rho]``, the reset
+    channel) operation by operation, so every column is bit-identical
+    to it.
+    """
+
+    def __init__(self, sys: SpinSystem, stroke: StrokeSpec | None, constants: PhysicalConstants):
+        base = stroke if stroke is not None else StrokeSpec(COMPRESSION)
+        self.expansion = replace(base, direction=EXPANSION)
+        self.sys, self.constants = sys, constants
+        target = sys.label_for_role(Role.TARGET)
+        self.t1_target = sys.qubit(target).t1
+        self.h0 = _levels(sys, target, 1.0, constants)
+        self.h1 = _levels(sys, target, COMPRESSED_FIELD_SCALE, constants)
+        hot = thermal_state(sys, 1.0, constants)
+        self.rho_compressed = evolve_stroke(hot, sys, replace(base, direction=COMPRESSION), constants)
+        self.compressed = self.rho_compressed.populations.reshape(2, 2, 2)
+        self.slot = hot.qubits.index(target)
+        self.e0 = _energy(self.h0, marginal(hot.populations.reshape(2, 2, 2), self.slot))
+        self.e1 = _energy(self.h1, marginal(self.compressed, self.slot))
+
+    def _columns(self, cooled, cooled_target, cycle_time, temperature) -> dict[str, np.ndarray]:
+        """Columns of cycles from their cooled 2x2x2 registers and target populations."""
+        expanded = evolve_populations(cooled.reshape(-1, 8), self.sys, self.expansion, self.constants)
+        e2 = _energy(self.h1, cooled_target)
+        e3 = _energy(self.h0, marginal(expanded.reshape(cooled.shape), self.slot))
+        q_in = self.e0 - e3
+        q_out = self.e1 - e2
+        mole = self.constants.avogadro
+        net = (q_in - q_out) * mole
+        return {
+            "w1": np.full(len(e2), (self.e0 - self.e1) * mole),
+            "w2": (e2 - e3) * mole,
+            "q_in": q_in * mole,
+            "q_out": q_out * mole,
+            "net_work": net,
+            "efficiency": np.full(len(e2), 1.0 - COMPRESSED_FIELD_SCALE),
+            "power": net / cycle_time,
+            "cycle_time": cycle_time,
+            "cooled_target_temperature": temperature,
+        }
+
+    def cooled_by_ppa(self, n_list: list[int]) -> dict[str, np.ndarray]:
+        """HBAC cycles for each round count, all read off one cooling run."""
+        trace = run_ppa(
+            self.rho_compressed, self.sys, COMPRESSED_FIELD_SCALE, max(n_list), self.constants
+        )
+        records = [trace.rounds[n] for n in n_list]
+        cooled = np.stack([r.populations for r in records])
+        n_rounds = np.array(n_list)
+        t1_reset = self.sys.qubit(self.sys.label_for_role(Role.RESET)).t1
+        columns = self._columns(
+            cooled,
+            marginal(cooled, self.slot),
+            self.t1_target + t1_reset * (2 * n_rounds + 1),
+            np.array([r.target_effective_temperature for r in records]),
+        )
+        columns["n_rounds"] = n_rounds
+        return columns
+
+    def cooled_by_bath(self, temperatures: np.ndarray) -> dict[str, np.ndarray]:
+        """Reference cycles that reset the target at each cold temperature instead."""
+        cold = thermal_populations(self.h1, temperatures, self.constants)
+        cooled = reset(self.compressed, self.slot, cold)
+        check_populations(cooled, "isochoric reference")
+        cycle_time = np.full(len(temperatures), 2.0 * self.t1_target)
+        return self._columns(cooled, cold, cycle_time, temperatures)
 
 
 def run_four_stroke(
@@ -173,46 +246,8 @@ def run_four_stroke(
     """
     if n_rounds < 0:
         raise ValueError(f"n_rounds must be >= 0, got {n_rounds}")
-    compression, expansion = _stroke_pair(stroke)
-    target = sys.label_for_role(Role.TARGET)
-    reset = sys.label_for_role(Role.RESET)
-    h0_t = local_hamiltonian(sys, target, 1.0, constants)
-    h1_t = local_hamiltonian(sys, target, COMPRESSED_FIELD_SCALE, constants)
-
-    rho_hot = thermal_state(sys, 1.0, constants)
-    rho0_t = partial_trace(rho_hot, {target})
-
-    rho_compressed = evolve_stroke(rho_hot, sys, compression, constants)
-    rho1_t = partial_trace(rho_compressed, {target})
-
-    trace = run_ppa(rho_compressed, sys, COMPRESSED_FIELD_SCALE, n_rounds, constants)
-    rho_cooled = trace.final_record.state_after_round
-    rho2_t = trace.final_target
-
-    rho_expanded = evolve_stroke(rho_cooled, sys, expansion, constants)
-    rho3_t = partial_trace(rho_expanded, {target})
-
-    w1 = stroke_work(h0_t, rho0_t, h1_t, rho1_t)
-    w2 = stroke_work(h1_t, rho2_t, h0_t, rho3_t)
-    q_in = _energy(h0_t, rho0_t) - _energy(h0_t, rho3_t)
-    q_out = _energy(h1_t, rho1_t) - _energy(h1_t, rho2_t)
-
-    mole = constants.avogadro
-    cycle_time = sys.qubit(target).t1 + sys.qubit(reset).t1 * (2 * n_rounds + 1)
-    net = (q_in - q_out) * mole
-    return CycleReport(
-        engine_kind=FOUR_STROKE_HBAC,
-        n_rounds=n_rounds,
-        w1=w1 * mole,
-        w2=w2 * mole,
-        q_in=q_in * mole,
-        q_out=q_out * mole,
-        net_work=net,
-        efficiency=1.0 - COMPRESSED_FIELD_SCALE,
-        power=net / cycle_time,
-        cycle_time=cycle_time,
-        cooled_target_temperature=trace.final_record.target_effective_temperature,
-    )
+    columns = _FourStroke(sys, stroke, constants).cooled_by_ppa([n_rounds])
+    return SweepTable({}, FOUR_STROKE_HBAC, columns)[0]
 
 
 def run_isochoric_reference(
@@ -233,44 +268,8 @@ def run_isochoric_reference(
             f"cold temperature {cold_temperature} must lie in "
             f"(0, {sys.bath_temperature}] (bath temperature)"
         )
-    compression, expansion = _stroke_pair(stroke)
-    target = sys.label_for_role(Role.TARGET)
-    h0_t = local_hamiltonian(sys, target, 1.0, constants)
-    h1_t = local_hamiltonian(sys, target, COMPRESSED_FIELD_SCALE, constants)
-
-    rho_hot = thermal_state(sys, 1.0, constants)
-    rho0_t = partial_trace(rho_hot, {target})
-
-    rho_compressed = evolve_stroke(rho_hot, sys, compression, constants)
-    rho1_t = partial_trace(rho_compressed, {target})
-
-    rho2_t = gibbs_state(h1_t, cold_temperature, (target,), constants)
-    rho_cooled = reset_channel(rho_compressed, target, rho2_t)
-
-    rho_expanded = evolve_stroke(rho_cooled, sys, expansion, constants)
-    rho3_t = partial_trace(rho_expanded, {target})
-
-    w1 = stroke_work(h0_t, rho0_t, h1_t, rho1_t)
-    w2 = stroke_work(h1_t, rho2_t, h0_t, rho3_t)
-    q_in = _energy(h0_t, rho0_t) - _energy(h0_t, rho3_t)
-    q_out = _energy(h1_t, rho1_t) - _energy(h1_t, rho2_t)
-
-    mole = constants.avogadro
-    cycle_time = 2.0 * sys.qubit(target).t1
-    net = (q_in - q_out) * mole
-    return CycleReport(
-        engine_kind=FOUR_STROKE_ISOCHORIC_REF,
-        n_rounds=None,
-        w1=w1 * mole,
-        w2=w2 * mole,
-        q_in=q_in * mole,
-        q_out=q_out * mole,
-        net_work=net,
-        efficiency=1.0 - COMPRESSED_FIELD_SCALE,
-        power=net / cycle_time,
-        cycle_time=cycle_time,
-        cooled_target_temperature=cold_temperature,
-    )
+    columns = _FourStroke(sys, stroke, constants).cooled_by_bath(np.array([cold_temperature]))
+    return SweepTable({}, FOUR_STROKE_ISOCHORIC_REF, columns)[0]
 
 
 def positive_work_window(
@@ -300,31 +299,32 @@ def _two_stroke_columns(
     operation by operation, so every column is bit-identical to it.
     """
     target = sys.label_for_role(Role.TARGET)
-    reset = sys.label_for_role(Role.RESET)
     omega_t = sys.omega(target, 1.0)
     n_rounds = record.round_index
     cooled_temperature = record.target_effective_temperature
 
     # Zeeman levels (-hbar w / 2, +hbar w / 2): one row per partner frequency
     h_s = np.stack([-constants.hbar * omega_s / 2, +constants.hbar * omega_s / 2], axis=1)
-    h_t = np.real(np.diag(local_hamiltonian(sys, target, 1.0, constants)))
-    beta = 1.0 / (constants.k_boltzmann * sys.bath_temperature)
-    weights = np.exp(-beta * (h_s - h_s.min(axis=1, keepdims=True)))
-    p0_s = weights / weights.sum(axis=1, keepdims=True)
-    p0_t = partial_trace(record.state_after_round, {target}).populations
+    h_t = _levels(sys, target, 1.0, constants)
+    p0_s = thermal_populations(h_s, sys.bath_temperature, constants)
+    p0_t = record.marginal(target)
 
     # after the SWAP each qubit's marginal is the other's old populations,
     # summed over the other slot of the product state
     p1_s = p0_t * p0_s[:, :1] + p0_t * p0_s[:, 1:]
     p1_t = p0_t[0] * p0_s + p0_t[1] * p0_s
 
-    q_in = (h_s * p0_s).sum(axis=-1) - (h_s * p1_s).sum(axis=-1)
-    q_out = (h_t * p1_t).sum(axis=-1) - (h_t * p0_t).sum(axis=-1)
+    q_in = _energy(h_s, p0_s) - _energy(h_s, p1_s)
+    q_out = _energy(h_t, p1_t) - _energy(h_t, p0_t)
 
     mole = constants.avogadro
-    cycle_time = sys.qubit(reset).t1 * (2 * n_rounds + 1)
+    cycle_time = sys.qubit(sys.label_for_role(Role.RESET)).t1 * (2 * n_rounds + 1)
     net = (q_in - q_out) * mole
-    low, high = positive_work_window(omega_t, sys.bath_temperature, cooled_temperature)
+    # a target left at or above the bath temperature has no positive-work window
+    in_window = np.zeros(len(omega_s), dtype=bool)
+    if cooled_temperature < sys.bath_temperature:
+        low, high = positive_work_window(omega_t, sys.bath_temperature, cooled_temperature)
+        in_window = (low < omega_s) & (omega_s < high)
     points = len(omega_s)
     return {
         "n_rounds": np.full(points, n_rounds),
@@ -336,7 +336,7 @@ def _two_stroke_columns(
         "cycle_time": np.full(points, cycle_time),
         "cooled_target_temperature": np.full(points, cooled_temperature),
         "omega_s": omega_s,
-        "in_window": (low < omega_s) & (omega_s < high),
+        "in_window": in_window,
     }
 
 
@@ -366,25 +366,33 @@ def sweep_four_stroke(
 
     An integer argument means the inclusive range ``0..n_values``.  Every
     reference cycle is cooled to the matching cycle's effective
-    temperature, so the pair differs only in timing.
+    temperature, so the pair differs only in timing.  One cooling run to
+    the largest round count serves every row, and both engines share one
+    hot state and one compression stroke.  A round whose target ends
+    above the bath temperature has no cold bath for its reference, which
+    is a ``ConfigError``.
     """
     if isinstance(n_values, int):
         n_values = range(n_values + 1)
     n_list = [int(n) for n in n_values]
     if not n_list:
         raise ValueError("empty round-count grid")
-    reports = [run_four_stroke(sys, n, stroke, constants) for n in n_list]
-    references = [
-        run_isochoric_reference(sys, r.cooled_target_temperature, stroke, constants)
-        for r in reports
-    ]
-
-    def table(rows: list[CycleReport], reference: SweepTable | None = None) -> SweepTable:
-        present = [name for name in _COLUMN_FIELDS if getattr(rows[0], name) is not None]
-        columns = {name: [getattr(r, name) for r in rows] for name in present}
-        return SweepTable({"n_rounds": tuple(n_list)}, rows[0].engine_kind, columns, reference)
-
-    return table(reports, table(references))
+    if min(n_list) < 0:
+        raise ValueError(f"n_rounds must be >= 0, got {min(n_list)}")
+    cycles = _FourStroke(sys, stroke, constants)
+    columns = cycles.cooled_by_ppa(n_list)
+    cold = columns["cooled_target_temperature"]
+    above = np.flatnonzero(cold > sys.bath_temperature)
+    if above.size:
+        i = above[0]
+        raise ConfigError(
+            f"round {n_list[i]}: cooling leaves the target at {cold[i]:.6g} K, above the "
+            f"bath temperature {sys.bath_temperature:g} K, so the isochoric reference "
+            f"has no cold bath"
+        )
+    axes = {"n_rounds": tuple(n_list)}
+    reference = SweepTable(axes, FOUR_STROKE_ISOCHORIC_REF, cycles.cooled_by_bath(cold))
+    return SweepTable(axes, FOUR_STROKE_HBAC, columns, reference)
 
 
 def sweep_two_stroke(

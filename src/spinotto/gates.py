@@ -1,10 +1,14 @@
-"""Ideal gates on labeled registers, plus the reset channel.
+"""Ideal gates on labeled registers, as basis permutations, plus the reset channel.
 
 Both gates of the cooling schedule, SWAP and the 3-bit entropy
 compression COMP, are classical permutations of computational-basis
 states.  A gate is therefore stored as its permutation and applied by
-an index gather, which maps a diagonal state to a diagonal state
-exactly.  Gates are instantaneous and perfect.
+an index gather, which is exact.  Gates are instantaneous and perfect.
+
+Cooling runs on population tensors (``spinotto.hbac``) and uses only
+the gathers.  ``apply`` and ``reset_channel`` are the same operations on
+dense density matrices, including coherent ones; the tests hold the
+population code to them bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +42,22 @@ class GateUnitary:
             )
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "acts_on", acts_on)
+
+    def gather(self, register: Sequence[str]) -> np.ndarray:
+        """Source index of every basis state after the gate, in ``register`` order.
+
+        ``populations[gather]`` applies the gate to a population vector
+        over ``register``, which must hold exactly the gate's qubits in
+        any order.
+        """
+        register = tuple(register)
+        if sorted(self.acts_on) != sorted(register):
+            raise ValueError(f"gate {self.name} acts on {self.acts_on}, register is {register}")
+        dst = [
+            _reindex(self.perm[_reindex(i, register, self.acts_on)], self.acts_on, register)
+            for i in range(len(self.perm))
+        ]
+        return np.argsort(dst)
 
 
 def _reindex(index: int, src: Sequence[str], dst: Sequence[str]) -> int:
@@ -81,23 +101,9 @@ def comp_unitary(register: Sequence[str]) -> GateUnitary:
 
 
 def apply(gate: GateUnitary, rho: DensityMatrix) -> DensityMatrix:
-    """Conjugate a state, ``U rho U^dagger``, as an index gather.
-
-    The gate register must contain exactly the state's qubits; if the
-    orders differ the permutation is re-expressed in the state's order.
-    """
-    if sorted(gate.acts_on) != sorted(rho.qubits):
-        raise ValueError(
-            f"gate {gate.name} acts on {gate.acts_on}, state register is {rho.qubits}"
-        )
-    dst = gate.perm
-    if gate.acts_on != rho.qubits:
-        dst = [
-            _reindex(gate.perm[_reindex(i, rho.qubits, gate.acts_on)], gate.acts_on, rho.qubits)
-            for i in range(len(dst))
-        ]
+    """Conjugate a state, ``U rho U^dagger``, as an index gather on rows and columns."""
     # (U rho U^dagger)[perm[i], perm[j]] = rho[i, j]
-    inv = np.argsort(dst)
+    inv = gate.gather(rho.qubits)
     return DensityMatrix(rho.matrix[np.ix_(inv, inv)], rho.qubits)
 
 

@@ -8,6 +8,12 @@ construction.  Register sizes stay at or below four qubits, so everything
 is dense and eager (no sparse or iterative machinery, and no time
 integration: the field-ramp strokes are propagated in closed form by
 ``spinotto.adiabatic``).
+
+A ``DensityMatrix`` is the library's boundary type: the input of a
+cooling run, the hot and compressed engine states, and views built on
+request.  Every state the engines produce is diagonal, so cooling
+(``spinotto.hbac``) and the sweeps work on population arrays instead and
+check them against the same ``ATOL`` and ``EIGENVALUE_FLOOR``.
 """
 
 from __future__ import annotations

@@ -219,6 +219,22 @@ def static_hamiltonian(
     return np.diag(diag).astype(complex)
 
 
+def thermal_populations(
+    energies,
+    temperature,
+    constants: PhysicalConstants = CODATA2018,
+) -> np.ndarray:
+    """Boltzmann populations ``exp(-E/kT) / Z`` over the last axis of ``energies``.
+
+    Temperatures broadcast against the leading axes, one distribution
+    per energy row and temperature.
+    """
+    energies = np.asarray(energies, dtype=float)
+    beta = (1.0 / (constants.k_boltzmann * np.asarray(temperature, dtype=float)))[..., None]
+    weights = np.exp(-beta * (energies - energies.min(axis=-1, keepdims=True)))
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
 def gibbs_state(
     hamiltonian: np.ndarray,
     temperature: float,
@@ -231,15 +247,12 @@ def gibbs_state(
     h = np.asarray(hamiltonian, dtype=complex)
     if not is_hermitian(h):
         raise ValueError("Hamiltonian is not Hermitian within tolerance")
-    beta = 1.0 / (constants.k_boltzmann * temperature)
     if is_diagonal(h, atol=0.0):
-        energies = np.real(np.diag(h))
-        weights = np.exp(-beta * (energies - energies.min()))
-        return DensityMatrix(np.diag(weights / weights.sum()).astype(complex), qubits)
+        populations = thermal_populations(np.real(np.diag(h)), temperature, constants)
+        return DensityMatrix(np.diag(populations).astype(complex), qubits)
     energies, vectors = np.linalg.eigh(h)
-    weights = np.exp(-beta * (energies - energies.min()))
-    weights /= weights.sum()
-    return DensityMatrix((vectors * weights) @ vectors.conj().T, qubits)
+    populations = thermal_populations(energies, temperature, constants)
+    return DensityMatrix((vectors * populations) @ vectors.conj().T, qubits)
 
 
 def thermal_state(

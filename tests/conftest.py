@@ -6,6 +6,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from spinotto import tce_system, thermal_state
+from spinotto.spinsys import from_config_text
+from test_spinsys import TCE_CONFIG
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +25,16 @@ def tce_thermal(tce):
 def tce_thermal_half(tce):
     """Half-field register Gibbs state at the bath temperature."""
     return thermal_state(tce, 0.5)
+
+
+@pytest.fixture(scope="session")
+def tce_h_first():
+    """The TCE system with its register ordered H, C1, C2."""
+    head, rest = TCE_CONFIG.split("[qubit.C1]", 1)
+    carbons, rest = rest.split("[qubit.H]", 1)
+    proton, couplings = rest.split("[j_coupling]", 1)
+    system = from_config_text(
+        head + "[qubit.H]" + proton + "[qubit.C1]" + carbons + "[j_coupling]" + couplings
+    )
+    assert system.labels == ("H", "C1", "C2")
+    return system

@@ -8,8 +8,8 @@ from spinotto.adiabatic import (
     StrokeSpec,
     evolve_stroke,
     stroke_endpoints,
-    stroke_work,
 )
+from dense import stroke_work
 from spinotto.qmath import DensityMatrix, is_diagonal, partial_trace, product_state
 from spinotto.spinsys import CODATA2018, local_hamiltonian, static_hamiltonian, thermal_state
 from test_qmath import random_density

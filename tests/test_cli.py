@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -293,3 +294,75 @@ def test_module_entry_point(tmp_path):
     # --format summary prints only: no file is written and nothing crashed.
     assert list(tmp_path.iterdir()) == []
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args,name,digest",
+    [
+        (
+            ["ppa", "--system", "tce", "--rounds", "7", "--field-scale", "0.5"],
+            "ppa_trace.csv",
+            "880892a69ffb76c38bbd40a2ce2e9b4c1002225969442b57c35ad22a714df653",
+        ),
+        (
+            ["four-stroke", "--rounds", "0..10", "--tau", "0.1"],
+            "four_stroke_sweep.csv",
+            "cd0f5e4a78a8e741604dced85592e29a85948117ba30b3d1ca788df8cb15b315",
+        ),
+        (
+            ["two-stroke", "--rounds", "1..8", "--omega-s", "150:1000:1"],
+            "two_stroke_sweep.csv",
+            "3972afe02bac24d17a9c8bfee0fc4e8fd7688df9d911a20dd66a6f9810eda42f",
+        ),
+    ],
+    ids=["ppa", "four-stroke", "two-stroke"],
+)
+def test_readme_commands_keep_their_bytes(args, name, digest, tmp_path, monkeypatch, capsys):
+    # the README's three commands; a change that alters these files on
+    # purpose updates the digest and says why
+    rc = run_cli([*args, "--out", name], tmp_path, monkeypatch)
+    assert rc == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def heated_target_config(tmp_path):
+    # the reset line at 100 MHz is below the 125.77 MHz target, so the
+    # initial stage leaves the target hotter than the bath
+    config = tmp_path / "slow_reset.cfg"
+    text = TCE_CONFIG.replace("t1_seconds = 3.5\nomega_mhz = 500.13", "t1_seconds = 3.5\nomega_mhz = 100.0")
+    assert text != TCE_CONFIG
+    config.write_text(text)
+    return config
+
+
+def test_heated_target_two_stroke_reports_no_window(tmp_path, monkeypatch, capsys):
+    config = heated_target_config(tmp_path)
+    args = ["two-stroke", "--system", str(config), "--rounds", "0..1", "--omega-s", "150:200:50"]
+    rc = run_cli(args, tmp_path, monkeypatch)
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.out.splitlines()[2:] == [
+        "positive-work window n=0: none",
+        "positive-work window n=1: (125.77, 150.00) MHz",
+    ]
+    _, rows = data_rows(tmp_path / "two_stroke_sweep.csv")
+    assert [(row[1], row[5]) for row in rows] == [
+        ("0", "false"), ("0", "false"), ("1", "false"), ("1", "false")
+    ]
+
+
+def test_heated_target_four_stroke_exits_2(tmp_path, monkeypatch, capsys):
+    config = heated_target_config(tmp_path)
+    rc = run_cli(["four-stroke", "--system", str(config), "--rounds", "0..3"], tmp_path, monkeypatch)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: round 0: cooling leaves the target at 377.31 K, above the bath temperature "
+        "300 K, so the isochoric reference has no cold bath"
+    ]
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [config]
+    rc = run_cli(["four-stroke", "--system", str(config), "--rounds", "1..3"], tmp_path, monkeypatch)
+    assert rc == 0
+    assert (tmp_path / "four_stroke_sweep.csv").exists()

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import dense
 import oracles
-from spinotto import cli
+from spinotto import cli, engines
+from spinotto.adiabatic import COMPRESSION, EXPANSION, StrokeSpec, evolve_stroke
 from spinotto.engines import (
     CycleReport,
     FOUR_STROKE_HBAC,
@@ -19,13 +22,16 @@ from spinotto.engines import (
     sweep_four_stroke,
     sweep_two_stroke,
 )
-from spinotto.gates import apply, swap_unitary
+from spinotto.gates import apply, reset_channel, swap_unitary
 from spinotto.hbac import run_ppa
-from spinotto.qmath import DensityMatrix, partial_trace, product_state
+from spinotto.qmath import DensityMatrix, StateInvariantError, partial_trace, product_state
 from spinotto.spinsys import (
     CODATA2018,
+    ConfigError,
+    effective_temperature,
     gibbs_state,
     local_hamiltonian,
+    polarization,
     thermal_state,
     zeeman_hamiltonian,
 )
@@ -138,6 +144,127 @@ class TestFourStrokeSweep:
 
     def test_argmax_work_is_last_round(self, four_stroke_table):
         assert four_stroke_table.argmax_work().n_rounds == 10
+
+    @pytest.mark.parametrize(
+        "system,n_values,tau",
+        [("tce", range(41), 0.1), ("tce", [0, 3, 17], 7.5), ("tce_h_first", range(13), 0.1)],
+    )
+    def test_matches_dense_reference_cycles(self, request, system, n_values, tau):
+        system = request.getfixturevalue(system)
+        stroke = StrokeSpec(COMPRESSION, tau=tau)
+        table = sweep_four_stroke(system, n_values, stroke)
+        cycles, references = dense_four_stroke_cycles(system, n_values, stroke)
+        for got, rows in ((table, cycles), (table.reference_reports, references)):
+            assert set(got.columns) == set(rows[0])
+            for name, column in got.columns.items():
+                assert np.array_equal(column, np.array([row[name] for row in rows])), name
+
+    def test_one_point_calls_match_the_sweep(self, tce, four_stroke_table):
+        for n in (0, 2, 7):
+            assert run_four_stroke(tce, n) == four_stroke_table[n]
+            reference = four_stroke_table.reference_reports[n]
+            assert run_isochoric_reference(tce, reference.cooled_target_temperature) == reference
+
+    def test_validations_do_not_grow_with_the_round_count(self, tce, monkeypatch):
+        # one hot state, one compression stroke and one cooling run serve
+        # every round count; cooled states stay populations
+        calls = []
+        validate = DensityMatrix.__post_init__
+
+        def counted(self):
+            calls.append(None)
+            validate(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        counts = []
+        for n_max in (1, 60):
+            calls.clear()
+            sweep_four_stroke(tce, n_max)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_rejects_negative_round_count_before_cooling(self, tce, monkeypatch):
+        def no_cooling(*args, **kwargs):
+            raise AssertionError("cooling ran for a negative round count")
+
+        monkeypatch.setattr(engines, "run_ppa", no_cooling)
+        with pytest.raises(ValueError, match="n_rounds must be >= 0"):
+            sweep_four_stroke(tce, [-1, 2])
+
+    def test_reference_cooled_states_are_checked(self, tce, monkeypatch):
+        honest = engines.reset
+        monkeypatch.setattr(engines, "reset", lambda *args: 1.5 * honest(*args))
+        with pytest.raises(StateInvariantError, match="isochoric reference: trace is off 1"):
+            sweep_four_stroke(tce, 2)
+
+    def test_heated_target_has_no_reference(self, tce):
+        # a reset qubit slower than the target leaves it hotter than the bath
+        # after the initial stage: the reference has no cold bath for round 0
+        slow_reset = heated_target_system(tce)
+        with pytest.raises(ConfigError, match=r"round 0: .* 377\.31 K, above the bath temperature 300 K"):
+            sweep_four_stroke(slow_reset, 3)
+        table = sweep_four_stroke(slow_reset, [1, 2, 3])
+        assert (table.columns["cooled_target_temperature"] < slow_reset.bath_temperature).all()
+
+
+def heated_target_system(tce):
+    """TCE with the reset line at 100 MHz, below the 125.77 MHz target."""
+    qubits = tuple(
+        replace(q, omega_over_2pi=100.0) if q.label == "H" else q for q in tce.qubits
+    )
+    return replace(tce, qubits=qubits)
+
+
+def energy(h, rho):
+    return float(np.real(np.trace(h @ rho.matrix)))
+
+
+def dense_four_stroke_cycles(sys, n_values, stroke):
+    """Reference four-stroke and isochoric cycles on dense states, one row per round count.
+
+    The dense cycles the columnar sweep replaced: dense cooling, the
+    dense reset channel for the cold bath, ``evolve_stroke``, partial
+    traces and ``stroke_work``.
+    """
+    compression = replace(stroke, direction=COMPRESSION)
+    expansion = replace(stroke, direction=EXPANSION)
+    h0 = local_hamiltonian(sys, "C1", 1.0)
+    h1 = local_hamiltonian(sys, "C1", 0.5)
+    rho_hot = thermal_state(sys, 1.0)
+    rho_compressed = evolve_stroke(rho_hot, sys, compression)
+    rho0_t = partial_trace(rho_hot, {"C1"})
+    rho1_t = partial_trace(rho_compressed, {"C1"})
+    states = dense.cooling_states(rho_compressed, sys, 0.5, max(n_values))
+    mole = CODATA2018.avogadro
+    t1_target, t1_reset = sys.qubit("C1").t1, sys.qubit("H").t1
+
+    def cycle(rho_cooled, rho2_t, cycle_time, cold):
+        rho3_t = partial_trace(evolve_stroke(rho_cooled, sys, expansion), {"C1"})
+        q_in = energy(h0, rho0_t) - energy(h0, rho3_t)
+        q_out = energy(h1, rho1_t) - energy(h1, rho2_t)
+        net = (q_in - q_out) * mole
+        return {
+            "w1": dense.stroke_work(h0, rho0_t, h1, rho1_t) * mole,
+            "w2": dense.stroke_work(h1, rho2_t, h0, rho3_t) * mole,
+            "q_in": q_in * mole,
+            "q_out": q_out * mole,
+            "net_work": net,
+            "efficiency": 0.5,
+            "power": net / cycle_time,
+            "cycle_time": cycle_time,
+            "cooled_target_temperature": cold,
+        }
+
+    cycles, references = [], []
+    for n in n_values:
+        rho2_t = partial_trace(states[n], {"C1"})
+        cold = effective_temperature(polarization(rho2_t), sys.omega("C1", 0.5))
+        row = cycle(states[n], rho2_t, t1_target + t1_reset * (2 * n + 1), cold)
+        cycles.append({"n_rounds": n, **row})
+        rho2_ref = gibbs_state(h1, cold, ("C1",))
+        cooled_ref = reset_channel(rho_compressed, "C1", rho2_ref)
+        references.append(cycle(cooled_ref, rho2_ref, 2 * t1_target, cold))
+    return cycles, references
 
 
 class TestTwoStroke:
@@ -311,6 +438,15 @@ class TestTwoStrokeSweep:
     def test_rejects_negative_round_count(self, tce):
         with pytest.raises(ValueError, match="n_rounds"):
             sweep_two_stroke(tce, [mhz(430.0)], [-1, 2])
+
+    def test_heated_target_has_no_window(self, tce):
+        # round 0 leaves the target above the bath: no partner gains work
+        slow_reset = heated_target_system(tce)
+        table = sweep_two_stroke(slow_reset, [mhz(130.0), mhz(200.0)], [0, 1])
+        cooled = table.columns["cooled_target_temperature"]
+        assert cooled[0] > slow_reset.bath_temperature > cooled[-1]
+        assert table.columns["in_window"].tolist() == [False, False, True, False]
+        assert (table.columns["net_work"][:2] < 0).all()
 
     def test_efficiency_identity_inside_window(self, one_round_fine_table):
         # the frequency-ratio efficiency must coincide with W / Q_in

@@ -3,17 +3,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dense
 import oracles
+from spinotto import hbac
+from spinotto.gates import reset_channel
 from spinotto.hbac import (
     PpaTrace,
+    cooling_schedule,
     initial_stage,
+    marginal,
     ppa_round,
+    reset,
     run_ppa,
     shannon_bound,
     thermal_reset_state,
     trace_rows,
 )
 from spinotto.qmath import (
+    DensityMatrix,
     StateInvariantError,
     is_diagonal,
     partial_trace,
@@ -22,17 +29,29 @@ from spinotto.qmath import (
 )
 from spinotto.spinsys import polarization, thermal_polarization, thermal_state
 
+TCE_ORDER = ("C1", "C2", "H")
 
-def tce_product(tce, eps_t, eps_c, eps_r):
+
+def tce_product(eps_t, eps_c, eps_r):
+    """Population tensor of a (C1, C2, H) product state."""
     return product_state(
         single_qubit_state(eps_t, "C1"),
         single_qubit_state(eps_c, "C2"),
         single_qubit_state(eps_r, "H"),
-    )
+    ).populations.reshape(2, 2, 2)
 
 
-def eps_of(state, label):
-    return polarization(partial_trace(state, {label}))
+def push_below_zero(populations):
+    """Move all of the first population and 1e-9 more onto the second."""
+    shifted = populations.copy()
+    shifted.flat[1] += shifted.flat[0] + 1e-9
+    shifted.flat[0] = -1e-9
+    return shifted
+
+
+def eps_of(populations, label):
+    m = marginal(populations, TCE_ORDER.index(label))
+    return m[0] - m[1]
 
 
 @pytest.fixture(scope="module")
@@ -40,23 +59,27 @@ def eps_bath_half(tce):
     return thermal_polarization(tce.omega("H", 0.5), tce.bath_temperature)
 
 
+@pytest.fixture(scope="module")
+def schedule_half(tce):
+    return cooling_schedule(tce, TCE_ORDER, 0.5)
+
+
 class TestInitialStage:
     def test_thermal_half_field_reaches_bath_polarization(
-        self, tce, tce_thermal_half, eps_bath_half
+        self, tce_thermal_half, eps_bath_half, schedule_half
     ):
-        state = initial_stage(tce_thermal_half, tce, 0.5)
-        assert eps_of(state, "C1") == pytest.approx(eps_bath_half, abs=1e-15)
-        assert eps_of(state, "C1") == pytest.approx(2.000e-5, rel=2e-2)
+        p = initial_stage(tce_thermal_half.populations.reshape(2, 2, 2), schedule_half)
+        assert eps_of(p, "C1") == pytest.approx(eps_bath_half, abs=1e-15)
+        assert eps_of(p, "C1") == pytest.approx(2.000e-5, rel=2e-2)
 
-    def test_target_already_at_reset_polarization(self, tce, eps_bath_half):
-        rho = tce_product(tce, eps_bath_half, 5e-6, 5e-6)
-        state = initial_stage(rho, tce, 0.5)
-        assert eps_of(state, "C1") == pytest.approx(eps_bath_half, abs=1e-15)
+    def test_target_already_at_reset_polarization(self, eps_bath_half, schedule_half):
+        p = initial_stage(tce_product(eps_bath_half, 5e-6, 5e-6), schedule_half)
+        assert eps_of(p, "C1") == pytest.approx(eps_bath_half, abs=1e-15)
 
-    def test_compression_marginal_untouched(self, tce, tce_thermal_half):
-        before = eps_of(tce_thermal_half, "C2")
-        state = initial_stage(tce_thermal_half, tce, 0.5)
-        assert eps_of(state, "C2") == pytest.approx(before, abs=1e-15)
+    def test_compression_marginal_untouched(self, tce_thermal_half, schedule_half):
+        before = tce_thermal_half.populations.reshape(2, 2, 2)
+        p = initial_stage(before, schedule_half)
+        assert eps_of(p, "C2") == pytest.approx(eps_of(before, "C2"), abs=1e-15)
 
     def test_rejects_wrong_register(self, tce):
         bad = product_state(
@@ -65,32 +88,88 @@ class TestInitialStage:
             single_qubit_state(0.0, "c"),
         )
         with pytest.raises(ValueError, match="missing roles"):
-            initial_stage(bad, tce, 0.5)
+            run_ppa(bad, tce, 0.5, 1)
+        with pytest.raises(ValueError, match="missing roles"):
+            cooling_schedule(tce, ("a", "b", "c"), 0.5)
 
 
 class TestPpaRound:
-    def test_recurrence_single_step(self, tce, eps_bath_half):
+    def test_recurrence_single_step(self, eps_bath_half, schedule_half):
         # start at the post-initial-stage polarization and apply one round
-        rho = tce_product(tce, eps_bath_half, 1e-5, 1e-5)
-        state = ppa_round(rho, tce, 0.5)
+        p = ppa_round(tce_product(eps_bath_half, 1e-5, 1e-5), schedule_half)
         expected = oracles.eps_by_recurrence(eps_bath_half, 1)
-        assert eps_of(state, "C1") == pytest.approx(expected, abs=1e-12)
-        assert eps_of(state, "C1") == pytest.approx(3.0e-5, rel=1e-3)
+        assert eps_of(p, "C1") == pytest.approx(expected, abs=1e-12)
+        assert eps_of(p, "C1") == pytest.approx(3.0e-5, rel=1e-3)
 
-    def test_fixed_point_at_twice_bath(self, tce, eps_bath_half):
-        rho = tce_product(tce, 2 * eps_bath_half, 1e-5, 1e-5)
-        state = ppa_round(rho, tce, 0.5)
+    def test_fixed_point_at_twice_bath(self, eps_bath_half, schedule_half):
+        p = ppa_round(tce_product(2 * eps_bath_half, 1e-5, 1e-5), schedule_half)
         # cubic corrections are ~1e-14 at these polarizations
-        assert eps_of(state, "C1") == pytest.approx(2 * eps_bath_half, abs=1e-13)
+        assert eps_of(p, "C1") == pytest.approx(2 * eps_bath_half, abs=1e-13)
 
-    def test_compression_and_reset_carry_half_the_old_target(self, tce, eps_bath_half):
+    def test_compression_and_reset_carry_half_the_old_target(self, schedule_half):
         # the compression gate pushes entropy into both auxiliary qubits:
         # after a full round each holds half the incoming target polarization
         eps_in = 3.0e-5
-        rho = tce_product(tce, eps_in, 1e-5, 1e-5)
-        state = ppa_round(rho, tce, 0.5)
-        assert eps_of(state, "C2") == pytest.approx(eps_in / 2, abs=1e-12)
-        assert eps_of(state, "H") == pytest.approx(eps_in / 2, abs=1e-12)
+        p = ppa_round(tce_product(eps_in, 1e-5, 1e-5), schedule_half)
+        assert eps_of(p, "C2") == pytest.approx(eps_in / 2, abs=1e-12)
+        assert eps_of(p, "H") == pytest.approx(eps_in / 2, abs=1e-12)
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize(
+        "system,field_scale",
+        [("tce", 0.5), ("tce", 1.0), ("tce_h_first", 0.5)],
+    )
+    def test_run_matches_dense_rounds_bit_for_bit(self, request, system, field_scale):
+        system = request.getfixturevalue(system)
+        rho = thermal_state(system, field_scale)
+        trace = run_ppa(rho, system, field_scale, 200)
+        states = dense.cooling_states(rho, system, field_scale, 200)
+        assert len(trace.rounds) == len(states) == 201
+        for record, state in zip(trace.rounds, states):
+            assert np.array_equal(record.state_after_round.matrix, state.matrix)
+            target = partial_trace(state, {"C1"})
+            assert np.array_equal(record.marginal("C1"), target.populations)
+            assert record.target_polarization == polarization(target)
+            assert record.reset_polarization == polarization(partial_trace(state, {"H"}))
+        assert np.array_equal(trace.final_target.matrix, partial_trace(states[-1], {"C1"}).matrix)
+
+    def test_reset_matches_dense_channel(self):
+        # correlated diagonal states, every slot reset, and a stack of baths
+        # broadcast against one register
+        rng = np.random.default_rng(31)
+        labels = ("t", "c", "r")
+        baths = rng.random((5, 2))
+        baths /= baths.sum(axis=1, keepdims=True)
+        for _ in range(20):
+            p = rng.random(8)
+            p /= p.sum()
+            rho = DensityMatrix(np.diag(p).astype(complex), labels)
+            for slot, label in enumerate(labels):
+                fresh = [DensityMatrix(np.diag(b).astype(complex), (label,)) for b in baths]
+                expected = [reset_channel(rho, label, f).populations for f in fresh]
+                got = reset(p.reshape(2, 2, 2), slot, baths)
+                assert np.array_equal(got.reshape(5, 8), np.array(expected))
+                single = reset(p.reshape(2, 2, 2), slot, baths[0])
+                assert np.array_equal(single.ravel(), expected[0])
+
+    def test_validations_do_not_grow_with_rounds(self, tce, tce_thermal_half, monkeypatch):
+        # rounds run on populations: a DensityMatrix is built only at the
+        # run's boundary (the reset qubit's bath state), never per round
+        calls = []
+        validate = DensityMatrix.__post_init__
+
+        def counted(self):
+            calls.append(None)
+            validate(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        counts = []
+        for n_max in (1, 50):
+            calls.clear()
+            run_ppa(tce_thermal_half, tce, 0.5, n_max)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestRunPpa:
@@ -128,6 +207,28 @@ class TestRunPpa:
         cold = replace(tce, bath_temperature=0.001)
         with pytest.raises(StateInvariantError, match=r"round 1: target .* 0\.001 K"):
             run_ppa(thermal_state(cold, 1.0), cold, 1.0, 2)
+
+    def test_rejects_coherent_input(self, tce):
+        coherent = DensityMatrix(np.full((8, 8), 1 / 8, dtype=complex), TCE_ORDER)
+        with pytest.raises(ValueError, match="diagonal"):
+            run_ppa(coherent, tce, 0.5, 1)
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda p: 2 * p, r"round 1: trace is off 1 by 1\.000e\+00"),
+            (lambda p: np.where(p == p.max(), np.nan, p), "round 1: trace is off 1 by nan"),
+            (push_below_zero, "round 1: negative population -1.000e-09"),
+        ],
+        ids=["trace", "nan", "negative"],
+    )
+    def test_every_round_is_checked(self, tce, tce_thermal_half, monkeypatch, corrupt, message):
+        # the checks DensityMatrix runs (unit trace, finiteness, the
+        # eigenvalue floor) run on every cooled population tensor
+        honest = hbac.ppa_round
+        monkeypatch.setattr(hbac, "ppa_round", lambda p, schedule: corrupt(honest(p, schedule)))
+        with pytest.raises(StateInvariantError, match=message):
+            run_ppa(tce_thermal_half, tce, 0.5, 2)
 
     def test_full_field_run(self, tce, tce_thermal):
         # the two-stroke engine cools at the unscaled field
