@@ -23,8 +23,6 @@ from .hbac import PpaTrace, RoundRecord, initial_stage, ppa_round, run_ppa, shan
 from .qmath import (
     DensityMatrix,
     StateInvariantError,
-    fidelity,
-    kron,
     partial_trace,
     product_state,
     single_qubit_state,
@@ -40,7 +38,6 @@ from .spinsys import (
     gibbs_state,
     load_system,
     polarization,
-    qubit_marginal,
     static_hamiltonian,
     tce_system,
     thermal_polarization,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys as _sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,9 +50,7 @@ class RunConfig:
         if self.field_scale is not None:
             lines.append(f"field_scale={reports.fmt(self.field_scale)}")
         if self.omega_s_mhz is not None:
-            lines.append(
-                "omega_s_mhz=" + ",".join(reports.fmt(w) for w in self.omega_s_mhz)
-            )
+            lines.append("omega_s_mhz=" + ",".join(map("%.12e".__mod__, self.omega_s_mhz)))
         if self.tau is not None:
             lines.append(f"tau={reports.fmt(self.tau)}")
         return lines
@@ -86,12 +85,20 @@ def _parse_omega_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"omega grid values must be numbers: {text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError(f"omega grid values must be finite: {text!r}")
     if start <= 0 or step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(
             "omega grid needs start > 0, step > 0, stop >= start"
         )
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + i * step for i in range(count))
+    count = (stop - start) / step + 1e-9
+    if not math.isfinite(count):
+        raise argparse.ArgumentTypeError(f"omega grid has too many points: {text!r}")
+    grid = tuple(start + i * step for i in range(int(math.floor(count)) + 1))
+    # the sweep runs in rad/s, which must stay finite too
+    if not math.isfinite(TWO_PI * 1e6 * grid[-1]):
+        raise argparse.ArgumentTypeError(f"omega grid overflows in rad/s: {text!r}")
+    return grid
 
 
 def _parse_positive(text: str) -> float:
@@ -154,10 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(config: RunConfig, text: str, summary: str) -> None:
+def _emit(config: RunConfig, render: Callable[[], str], summary: str) -> None:
+    """Write the CSV ``render()`` returns, in csv format only, then print the summary."""
     if config.output_format == "csv":
         assert config.out is not None
-        reports.write_atomic(config.out, text)
+        reports.write_atomic(config.out, render())
         print(f"wrote {config.out}")
     print(summary)
 
@@ -186,8 +194,11 @@ def _cmd_ppa(config: RunConfig, system: SpinSystem) -> int:
         f"T_eff={final.target_effective_temperature:.3f} K "
         f"shannon_crossing_round={'-' if crossing is None else crossing}"
     )
-    text = reports.render_ppa_csv(trace, system, field_scale, config.canonical_lines())
-    _emit(config, text, summary)
+    _emit(
+        config,
+        lambda: reports.render_ppa_csv(trace, system, field_scale, config.canonical_lines()),
+        summary,
+    )
     return EXIT_OK
 
 
@@ -202,8 +213,11 @@ def _cmd_four_stroke(config: RunConfig, system: SpinSystem) -> int:
         f"isochoric reference dominates from "
         f"{'-' if crossover is None else 'n=%d' % crossover}"
     )
-    text = reports.render_four_stroke_csv(table, config.canonical_lines(), system)
-    _emit(config, text, summary)
+    _emit(
+        config,
+        lambda: reports.render_four_stroke_csv(table, config.canonical_lines(), system),
+        summary,
+    )
     return EXIT_OK
 
 
@@ -229,8 +243,11 @@ def _cmd_two_stroke(config: RunConfig, system: SpinSystem) -> int:
             )
             window = f"({low / TWO_PI / 1e6:.2f}, {high / TWO_PI / 1e6:.2f}) MHz"
         lines.append(f"positive-work window n={n}: {window}")
-    text = reports.render_two_stroke_csv(table, config.canonical_lines(), system)
-    _emit(config, text, "\n".join(lines))
+    _emit(
+        config,
+        lambda: reports.render_two_stroke_csv(table, config.canonical_lines(), system),
+        "\n".join(lines),
+    )
     return EXIT_OK
 
 

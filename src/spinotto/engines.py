@@ -27,7 +27,7 @@ from .adiabatic import (
     evolve_populations,
     evolve_stroke,
 )
-from .hbac import RoundRecord, check_populations, marginal, reset, run_ppa
+from .hbac import check_populations, marginal, reset, run_ppa
 from .qmath import StateInvariantError
 from .spinsys import (
     CODATA2018,
@@ -285,61 +285,6 @@ def positive_work_window(
     return omega_t, omega_t * bath_t / cooled_t
 
 
-def _two_stroke_columns(
-    sys: SpinSystem,
-    omega_s: np.ndarray,
-    record: RoundRecord,
-    constants: PhysicalConstants,
-) -> dict[str, np.ndarray]:
-    """Two-stroke cycles over partner frequencies, with the target cooled as in ``record``.
-
-    The bath-equilibrated partner and the cooled target are diagonal
-    qubits, so the SWAP only exchanges their populations.  The arithmetic
-    follows the dense cycle (product state, SWAP, two partial traces)
-    operation by operation, so every column is bit-identical to it.
-    """
-    target = sys.label_for_role(Role.TARGET)
-    omega_t = sys.omega(target, 1.0)
-    n_rounds = record.round_index
-    cooled_temperature = record.target_effective_temperature
-
-    # Zeeman levels (-hbar w / 2, +hbar w / 2): one row per partner frequency
-    h_s = np.stack([-constants.hbar * omega_s / 2, +constants.hbar * omega_s / 2], axis=1)
-    h_t = _levels(sys, target, 1.0, constants)
-    p0_s = thermal_populations(h_s, sys.bath_temperature, constants)
-    p0_t = record.marginal(target)
-
-    # after the SWAP each qubit's marginal is the other's old populations,
-    # summed over the other slot of the product state
-    p1_s = p0_t * p0_s[:, :1] + p0_t * p0_s[:, 1:]
-    p1_t = p0_t[0] * p0_s + p0_t[1] * p0_s
-
-    q_in = _energy(h_s, p0_s) - _energy(h_s, p1_s)
-    q_out = _energy(h_t, p1_t) - _energy(h_t, p0_t)
-
-    mole = constants.avogadro
-    cycle_time = sys.qubit(sys.label_for_role(Role.RESET)).t1 * (2 * n_rounds + 1)
-    net = (q_in - q_out) * mole
-    # a target left at or above the bath temperature has no positive-work window
-    in_window = np.zeros(len(omega_s), dtype=bool)
-    if cooled_temperature < sys.bath_temperature:
-        low, high = positive_work_window(omega_t, sys.bath_temperature, cooled_temperature)
-        in_window = (low < omega_s) & (omega_s < high)
-    points = len(omega_s)
-    return {
-        "n_rounds": np.full(points, n_rounds),
-        "q_in": q_in * mole,
-        "q_out": q_out * mole,
-        "net_work": net,
-        "efficiency": 1.0 - omega_t / omega_s,
-        "power": net / cycle_time,
-        "cycle_time": np.full(points, cycle_time),
-        "cooled_target_temperature": np.full(points, cooled_temperature),
-        "omega_s": omega_s,
-        "in_window": in_window,
-    }
-
-
 def run_two_stroke(
     sys: SpinSystem,
     omega_s: float,
@@ -406,7 +351,13 @@ def sweep_two_stroke(
     Rows are ordered round-count-major, frequency-minor.  One cooling run
     to the largest round count serves every row: its record after round
     ``n`` is the ``n``-round cooled target, which does not depend on the
-    partner.  Each round count is then one array pass over the grid.
+    partner.  The sweep is then one array pass over (round count,
+    frequency).
+
+    The bath-equilibrated partner and the cooled target are diagonal
+    qubits, so the SWAP only exchanges their populations.  The arithmetic
+    follows the dense cycle (product state, SWAP, two partial traces)
+    operation by operation, so every column is bit-identical to it.
     """
     grid = np.array(omega_s_grid, dtype=float)
     n_list = [int(n) for n in n_values]
@@ -417,11 +368,52 @@ def sweep_two_stroke(
     if min(n_list) < 0:
         raise ValueError(f"n_rounds must be >= 0, got {min(n_list)}")
     trace = run_ppa(thermal_state(sys, 1.0, constants), sys, 1.0, max(n_list), constants)
-    parts = [_two_stroke_columns(sys, grid, trace.rounds[n], constants) for n in n_list]
+    records = [trace.rounds[n] for n in n_list]
+    target = sys.label_for_role(Role.TARGET)
+    omega_t = sys.omega(target, 1.0)
+    n_rounds = np.array(n_list)[:, None]
+    cooled_temperature = np.array([r.target_effective_temperature for r in records])[:, None]
+
+    # Zeeman levels (-hbar w / 2, +hbar w / 2): one row per partner frequency
+    h_s = np.stack([-constants.hbar * grid / 2, +constants.hbar * grid / 2], axis=1)
+    h_t = _levels(sys, target, 1.0, constants)
+    p0_s = thermal_populations(h_s, sys.bath_temperature, constants)
+    # one row per round count, broadcast against the grid axis
+    slot = records[0].qubits.index(target)
+    p0_t = marginal(np.stack([r.populations for r in records]), slot)[:, None, :]
+
+    # after the SWAP each qubit's marginal is the other's old populations,
+    # summed over the other slot of the product state
+    p1_s = p0_t * p0_s[:, :1] + p0_t * p0_s[:, 1:]
+    p1_t = p0_t[..., :1] * p0_s + p0_t[..., 1:] * p0_s
+
+    q_in = _energy(h_s, p0_s) - _energy(h_s, p1_s)
+    q_out = _energy(h_t, p1_t) - _energy(h_t, p0_t)
+
+    mole = constants.avogadro
+    cycle_time = sys.qubit(sys.label_for_role(Role.RESET)).t1 * (2 * n_rounds + 1)
+    net = (q_in - q_out) * mole
+    # the window (omega_T, omega_T T_bath / T_cooled); a target left at or
+    # above the bath temperature has none
+    high = omega_t * sys.bath_temperature / cooled_temperature
+    in_window = (cooled_temperature < sys.bath_temperature) & (omega_t < grid) & (grid < high)
+    shape = net.shape
+    columns = {
+        "n_rounds": np.broadcast_to(n_rounds, shape),
+        "q_in": q_in * mole,
+        "q_out": q_out * mole,
+        "net_work": net,
+        "efficiency": np.broadcast_to(1.0 - omega_t / grid, shape),
+        "power": net / cycle_time,
+        "cycle_time": np.broadcast_to(cycle_time, shape),
+        "cooled_target_temperature": np.broadcast_to(cooled_temperature, shape),
+        "omega_s": np.broadcast_to(grid, shape),
+        "in_window": in_window,
+    }
     return SweepTable(
         axes={"n_rounds": tuple(n_list), "omega_s": tuple(grid.tolist())},
         engine_kind=TWO_STROKE_HBAC,
-        columns={name: np.concatenate([part[name] for part in parts]) for name in parts[0]},
+        columns={name: column.ravel() for name, column in columns.items()},
     )
 
 

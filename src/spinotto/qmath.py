@@ -132,11 +132,6 @@ def single_qubit_state(polarization: float, label: str) -> DensityMatrix:
     return DensityMatrix(np.diag([(1 + eps) / 2, (1 - eps) / 2]).astype(complex), (label,))
 
 
-def kron(a, b) -> np.ndarray:
-    """Tensor product with slot order (a then b); a owns the high bits."""
-    return np.kron(_square_complex(a), _square_complex(b))
-
-
 def product_state(*factors: DensityMatrix) -> DensityMatrix:
     """Tensor product of states; labels concatenate in argument order."""
     if not factors:
@@ -176,20 +171,4 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     m = 2 ** len(kept_positions)
     labels = tuple(rho.qubits[i] for i in kept_positions)
     return DensityMatrix(reduced.reshape((m, m)), labels)
-
-
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))**2`` in [0, 1].
-
-    For commuting diagonal states this reduces to the squared
-    Bhattacharyya overlap of the two population vectors.
-    """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    w, v = np.linalg.eigh(rho.matrix)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    inner = sqrt_rho @ sigma.matrix @ sqrt_rho
-    eigenvalues = np.linalg.eigvalsh(inner)
-    root_sum = float(np.sum(np.sqrt(np.clip(eigenvalues, 0.0, None))))
-    return min(1.0, root_sum**2)
 

@@ -72,15 +72,15 @@ def metadata_lines(
     return lines
 
 
-def _table(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
-    lines = [",".join(header)]
-    lines += [",".join(fmt(cell) for cell in row) for row in rows]
-    return lines
+# every data row is one %-format string; a bool cell indexes this pair
+_BOOL = ("false", "true")
+_PPA_ROW = "%d,%.12e,%.12e,%.12e,%.12e"
+_FOUR_STROKE_ROW = "%d,%.12e,%.12e,%.12e,%.12e,%.12e,%.12e,%s"
+_TWO_STROKE_ROW = "%s,%d,%.12e,%.12e,%s,%s"
 
 
-def _column_rows(*columns: np.ndarray) -> Iterable[tuple]:
-    # tolist() yields Python floats, ints and bools, which fmt knows
-    return zip(*(column.tolist() for column in columns))
+def _csv(metadata: list[str], header: Sequence[str], rows: Iterable[str]) -> str:
+    return "\n".join([*metadata, ",".join(header), *rows]) + "\n"
 
 
 def render_ppa_csv(
@@ -91,11 +91,11 @@ def render_ppa_csv(
     constants: PhysicalConstants = CODATA2018,
 ) -> str:
     rows = trace_rows(trace, sys, field_scale, constants)
-    lines = metadata_lines("algorithmic cooling trace", config_lines, sys, constants)
-    lines += _table(
-        ("round", "eps_target", "eps_reset", "T_eff_K", "shannon_bound_eps"), rows
+    return _csv(
+        metadata_lines("algorithmic cooling trace", config_lines, sys, constants),
+        ("round", "eps_target", "eps_reset", "T_eff_K", "shannon_bound_eps"),
+        map(_PPA_ROW.__mod__, rows),
     )
-    return "\n".join(lines) + "\n"
 
 
 def render_four_stroke_csv(
@@ -106,14 +106,15 @@ def render_four_stroke_csv(
 ) -> str:
     assert table.reference_reports is not None
     cols, ref = table.columns, table.reference_reports.columns
-    rows = _column_rows(
-        *(cols[name] for name in ("n_rounds", "q_in", "q_out", "net_work", "power")),
-        ref["power"],
-        cols["cooled_target_temperature"],
-        ref["power"] > cols["power"],
+    # tolist() yields Python ints, floats and bools, which %d and %.12e render
+    rows = zip(
+        *(cols[name].tolist() for name in ("n_rounds", "q_in", "q_out", "net_work", "power")),
+        ref["power"].tolist(),
+        cols["cooled_target_temperature"].tolist(),
+        map(_BOOL.__getitem__, (ref["power"] > cols["power"]).tolist()),
     )
-    lines = metadata_lines("four-stroke cycle sweep", config_lines, sys, constants)
-    lines += _table(
+    return _csv(
+        metadata_lines("four-stroke cycle sweep", config_lines, sys, constants),
         (
             "n",
             "Qin_J_per_mol",
@@ -124,9 +125,8 @@ def render_four_stroke_csv(
             "T_cold_K",
             "iso_dominates",
         ),
-        rows,
+        map(_FOUR_STROKE_ROW.__mod__, rows),
     )
-    return "\n".join(lines) + "\n"
 
 
 def render_two_stroke_csv(
@@ -135,16 +135,32 @@ def render_two_stroke_csv(
     sys: SpinSystem,
     constants: PhysicalConstants = CODATA2018,
 ) -> str:
+    """Rows are round-count-major; the frequency cells of one block serve every block."""
     cols = table.columns
-    rows = _column_rows(
-        cols["omega_s"] / TWO_PI / 1e6,
-        *(cols[name] for name in ("n_rounds", "net_work", "power", "efficiency", "in_window")),
+    omega_mhz = np.array(table.axes["omega_s"]) / TWO_PI / 1e6
+    points = len(omega_mhz)
+    efficiency = cols["efficiency"]
+    # reuse the first block's cells only if every block repeats its bits:
+    # 0.0 and -0.0 compare equal but render differently
+    blocks = efficiency.view(np.uint64).reshape(-1, points)
+    repeats = len(blocks)
+    if (blocks == blocks[0]).all():
+        eta = ["%.12e" % e for e in efficiency[:points].tolist()] * repeats
+    else:
+        eta = map("%.12e".__mod__, efficiency.tolist())
+    rows = zip(
+        ["%.12e" % w for w in omega_mhz.tolist()] * repeats,
+        cols["n_rounds"].tolist(),
+        cols["net_work"].tolist(),
+        cols["power"].tolist(),
+        eta,
+        map(_BOOL.__getitem__, cols["in_window"].tolist()),
     )
-    lines = metadata_lines("two-stroke cycle sweep", config_lines, sys, constants)
-    lines += _table(
-        ("omega_s_MHz", "n", "W_J_per_mol", "P_W_per_mol", "eta", "in_window"), rows
+    return _csv(
+        metadata_lines("two-stroke cycle sweep", config_lines, sys, constants),
+        ("omega_s_MHz", "n", "W_J_per_mol", "P_W_per_mol", "eta", "in_window"),
+        map(_TWO_STROKE_ROW.__mod__, rows),
     )
-    return "\n".join(lines) + "\n"
 
 
 def write_atomic(path: str | Path, text: str) -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qmath import DensityMatrix, is_diagonal, is_hermitian, partial_trace
+from .qmath import DensityMatrix, is_diagonal, is_hermitian
 
 TWO_PI = 2.0 * math.pi
 
@@ -263,11 +263,6 @@ def thermal_state(
     """Register Gibbs state at the bath temperature and scaled field."""
     h = static_hamiltonian(sys, field_scale, constants)
     return gibbs_state(h, sys.bath_temperature, sys.labels, constants)
-
-
-def qubit_marginal(rho: DensityMatrix, label: str) -> DensityMatrix:
-    """Single-qubit reduced state, by partial trace over everything else."""
-    return partial_trace(rho, {label})
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,17 @@ def tce_thermal_half(tce):
 
 
 @pytest.fixture(scope="session")
-def tce_h_first():
-    """The TCE system with its register ordered H, C1, C2."""
+def h_first_config_text():
+    """The TCE INI text with its qubit sections ordered H, C1, C2."""
     head, rest = TCE_CONFIG.split("[qubit.C1]", 1)
     carbons, rest = rest.split("[qubit.H]", 1)
     proton, couplings = rest.split("[j_coupling]", 1)
-    system = from_config_text(
-        head + "[qubit.H]" + proton + "[qubit.C1]" + carbons + "[j_coupling]" + couplings
-    )
+    return head + "[qubit.H]" + proton + "[qubit.C1]" + carbons + "[j_coupling]" + couplings
+
+
+@pytest.fixture(scope="session")
+def tce_h_first(h_first_config_text):
+    """The TCE system with its register ordered H, C1, C2."""
+    system = from_config_text(h_first_config_text)
     assert system.labels == ("H", "C1", "C2")
     return system

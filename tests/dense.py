@@ -5,13 +5,16 @@ population columns.  This is the dense code it replaced, kept as the
 reference it must match bit for bit: gates conjugate the full matrix
 (``gates.apply``), a reset rebuilds the register as a ``kron`` of
 single-qubit partial traces (``gates.reset_channel``), and a stroke's
-work is ``Tr[H rho]`` at its start minus at its end.
+work is ``Tr[H rho]`` at its start minus at its end.  The dense state
+utilities that only the tests use (``kron``, ``fidelity``,
+``qubit_marginal``) live here too.
 """
 
 import numpy as np
 
 from spinotto.gates import apply, comp_unitary, reset_channel, swap_unitary
 from spinotto.hbac import thermal_reset_state
+from spinotto.qmath import partial_trace
 from spinotto.spinsys import Role
 
 
@@ -54,3 +57,33 @@ def stroke_work(h_local_start, rho_local_start, h_local_end, rho_local_end):
     before = np.trace(h_start @ rho_local_start.matrix)
     after = np.trace(h_end @ rho_local_end.matrix)
     return float(np.real(before - after))
+
+
+def kron(a, b):
+    """Tensor product of square matrices with slot order (a then b); a owns the high bits."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    for m in (a, b):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return np.kron(a, b)
+
+
+def qubit_marginal(rho, label):
+    """Single-qubit reduced state, by partial trace over everything else."""
+    return partial_trace(rho, {label})
+
+
+def fidelity(rho, sigma):
+    """Uhlmann fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))**2`` in [0, 1].
+
+    For commuting diagonal states this reduces to the squared
+    Bhattacharyya overlap of the two population vectors.
+    """
+    if rho.dim != sigma.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    w, v = np.linalg.eigh(rho.matrix)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    inner = sqrt_rho @ sigma.matrix @ sqrt_rho
+    eigenvalues = np.linalg.eigvalsh(inner)
+    root_sum = float(np.sum(np.sqrt(np.clip(eigenvalues, 0.0, None))))
+    return min(1.0, root_sum**2)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
+from dense import fidelity
 from spinotto.engines import (
     isochoric_crossover,
     positive_work_window,
@@ -21,7 +22,7 @@ from spinotto.engines import (
 )
 from spinotto.gates import comp_unitary
 from spinotto.hbac import marginal, run_ppa, shannon_bound
-from spinotto.qmath import fidelity, partial_trace, product_state, single_qubit_state
+from spinotto.qmath import partial_trace, product_state, single_qubit_state
 from spinotto.adiabatic import COMPRESSION, EXPANSION, StrokeSpec, evolve_stroke
 
 TWO_PI = 2.0 * math.pi

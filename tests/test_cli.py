@@ -171,6 +171,27 @@ class TestTwoStrokeCommand:
             run_cli(["two-stroke", "--omega-s", "900:100:1"], tmp_path, monkeypatch)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "grid,reason",
+        [
+            ("1:inf:1", "values must be finite"),
+            ("150:200:inf", "values must be finite"),
+            ("1e308:1.7e308:1e308", "overflows in rad/s"),
+        ],
+        ids=["infinite-stop", "infinite-step", "overflows-rad-per-s"],
+    )
+    def test_non_finite_grid_exits_2(self, grid, reason, tmp_path, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["two-stroke", "--rounds", "1", "--omega-s", grid], tmp_path, monkeypatch)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        # argparse prints its usage lines, then one error line
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"spinotto two-stroke: error: argument --omega-s: omega grid {reason}: {grid!r}"
+        ]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOutputContract:
     def test_byte_identical_reruns(self, tmp_path, monkeypatch, capsys):
@@ -191,6 +212,28 @@ class TestOutputContract:
         assert rc == 0
         assert not (tmp_path / "ppa_trace.csv").exists()
         assert "final eps_target" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["ppa", "--rounds", "3"],
+            ["four-stroke", "--rounds", "0..3"],
+            ["two-stroke", "--rounds", "1..2", "--omega-s", "150:400:50"],
+        ],
+        ids=["ppa", "four-stroke", "two-stroke"],
+    )
+    def test_summary_format_renders_no_csv(self, args, tmp_path, monkeypatch, capsys):
+        assert run_cli([*args, "--format", "summary"], tmp_path, monkeypatch) == 0
+        expected = capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a CSV was rendered under --format summary")
+
+        for name in ("render_ppa_csv", "render_four_stroke_csv", "render_two_stroke_csv"):
+            monkeypatch.setattr(cli.reports, name, refuse)
+        assert run_cli([*args, "--format", "summary"], tmp_path, monkeypatch) == 0
+        assert capsys.readouterr() == expected
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "args",

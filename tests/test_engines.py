@@ -417,6 +417,17 @@ class TestTwoStrokeSweep:
             assert np.array_equal(table.columns[name], column), name
         assert table.columns["in_window"].any() and not table.columns["in_window"].all()
 
+    def test_efficiency_tiles_across_round_counts(self, tce):
+        # eta = 1 - omega_T / omega_S depends on the partner only, so every
+        # round-count block repeats the first bit for bit, the zero at omega_T included
+        omega_t = tce.omega("C1")
+        grid = sorted({omega_t, omega_t / 2} | {mhz(w) for w in cli._parse_omega_grid("150:1000:1")})
+        n_values = range(9)
+        table = sweep_two_stroke(tce, grid, n_values)
+        blocks = table.columns["efficiency"].view(np.uint64).reshape(len(n_values), len(grid))
+        assert (blocks == blocks[0]).all()
+        assert 0.0 in table.columns["efficiency"]
+
     def test_validations_do_not_grow_with_the_grid(self, tce, monkeypatch):
         # the exchange runs on marginals: DensityMatrix validations come from
         # the cooling run and the per-round target, never from a grid point

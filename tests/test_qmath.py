@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 import oracles
+from dense import fidelity, kron
 from spinotto.qmath import (
     DensityMatrix,
     StateInvariantError,
-    fidelity,
     is_diagonal,
-    kron,
     partial_trace,
     product_state,
     single_qubit_state,

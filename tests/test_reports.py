@@ -1,0 +1,149 @@
+"""The row renderers against the per-cell reference renderer, byte for byte."""
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import csv_reference
+from spinotto import cli, reports
+
+RENDERERS = ("render_ppa_csv", "render_four_stroke_csv", "render_two_stroke_csv")
+
+# signed zeros, the smallest subnormal, the largest float, non-finite
+# values, and values whose 13th significant digit is a 5
+AWKWARD = [
+    -0.0,
+    0.0,
+    5e-324,
+    -5e-324,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    math.nan,
+    math.inf,
+    -math.inf,
+    1.0000000000005,
+    9.9999999999995,
+    0.1234567890125,
+    -2.5000000000005e-13,
+    123456789012.5,
+]
+LARGE_N = [0, 1, 2**31, 2**62, 2**63 - 1]
+
+
+@pytest.fixture
+def checked_renders(monkeypatch):
+    """Render every CSV the CLI writes through the reference as well; keep the texts."""
+    texts = []
+    for name in RENDERERS:
+
+        def both(*args, _new=getattr(reports, name), _reference=getattr(csv_reference, name)):
+            text = _new(*args)
+            assert text == _reference(*args)
+            texts.append(text)
+            return text
+
+        monkeypatch.setattr(reports, name, both)
+    return texts
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ppa", "--system", "tce", "--rounds", "7", "--field-scale", "0.5"],
+        ["four-stroke", "--rounds", "0..10", "--tau", "0.1"],
+        ["two-stroke", "--rounds", "1..8", "--omega-s", "150:1000:1"],
+        ["ppa", "--rounds", "2000"],
+    ],
+    ids=["ppa", "four-stroke", "two-stroke", "ppa-2000-rounds"],
+)
+def test_cli_csv_matches_reference(args, checked_renders, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.run([*args, "--out", "out.csv"]) == 0
+    assert len(checked_renders) == 1
+    assert (tmp_path / "out.csv").read_bytes() == checked_renders[0].encode()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ppa", "--rounds", "9"],
+        ["four-stroke", "--rounds", "0..12"],
+        ["two-stroke", "--rounds", "0..5", "--omega-s", "100:900:7"],
+    ],
+    ids=["ppa", "four-stroke", "two-stroke"],
+)
+def test_h_first_register_matches_reference(
+    args, h_first_config_text, checked_renders, tmp_path, monkeypatch, capsys
+):
+    config = tmp_path / "h_first.cfg"
+    config.write_text(h_first_config_text)
+    monkeypatch.chdir(tmp_path)
+    assert cli.run([*args, "--system", str(config), "--out", "out.csv"]) == 0
+    assert len(checked_renders) == 1
+
+
+def awkward_column(shift, length):
+    return np.roll(np.resize(np.array(AWKWARD), length), shift)
+
+
+def test_ppa_awkward_cells_match_reference(tce):
+    rounds = [
+        SimpleNamespace(
+            round_index=index,
+            target_polarization=AWKWARD[k % len(AWKWARD)],
+            reset_polarization=AWKWARD[(k + 5) % len(AWKWARD)],
+            target_effective_temperature=AWKWARD[(k + 9) % len(AWKWARD)],
+        )
+        for k, index in enumerate([*LARGE_N, 10**20] * 3)
+    ]
+    trace = SimpleNamespace(rounds=rounds)
+    args = (trace, tce, 0.5, ["command=ppa"])
+    assert reports.render_ppa_csv(*args) == csv_reference.render_ppa_csv(*args)
+
+
+def test_four_stroke_awkward_cells_match_reference(tce):
+    length = 3 * len(AWKWARD)
+    names = ("q_in", "q_out", "net_work", "power", "cooled_target_temperature")
+    columns = {name: awkward_column(k, length) for k, name in enumerate(names)}
+    columns["n_rounds"] = np.resize(np.array(LARGE_N), length)
+    reference = SimpleNamespace(columns={"power": awkward_column(7, length)})
+    table = SimpleNamespace(columns=columns, reference_reports=reference)
+    args = (table, ["command=four-stroke"], tce)
+    assert reports.render_four_stroke_csv(*args) == csv_reference.render_four_stroke_csv(*args)
+
+
+@pytest.mark.parametrize("tiled", [True, False], ids=["tiled-eta", "signed-zero-eta"])
+def test_two_stroke_awkward_cells_match_reference(tiled, tce):
+    omega_s = np.array(AWKWARD)
+    points, blocks = len(omega_s), len(LARGE_N)
+    block = awkward_column(3, points)
+    if not tiled:
+        # later blocks equal the first by value (no NaN) but flip the sign
+        # of its zeros, so the first block's cells must not serve them
+        block[np.isnan(block)] = 0.5
+    efficiency = np.tile(block, blocks)
+    if not tiled:
+        efficiency[points:][efficiency[points:] == 0.0] *= -1.0
+    length = points * blocks
+    table = SimpleNamespace(
+        axes={"n_rounds": tuple(LARGE_N), "omega_s": tuple(omega_s.tolist())},
+        columns={
+            "omega_s": np.tile(omega_s, blocks),
+            "n_rounds": np.repeat(np.array(LARGE_N), points),
+            "net_work": awkward_column(1, length),
+            "power": awkward_column(2, length),
+            "efficiency": efficiency,
+            "in_window": np.resize([True, False, False], length),
+        },
+    )
+    args = (table, ["command=two-stroke"], tce)
+    assert reports.render_two_stroke_csv(*args) == csv_reference.render_two_stroke_csv(*args)
+
+
+def test_config_grid_line_matches_reference():
+    grid = cli._parse_omega_grid("150:1000:1") + cli._parse_omega_grid("0.1:3:0.1")
+    grid += (5e-324, 1.0000000000005, 9.9999999999995, 123456789012.5)
+    config = cli.RunConfig(command="two-stroke", system_source="tce", rounds=(1,), omega_s_mhz=grid)
+    assert config.canonical_lines()[-1] == csv_reference.canonical_omega_line(grid)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from dense import qubit_marginal
 from spinotto.qmath import DensityMatrix
 from spinotto.spinsys import (
     CODATA2018,
@@ -16,7 +17,6 @@ from spinotto.spinsys import (
     gibbs_state,
     load_system,
     polarization,
-    qubit_marginal,
     static_hamiltonian,
     tce_system,
     thermal_polarization,
