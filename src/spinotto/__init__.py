@@ -35,10 +35,9 @@ from .spinsys import (
     Role,
     SpinSystem,
     effective_temperature,
-    gibbs_state,
     load_system,
     polarization,
-    static_hamiltonian,
+    register_levels,
     tce_system,
     thermal_polarization,
     thermal_state,

@@ -3,9 +3,10 @@
 A stroke ramps the static field between ``B_z`` and ``B_z/2`` over half a
 drive period ``tau`` with a ``sin(pi t / tau)`` profile.  Because the
 drive contains only Iz terms it is diagonal at every instant, so the
-stroke is propagated in closed form: populations are exact fixed points
-and each coherence picks up the phase set by the time-integrated level
-energies.
+stroke is propagated in closed form from the register's level energies:
+populations are exact fixed points, so a diagonal state comes back
+unchanged, and each coherence picks up the phase set by the
+time-integrated level energies.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmath import DensityMatrix, StateInvariantError, is_diagonal
-from .spinsys import CODATA2018, PhysicalConstants, SpinSystem, static_hamiltonian
+from .spinsys import CODATA2018, PhysicalConstants, SpinSystem, register_levels
 
 COMPRESSION = "compression"  # full field -> half field
 EXPANSION = "expansion"  # half field -> full field
@@ -54,23 +55,14 @@ def stroke_endpoints(
     spec: StrokeSpec,
     constants: PhysicalConstants = CODATA2018,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Static Hamiltonians at the start and the end of a stroke."""
-    h_full = static_hamiltonian(sys, 1.0, constants)
-    h_half = static_hamiltonian(sys, COMPRESSED_FIELD_SCALE, constants)
-    return (h_full, h_half) if spec.direction == COMPRESSION else (h_half, h_full)
-
-
-def _level_energies(hamiltonian: np.ndarray) -> np.ndarray:
-    energies = np.diag(hamiltonian)
-    if not (is_diagonal(hamiltonian, atol=0.0) and np.all(energies.imag == 0.0)):
-        raise ValueError("the field-ramp propagator needs real diagonal endpoint Hamiltonians")
-    return energies.real
+    """Register level energies at the start and the end of a stroke."""
+    full = register_levels(sys, 1.0, constants)
+    half = register_levels(sys, COMPRESSED_FIELD_SCALE, constants)
+    return (full, half) if spec.direction == COMPRESSION else (half, full)
 
 
 def _phases(sys: SpinSystem, spec: StrokeSpec, constants: PhysicalConstants) -> np.ndarray:
-    start, end = stroke_endpoints(sys, spec, constants)
-    e_start = _level_energies(start)
-    e_end = _level_energies(end)
+    e_start, e_end = stroke_endpoints(sys, spec, constants)
     area = e_start * (spec.tau / 2) + (e_end - e_start) * (spec.tau / math.pi)
     # Level phases run to ~1e8 rad.  Reducing each one mod 2pi (exactly, by
     # fmod) before differencing keeps every entry on the same per-level
@@ -80,15 +72,6 @@ def _phases(sys: SpinSystem, spec: StrokeSpec, constants: PhysicalConstants) -> 
     with np.errstate(over="ignore", invalid="ignore"):
         theta = np.fmod(area / constants.hbar, 2.0 * math.pi)
     return np.exp(-1j * (theta[:, None] - theta[None, :]))
-
-
-def _check_drift(before: np.ndarray, after: np.ndarray, spec: StrokeSpec) -> None:
-    drift = float(np.max(np.abs(after - before)))
-    # written so that a NaN drift fails too
-    if not drift <= 1e-12:
-        raise StateInvariantError(
-            f"{spec.direction} stroke moved diagonal populations by {drift:.3e}"
-        )
 
 
 def evolve_stroke(
@@ -103,28 +86,19 @@ def evolve_stroke(
     tau)`` is diagonal at every instant, so the propagator is
     ``diag(exp(-i Phi_k / hbar))`` with the level areas ``Phi_k =
     E_start,k tau/2 + (E_end,k - E_start,k) tau/pi``.  Entry ``(j, k)``
-    picks up the phase ``exp(-i (Phi_j - Phi_k) / hbar)``; on the
-    diagonal that factor is exactly 1, so populations come back bit for
-    bit (a drift above 1e-12 raises regardless).
+    picks up the phase ``exp(-i (Phi_j - Phi_k) / hbar)``.  A diagonal
+    state has no coherence to turn, so it is returned unchanged, whatever
+    ``tau``.  On the diagonal of a coherent state the factor is exactly 1,
+    so populations come back bit for bit (a drift above 1e-12 raises
+    regardless).
     """
+    if is_diagonal(rho.matrix, atol=0.0):
+        return rho
     evolved = DensityMatrix(rho.matrix * _phases(sys, spec, constants), rho.qubits)
-    if is_diagonal(rho.matrix):
-        _check_drift(rho.populations, evolved.populations, spec)
-    return evolved
-
-
-def evolve_populations(
-    populations: np.ndarray,
-    sys: SpinSystem,
-    spec: StrokeSpec,
-    constants: PhysicalConstants = CODATA2018,
-) -> np.ndarray:
-    """The same ramp on diagonal states, given as populations over the last axis.
-
-    Each population is multiplied by its diagonal phase factor as
-    ``evolve_stroke`` multiplies the matrix, so the result is what that
-    gives, with the same drift check on every state.
-    """
-    evolved = np.real(populations * np.diagonal(_phases(sys, spec, constants)))
-    _check_drift(populations, evolved, spec)
+    drift = float(np.max(np.abs(evolved.populations - rho.populations)))
+    # written so that a NaN drift fails too
+    if not drift <= 1e-12:
+        raise StateInvariantError(
+            f"{spec.direction} stroke moved diagonal populations by {drift:.3e}"
+        )
     return evolved

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import engines, hbac, reports
-from .adiabatic import COMPRESSION, StrokeSpec
+from .adiabatic import COMPRESSED_FIELD_SCALE, COMPRESSION, DEFAULT_TAU, StrokeSpec
 from .qmath import StateInvariantError
 from .spinsys import ConfigError, Role, SpinSystem, load_system, thermal_state
 
@@ -25,6 +25,10 @@ TWO_PI = 2.0 * math.pi
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# the most values one flag may list, the largest round count and the most
+# rows of a two-stroke table; a cooling run keeps about 0.5 KiB per round
+MAX_VALUES = 10**6
 
 
 @dataclass(frozen=True)
@@ -58,21 +62,20 @@ class RunConfig:
 
 def _parse_rounds(text: str) -> tuple[int, ...]:
     try:
-        if ".." in text:
-            first, last = text.split("..", 1)
-            lo, hi = int(first), int(last)
-            if lo > hi:
-                raise ValueError
-            values = tuple(range(lo, hi + 1))
-        else:
-            values = (int(text),)
+        first, dots, last = text.partition("..")
+        lo = int(first)
+        hi = int(last) if dots else lo
+        if lo > hi:
+            raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"rounds must be an integer or a..b range, got {text!r}"
         ) from None
-    if values[0] < 0:
+    if lo < 0:
         raise argparse.ArgumentTypeError("round counts must be >= 0")
-    return values
+    if hi > MAX_VALUES or hi - lo >= MAX_VALUES:
+        raise argparse.ArgumentTypeError(f"at most {MAX_VALUES} round counts up to {MAX_VALUES}: {text!r}")
+    return tuple(range(lo, hi + 1))
 
 
 def _parse_omega_grid(text: str) -> tuple[float, ...]:
@@ -92,8 +95,9 @@ def _parse_omega_grid(text: str) -> tuple[float, ...]:
             "omega grid needs start > 0, step > 0, stop >= start"
         )
     count = (stop - start) / step + 1e-9
-    if not math.isfinite(count):
-        raise argparse.ArgumentTypeError(f"omega grid has too many points: {text!r}")
+    # floor(count) + 1 points; an infinite count fails this too
+    if not count < MAX_VALUES:
+        raise argparse.ArgumentTypeError(f"omega grid has more than {MAX_VALUES} points: {text!r}")
     grid = tuple(start + i * step for i in range(int(math.floor(count)) + 1))
     # the sweep runs in rad/s, which must stay finite too
     if not math.isfinite(TWO_PI * 1e6 * grid[-1]):
@@ -138,14 +142,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_ppa.add_argument(
         "--field-scale",
         type=_parse_positive,
-        default=0.5,
+        default=COMPRESSED_FIELD_SCALE,
         help="static-field scale during cooling (0.5 = compressed field)",
     )
     add_common(p_ppa, "ppa_trace.csv")
 
     p_four = sub.add_parser("four-stroke", help="sweep the four-stroke engine over round counts")
     p_four.add_argument("--rounds", "-n", type=_parse_rounds, default=tuple(range(11)))
-    p_four.add_argument("--tau", type=_parse_positive, default=0.1, help="drive period in seconds")
+    p_four.add_argument(
+        "--tau", type=_parse_positive, default=DEFAULT_TAU, help="drive period in seconds (sets only phases)"
+    )
     add_common(p_four, "four_stroke_sweep.csv")
 
     p_two = sub.add_parser("two-stroke", help="sweep the two-stroke engine over partner frequencies")
@@ -153,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_two.add_argument(
         "--omega-s",
         type=_parse_omega_grid,
-        default=None,
-        help="partner frequency grid start:stop:step in MHz (default 150:1000:1)",
+        default="150:1000:1",
+        help="partner frequency grid start:stop:step in MHz (default %(default)s)",
     )
     add_common(p_two, "two_stroke_sweep.csv")
 
@@ -174,7 +180,7 @@ def _cmd_ppa(config: RunConfig, system: SpinSystem) -> int:
     if len(config.rounds) != 1:
         raise ConfigError("ppa takes a single round count, not a range")
     n_rounds = config.rounds[0]
-    field_scale = config.field_scale if config.field_scale is not None else 0.5
+    field_scale = config.field_scale
     rho = thermal_state(system, field_scale)
     trace = hbac.run_ppa(rho, system, field_scale, n_rounds)
 
@@ -203,7 +209,7 @@ def _cmd_ppa(config: RunConfig, system: SpinSystem) -> int:
 
 
 def _cmd_four_stroke(config: RunConfig, system: SpinSystem) -> int:
-    stroke = StrokeSpec(COMPRESSION, tau=config.tau or 0.1)
+    stroke = StrokeSpec(COMPRESSION, tau=config.tau)
     table = engines.sweep_four_stroke(system, config.rounds, stroke)
     best = table.argmax_power()
     crossover = engines.isochoric_crossover(table)
@@ -222,8 +228,10 @@ def _cmd_four_stroke(config: RunConfig, system: SpinSystem) -> int:
 
 
 def _cmd_two_stroke(config: RunConfig, system: SpinSystem) -> int:
-    grid_mhz = config.omega_s_mhz or _parse_omega_grid("150:1000:1")
-    grid = [TWO_PI * 1e6 * w for w in grid_mhz]
+    rows = len(config.rounds) * len(config.omega_s_mhz)
+    if rows > MAX_VALUES:
+        raise ConfigError(f"two-stroke table would have {rows} rows, more than {MAX_VALUES}")
+    grid = [TWO_PI * 1e6 * w for w in config.omega_s_mhz]
     table = engines.sweep_two_stroke(system, grid, config.rounds)
     best = table.argmax_power()
     omega_t = system.omega(system.label_for_role(Role.TARGET), 1.0)
@@ -235,14 +243,9 @@ def _cmd_two_stroke(config: RunConfig, system: SpinSystem) -> int:
     # rows are round-count-major, so each round count's block starts every len(grid) rows
     cooled = table.columns["cooled_target_temperature"][:: len(grid)].tolist()
     for n, cooled_temperature in zip(table.axes["n_rounds"], cooled):
-        # a target left at or above the bath temperature has no window
-        window = "none"
-        if cooled_temperature < system.bath_temperature:
-            low, high = engines.positive_work_window(
-                omega_t, system.bath_temperature, cooled_temperature
-            )
-            window = f"({low / TWO_PI / 1e6:.2f}, {high / TWO_PI / 1e6:.2f}) MHz"
-        lines.append(f"positive-work window n={n}: {window}")
+        window = engines.positive_work_window(omega_t, system.bath_temperature, cooled_temperature)
+        text = "none" if window is None else "(%.2f, %.2f) MHz" % tuple(w / TWO_PI / 1e6 for w in window)
+        lines.append(f"positive-work window n={n}: {text}")
     _emit(
         config,
         lambda: reports.render_two_stroke_csv(table, config.canonical_lines(), system),

@@ -19,14 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from .adiabatic import (
-    COMPRESSED_FIELD_SCALE,
-    COMPRESSION,
-    EXPANSION,
-    StrokeSpec,
-    evolve_populations,
-    evolve_stroke,
-)
+from .adiabatic import COMPRESSED_FIELD_SCALE, COMPRESSION, StrokeSpec, evolve_stroke
 from .hbac import check_populations, marginal, reset, run_ppa
 from .qmath import StateInvariantError
 from .spinsys import (
@@ -35,9 +28,10 @@ from .spinsys import (
     PhysicalConstants,
     Role,
     SpinSystem,
-    local_hamiltonian,
+    local_levels,
     thermal_populations,
     thermal_state,
+    zeeman_levels,
 )
 
 FOUR_STROKE_HBAC = "four_stroke_hbac"
@@ -149,10 +143,6 @@ class SweepTable(Sequence):
         return self[int(np.argmax(self.columns["net_work"]))]
 
 
-def _levels(sys: SpinSystem, label: str, field_scale: float, constants) -> np.ndarray:
-    return np.real(np.diag(local_hamiltonian(sys, label, field_scale, constants)))
-
-
 def _energy(levels: np.ndarray, populations: np.ndarray) -> np.ndarray:
     """``Tr[H rho]`` of diagonal qubit states, over the last axis."""
     return (levels * populations).sum(axis=-1)
@@ -162,22 +152,22 @@ class _FourStroke:
     """The hot and compressed states that every four-stroke cycle of one system shares.
 
     Each method takes the cooling stages of many cycles at once and
-    returns their columns.  Every state is diagonal, and the arithmetic
+    returns their columns.  Every state is diagonal, so the expansion
+    stroke leaves each cooled register as it is, and the arithmetic
     follows the dense cycle (partial traces, ``Tr[H rho]``, the reset
     channel) operation by operation, so every column is bit-identical
     to it.
     """
 
     def __init__(self, sys: SpinSystem, stroke: StrokeSpec | None, constants: PhysicalConstants):
-        base = stroke if stroke is not None else StrokeSpec(COMPRESSION)
-        self.expansion = replace(base, direction=EXPANSION)
+        compression = replace(stroke or StrokeSpec(COMPRESSION), direction=COMPRESSION)
         self.sys, self.constants = sys, constants
         target = sys.label_for_role(Role.TARGET)
         self.t1_target = sys.qubit(target).t1
-        self.h0 = _levels(sys, target, 1.0, constants)
-        self.h1 = _levels(sys, target, COMPRESSED_FIELD_SCALE, constants)
+        self.h0 = local_levels(sys, target, 1.0, constants)
+        self.h1 = local_levels(sys, target, COMPRESSED_FIELD_SCALE, constants)
         hot = thermal_state(sys, 1.0, constants)
-        self.rho_compressed = evolve_stroke(hot, sys, replace(base, direction=COMPRESSION), constants)
+        self.rho_compressed = evolve_stroke(hot, sys, compression, constants)
         self.compressed = self.rho_compressed.populations.reshape(2, 2, 2)
         self.slot = hot.qubits.index(target)
         self.e0 = _energy(self.h0, marginal(hot.populations.reshape(2, 2, 2), self.slot))
@@ -185,9 +175,9 @@ class _FourStroke:
 
     def _columns(self, cooled, cooled_target, cycle_time, temperature) -> dict[str, np.ndarray]:
         """Columns of cycles from their cooled 2x2x2 registers and target populations."""
-        expanded = evolve_populations(cooled.reshape(-1, 8), self.sys, self.expansion, self.constants)
         e2 = _energy(self.h1, cooled_target)
-        e3 = _energy(self.h0, marginal(expanded.reshape(cooled.shape), self.slot))
+        # after the expansion stroke, which leaves the populations alone
+        e3 = _energy(self.h0, marginal(cooled, self.slot))
         q_in = self.e0 - e3
         q_out = self.e1 - e2
         mole = self.constants.avogadro
@@ -274,14 +264,17 @@ def run_isochoric_reference(
 
 def positive_work_window(
     omega_t: float, bath_t: float, cooled_t: float
-) -> tuple[float, float]:
-    """Partner-frequency interval (rad/s) where the two-stroke cycle gains work."""
-    if cooled_t <= 0 or cooled_t >= bath_t:
-        raise ValueError(
-            f"cooled temperature {cooled_t} must lie strictly below bath {bath_t}"
-        )
+) -> tuple[float, float] | None:
+    """Partner-frequency interval (rad/s) where the two-stroke cycle gains work.
+
+    It is None when the target is not below the bath temperature.
+    """
+    if cooled_t <= 0 or bath_t <= 0:
+        raise ValueError(f"temperatures must be positive, got bath {bath_t} and cooled {cooled_t}")
     if omega_t <= 0:
         raise ValueError(f"omega_t must be positive, got {omega_t}")
+    if cooled_t >= bath_t:
+        return None
     return omega_t, omega_t * bath_t / cooled_t
 
 
@@ -372,11 +365,11 @@ def sweep_two_stroke(
     target = sys.label_for_role(Role.TARGET)
     omega_t = sys.omega(target, 1.0)
     n_rounds = np.array(n_list)[:, None]
-    cooled_temperature = np.array([r.target_effective_temperature for r in records])[:, None]
+    cooled = [r.target_effective_temperature for r in records]
+    cooled_temperature = np.array(cooled)[:, None]
 
-    # Zeeman levels (-hbar w / 2, +hbar w / 2): one row per partner frequency
-    h_s = np.stack([-constants.hbar * grid / 2, +constants.hbar * grid / 2], axis=1)
-    h_t = _levels(sys, target, 1.0, constants)
+    h_s = zeeman_levels(grid, constants)  # one row per partner frequency
+    h_t = local_levels(sys, target, 1.0, constants)
     p0_s = thermal_populations(h_s, sys.bath_temperature, constants)
     # one row per round count, broadcast against the grid axis
     slot = records[0].qubits.index(target)
@@ -393,10 +386,10 @@ def sweep_two_stroke(
     mole = constants.avogadro
     cycle_time = sys.qubit(sys.label_for_role(Role.RESET)).t1 * (2 * n_rounds + 1)
     net = (q_in - q_out) * mole
-    # the window (omega_T, omega_T T_bath / T_cooled); a target left at or
-    # above the bath temperature has none
-    high = omega_t * sys.bath_temperature / cooled_temperature
-    in_window = (cooled_temperature < sys.bath_temperature) & (omega_t < grid) & (grid < high)
+    # one window per round count; the empty (inf, inf) stands in for none
+    windows = [positive_work_window(omega_t, sys.bath_temperature, t) for t in cooled]
+    bounds = np.array([w or (np.inf, np.inf) for w in windows])
+    in_window = (bounds[:, :1] < grid) & (grid < bounds[:, 1:])
     shape = net.shape
     columns = {
         "n_rounds": np.broadcast_to(n_rounds, shape),

@@ -37,9 +37,9 @@ from .spinsys import (
     Role,
     SpinSystem,
     effective_temperature,
-    gibbs_state,
-    local_hamiltonian,
+    local_levels,
     thermal_polarization,
+    thermal_populations,
 )
 
 
@@ -152,11 +152,10 @@ class CoolingSchedule:
 
 def thermal_reset_state(
     sys: SpinSystem, field_scale: float, constants: PhysicalConstants = CODATA2018
-) -> DensityMatrix:
-    """Bath-equilibrium state of the reset qubit at the scaled field."""
-    label = sys.label_for_role(Role.RESET)
-    h = local_hamiltonian(sys, label, field_scale, constants)
-    return gibbs_state(h, sys.bath_temperature, (label,), constants)
+) -> np.ndarray:
+    """Bath-equilibrium populations of the reset qubit at the scaled field."""
+    levels = local_levels(sys, sys.label_for_role(Role.RESET), field_scale, constants)
+    return thermal_populations(levels, sys.bath_temperature, constants)
 
 
 def cooling_schedule(
@@ -176,7 +175,7 @@ def cooling_schedule(
     return CoolingSchedule(
         qubits.index(t),
         qubits.index(r),
-        thermal_reset_state(sys, field_scale, constants).populations,
+        thermal_reset_state(sys, field_scale, constants),
         *(gate.gather(qubits).reshape(2, 2, 2) for gate in gates),
     )
 

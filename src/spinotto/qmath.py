@@ -1,13 +1,12 @@
-"""Dense complex linear algebra for few-qubit density matrices.
+"""Labeled few-qubit density matrices with enforced invariants.
 
 States live on a labeled register of spin-1/2 slots in big-endian order:
 the first label owns the most significant bit of a computational-basis
-index.  Operators are plain complex ``numpy`` arrays; ``DensityMatrix``
-adds the slot labels and enforces the physical invariants on every
-construction.  Register sizes stay at or below four qubits, so everything
-is dense and eager (no sparse or iterative machinery, and no time
-integration: the field-ramp strokes are propagated in closed form by
-``spinotto.adiabatic``).
+index.  ``DensityMatrix`` wraps a dense complex array with the slot
+labels and enforces the physical invariants on every construction.
+Register sizes stay at or below four qubits, so everything is dense and
+eager.  Hamiltonians are not matrices here: every one the package uses
+is diagonal, so ``spinotto.spinsys`` stores it as level energies.
 
 A ``DensityMatrix`` is the library's boundary type: the input of a
 cooling run, the hot and compressed engine states, and views built on
@@ -27,9 +26,6 @@ import numpy as np
 ATOL = 1e-12
 # Eigenvalues may dip this far below zero before a state is rejected.
 EIGENVALUE_FLOOR = -1e-10
-# Hamiltonians are validated relative to their own magnitude; entries are
-# ~1e-25 J in SI units, so an absolute test would pass garbage.
-HERMITICITY_RTOL = 1e-9
 
 
 class StateInvariantError(ValueError):
@@ -59,12 +55,6 @@ def is_diagonal(matrix, atol: float = ATOL) -> bool:
     arr = np.asarray(matrix)
     off = arr - np.diag(np.diag(arr))
     return bool(np.max(np.abs(off)) <= atol)
-
-
-def is_hermitian(matrix, rtol: float = HERMITICITY_RTOL) -> bool:
-    arr = np.asarray(matrix)
-    scale = max(float(np.max(np.abs(arr))), np.finfo(float).tiny)
-    return bool(np.max(np.abs(arr - arr.conj().T)) <= rtol * scale)
 
 
 @dataclass(frozen=True)

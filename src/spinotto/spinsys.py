@@ -1,9 +1,13 @@
-"""NMR spin-system definition, thermal states, and polarization helpers.
+"""NMR spin-system definition, level energies, thermal states, and polarization helpers.
 
 A ``SpinSystem`` is an ordered register of spin-1/2 nuclei in a static
 field ``B_z`` with weak scalar (Iz-Iz) couplings, in contact with a heat
 bath.  Conventions: ``|0> = spin-up = lower energy`` (``H = -hbar w Iz``
 with ``Iz|0> = +1/2|0>``), so thermal polarizations are positive.
+
+Every Hamiltonian here is a sum of Zeeman and Iz-Iz terms, diagonal in
+the computational basis at any field, so it is stored as its real level
+energies, one per basis state, and never as a matrix.
 
 Systems can be built in code, from the built-in ``tce`` preset, or from
 an INI-style configuration file (see ``from_config_file``).
@@ -19,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qmath import DensityMatrix, is_diagonal, is_hermitian
+from .qmath import DensityMatrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,7 +52,6 @@ class Role(str, Enum):
     TARGET = "target"
     COMPRESSION = "compression"
     RESET = "reset"
-    SWAP_PARTNER = "swap-partner"
 
 
 @dataclass(frozen=True)
@@ -134,12 +137,14 @@ class SpinSystem:
         return self.j_over_2pi.get(key, 0.0)
 
     def label_for_role(self, role: Role) -> str:
-        matches = [q.label for q in self.qubits if q.role == role]
-        if len(matches) != 1:
+        """Label of the qubit with ``role``; the register must hold one qubit per role."""
+        roles = [q.role for q in self.qubits]
+        if sorted(roles) != sorted(Role):
             raise ConfigError(
-                f"need exactly one {role.value} qubit, found {len(matches)}"
+                f"register {self.labels} has roles {[r.value for r in roles]}; cooling "
+                f"needs exactly one target, one compression and one reset qubit"
             )
-        return matches[0]
+        return self.labels[roles.index(role)]
 
 
 def tce_system() -> SpinSystem:
@@ -167,36 +172,40 @@ PRESETS = {"tce": tce_system}
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonians and thermal states
+# Level energies and thermal states
 # ---------------------------------------------------------------------------
 
 
-def zeeman_hamiltonian(omega: float, constants: PhysicalConstants = CODATA2018) -> np.ndarray:
-    """Single-qubit ``-hbar*omega*Iz`` as a 2x2 diagonal matrix (joules)."""
-    return np.diag([-constants.hbar * omega / 2, +constants.hbar * omega / 2]).astype(complex)
+def zeeman_levels(omega, constants: PhysicalConstants = CODATA2018) -> np.ndarray:
+    """Level energies ``(-hbar w / 2, +hbar w / 2)`` of ``-hbar*omega*Iz`` (joules).
+
+    ``omega`` broadcasts: an array of frequencies gives one row of levels each.
+    """
+    return np.stack([-constants.hbar * omega / 2, +constants.hbar * omega / 2], axis=-1)
 
 
-def local_hamiltonian(
+def local_levels(
     sys: SpinSystem,
     label: str,
     field_scale: float = 1.0,
     constants: PhysicalConstants = CODATA2018,
 ) -> np.ndarray:
-    """Local Zeeman Hamiltonian of one register qubit at the scaled field."""
-    return zeeman_hamiltonian(sys.omega(label, field_scale), constants)
+    """Zeeman level energies of one register qubit at the scaled field."""
+    return zeeman_levels(sys.omega(label, field_scale), constants)
 
 
-def static_hamiltonian(
+def register_levels(
     sys: SpinSystem,
     field_scale: float = 1.0,
     constants: PhysicalConstants = CODATA2018,
 ) -> np.ndarray:
-    """Lab-frame register Hamiltonian at a scaled static field.
+    """Level energies of the lab-frame register Hamiltonian at a scaled static field.
 
     ``H = -hbar * sum_i (field_scale * w_i) Iz_i
-    + hbar * sum_{i<j} 2pi J_ij Iz_i Iz_j``, diagonal in the
-    computational basis.  Scaling the field scales every Zeeman term and
-    leaves the scalar couplings untouched.
+    + hbar * sum_{i<j} 2pi J_ij Iz_i Iz_j`` is diagonal in the
+    computational basis, so it is stored as its diagonal, one energy per
+    basis state.  Scaling the field scales every Zeeman term and leaves
+    the scalar couplings untouched.
     """
     if field_scale <= 0:
         raise ValueError(f"field_scale must be positive, got {field_scale}")
@@ -210,13 +219,13 @@ def static_hamiltonian(
         if sys.j_coupling(labels[i], labels[j]) != 0.0
     ]
     hbar = constants.hbar
-    diag = np.zeros(2**k)
+    levels = np.zeros(2**k)
     for idx in range(2**k):
         sz = [0.5 if ((idx >> (k - 1 - i)) & 1) == 0 else -0.5 for i in range(k)]
         energy = -hbar * sum(w * s for w, s in zip(omegas, sz))
         energy += hbar * sum(jw * sz[i] * sz[j] for i, j, jw in pairs)
-        diag[idx] = energy
-    return np.diag(diag).astype(complex)
+        levels[idx] = energy
+    return levels
 
 
 def thermal_populations(
@@ -235,34 +244,15 @@ def thermal_populations(
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def gibbs_state(
-    hamiltonian: np.ndarray,
-    temperature: float,
-    qubits: tuple[str, ...],
-    constants: PhysicalConstants = CODATA2018,
-) -> DensityMatrix:
-    """Thermal state ``exp(-H/kT) / Z`` of a Hermitian Hamiltonian."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    h = np.asarray(hamiltonian, dtype=complex)
-    if not is_hermitian(h):
-        raise ValueError("Hamiltonian is not Hermitian within tolerance")
-    if is_diagonal(h, atol=0.0):
-        populations = thermal_populations(np.real(np.diag(h)), temperature, constants)
-        return DensityMatrix(np.diag(populations).astype(complex), qubits)
-    energies, vectors = np.linalg.eigh(h)
-    populations = thermal_populations(energies, temperature, constants)
-    return DensityMatrix((vectors * populations) @ vectors.conj().T, qubits)
-
-
 def thermal_state(
     sys: SpinSystem,
     field_scale: float = 1.0,
     constants: PhysicalConstants = CODATA2018,
 ) -> DensityMatrix:
     """Register Gibbs state at the bath temperature and scaled field."""
-    h = static_hamiltonian(sys, field_scale, constants)
-    return gibbs_state(h, sys.bath_temperature, sys.labels, constants)
+    levels = register_levels(sys, field_scale, constants)
+    populations = thermal_populations(levels, sys.bath_temperature, constants)
+    return DensityMatrix(np.diag(populations).astype(complex), sys.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +264,8 @@ def polarization(rho_1q: DensityMatrix) -> float:
     """Population difference ``P_up - P_down`` of a single-qubit state."""
     if rho_1q.dim != 2:
         raise ValueError(f"expected a single-qubit state, got dim {rho_1q.dim}")
-    diff = rho_1q.matrix[0, 0] - rho_1q.matrix[1, 1]
-    if abs(diff.imag) > 1e-12:
-        raise ValueError(f"diagonal has imaginary residue {diff.imag:.3e}")
-    return float(diff.real)
+    # a DensityMatrix is Hermitian, so its diagonal is real within ATOL
+    return float((rho_1q.matrix[0, 0] - rho_1q.matrix[1, 1]).real)
 
 
 def thermal_polarization(
@@ -313,7 +301,7 @@ temperature_kelvin = 300.0
 b_field_tesla = 11.774       # or: reference_qubit = H / reference_omega_mhz = 500.13
 
 [qubit.<LABEL>]              # one section per qubit, register order = file order
-role = target                # target | compression | reset | swap-partner
+role = target                # target | compression | reset
 gamma_mhz_per_tesla = 10.7084
 t1_seconds = 43.0
 omega_mhz = 125.77           # optional explicit Larmor frequency at full field

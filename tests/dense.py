@@ -14,23 +14,35 @@ import numpy as np
 
 from spinotto.gates import apply, comp_unitary, reset_channel, swap_unitary
 from spinotto.hbac import thermal_reset_state
-from spinotto.qmath import partial_trace
-from spinotto.spinsys import Role
+from spinotto.qmath import DensityMatrix, partial_trace
+from spinotto.spinsys import Role, thermal_populations
 
 
 def _roles(sys):
     return tuple(sys.label_for_role(r) for r in (Role.TARGET, Role.COMPRESSION, Role.RESET))
 
 
+def gibbs(levels, temperature, qubits):
+    """Diagonal thermal ``DensityMatrix`` over level energies."""
+    populations = thermal_populations(levels, temperature)
+    return DensityMatrix(np.diag(populations).astype(complex), qubits)
+
+
+def fresh_reset(sys, field_scale):
+    """The reset qubit's bath state as a ``DensityMatrix``."""
+    populations = thermal_reset_state(sys, field_scale)
+    return DensityMatrix(np.diag(populations).astype(complex), (sys.label_for_role(Role.RESET),))
+
+
 def initial_stage(rho, sys, field_scale):
     target, _, reset = _roles(sys)
-    state = reset_channel(rho, reset, thermal_reset_state(sys, field_scale))
+    state = reset_channel(rho, reset, fresh_reset(sys, field_scale))
     return apply(swap_unitary(rho.qubits, target, reset), state)
 
 
 def ppa_round(rho, sys, field_scale):
     target, compression, reset = _roles(sys)
-    fresh = thermal_reset_state(sys, field_scale)
+    fresh = fresh_reset(sys, field_scale)
     state = reset_channel(rho, reset, fresh)
     state = apply(swap_unitary(rho.qubits, compression, reset), state)
     state = reset_channel(state, reset, fresh)

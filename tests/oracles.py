@@ -100,6 +100,27 @@ def two_stroke_closed_form(omega_s_mhz: float, n: int) -> dict:
     }
 
 
+def iz_hamiltonian(omegas, j_hz: dict) -> np.ndarray:
+    """Dense ``-hbar sum_i w_i Iz_i + hbar sum_{i<j} 2pi J_ij Iz_i Iz_j`` by Kronecker products.
+
+    ``omegas`` in rad/s, one per slot (slot 0 = most significant bit);
+    ``j_hz`` maps slot pairs ``(i, j)`` to J/2pi in Hz.
+    """
+    k = len(omegas)
+    iz = np.diag([0.5, -0.5])
+
+    def iz_on(slot):
+        out = np.eye(1)
+        for i in range(k):
+            out = np.kron(out, iz if i == slot else np.eye(2))
+        return out
+
+    h = -HBAR * sum(w * iz_on(i) for i, w in enumerate(omegas))
+    for (i, j), coupling in j_hz.items():
+        h = h + HBAR * TWO_PI * coupling * (iz_on(i) @ iz_on(j))
+    return h
+
+
 def gibbs_by_expm(hamiltonian: np.ndarray, temperature: float) -> np.ndarray:
     """Thermal state via scipy's Pade matrix exponential."""
     rho = scipy.linalg.expm(-np.asarray(hamiltonian) / (KB * temperature))

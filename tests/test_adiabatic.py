@@ -10,18 +10,33 @@ from spinotto.adiabatic import (
     stroke_endpoints,
 )
 from dense import stroke_work
-from spinotto.qmath import DensityMatrix, is_diagonal, partial_trace, product_state
-from spinotto.spinsys import CODATA2018, local_hamiltonian, static_hamiltonian, thermal_state
+from spinotto.qmath import DensityMatrix, StateInvariantError, partial_trace, product_state
+from spinotto.spinsys import CODATA2018, local_levels, register_levels, thermal_state
 from test_qmath import random_density
 
 HBAR = CODATA2018.hbar
 TAU = StrokeSpec(COMPRESSION).tau
 
 
-def endpoint_hamiltonians(tce, direction):
-    h_full = static_hamiltonian(tce, 1.0)
-    h_half = static_hamiltonian(tce, 0.5)
-    return (h_full, h_half) if direction == COMPRESSION else (h_half, h_full)
+def endpoint_levels(tce, direction):
+    full = register_levels(tce, 1.0)
+    half = register_levels(tce, 0.5)
+    return (full, half) if direction == COMPRESSION else (half, full)
+
+
+def local_hamiltonian(sys, label, field_scale):
+    return np.diag(local_levels(sys, label, field_scale))
+
+
+def coherent_state(tce, tce_thermal, label):
+    """|+> on one qubit, the others thermal."""
+    factors = [
+        DensityMatrix(np.full((2, 2), 0.5, dtype=complex), (q,))
+        if q == label
+        else partial_trace(tce_thermal, {q})
+        for q in tce.labels
+    ]
+    return product_state(*factors)
 
 
 class TestStrokeSpec:
@@ -49,27 +64,44 @@ class TestDriveHamiltonian:
 
     def test_compression_boundaries_bit_for_bit(self, tce):
         start, end = stroke_endpoints(tce, StrokeSpec(COMPRESSION))
-        assert np.array_equal(start, static_hamiltonian(tce, 1.0))
-        assert np.array_equal(end, static_hamiltonian(tce, 0.5))
+        assert np.array_equal(start, register_levels(tce, 1.0))
+        assert np.array_equal(end, register_levels(tce, 0.5))
 
     def test_expansion_boundaries_bit_for_bit(self, tce):
         start, end = stroke_endpoints(tce, StrokeSpec(EXPANSION))
-        assert np.array_equal(start, static_hamiltonian(tce, 0.5))
-        assert np.array_equal(end, static_hamiltonian(tce, 1.0))
+        assert np.array_equal(start, register_levels(tce, 0.5))
+        assert np.array_equal(end, register_levels(tce, 1.0))
 
     def test_diagonal_at_all_times(self, tce):
-        # the closed-form stroke rests on this
+        # the closed-form stroke rests on this: the drive built densely from
+        # Iz operators is diagonal at every instant, with the interpolated
+        # endpoint levels on its diagonal
         start, end = stroke_endpoints(tce, StrokeSpec(COMPRESSION))
+        j_hz = {(0, 1): 103.0, (0, 2): 9.0, (1, 2): 200.8}
         for s in np.linspace(0.0, 1.0, 7):
-            h = (1 - s) * start + s * end
-            assert is_diagonal(h, atol=0.0)
-            assert np.all(np.diag(h).imag == 0.0)
+            omegas = [tce.omega(q, 1.0 - 0.5 * s) for q in tce.labels]
+            h = oracles.iz_hamiltonian(omegas, j_hz)
+            assert np.array_equal(h, np.diag(np.diag(h)))
+            # the oracle's hbar is scipy's unrounded value
+            assert np.allclose(np.diag(h), (1 - s) * start + s * end, rtol=1e-9, atol=0.0)
 
 
 class TestEvolveStroke:
     def test_thermal_populations_frozen(self, tce, tce_thermal):
         out = evolve_stroke(tce_thermal, tce, StrokeSpec(COMPRESSION))
         assert np.array_equal(out.matrix, tce_thermal.matrix)
+
+    @pytest.mark.parametrize("tau", [1e-300, 0.1, 1e308])
+    def test_diagonal_input_returned_unchanged(self, tce, tce_thermal, tau):
+        # no coherence to turn, so even phases that overflow are never formed
+        for direction in (COMPRESSION, EXPANSION):
+            assert evolve_stroke(tce_thermal, tce, StrokeSpec(direction, tau=tau)) is tce_thermal
+
+    def test_overflowing_phase_rejects_coherent_state(self, tce, tce_thermal):
+        # tau = 1e308 is finite, but the level phases overflow to NaN
+        rho0 = coherent_state(tce, tce_thermal, "C1")
+        with pytest.raises(StateInvariantError):
+            evolve_stroke(rho0, tce, StrokeSpec(COMPRESSION, tau=1e308))
 
     def test_tau_independence_for_diagonal_input(self, tce, tce_thermal):
         pops = []
@@ -85,9 +117,7 @@ class TestEvolveStroke:
         rho0 = DensityMatrix(np.full((8, 8), 1 / 8, dtype=complex), tce.labels)
         out = evolve_stroke(rho0, tce, StrokeSpec(direction))
 
-        start, end = endpoint_hamiltonians(tce, direction)
-        e_start = np.diag(start).real
-        e_end = np.diag(end).real
+        e_start, e_end = endpoint_levels(tce, direction)
         worst = 0.0
         for j in range(8):
             for k in range(8):
@@ -106,8 +136,8 @@ class TestEvolveStroke:
     def test_matches_exact_propagation(self, tce, direction):
         # the stroke equals constant-Hamiltonian evolution for unit time
         # under the time-integrated drive
-        start, end = endpoint_hamiltonians(tce, direction)
-        h_area = start * TAU / 2 + (end - start) * TAU / np.pi
+        start, end = endpoint_levels(tce, direction)
+        h_area = np.diag(start * TAU / 2 + (end - start) * TAU / np.pi)
         rng = np.random.default_rng(8)
         for _ in range(3):
             rho0 = DensityMatrix(random_density(rng, 8), tce.labels)
@@ -118,31 +148,12 @@ class TestEvolveStroke:
 
     @pytest.mark.parametrize("label", ["C1", "C2", "H"])
     def test_coherent_qubit_survives_both_strokes(self, tce, tce_thermal, label):
-        # |+> on one qubit, the others thermal, at the default tau, where the
-        # coherences turn through 1e7 to 1e8 rad per stroke
-        factors = [
-            DensityMatrix(np.full((2, 2), 0.5, dtype=complex), (q,))
-            if q == label
-            else partial_trace(tce_thermal, {q})
-            for q in tce.labels
-        ]
-        rho0 = product_state(*factors)
+        # at the default tau the coherences turn through 1e7 to 1e8 rad per stroke
+        rho0 = coherent_state(tce, tce_thermal, label)
         out = evolve_stroke(rho0, tce, StrokeSpec(COMPRESSION))
         out = evolve_stroke(out, tce, StrokeSpec(EXPANSION))
         assert np.array_equal(np.diag(out.matrix), np.diag(rho0.matrix))
         assert np.max(np.abs(np.abs(out.matrix) - np.abs(rho0.matrix))) <= 1e-15
-
-    def test_rejects_non_diagonal_hamiltonian(self, tce, tce_thermal, monkeypatch):
-        import spinotto.adiabatic
-
-        def mixing(sys, field_scale=1.0, constants=CODATA2018):
-            h = static_hamiltonian(sys, field_scale, constants).copy()
-            h[0, 1] = h[1, 0] = 1e-30
-            return h
-
-        monkeypatch.setattr(spinotto.adiabatic, "static_hamiltonian", mixing)
-        with pytest.raises(ValueError, match="diagonal"):
-            evolve_stroke(tce_thermal, tce, StrokeSpec(COMPRESSION))
 
 
 class TestStrokeWork:

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -252,14 +253,19 @@ class TestOutputContract:
         assert "Traceback" not in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_overflowing_stroke_phase_exits_3(self, tmp_path, monkeypatch, capsys):
-        # tau = 1e308 is finite, but the level phases overflow to NaN
-        rc = run_cli(["four-stroke", "--rounds", "1", "--tau", "1e308"], tmp_path, monkeypatch)
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "numerical invariant violated" in err
-        assert "Traceback" not in err
-        assert list(tmp_path.iterdir()) == []
+    def test_extreme_tau_keeps_data_rows(self, tmp_path, monkeypatch, capsys):
+        # tau sets only coherence phases, and every engine state is diagonal,
+        # so even a tau whose phases would overflow changes no data row
+        def rows(tau):
+            out = f"tau_{tau}.csv"
+            args = ["four-stroke", "--rounds", "0..10", "--tau", tau, "--out", out]
+            assert run_cli(args, tmp_path, monkeypatch) == 0
+            return data_rows(tmp_path / out)
+
+        reference = rows("0.1")
+        assert rows("1e308") == reference
+        assert rows("1e-300") == reference
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_numerical_invariant_violation_exits_3(self, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
@@ -315,6 +321,67 @@ def test_non_finite_config_exits_2(old, new, tmp_path, monkeypatch, capsys):
     assert "finite" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("C2-H = 200.8\n", "C2-H = 200.8\n\n[qubit.S]\nrole = swap-partner\ngamma_mhz_per_tesla = 10.0\nt1_seconds = 1.0\n"),
+        ("C2-H = 200.8\n", "C2-H = 200.8\n\n[qubit.S]\nrole = reset\ngamma_mhz_per_tesla = 10.0\nt1_seconds = 1.0\n"),
+        ("role = target", "role = compression"),
+    ],
+    ids=["swap-partner", "fourth-qubit", "second-compression"],
+)
+@pytest.mark.parametrize(
+    "args",
+    [["ppa"], ["four-stroke", "--rounds", "0..2"], ["two-stroke", "--rounds", "1", "--omega-s", "150:200:50"]],
+    ids=["ppa", "four-stroke", "two-stroke"],
+)
+def test_register_without_one_qubit_per_role_exits_2(args, old, new, tmp_path, monkeypatch, capsys):
+    config = tmp_path / "roles.cfg"
+    text = TCE_CONFIG.replace(old, new)
+    assert text != TCE_CONFIG
+    config.write_text(text)
+    rc = run_cli([*args, "--system", str(config)], tmp_path, monkeypatch)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["two-stroke", "--rounds", "1..1", "--omega-s", "1:1e9:1e-6"],
+        ["four-stroke", "--rounds", "0..1000000000000"],
+        ["ppa", "--rounds", "1000000000000"],
+        ["four-stroke", "--rounds", "0..1000000"],
+        ["two-stroke", "--rounds", "0..999", "--omega-s", "1:2000:1"],
+    ],
+    ids=["grid-points", "round-range", "round-count", "round-values", "table-rows"],
+)
+def test_oversized_input_exits_2(args, tmp_path, monkeypatch, capsys):
+    start = time.perf_counter()
+    try:
+        rc = run_cli(args, tmp_path, monkeypatch)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "1000000" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_default_grid_is_recorded(tmp_path, monkeypatch, capsys):
+    # the default two-stroke run is the README command, header and all
+    assert run_cli(["two-stroke", "--out", "default.csv"], tmp_path, monkeypatch) == 0
+    args = ["two-stroke", "--rounds", "1..8", "--omega-s", "150:1000:1", "--out", "explicit.csv"]
+    assert run_cli(args, tmp_path, monkeypatch) == 0
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
 
 
 def test_module_entry_point(tmp_path):

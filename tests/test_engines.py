@@ -29,11 +29,10 @@ from spinotto.spinsys import (
     CODATA2018,
     ConfigError,
     effective_temperature,
-    gibbs_state,
-    local_hamiltonian,
+    local_levels,
     polarization,
     thermal_state,
-    zeeman_hamiltonian,
+    zeeman_levels,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -228,8 +227,9 @@ def dense_four_stroke_cycles(sys, n_values, stroke):
     """
     compression = replace(stroke, direction=COMPRESSION)
     expansion = replace(stroke, direction=EXPANSION)
-    h0 = local_hamiltonian(sys, "C1", 1.0)
-    h1 = local_hamiltonian(sys, "C1", 0.5)
+    levels1 = local_levels(sys, "C1", 0.5)
+    h0 = np.diag(local_levels(sys, "C1", 1.0)).astype(complex)
+    h1 = np.diag(levels1).astype(complex)
     rho_hot = thermal_state(sys, 1.0)
     rho_compressed = evolve_stroke(rho_hot, sys, compression)
     rho0_t = partial_trace(rho_hot, {"C1"})
@@ -261,7 +261,7 @@ def dense_four_stroke_cycles(sys, n_values, stroke):
         cold = effective_temperature(polarization(rho2_t), sys.omega("C1", 0.5))
         row = cycle(states[n], rho2_t, t1_target + t1_reset * (2 * n + 1), cold)
         cycles.append({"n_rounds": n, **row})
-        rho2_ref = gibbs_state(h1, cold, ("C1",))
+        rho2_ref = dense.gibbs(levels1, cold, ("C1",))
         cooled_ref = reset_channel(rho_compressed, "C1", rho2_ref)
         references.append(cycle(cooled_ref, rho2_ref, 2 * t1_target, cold))
     return cycles, references
@@ -323,10 +323,15 @@ class TestPositiveWorkWindow:
         assert high / TWO_PI / 1e6 == pytest.approx(750.0, abs=1.0)
 
     def test_rejects_bad_temperatures(self):
-        with pytest.raises(ValueError):
-            positive_work_window(1.0, 300.0, 300.0)
+        # a target not below the bath has no window; non-positive inputs are errors
+        assert positive_work_window(1.0, 300.0, 300.0) is None
+        assert positive_work_window(1.0, 300.0, 377.0) is None
         with pytest.raises(ValueError):
             positive_work_window(1.0, 300.0, -1.0)
+        with pytest.raises(ValueError):
+            positive_work_window(1.0, 0.0, 150.0)
+        with pytest.raises(ValueError):
+            positive_work_window(0.0, 300.0, 150.0)
 
 
 @pytest.fixture(scope="module")
@@ -468,9 +473,10 @@ class TestTwoStrokeSweep:
 
 def dense_two_stroke_cycle(sys, omega_s, n_rounds, cooled_target, cooled_temperature):
     """Reference two-stroke cycle on dense states: product state, SWAP, partial traces."""
-    h_s = zeeman_hamiltonian(omega_s)
-    h_t = local_hamiltonian(sys, "C1", 1.0)
-    rho0_s = gibbs_state(h_s, sys.bath_temperature, ("S",))
+    levels_s = zeeman_levels(omega_s)
+    h_s = np.diag(levels_s).astype(complex)
+    h_t = np.diag(local_levels(sys, "C1", 1.0)).astype(complex)
+    rho0_s = dense.gibbs(levels_s, sys.bath_temperature, ("S",))
     rho0_t = cooled_target
 
     joint = product_state(rho0_s, rho0_t)
@@ -486,12 +492,12 @@ def dense_two_stroke_cycle(sys, omega_s, n_rounds, cooled_target, cooled_tempera
     mole = CODATA2018.avogadro
     net = (q_in - q_out) * mole
     omega_t = sys.omega("C1", 1.0)
-    low, high = positive_work_window(omega_t, sys.bath_temperature, cooled_temperature)
+    window = positive_work_window(omega_t, sys.bath_temperature, cooled_temperature)
     return {
         "net_work": net,
         "power": net / (sys.qubit("H").t1 * (2 * n_rounds + 1)),
         "efficiency": 1.0 - omega_t / omega_s,
-        "in_window": low < omega_s < high,
+        "in_window": window is not None and window[0] < omega_s < window[1],
     }
 
 

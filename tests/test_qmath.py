@@ -11,7 +11,7 @@ from spinotto.qmath import (
     product_state,
     single_qubit_state,
 )
-from spinotto.spinsys import static_hamiltonian
+from spinotto.spinsys import register_levels
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -111,7 +111,7 @@ class TestPartialTrace:
     def test_gibbs_marginal_against_expm_oracle(self, tce, tce_thermal):
         # Oracle: scipy expm for the thermal state, direct index summation
         # for the single-qubit populations.
-        h = static_hamiltonian(tce, 1.0)
+        h = np.diag(register_levels(tce, 1.0))
         rho_oracle = oracles.gibbs_by_expm(h, tce.bath_temperature)
         expected = oracles.marginal_populations(rho_oracle, 0, 3)
         got = partial_trace(tce_thermal, {"C1"})

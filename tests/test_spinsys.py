@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +15,15 @@ from spinotto.spinsys import (
     SpinSystem,
     effective_temperature,
     from_config_text,
-    gibbs_state,
     load_system,
+    local_levels,
     polarization,
-    static_hamiltonian,
+    register_levels,
     tce_system,
     thermal_polarization,
+    thermal_populations,
     thermal_state,
+    zeeman_levels,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -61,8 +64,16 @@ class TestTcePreset:
 
     def test_role_lookup(self, tce):
         assert tce.label_for_role(Role.TARGET) == "C1"
-        with pytest.raises(ConfigError, match="swap-partner"):
-            tce.label_for_role(Role.SWAP_PARTNER)
+        assert tce.label_for_role(Role.RESET) == "H"
+        # a second compression qubit leaves the register without a target
+        qubits = tuple(replace(q, role=Role.COMPRESSION) if q.label == "C1" else q for q in tce.qubits)
+        two_compression = replace(tce, qubits=qubits)
+        with pytest.raises(ConfigError, match=r"register \('C1', 'C2', 'H'\)"):
+            two_compression.label_for_role(Role.RESET)
+        # so does a fourth qubit with any role
+        extra = replace(tce, qubits=(*tce.qubits, QubitSpec("X", Role.RESET, 10.0, 1.0)))
+        with pytest.raises(ConfigError, match="exactly one target, one compression and one reset"):
+            extra.label_for_role(Role.TARGET)
 
 
 class TestSpinSystemValidation:
@@ -116,52 +127,69 @@ class TestSpinSystemValidation:
 
 
 class TestStaticHamiltonian:
+    # stored as its level energies, one per computational basis state
+
     def test_single_qubit_zeeman(self):
         sys = single_spin(100.0)
-        h = static_hamiltonian(sys, 1.0)
+        levels = register_levels(sys, 1.0)
         omega = sys.omega("q")
-        expected = np.diag([-HBAR * omega / 2, +HBAR * omega / 2])
-        assert np.allclose(h, expected, rtol=1e-14)
+        expected = [-HBAR * omega / 2, +HBAR * omega / 2]
+        assert np.allclose(levels, expected, rtol=1e-14)
+        assert np.array_equal(local_levels(sys, "q", 1.0), levels)
+
+    def test_zeeman_levels_broadcast_over_frequencies(self):
+        omegas = np.array([1e8, 2e8, 3e8])
+        levels = zeeman_levels(omegas)
+        assert levels.shape == (3, 2)
+        for omega, row in zip(omegas, levels):
+            assert np.array_equal(row, zeeman_levels(omega))
 
     def test_tce_ground_entry_by_hand(self, tce):
         # |000>: every spin up, so Zeeman gives -hbar*(sum w)/2 and each
         # J pair contributes +hbar*2pi*J/4.
-        h = static_hamiltonian(tce, 1.0)
+        levels = register_levels(tce, 1.0)
         omega_sum = tce.omega("C1") + tce.omega("C2") + tce.omega("H")
         j_sum = TWO_PI * (103.0 + 9.0 + 200.8)
         expected = -HBAR * omega_sum / 2 + HBAR * j_sum / 4
-        assert h[0, 0].real == pytest.approx(expected, rel=1e-12)
-        assert h[0, 0].imag == 0.0
+        assert levels[0] == pytest.approx(expected, rel=1e-12)
 
     def test_half_field_scales_zeeman_only(self, tce):
-        h_full = np.diag(static_hamiltonian(tce, 1.0)).real
-        h_half = np.diag(static_hamiltonian(tce, 0.5)).real
+        h_full = register_levels(tce, 1.0)
+        h_half = register_levels(tce, 0.5)
         no_j = SpinSystem(tce.qubits, {}, tce.b_field, tce.bath_temperature)
-        z_full = np.diag(static_hamiltonian(no_j, 1.0)).real
+        z_full = register_levels(no_j, 1.0)
         j_part = h_full - z_full
         assert np.allclose(h_half, 0.5 * z_full + j_part, rtol=1e-12)
 
     def test_always_real_diagonal(self, tce):
+        # the Zeeman and Iz-Iz operators, built densely, sum to a diagonal
+        # matrix with the stored levels on its diagonal
+        labels = tce.labels
+        j_hz = {(0, 1): 103.0, (0, 2): 9.0, (1, 2): 200.8}
         for scale in (1.0, 0.5, 0.25):
-            h = static_hamiltonian(tce, scale)
+            h = oracles.iz_hamiltonian([tce.omega(q, scale) for q in labels], j_hz)
+            levels = register_levels(tce, scale)
+            assert levels.shape == (8,) and levels.dtype == np.float64
             assert np.array_equal(h, np.diag(np.diag(h)))
-            assert np.all(np.diag(h).imag == 0.0)
+            # the oracle's hbar is scipy's unrounded value, 6e-10 off CODATA's 10 digits
+            assert np.allclose(np.diag(h), levels, rtol=1e-9, atol=0.0)
 
     def test_rejects_nonpositive_scale(self, tce):
         with pytest.raises(ValueError):
-            static_hamiltonian(tce, 0.0)
+            register_levels(tce, 0.0)
 
 
 class TestGibbsState:
+    # thermal_state is the register's Gibbs state at the bath temperature
+
     def test_infinite_temperature_limit(self, tce):
-        h = static_hamiltonian(tce, 1.0)
-        rho = gibbs_state(h, 1e12, tce.labels)
+        hot = replace(tce, bath_temperature=1e12)
+        rho = thermal_state(hot, 1.0)
         assert np.max(np.abs(rho.matrix - np.eye(8) / 8)) <= 1e-10
 
     def test_single_qubit_polarization(self):
         sys = single_spin(500.13)
-        rho = gibbs_state(static_hamiltonian(sys, 1.0), 300.0, ("q",))
-        eps = polarization(rho)
+        eps = polarization(thermal_state(sys, 1.0))
         assert eps == pytest.approx(oracles.eps_thermal(oracles.mhz(500.13)), abs=1e-12)
         assert eps == pytest.approx(4.000e-5, rel=1e-3)
 
@@ -169,23 +197,28 @@ class TestGibbsState:
         eps = polarization(qubit_marginal(tce_thermal, "C1"))
         assert eps == pytest.approx(1.006e-5, rel=1e-3)
 
-    def test_populations_decrease_with_energy(self, tce):
-        h = static_hamiltonian(tce, 1.0)
-        rho = gibbs_state(h, tce.bath_temperature, tce.labels)
-        energies = np.diag(h).real
-        populations = rho.populations
+    def test_populations_decrease_with_energy(self, tce, tce_thermal):
+        energies = register_levels(tce, 1.0)
+        populations = tce_thermal.populations
         order = np.argsort(energies)
         assert np.all(np.diff(populations[order]) < 0)
 
-    def test_matches_expm_oracle(self, tce):
-        h = static_hamiltonian(tce, 0.5)
-        rho = gibbs_state(h, tce.bath_temperature, tce.labels)
+    def test_matches_expm_oracle(self, tce, tce_thermal_half):
+        h = np.diag(register_levels(tce, 0.5))
         expected = oracles.gibbs_by_expm(h, tce.bath_temperature)
-        assert np.max(np.abs(rho.matrix - expected)) <= 1e-12
+        assert np.max(np.abs(tce_thermal_half.matrix - expected)) <= 1e-12
 
     def test_rejects_nonpositive_temperature(self, tce):
-        with pytest.raises(ValueError):
-            gibbs_state(static_hamiltonian(tce), 0.0, tce.labels)
+        # the Gibbs temperature is the system's bath temperature
+        with pytest.raises(ValueError, match="bath_temperature"):
+            replace(tce, bath_temperature=0.0)
+
+    def test_populations_broadcast_over_temperatures(self, tce):
+        levels = local_levels(tce, "C1", 0.5)
+        temperatures = np.array([1.0, 50.0, 300.0])
+        rows = thermal_populations(levels, temperatures)
+        for t, row in zip(temperatures, rows):
+            assert np.array_equal(row, thermal_populations(levels, t))
 
 
 class TestPolarization:
