@@ -15,6 +15,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import engines, hbac, reports
 from .adiabatic import COMPRESSED_FIELD_SCALE, COMPRESSION, DEFAULT_TAU, StrokeSpec
 from .qmath import StateInvariantError
@@ -27,7 +29,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 # the most values one flag may list, the largest round count and the most
-# rows of a two-stroke table; a cooling run keeps about 0.5 KiB per round
+# rows of a two-stroke table; a cooling run keeps 88 B per round (144 B at peak)
 MAX_VALUES = 10**6
 
 
@@ -168,10 +170,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(config: RunConfig, render: Callable[[], str], summary: str) -> None:
-    """Write the CSV ``render()`` returns, in csv format only, then print the summary."""
+    """Write the CSV ``render()`` returns, in csv format only, then print the summary.
+
+    An output path that cannot be written is a ``ConfigError``.
+    """
     if config.output_format == "csv":
         assert config.out is not None
-        reports.write_atomic(config.out, render())
+        try:
+            reports.write_atomic(config.out, render())
+        except OSError as exc:
+            raise ConfigError(f"cannot write {config.out}: {exc.strerror or exc}") from None
         print(f"wrote {config.out}")
     print(summary)
 
@@ -185,20 +193,12 @@ def _cmd_ppa(config: RunConfig, system: SpinSystem) -> int:
     trace = hbac.run_ppa(rho, system, field_scale, n_rounds)
 
     bound = hbac.shannon_bound(system, field_scale)
-    crossing = next(
-        (
-            r.round_index
-            for r in trace.rounds
-            if r.target_polarization > bound * (1.0 + 1e-6)
-        ),
-        None,
-    )
-    final = trace.final_record
+    crossing = np.flatnonzero(trace.target_polarization > bound * (1.0 + 1e-6))
     summary = (
         f"ppa rounds={n_rounds} field_scale={field_scale:g}: "
-        f"final eps_target={final.target_polarization:.6e} "
-        f"T_eff={final.target_effective_temperature:.3f} K "
-        f"shannon_crossing_round={'-' if crossing is None else crossing}"
+        f"final eps_target={trace.target_polarization[-1]:.6e} "
+        f"T_eff={trace.target_effective_temperature[-1]:.3f} K "
+        f"shannon_crossing_round={crossing[0] if crossing.size else '-'}"
     )
     _emit(
         config,

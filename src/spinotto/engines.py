@@ -97,7 +97,8 @@ class SweepTable(Sequence):
     per grid point in deterministic grid order; a field without a column
     is None in every row.  As a sequence the table yields ``CycleReport``
     rows, built on access.  A four-stroke sweep carries its isochoric
-    reference cycles as a second table over the same grid.
+    reference cycles as a second table over the same grid.  A non-finite
+    float cell is a ``StateInvariantError`` naming its grid point.
     """
 
     axes: dict[str, tuple]
@@ -115,8 +116,15 @@ class SweepTable(Sequence):
         columns = {name: np.array(values) for name, values in self.columns.items()}
         if any(len(column) != expected for column in columns.values()):
             raise ValueError(f"incomplete sweep: columns do not hold {expected} grid points")
-        for column in columns.values():
+        for name, column in columns.items():
             column.setflags(write=False)
+            if column.dtype.kind == "f" and not np.isfinite(column).all():
+                first = int(np.argmin(np.isfinite(column)))
+                point = np.unravel_index(first, [len(values) for values in self.axes.values()])
+                where = ", ".join(f"{axis}={self.axes[axis][i]:.6g}" for axis, i in zip(self.axes, point))
+                raise StateInvariantError(
+                    f"{self.engine_kind}: {name} is {column[first]} at {where or 'the only point'}"
+                )
         _check_energetics(**{name: columns.get(name) for name in _ENERGETICS})
         if self.reference_reports is not None and len(self.reference_reports) != expected:
             raise ValueError("reference table must align with the primary table")
@@ -194,24 +202,26 @@ class _FourStroke:
             "cooled_target_temperature": temperature,
         }
 
+    # an overflow shows as a non-finite column, which SweepTable rejects
+    @np.errstate(all="ignore")
     def cooled_by_ppa(self, n_list: list[int]) -> dict[str, np.ndarray]:
         """HBAC cycles for each round count, all read off one cooling run."""
         trace = run_ppa(
             self.rho_compressed, self.sys, COMPRESSED_FIELD_SCALE, max(n_list), self.constants
         )
-        records = [trace.rounds[n] for n in n_list]
-        cooled = np.stack([r.populations for r in records])
+        cooled = trace.populations[n_list]
         n_rounds = np.array(n_list)
         t1_reset = self.sys.qubit(self.sys.label_for_role(Role.RESET)).t1
         columns = self._columns(
             cooled,
             marginal(cooled, self.slot),
             self.t1_target + t1_reset * (2 * n_rounds + 1),
-            np.array([r.target_effective_temperature for r in records]),
+            trace.target_effective_temperature[n_list],
         )
         columns["n_rounds"] = n_rounds
         return columns
 
+    @np.errstate(all="ignore")
     def cooled_by_bath(self, temperatures: np.ndarray) -> dict[str, np.ndarray]:
         """Reference cycles that reset the target at each cold temperature instead."""
         cold = thermal_populations(self.h1, temperatures, self.constants)
@@ -333,6 +343,7 @@ def sweep_four_stroke(
     return SweepTable(axes, FOUR_STROKE_HBAC, columns, reference)
 
 
+@np.errstate(all="ignore")  # an overflow shows as a non-finite column, which SweepTable rejects
 def sweep_two_stroke(
     sys: SpinSystem,
     omega_s_grid: Sequence[float],
@@ -342,8 +353,8 @@ def sweep_two_stroke(
     """Two-stroke cycles over a partner-frequency grid (rad/s) per round count.
 
     Rows are ordered round-count-major, frequency-minor.  One cooling run
-    to the largest round count serves every row: its record after round
-    ``n`` is the ``n``-round cooled target, which does not depend on the
+    to the largest round count serves every row: its row ``n`` is the
+    ``n``-round cooled target, which does not depend on the
     partner.  The sweep is then one array pass over (round count,
     frequency).
 
@@ -361,19 +372,16 @@ def sweep_two_stroke(
     if min(n_list) < 0:
         raise ValueError(f"n_rounds must be >= 0, got {min(n_list)}")
     trace = run_ppa(thermal_state(sys, 1.0, constants), sys, 1.0, max(n_list), constants)
-    records = [trace.rounds[n] for n in n_list]
-    target = sys.label_for_role(Role.TARGET)
+    target = trace.target
     omega_t = sys.omega(target, 1.0)
     n_rounds = np.array(n_list)[:, None]
-    cooled = [r.target_effective_temperature for r in records]
-    cooled_temperature = np.array(cooled)[:, None]
+    cooled = trace.target_effective_temperature[n_list]
 
     h_s = zeeman_levels(grid, constants)  # one row per partner frequency
     h_t = local_levels(sys, target, 1.0, constants)
     p0_s = thermal_populations(h_s, sys.bath_temperature, constants)
     # one row per round count, broadcast against the grid axis
-    slot = records[0].qubits.index(target)
-    p0_t = marginal(np.stack([r.populations for r in records]), slot)[:, None, :]
+    p0_t = marginal(trace.populations[n_list], trace.qubits.index(target))[:, None, :]
 
     # after the SWAP each qubit's marginal is the other's old populations,
     # summed over the other slot of the product state
@@ -387,7 +395,7 @@ def sweep_two_stroke(
     cycle_time = sys.qubit(sys.label_for_role(Role.RESET)).t1 * (2 * n_rounds + 1)
     net = (q_in - q_out) * mole
     # one window per round count; the empty (inf, inf) stands in for none
-    windows = [positive_work_window(omega_t, sys.bath_temperature, t) for t in cooled]
+    windows = [positive_work_window(omega_t, sys.bath_temperature, t) for t in cooled.tolist()]
     bounds = np.array([w or (np.inf, np.inf) for w in windows])
     in_window = (bounds[:, :1] < grid) & (grid < bounds[:, 1:])
     shape = net.shape
@@ -399,7 +407,7 @@ def sweep_two_stroke(
         "efficiency": np.broadcast_to(1.0 - omega_t / grid, shape),
         "power": net / cycle_time,
         "cycle_time": np.broadcast_to(cycle_time, shape),
-        "cooled_target_temperature": np.broadcast_to(cooled_temperature, shape),
+        "cooled_target_temperature": np.broadcast_to(cooled[:, None], shape),
         "omega_s": np.broadcast_to(grid, shape),
         "in_window": in_window,
     }

@@ -17,10 +17,10 @@ pushing past the single-reset (Shannon) bound after the first round.
 
 Resets and permutation gates map diagonal states to diagonal states, so
 a run keeps the register as a 2x2x2 tensor of populations, one axis per
-register slot, and builds a ``DensityMatrix`` only when a caller reads
-one.  Every sum and product follows the dense 8x8 channel (``kron`` of
-partial traces, trace renormalization, conjugation by the gate) in the
-same order, so the populations are bit-identical to it.
+register slot, and returns each round's tensor as a row of ``PpaTrace``.
+Every sum and product follows the dense 8x8 channel (``kron`` of partial
+traces, trace renormalization, conjugation by the gate) in the same
+order, so the populations are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -99,43 +99,20 @@ def reset(populations: np.ndarray, slot: int, bath: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    """Telemetry after one cooling step (index 0 = after the initial stage)."""
-
-    round_index: int
-    target_polarization: float
-    reset_polarization: float
-    target_effective_temperature: float  # kelvin, at the scaled target frequency
-    populations: np.ndarray  # 2x2x2, one axis per register slot
-    qubits: tuple[str, ...]
-
-    def marginal(self, label: str) -> np.ndarray:
-        """Populations of one qubit, as the dense partial trace gives them."""
-        return marginal(self.populations, self.qubits.index(label))
-
-    @property
-    def state_after_round(self) -> DensityMatrix:
-        """The register state, built and validated on access."""
-        return DensityMatrix(np.diag(self.populations.ravel()).astype(complex), self.qubits)
-
-
-@dataclass(frozen=True)
 class PpaTrace:
-    """Full record of a cooling run; one entry per round plus the endpoints."""
+    """A cooling run as read-only columns: row 0 after the initial stage, row ``n`` after round ``n``.
 
-    rounds: tuple[RoundRecord, ...]
-    initial_state: DensityMatrix
+    ``populations`` has shape ``(n+1, 2, 2, 2)``, one axis per slot of
+    ``qubits``; the other columns have shape ``(n+1,)``, the temperature
+    in kelvin at the scaled target frequency.
+    """
+
+    populations: np.ndarray
+    target_polarization: np.ndarray
+    reset_polarization: np.ndarray
+    target_effective_temperature: np.ndarray
+    qubits: tuple[str, ...]
     target: str
-
-    @property
-    def final_record(self) -> RoundRecord:
-        return self.rounds[-1]
-
-    @property
-    def final_target(self) -> DensityMatrix:
-        """The target's reduced state after the last round, built on access."""
-        target = self.final_record.marginal(self.target)
-        return DensityMatrix(np.diag(target).astype(complex), (self.target,))
 
 
 @dataclass(frozen=True)
@@ -200,10 +177,10 @@ def run_ppa(
 ) -> PpaTrace:
     """Run the initial stage plus ``n_rounds`` cooling rounds on a diagonal state.
 
-    The trace records the target and reset polarizations and the target's
+    The trace holds the populations, both polarizations and the target's
     effective spin temperature (evaluated at ``field_scale * omega_T``)
-    after every round, with the initial stage stored as round 0.  Each
-    recorded state passes the checks ``DensityMatrix`` makes.
+    after every round, with the initial stage as row 0.  Each round
+    passes the checks ``DensityMatrix`` makes.
     """
     if n_rounds < 0:
         raise ValueError(f"n_rounds must be >= 0, got {n_rounds}")
@@ -213,28 +190,31 @@ def run_ppa(
     target = rho1.qubits[schedule.target]
     omega_t = sys.omega(target, field_scale)
 
-    def record(index: int, p: np.ndarray) -> RoundRecord:
-        check_populations(p, f"round {index}")
-        eps = []
-        for name, slot in (("target", schedule.target), ("reset", schedule.reset)):
-            m = marginal(p, slot)
-            eps.append(float(m[0] - m[1]))
-            # a polarization that rounds to 1 (a very cold bath) has no spin temperature
-            if not 0.0 < eps[-1] < 1.0:
-                raise StateInvariantError(
-                    f"round {index}: {name} polarization {eps[-1]} outside (0, 1) "
-                    f"at bath temperature {sys.bath_temperature:g} K"
-                )
-        p.setflags(write=False)
-        temperature = effective_temperature(eps[0], omega_t, constants)
-        return RoundRecord(index, *eps, temperature, p, rho1.qubits)
-
-    p = initial_stage(rho1.populations.reshape(2, 2, 2), schedule)
-    records = [record(0, p)]
+    p = np.empty((n_rounds + 1, 2, 2, 2))
+    p[0] = initial_stage(rho1.populations.reshape(2, 2, 2), schedule)
+    check_populations(p[0], "round 0")
     for index in range(1, n_rounds + 1):
-        p = ppa_round(p, schedule)
-        records.append(record(index, p))
-    return PpaTrace(rounds=tuple(records), initial_state=rho1, target=target)
+        p[index] = ppa_round(p[index - 1], schedule)
+        check_populations(p[index], f"round {index}")
+
+    # one column per polarized slot: the target, then the reset qubit
+    eps = np.stack(
+        [m[:, 0] - m[:, 1] for m in (marginal(p, schedule.target), marginal(p, schedule.reset))],
+        axis=1,
+    )
+    # a polarization that rounds to 1 (a very cold bath) has no spin temperature
+    outside = np.argwhere(~((0.0 < eps) & (eps < 1.0)))
+    if outside.size:
+        index, column = outside[0]
+        raise StateInvariantError(
+            f"round {index}: {('target', 'reset')[column]} polarization {eps[index, column]} "
+            f"outside (0, 1) at bath temperature {sys.bath_temperature:g} K"
+        )
+    # the scalar atanh: numpy's differs from it in the last bit on some inputs
+    temperature = np.array([effective_temperature(e, omega_t, constants) for e in eps[:, 0].tolist()])
+    for column in (p, eps, temperature):
+        column.setflags(write=False)
+    return PpaTrace(p, eps[:, 0], eps[:, 1], temperature, rho1.qubits, target)
 
 
 def shannon_bound(
@@ -243,23 +223,3 @@ def shannon_bound(
     """Reset-qubit thermal polarization: the closed-system cooling ceiling."""
     label = sys.label_for_role(Role.RESET)
     return thermal_polarization(sys.omega(label, field_scale), sys.bath_temperature, constants)
-
-
-def trace_rows(
-    trace: PpaTrace,
-    sys: SpinSystem,
-    field_scale: float,
-    constants: PhysicalConstants = CODATA2018,
-) -> list[tuple[int, float, float, float, float]]:
-    """Per-round rows ``(round, eps_target, eps_reset, T_eff_K, shannon_bound_eps)``."""
-    bound = shannon_bound(sys, field_scale, constants)
-    return [
-        (
-            r.round_index,
-            r.target_polarization,
-            r.reset_polarization,
-            r.target_effective_temperature,
-            bound,
-        )
-        for r in trace.rounds
-    ]

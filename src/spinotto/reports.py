@@ -9,6 +9,7 @@ must produce byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import tempfile
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .engines import SweepTable
-from .hbac import PpaTrace, trace_rows
+from .hbac import PpaTrace, shannon_bound
 from .spinsys import CODATA2018, PhysicalConstants, SpinSystem
 
 TWO_PI = 2.0 * math.pi
@@ -90,7 +91,14 @@ def render_ppa_csv(
     config_lines: Sequence[str],
     constants: PhysicalConstants = CODATA2018,
 ) -> str:
-    rows = trace_rows(trace, sys, field_scale, constants)
+    bound = shannon_bound(sys, field_scale, constants)
+    rows = zip(
+        itertools.count(),
+        trace.target_polarization.tolist(),
+        trace.reset_polarization.tolist(),
+        trace.target_effective_temperature.tolist(),
+        itertools.repeat(bound),
+    )
     return _csv(
         metadata_lines("algorithmic cooling trace", config_lines, sys, constants),
         ("round", "eps_target", "eps_reset", "T_eff_K", "shannon_bound_eps"),

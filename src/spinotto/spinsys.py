@@ -412,7 +412,11 @@ def from_config_file(path: str | Path) -> SpinSystem:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config not found: {path}")
-    return from_config_text(path.read_text(), origin=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    return from_config_text(text, origin=str(path))
 
 
 def load_system(source: str | Path) -> SpinSystem:

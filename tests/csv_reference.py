@@ -6,7 +6,9 @@ per-cell renderer it replaced, kept as the reference its bytes must
 match.  The metadata lines are shared with the package.
 """
 
-from spinotto.hbac import trace_rows
+import numpy as np
+
+from spinotto.hbac import shannon_bound
 from spinotto.reports import TWO_PI, fmt, metadata_lines
 from spinotto.spinsys import CODATA2018
 
@@ -28,7 +30,14 @@ def canonical_omega_line(omega_s_mhz):
 
 
 def render_ppa_csv(trace, sys, field_scale, config_lines, constants=CODATA2018):
-    rows = trace_rows(trace, sys, field_scale, constants)
+    n = len(trace.target_polarization)
+    rows = _column_rows(
+        np.arange(n),
+        trace.target_polarization,
+        trace.reset_polarization,
+        trace.target_effective_temperature,
+        np.full(n, shannon_bound(sys, field_scale, constants)),
+    )
     lines = metadata_lines("algorithmic cooling trace", config_lines, sys, constants)
     lines += _table(
         ("round", "eps_target", "eps_reset", "T_eff_K", "shannon_bound_eps"), rows

@@ -22,16 +22,19 @@ def _roles(sys):
     return tuple(sys.label_for_role(r) for r in (Role.TARGET, Role.COMPRESSION, Role.RESET))
 
 
+def diagonal_state(populations, qubits):
+    """The validated ``DensityMatrix`` with these populations, e.g. one row of a cooling run."""
+    return DensityMatrix(np.diag(np.ravel(populations)).astype(complex), tuple(qubits))
+
+
 def gibbs(levels, temperature, qubits):
     """Diagonal thermal ``DensityMatrix`` over level energies."""
-    populations = thermal_populations(levels, temperature)
-    return DensityMatrix(np.diag(populations).astype(complex), qubits)
+    return diagonal_state(thermal_populations(levels, temperature), qubits)
 
 
 def fresh_reset(sys, field_scale):
     """The reset qubit's bath state as a ``DensityMatrix``."""
-    populations = thermal_reset_state(sys, field_scale)
-    return DensityMatrix(np.diag(populations).astype(complex), (sys.label_for_role(Role.RESET),))
+    return diagonal_state(thermal_reset_state(sys, field_scale), (sys.label_for_role(Role.RESET),))
 
 
 def initial_stage(rho, sys, field_scale):

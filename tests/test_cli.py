@@ -323,6 +323,13 @@ def test_non_finite_config_exits_2(old, new, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == [config]
 
 
+SUBCOMMANDS = [
+    ["ppa"],
+    ["four-stroke", "--rounds", "0..2"],
+    ["two-stroke", "--rounds", "1", "--omega-s", "150:200:50"],
+]
+
+
 @pytest.mark.parametrize(
     "old,new",
     [
@@ -332,11 +339,7 @@ def test_non_finite_config_exits_2(old, new, tmp_path, monkeypatch, capsys):
     ],
     ids=["swap-partner", "fourth-qubit", "second-compression"],
 )
-@pytest.mark.parametrize(
-    "args",
-    [["ppa"], ["four-stroke", "--rounds", "0..2"], ["two-stroke", "--rounds", "1", "--omega-s", "150:200:50"]],
-    ids=["ppa", "four-stroke", "two-stroke"],
-)
+@pytest.mark.parametrize("args", SUBCOMMANDS, ids=["ppa", "four-stroke", "two-stroke"])
 def test_register_without_one_qubit_per_role_exits_2(args, old, new, tmp_path, monkeypatch, capsys):
     config = tmp_path / "roles.cfg"
     text = TCE_CONFIG.replace(old, new)
@@ -476,3 +479,84 @@ def test_heated_target_four_stroke_exits_2(tmp_path, monkeypatch, capsys):
     rc = run_cli(["four-stroke", "--system", str(config), "--rounds", "1..3"], tmp_path, monkeypatch)
     assert rc == 0
     assert (tmp_path / "four_stroke_sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff" + TCE_CONFIG.encode(), TCE_CONFIG.replace("[system]", "# r\xe9glage\n[system]").encode("latin-1")],
+    ids=["xff", "latin-1-e9"],
+)
+@pytest.mark.parametrize("args", SUBCOMMANDS, ids=["ppa", "four-stroke", "two-stroke"])
+def test_non_utf8_config_exits_2(args, content, tmp_path, monkeypatch, capsys):
+    config = tmp_path / "latin.cfg"
+    config.write_bytes(content)
+    rc = run_cli([*args, "--system", str(config)], tmp_path, monkeypatch)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        captured.err.strip()
+    ]
+    assert f"cannot read config {config}" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
+    "block,out",
+    [(Path.mkdir, "taken"), (lambda path: path.write_text("keep\n"), "taken/ppa.csv")],
+    ids=["directory", "file-parent"],
+)
+def test_unwritable_out_exits_2(block, out, tmp_path, monkeypatch, capsys):
+    # a directory in place of the file, or a regular file in place of its parent
+    block(tmp_path / "taken")
+    rc = run_cli(["ppa", "--out", out], tmp_path, monkeypatch)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    # no temp file is left behind
+    assert list(tmp_path.rglob("*")) == [tmp_path / "taken"]
+
+
+@pytest.mark.parametrize(
+    "args,old,new,message",
+    [
+        (
+            ["four-stroke", "--rounds", "0..2"],
+            "t1_seconds = 43.0",
+            "t1_seconds = 1e-320",
+            "four_stroke_isochoric_ref: power is inf at n_rounds=0",
+        ),
+        (
+            ["two-stroke", "--rounds", "1..1", "--omega-s", "1e-320:1e-320:1"],
+            None,
+            None,
+            "two_stroke_hbac: efficiency is -inf at n_rounds=1, omega_s=6.28312e-314",
+        ),
+        (
+            ["four-stroke", "--rounds", "0..2"],
+            "t1_seconds = 3.5",
+            "t1_seconds = 1e308",
+            "four_stroke_hbac: cycle_time is inf at n_rounds=1",
+        ),
+        (
+            ["two-stroke", "--rounds", "0..2", "--omega-s", "150:200:50"],
+            "t1_seconds = 3.5",
+            "t1_seconds = 1e308",
+            "two_stroke_hbac: cycle_time is inf at n_rounds=1, omega_s=9.42478e+08",
+        ),
+    ],
+    ids=["tiny-target-t1", "tiny-partner-frequency", "huge-reset-t1-four", "huge-reset-t1-two"],
+)
+def test_non_finite_result_exits_3(args, old, new, message, tmp_path, monkeypatch, capsys):
+    # each input passes the parsers but overflows a sweep column
+    config = tmp_path / "overflow.cfg"
+    config.write_text(TCE_CONFIG if old is None else TCE_CONFIG.replace(old, new))
+    rc = run_cli([*args, "--system", str(config)], tmp_path, monkeypatch)
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"numerical invariant violated: {message}"]
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [config]

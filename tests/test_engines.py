@@ -397,7 +397,7 @@ class TestTwoStrokeSweep:
         trace = run_ppa(thermal_state(tce, 1.0), tce, 1.0, max(n_values))
         omega_t = tce.omega("C1")
         edges = [omega_t] + [
-            omega_t * tce.bath_temperature / trace.rounds[n].target_effective_temperature
+            omega_t * tce.bath_temperature / trace.target_effective_temperature[n]
             for n in n_values
         ]
         grid = {mhz(w) for w in cli._parse_omega_grid("150:1000:1")[::7]}
@@ -411,8 +411,8 @@ class TestTwoStrokeSweep:
                 tce,
                 w,
                 n,
-                partial_trace(trace.rounds[n].state_after_round, {"C1"}),
-                trace.rounds[n].target_effective_temperature,
+                partial_trace(dense.diagonal_state(trace.populations[n], trace.qubits), {"C1"}),
+                trace.target_effective_temperature[n],
             )
             for n in n_values
             for w in grid

@@ -17,7 +17,6 @@ from spinotto.hbac import (
     run_ppa,
     shannon_bound,
     thermal_reset_state,
-    trace_rows,
 )
 from spinotto.qmath import (
     DensityMatrix,
@@ -27,7 +26,7 @@ from spinotto.qmath import (
     product_state,
     single_qubit_state,
 )
-from spinotto.spinsys import polarization, thermal_polarization, thermal_state
+from spinotto.spinsys import effective_temperature, polarization, thermal_polarization, thermal_state
 
 TCE_ORDER = ("C1", "C2", "H")
 
@@ -125,14 +124,17 @@ class TestDenseReference:
         rho = thermal_state(system, field_scale)
         trace = run_ppa(rho, system, field_scale, 200)
         states = dense.cooling_states(rho, system, field_scale, 200)
-        assert len(trace.rounds) == len(states) == 201
-        for record, state in zip(trace.rounds, states):
-            assert np.array_equal(record.state_after_round.matrix, state.matrix)
+        assert len(trace.populations) == len(states) == 201
+        assert np.array_equal(trace.populations.reshape(201, 8), [s.populations for s in states])
+        slot = trace.qubits.index("C1")
+        for n, state in enumerate(states):
+            assert np.array_equal(dense.diagonal_state(trace.populations[n], trace.qubits).matrix, state.matrix)
             target = partial_trace(state, {"C1"})
-            assert np.array_equal(record.marginal("C1"), target.populations)
-            assert record.target_polarization == polarization(target)
-            assert record.reset_polarization == polarization(partial_trace(state, {"H"}))
-        assert np.array_equal(trace.final_target.matrix, partial_trace(states[-1], {"C1"}).matrix)
+            assert np.array_equal(marginal(trace.populations[n], slot), target.populations)
+            assert trace.target_polarization[n] == polarization(target)
+            assert trace.reset_polarization[n] == polarization(partial_trace(state, {"H"}))
+        final_target = dense.diagonal_state(marginal(trace.populations[-1], slot), ("C1",))
+        assert np.array_equal(final_target.matrix, partial_trace(states[-1], {"C1"}).matrix)
 
     def test_reset_matches_dense_channel(self):
         # correlated diagonal states, every slot reset, and a stack of baths
@@ -175,27 +177,24 @@ class TestDenseReference:
 class TestRunPpa:
     def test_seven_rounds_half_field(self, tce, tce_thermal_half, eps_bath_half):
         trace = run_ppa(tce_thermal_half, tce, 0.5, 7)
-        final = trace.final_record
         expected = oracles.eps_after_rounds(eps_bath_half, 7)
-        assert final.target_polarization == pytest.approx(expected, abs=1e-12)
-        assert final.target_polarization == pytest.approx(4.0e-5, rel=2e-2)
-        assert final.target_effective_temperature == pytest.approx(37.9, abs=0.1)
+        assert trace.target_polarization[-1] == pytest.approx(expected, abs=1e-12)
+        assert trace.target_polarization[-1] == pytest.approx(4.0e-5, rel=2e-2)
+        assert trace.target_effective_temperature[-1] == pytest.approx(37.9, abs=0.1)
 
     def test_zero_rounds_trace(self, tce, tce_thermal_half):
         trace = run_ppa(tce_thermal_half, tce, 0.5, 0)
-        assert len(trace.rounds) == 1
-        record = trace.rounds[0]
-        assert record.round_index == 0
-        assert record.target_polarization == pytest.approx(2.000e-5, rel=1e-3)
-        assert record.target_effective_temperature == pytest.approx(75.4, abs=0.1)
-        assert polarization(trace.final_target) == record.target_polarization
+        assert trace.populations.shape == (1, 2, 2, 2)
+        assert trace.target_polarization[0] == pytest.approx(2.000e-5, rel=1e-3)
+        assert trace.target_effective_temperature[0] == pytest.approx(75.4, abs=0.1)
+        final_target = partial_trace(dense.diagonal_state(trace.populations[-1], trace.qubits), {"C1"})
+        assert polarization(final_target) == trace.target_polarization[0]
 
     def test_shannon_bound_exceeded_from_round_one(self, tce, tce_thermal_half):
         bound = shannon_bound(tce, 0.5)
         trace = run_ppa(tce_thermal_half, tce, 0.5, 7)
-        for record in trace.rounds[1:]:
-            assert record.target_polarization > bound
-        assert trace.rounds[0].target_polarization <= bound * (1 + 1e-9)
+        assert (trace.target_polarization[1:] > bound).all()
+        assert trace.target_polarization[0] <= bound * (1 + 1e-9)
 
     def test_rejects_negative_rounds(self, tce, tce_thermal_half):
         with pytest.raises(ValueError):
@@ -234,28 +233,26 @@ class TestRunPpa:
         # the two-stroke engine cools at the unscaled field
         eps_bath = thermal_polarization(tce.omega("H", 1.0), tce.bath_temperature)
         trace = run_ppa(tce_thermal, tce, 1.0, 1)
-        assert trace.final_record.target_polarization == pytest.approx(
+        assert trace.target_polarization[-1] == pytest.approx(
             oracles.eps_after_rounds(eps_bath, 1), abs=1e-12
         )
-        assert trace.final_record.target_effective_temperature == pytest.approx(50.3, abs=0.1)
+        assert trace.target_effective_temperature[-1] == pytest.approx(50.3, abs=0.1)
 
 
 class TestClosedFormEquivalence:
     def test_matches_recurrence_up_to_twenty_rounds(self, tce, tce_thermal_half, eps_bath_half):
         trace = run_ppa(tce_thermal_half, tce, 0.5, 20)
-        for record in trace.rounds:
-            expected = oracles.eps_after_rounds(eps_bath_half, record.round_index)
-            assert abs(record.target_polarization - expected) <= 1e-9
+        for n, eps in enumerate(trace.target_polarization):
+            expected = oracles.eps_after_rounds(eps_bath_half, n)
+            assert abs(eps - expected) <= 1e-9
             # the two scalar oracle forms agree with each other too
-            assert oracles.eps_by_recurrence(eps_bath_half, record.round_index) == pytest.approx(
-                expected, abs=1e-18
-            )
+            assert oracles.eps_by_recurrence(eps_bath_half, n) == pytest.approx(expected, abs=1e-18)
 
     def test_monotone_convergence_with_ratio_half(self, tce, tce_thermal_half, eps_bath_half):
         trace = run_ppa(tce_thermal_half, tce, 0.5, 12)
         ceiling = 2 * eps_bath_half
-        eps = [r.target_polarization for r in trace.rounds]
-        assert all(b > a for a, b in zip(eps, eps[1:]))
+        eps = trace.target_polarization
+        assert (eps[1:] > eps[:-1]).all()
         # beyond round ~8 the cubic corrections (~1e-14) rival the gap itself
         gaps = [ceiling - e for e in eps[:9]]
         for previous, current in zip(gaps, gaps[1:]):
@@ -264,18 +261,17 @@ class TestClosedFormEquivalence:
     def test_reset_polarization_never_exceeds_bound(self, tce, tce_thermal_half):
         bound = shannon_bound(tce, 0.5)
         trace = run_ppa(tce_thermal_half, tce, 0.5, 12)
-        for record in trace.rounds:
-            assert record.reset_polarization <= bound * (1 + 1e-12)
+        assert (trace.reset_polarization <= bound * (1 + 1e-12)).all()
 
     def test_diagonality_preserved(self, tce, tce_thermal_half):
         trace = run_ppa(tce_thermal_half, tce, 0.5, 5)
-        for record in trace.rounds:
-            assert is_diagonal(record.state_after_round.matrix, atol=0.0)
+        for populations in trace.populations:
+            assert is_diagonal(dense.diagonal_state(populations, trace.qubits).matrix, atol=0.0)
 
     def test_target_polarization_nondecreasing(self, tce, tce_thermal_half):
         trace = run_ppa(tce_thermal_half, tce, 0.5, 10)
-        eps = [r.target_polarization for r in trace.rounds]
-        assert all(b >= a for a, b in zip(eps, eps[1:]))
+        eps = trace.target_polarization
+        assert (eps[1:] >= eps[:-1]).all()
 
 
 class TestTelemetry:
@@ -285,24 +281,31 @@ class TestTelemetry:
         assert fresh[0] - fresh[1] == pytest.approx(eps_bath_half, abs=1e-15)
 
     def test_trace_rows_schema(self, tce, tce_thermal_half, eps_bath_half):
+        # the trace is read-only columns whose rows are the dense rounds, bit for bit
         trace = run_ppa(tce_thermal_half, tce, 0.5, 3)
-        rows = trace_rows(trace, tce, 0.5)
-        assert len(rows) == 4
-        for i, row in enumerate(rows):
-            n, eps_t, eps_r, t_eff, bound = row
-            assert n == i
-            assert bound == pytest.approx(eps_bath_half, abs=1e-15)
-            assert trace.rounds[i].target_polarization == eps_t
-            assert trace.rounds[i].reset_polarization == eps_r
-            assert trace.rounds[i].target_effective_temperature == t_eff
+        states = dense.cooling_states(tce_thermal_half, tce, 0.5, 3)
+        assert (trace.qubits, trace.target) == (TCE_ORDER, "C1")
+        assert trace.populations.shape == (4, 2, 2, 2)
+        columns = (trace.target_polarization, trace.reset_polarization, trace.target_effective_temperature)
+        assert [c.shape for c in columns] == [(4,)] * 3
+        for column in (trace.populations, *columns):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+        for n, state in enumerate(states):
+            assert np.array_equal(trace.populations[n].ravel(), state.populations)
+            target = polarization(partial_trace(state, {"C1"}))
+            assert trace.target_polarization[n] == target
+            assert trace.reset_polarization[n] == polarization(partial_trace(state, {"H"}))
+            assert trace.target_effective_temperature[n] == effective_temperature(target, tce.omega("C1", 0.5))
+        assert shannon_bound(tce, 0.5) == pytest.approx(eps_bath_half, abs=1e-15)
 
     def test_trace_holds_valid_states(self, tce, tce_thermal_half):
         trace = run_ppa(tce_thermal_half, tce, 0.5, 4)
         assert isinstance(trace, PpaTrace)
-        assert trace.initial_state is tce_thermal_half
-        for record in trace.rounds:
+        for populations in trace.populations:
             # DensityMatrix construction already enforced the invariants;
             # re-check the stored matrices anyway.
-            m = record.state_after_round.matrix
+            m = dense.diagonal_state(populations, trace.qubits).matrix
             assert abs(np.trace(m) - 1) <= 1e-12
             assert np.min(np.linalg.eigvalsh(m)) >= -1e-10

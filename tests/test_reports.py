@@ -89,16 +89,12 @@ def awkward_column(shift, length):
 
 
 def test_ppa_awkward_cells_match_reference(tce):
-    rounds = [
-        SimpleNamespace(
-            round_index=index,
-            target_polarization=AWKWARD[k % len(AWKWARD)],
-            reset_polarization=AWKWARD[(k + 5) % len(AWKWARD)],
-            target_effective_temperature=AWKWARD[(k + 9) % len(AWKWARD)],
-        )
-        for k, index in enumerate([*LARGE_N, 10**20] * 3)
-    ]
-    trace = SimpleNamespace(rounds=rounds)
+    length = 3 * len(AWKWARD)
+    trace = SimpleNamespace(
+        target_polarization=awkward_column(0, length),
+        reset_polarization=awkward_column(-5, length),
+        target_effective_temperature=awkward_column(-9, length),
+    )
     args = (trace, tce, 0.5, ["command=ppa"])
     assert reports.render_ppa_csv(*args) == csv_reference.render_ppa_csv(*args)
 
