@@ -29,7 +29,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 # the most values one flag may list, the largest round count and the most
-# rows of a two-stroke table; a cooling run keeps 88 B per round (144 B at peak)
+# rows of a two-stroke table; a cooling run keeps 88 B per round, also at peak
 MAX_VALUES = 10**6
 
 
@@ -232,7 +232,11 @@ def _cmd_two_stroke(config: RunConfig, system: SpinSystem) -> int:
     if rows > MAX_VALUES:
         raise ConfigError(f"two-stroke table would have {rows} rows, more than {MAX_VALUES}")
     grid = [TWO_PI * 1e6 * w for w in config.omega_s_mhz]
-    table = engines.sweep_two_stroke(system, grid, config.rounds)
+    try:
+        table = engines.sweep_two_stroke(system, grid, config.rounds)
+    except engines.NonFiniteCell as exc:
+        # the sweep runs in rad/s; name the point as it was passed, in MHz
+        raise StateInvariantError(f"{exc} ({config.omega_s_mhz[exc.point['omega_s']]!r} MHz)") from None
     best = table.argmax_power()
     omega_t = system.omega(system.label_for_role(Role.TARGET), 1.0)
     lines = [

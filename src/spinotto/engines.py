@@ -87,6 +87,15 @@ class CycleReport:
 
 
 _COLUMN_FIELDS = tuple(f.name for f in fields(CycleReport) if f.name != "engine_kind")
+_AXIS_UNITS = {"omega_s": " rad/s"}
+
+
+class NonFiniteCell(StateInvariantError):
+    """A non-finite sweep cell; ``point`` maps each axis to the cell's index on it."""
+
+    def __init__(self, message: str, point: dict[str, int]):
+        super().__init__(message)
+        self.point = point
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +107,7 @@ class SweepTable(Sequence):
     is None in every row.  As a sequence the table yields ``CycleReport``
     rows, built on access.  A four-stroke sweep carries its isochoric
     reference cycles as a second table over the same grid.  A non-finite
-    float cell is a ``StateInvariantError`` naming its grid point.
+    float cell is a ``NonFiniteCell`` naming its grid point.
     """
 
     axes: dict[str, tuple]
@@ -120,10 +129,13 @@ class SweepTable(Sequence):
             column.setflags(write=False)
             if column.dtype.kind == "f" and not np.isfinite(column).all():
                 first = int(np.argmin(np.isfinite(column)))
-                point = np.unravel_index(first, [len(values) for values in self.axes.values()])
-                where = ", ".join(f"{axis}={self.axes[axis][i]:.6g}" for axis, i in zip(self.axes, point))
-                raise StateInvariantError(
-                    f"{self.engine_kind}: {name} is {column[first]} at {where or 'the only point'}"
+                index = np.unravel_index(first, [len(values) for values in self.axes.values()])
+                point = dict(zip(self.axes, map(int, index)))
+                where = ", ".join(
+                    f"{axis}={self.axes[axis][i]:.6g}{_AXIS_UNITS.get(axis, '')}" for axis, i in point.items()
+                )
+                raise NonFiniteCell(
+                    f"{self.engine_kind}: {name} is {column[first]} at {where or 'the only point'}", point
                 )
         _check_energetics(**{name: columns.get(name) for name in _ENERGETICS})
         if self.reference_reports is not None and len(self.reference_reports) != expected:

@@ -16,8 +16,18 @@ recurrence ``eps_n = eps_{n-1}/2 + eps_b`` toward the ``2 eps_b`` ceiling,
 pushing past the single-reset (Shannon) bound after the first round.
 
 Resets and permutation gates map diagonal states to diagonal states, so
-a run keeps the register as a 2x2x2 tensor of populations, one axis per
-register slot, and returns each round's tensor as a row of ``PpaTrace``.
+a run holds the register as its eight populations, Python floats in C
+order.  A round is then a few dozen float operations: each gate is an
+``itemgetter`` of its basis permutation, each reset a product of
+marginals, and each round's trace, positivity and polarization checks
+are scalar comparisons.  Every round is written into one row of the
+preallocated ``PpaTrace`` columns, and the run stops at the first round
+that fails a check.
+
+The marginal, trace and reset arithmetic is written once, over a
+register's eight entries: floats in the round loop, numpy columns in
+``marginal``, ``reset`` and ``check_populations``, which take
+``(..., 2, 2, 2)`` population tensors for the batched engine sweeps.
 Every sum and product follows the dense 8x8 channel (``kron`` of partial
 traces, trace renormalization, conjugation by the gate) in the same
 order, so the populations are bit-identical to it.
@@ -25,7 +35,9 @@ order, so the populations are bit-identical to it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -43,30 +55,60 @@ from .spinsys import (
 )
 
 
-# per slot, the index of each 2-vector its marginal adds: the other two
-# slots run through 00, 01, 10, 11 (C order)
-_TERMS = [
-    [(..., slice(None), j, k) for j in (0, 1) for k in (0, 1)],
-    [(..., j, slice(None), k) for j in (0, 1) for k in (0, 1)],
-    [(..., j, k, slice(None)) for j in (0, 1) for k in (0, 1)],
-]
+# A register is its eight populations in C order: entry 4a + 2b + c is
+# the basis state |abc> over slots (0, 1, 2).  The arithmetic below runs
+# unchanged on eight floats (the round loop) and on eight numpy columns
+# (the batched callers), and adds and multiplies in the order of the dense
+# 8x8 channel, so both give its bits.
+
+
+def _marginal(p, slot: int):
+    """The two populations of one slot; the other slots' terms are added in C order."""
+    p0, p1, p2, p3, p4, p5, p6, p7 = p
+    if slot == 0:
+        return ((p0 + p1) + p2) + p3, ((p4 + p5) + p6) + p7
+    if slot == 1:
+        return ((p0 + p1) + p4) + p5, ((p2 + p3) + p6) + p7
+    return ((p0 + p2) + p4) + p6, ((p1 + p3) + p5) + p7
+
+
+def _total(p):
+    # the order in which numpy sums the trace of the complex 8x8 matrix:
+    # basis states i and i + 4 first, then pairwise
+    p0, p1, p2, p3, p4, p5, p6, p7 = p
+    return ((p0 + p4) + (p1 + p5)) + ((p2 + p6) + (p3 + p7))
+
+
+def _reset(p, slot: int, bath):
+    """The other slots' marginals times ``bath`` in ``slot``, renormalized."""
+    (a0, a1), (b0, b1), (c0, c1) = (
+        bath if slot == 0 else _marginal(p, 0),
+        bath if slot == 1 else _marginal(p, 1),
+        bath if slot == 2 else _marginal(p, 2),
+    )
+    ab00, ab01, ab10, ab11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    joint = (ab00 * c0, ab00 * c1, ab01 * c0, ab01 * c1, ab10 * c0, ab10 * c1, ab11 * c0, ab11 * c1)
+    scale = 1.0 / _total(joint)
+    j0, j1, j2, j3, j4, j5, j6, j7 = joint
+    return j0 * scale, j1 * scale, j2 * scale, j3 * scale, j4 * scale, j5 * scale, j6 * scale, j7 * scale
+
+
+def _check(deviation, lowest, where: str) -> None:
+    """Raise unless a trace is 1 within ``ATOL`` and no population is below the floor."""
+    if not deviation <= ATOL:
+        raise StateInvariantError(f"{where}: trace is off 1 by {deviation:.3e}, above {ATOL}")
+    if lowest < EIGENVALUE_FLOOR:
+        raise StateInvariantError(f"{where}: negative population {lowest:.3e}")
+
+
+def _entries(populations: np.ndarray) -> np.ndarray:
+    """The eight populations of 2x2x2 register tensors, each a column over the leading axes."""
+    return np.moveaxis(populations.reshape(populations.shape[:-3] + (8,)), -1, 0)
 
 
 def marginal(populations: np.ndarray, slot: int) -> np.ndarray:
-    """Populations of one slot of 2x2x2 register tensors (the trailing axes).
-
-    The other slots are added one term at a time in C order, the order
-    in which the dense partial trace adds them.
-    """
-    t0, t1, t2, t3 = _TERMS[slot]
-    return ((populations[t0] + populations[t1]) + populations[t2]) + populations[t3]
-
-
-def _total(populations: np.ndarray) -> np.ndarray:
-    # the order in which numpy sums the trace of the complex 8x8 matrix:
-    # basis states i and i + 4 first, then pairwise
-    half = populations[..., 0, :, :] + populations[..., 1, :, :]
-    return (half[..., 0, 0] + half[..., 0, 1]) + (half[..., 1, 0] + half[..., 1, 1])
+    """Populations of one slot of 2x2x2 register tensors (the trailing axes)."""
+    return np.stack(_marginal(_entries(populations), slot), axis=-1)
 
 
 def check_populations(populations: np.ndarray, where: str) -> None:
@@ -76,11 +118,7 @@ def check_populations(populations: np.ndarray, where: str) -> None:
     population makes the trace non-finite, so unit trace and the
     eigenvalue floor cover finiteness and positivity.
     """
-    deviation = np.max(abs(_total(populations) - 1.0))
-    if not deviation <= ATOL:
-        raise StateInvariantError(f"{where}: trace is off 1 by {deviation:.3e}, above {ATOL}")
-    if populations.min() < EIGENVALUE_FLOOR:
-        raise StateInvariantError(f"{where}: negative population {populations.min():.3e}")
+    _check(np.max(abs(_total(_entries(populations)) - 1.0)), populations.min(), where)
 
 
 def reset(populations: np.ndarray, slot: int, bath: np.ndarray) -> np.ndarray:
@@ -93,9 +131,8 @@ def reset(populations: np.ndarray, slot: int, bath: np.ndarray) -> np.ndarray:
     round-off deficit of the marginal sums doubles on every reset and
     compounds over a long run.
     """
-    f = [bath if k == slot else marginal(populations, k) for k in range(3)]
-    joint = (f[0][..., :, None, None] * f[1][..., None, :, None]) * f[2][..., None, None, :]
-    return joint * (1.0 / _total(joint))[..., None, None, None]
+    joint = np.stack(_reset(_entries(populations), slot, np.moveaxis(bath, -1, 0)), axis=-1)
+    return joint.reshape(joint.shape[:-1] + (2, 2, 2))
 
 
 @dataclass(frozen=True)
@@ -117,14 +154,18 @@ class PpaTrace:
 
 @dataclass(frozen=True)
 class CoolingSchedule:
-    """Register slots, reset-qubit bath populations and gate gathers of one run."""
+    """Register slots, reset-qubit bath populations and gates of one run.
+
+    Each gate is an ``itemgetter`` that applies its basis permutation to
+    a register of eight populations.
+    """
 
     target: int
     reset: int
-    bath: np.ndarray
-    swap_target_reset: np.ndarray  # index gathers over the 2x2x2 register
-    swap_compression_reset: np.ndarray
-    comp: np.ndarray
+    bath: tuple[float, float]
+    swap_target_reset: itemgetter
+    swap_compression_reset: itemgetter
+    comp: itemgetter
 
 
 def thermal_reset_state(
@@ -152,20 +193,20 @@ def cooling_schedule(
     return CoolingSchedule(
         qubits.index(t),
         qubits.index(r),
-        thermal_reset_state(sys, field_scale, constants),
-        *(gate.gather(qubits).reshape(2, 2, 2) for gate in gates),
+        tuple(thermal_reset_state(sys, field_scale, constants).tolist()),
+        *(itemgetter(*gate.gather(qubits).tolist()) for gate in gates),
     )
 
 
-def initial_stage(populations: np.ndarray, schedule: CoolingSchedule) -> np.ndarray:
-    """One-time opener: thermalize the reset qubit, then SWAP(target, reset)."""
-    return reset(populations, schedule.reset, schedule.bath).take(schedule.swap_target_reset)
+def initial_stage(register: Sequence[float], schedule: CoolingSchedule) -> tuple[float, ...]:
+    """One-time opener on eight populations: thermalize the reset qubit, then SWAP(target, reset)."""
+    return schedule.swap_target_reset(_reset(register, schedule.reset, schedule.bath))
 
 
-def ppa_round(populations: np.ndarray, schedule: CoolingSchedule) -> np.ndarray:
-    """One cooling round: reset, SWAP(compression, reset), reset, COMP."""
-    p = reset(populations, schedule.reset, schedule.bath).take(schedule.swap_compression_reset)
-    return reset(p, schedule.reset, schedule.bath).take(schedule.comp)
+def ppa_round(register: Sequence[float], schedule: CoolingSchedule) -> tuple[float, ...]:
+    """One cooling round on eight populations: reset, SWAP(compression, reset), reset, COMP."""
+    p = schedule.swap_compression_reset(_reset(register, schedule.reset, schedule.bath))
+    return schedule.comp(_reset(p, schedule.reset, schedule.bath))
 
 
 def run_ppa(
@@ -180,7 +221,8 @@ def run_ppa(
     The trace holds the populations, both polarizations and the target's
     effective spin temperature (evaluated at ``field_scale * omega_T``)
     after every round, with the initial stage as row 0.  Each round
-    passes the checks ``DensityMatrix`` makes.
+    passes the checks ``DensityMatrix`` makes, and the run stops at the
+    first round whose target or reset polarization leaves (0, 1).
     """
     if n_rounds < 0:
         raise ValueError(f"n_rounds must be >= 0, got {n_rounds}")
@@ -190,31 +232,31 @@ def run_ppa(
     target = rho1.qubits[schedule.target]
     omega_t = sys.omega(target, field_scale)
 
-    p = np.empty((n_rounds + 1, 2, 2, 2))
-    p[0] = initial_stage(rho1.populations.reshape(2, 2, 2), schedule)
-    check_populations(p[0], "round 0")
-    for index in range(1, n_rounds + 1):
-        p[index] = ppa_round(p[index - 1], schedule)
-        check_populations(p[index], f"round {index}")
+    p = np.empty((n_rounds + 1, 8))
+    # per round: the target and reset polarizations and the target's spin temperature
+    columns = np.empty((n_rounds + 1, 3))
+    register = initial_stage(rho1.populations.tolist(), schedule)
+    for index in range(n_rounds + 1):
+        if index:
+            register = ppa_round(register, schedule)
+        _check(abs(_total(register) - 1.0), min(register), f"round {index}")
+        (t0, t1), (r0, r1) = _marginal(register, schedule.target), _marginal(register, schedule.reset)
+        target_eps, reset_eps = t0 - t1, r0 - r1
+        # a polarization that rounds to 1 (a very cold bath) has no spin temperature
+        if not (0.0 < target_eps < 1.0 and 0.0 < reset_eps < 1.0):
+            name, value = ("reset", reset_eps) if 0.0 < target_eps < 1.0 else ("target", target_eps)
+            raise StateInvariantError(
+                f"round {index}: {name} polarization {value} "
+                f"outside (0, 1) at bath temperature {sys.bath_temperature:g} K"
+            )
+        p[index] = register
+        # the scalar atanh: numpy's differs from it in the last bit on some inputs
+        columns[index] = target_eps, reset_eps, effective_temperature(target_eps, omega_t, constants)
 
-    # one column per polarized slot: the target, then the reset qubit
-    eps = np.stack(
-        [m[:, 0] - m[:, 1] for m in (marginal(p, schedule.target), marginal(p, schedule.reset))],
-        axis=1,
-    )
-    # a polarization that rounds to 1 (a very cold bath) has no spin temperature
-    outside = np.argwhere(~((0.0 < eps) & (eps < 1.0)))
-    if outside.size:
-        index, column = outside[0]
-        raise StateInvariantError(
-            f"round {index}: {('target', 'reset')[column]} polarization {eps[index, column]} "
-            f"outside (0, 1) at bath temperature {sys.bath_temperature:g} K"
-        )
-    # the scalar atanh: numpy's differs from it in the last bit on some inputs
-    temperature = np.array([effective_temperature(e, omega_t, constants) for e in eps[:, 0].tolist()])
-    for column in (p, eps, temperature):
-        column.setflags(write=False)
-    return PpaTrace(p, eps[:, 0], eps[:, 1], temperature, rho1.qubits, target)
+    p = p.reshape(n_rounds + 1, 2, 2, 2)
+    p.setflags(write=False)
+    columns.setflags(write=False)
+    return PpaTrace(p, *columns.T, rho1.qubits, target)
 
 
 def shannon_bound(

@@ -8,6 +8,7 @@ must produce byte-identical files.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import itertools
 import math
@@ -174,7 +175,11 @@ def render_two_stroke_csv(
 def write_atomic(path: str | Path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see partial output."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        # mkdir's reason for a regular file in place of the parent is "File exists"
+        raise NotADirectoryError(errno.ENOTDIR, f"{path.parent} is not a directory") from None
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:

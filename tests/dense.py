@@ -60,6 +60,29 @@ def cooling_states(rho, sys, field_scale, n_rounds):
     return states
 
 
+def cooling_rows(rho, sys, field_scale, n_rounds):
+    """Populations after the initial stage and each of ``n_rounds`` rounds, one row each.
+
+    A dense round is a deterministic function of the state, so once the
+    run returns bit for bit to a state it held before, every later row
+    repeats the rows since then.  The dense rounds stop there (about 40
+    rounds on the TCE system), and the cycle fills the remaining rows.
+    """
+    rows, first_seen = [], {}
+    state = initial_stage(rho, sys, field_scale)
+    while len(rows) <= n_rounds:
+        key = state.matrix.tobytes()
+        if key in first_seen:
+            period = len(rows) - first_seen[key]
+            while len(rows) <= n_rounds:
+                rows.append(rows[-period])
+            break
+        first_seen[key] = len(rows)
+        rows.append(state.populations)
+        state = ppa_round(state, sys, field_scale)
+    return np.array(rows)
+
+
 def stroke_work(h_local_start, rho_local_start, h_local_end, rho_local_end):
     """Work output of one stroke, ``Tr[H rho]`` at start minus end (J/molecule).
 

@@ -300,6 +300,29 @@ def test_saturated_polarization_exits_3(args, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == [config]
 
 
+def test_saturated_run_stops_at_the_first_bad_round(tmp_path, monkeypatch, capsys):
+    # the 1 mK bath saturates the target at round 1: a run asked for the
+    # largest round count stops there instead of computing every round
+    config = tmp_path / "cold.cfg"
+    config.write_text(TCE_CONFIG.replace("temperature_kelvin = 300.0", "temperature_kelvin = 0.001"))
+    calls = []
+    honest = cli.hbac.ppa_round
+
+    def counted(register, schedule):
+        calls.append(None)
+        return honest(register, schedule)
+
+    monkeypatch.setattr(cli.hbac, "ppa_round", counted)
+    argv = ["ppa", "--field-scale", "1", "--rounds", str(cli.MAX_VALUES), "--system", str(config)]
+    assert run_cli(argv, tmp_path, monkeypatch) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical invariant violated: round 1: target polarization 1.0 outside (0, 1) "
+        "at bath temperature 0.001 K"
+    ]
+    assert len(calls) <= 1
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize(
     "old,new",
     [
@@ -503,17 +526,22 @@ def test_non_utf8_config_exits_2(args, content, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "block,out",
-    [(Path.mkdir, "taken"), (lambda path: path.write_text("keep\n"), "taken/ppa.csv")],
+    "block,out,reason",
+    [
+        (Path.mkdir, "taken", None),
+        (lambda path: path.write_text("keep\n"), "taken/ppa.csv", "taken is not a directory"),
+    ],
     ids=["directory", "file-parent"],
 )
-def test_unwritable_out_exits_2(block, out, tmp_path, monkeypatch, capsys):
+def test_unwritable_out_exits_2(block, out, reason, tmp_path, monkeypatch, capsys):
     # a directory in place of the file, or a regular file in place of its parent
     block(tmp_path / "taken")
     rc = run_cli(["ppa", "--out", out], tmp_path, monkeypatch)
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write {out}: ")
+    if reason is not None:
+        assert captured.err == f"error: cannot write {out}: {reason}\n"
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
     # no temp file is left behind
@@ -533,7 +561,7 @@ def test_unwritable_out_exits_2(block, out, tmp_path, monkeypatch, capsys):
             ["two-stroke", "--rounds", "1..1", "--omega-s", "1e-320:1e-320:1"],
             None,
             None,
-            "two_stroke_hbac: efficiency is -inf at n_rounds=1, omega_s=6.28312e-314",
+            "two_stroke_hbac: efficiency is -inf at n_rounds=1, omega_s=6.28312e-314 rad/s (1e-320 MHz)",
         ),
         (
             ["four-stroke", "--rounds", "0..2"],
@@ -545,7 +573,7 @@ def test_unwritable_out_exits_2(block, out, tmp_path, monkeypatch, capsys):
             ["two-stroke", "--rounds", "0..2", "--omega-s", "150:200:50"],
             "t1_seconds = 3.5",
             "t1_seconds = 1e308",
-            "two_stroke_hbac: cycle_time is inf at n_rounds=1, omega_s=9.42478e+08",
+            "two_stroke_hbac: cycle_time is inf at n_rounds=1, omega_s=9.42478e+08 rad/s (150.0 MHz)",
         ),
     ],
     ids=["tiny-target-t1", "tiny-partner-frequency", "huge-reset-t1-four", "huge-reset-t1-two"],

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,24 +34,24 @@ TCE_ORDER = ("C1", "C2", "H")
 
 
 def tce_product(eps_t, eps_c, eps_r):
-    """Population tensor of a (C1, C2, H) product state."""
+    """The eight populations of a (C1, C2, H) product state, as the round loop holds them."""
     return product_state(
         single_qubit_state(eps_t, "C1"),
         single_qubit_state(eps_c, "C2"),
         single_qubit_state(eps_r, "H"),
-    ).populations.reshape(2, 2, 2)
+    ).populations.tolist()
 
 
-def push_below_zero(populations):
+def push_below_zero(register):
     """Move all of the first population and 1e-9 more onto the second."""
-    shifted = populations.copy()
-    shifted.flat[1] += shifted.flat[0] + 1e-9
-    shifted.flat[0] = -1e-9
-    return shifted
+    shifted = list(register)
+    shifted[1] += shifted[0] + 1e-9
+    shifted[0] = -1e-9
+    return tuple(shifted)
 
 
-def eps_of(populations, label):
-    m = marginal(populations, TCE_ORDER.index(label))
+def eps_of(register, label):
+    m = marginal(np.reshape(register, (2, 2, 2)), TCE_ORDER.index(label))
     return m[0] - m[1]
 
 
@@ -67,7 +69,7 @@ class TestInitialStage:
     def test_thermal_half_field_reaches_bath_polarization(
         self, tce_thermal_half, eps_bath_half, schedule_half
     ):
-        p = initial_stage(tce_thermal_half.populations.reshape(2, 2, 2), schedule_half)
+        p = initial_stage(tce_thermal_half.populations.tolist(), schedule_half)
         assert eps_of(p, "C1") == pytest.approx(eps_bath_half, abs=1e-15)
         assert eps_of(p, "C1") == pytest.approx(2.000e-5, rel=2e-2)
 
@@ -76,7 +78,7 @@ class TestInitialStage:
         assert eps_of(p, "C1") == pytest.approx(eps_bath_half, abs=1e-15)
 
     def test_compression_marginal_untouched(self, tce_thermal_half, schedule_half):
-        before = tce_thermal_half.populations.reshape(2, 2, 2)
+        before = tce_thermal_half.populations.tolist()
         p = initial_stage(before, schedule_half)
         assert eps_of(p, "C2") == pytest.approx(eps_of(before, "C2"), abs=1e-15)
 
@@ -135,6 +137,18 @@ class TestDenseReference:
             assert trace.reset_polarization[n] == polarization(partial_trace(state, {"H"}))
         final_target = dense.diagonal_state(marginal(trace.populations[-1], slot), ("C1",))
         assert np.array_equal(final_target.matrix, partial_trace(states[-1], {"C1"}).matrix)
+
+    @pytest.mark.parametrize("field_scale", [1.0, 0.5])
+    @pytest.mark.parametrize("system", ["tce", "tce_h_first"])
+    def test_float_loop_matches_dense_rounds_over_2000_rounds(self, request, system, field_scale):
+        # the round loop on eight floats against the dense channel
+        # (gates.reset_channel, gates.apply), in both register orders
+        system = request.getfixturevalue(system)
+        rho = thermal_state(system, field_scale)
+        trace = run_ppa(rho, system, field_scale, 2000)
+        expected = dense.cooling_rows(rho, system, field_scale, 2000)
+        assert expected.shape == (2001, 8)
+        assert np.array_equal(trace.populations.reshape(2001, 8).view(np.uint64), expected.view(np.uint64))
 
     def test_reset_matches_dense_channel(self):
         # correlated diagonal states, every slot reset, and a stack of baths
@@ -215,19 +229,37 @@ class TestRunPpa:
     @pytest.mark.parametrize(
         "corrupt,message",
         [
-            (lambda p: 2 * p, r"round 1: trace is off 1 by 1\.000e\+00"),
-            (lambda p: np.where(p == p.max(), np.nan, p), "round 1: trace is off 1 by nan"),
+            (lambda p: tuple(2 * x for x in p), r"round 1: trace is off 1 by 1\.000e\+00"),
+            (lambda p: tuple(math.nan if x == max(p) else x for x in p), "round 1: trace is off 1 by nan"),
             (push_below_zero, "round 1: negative population -1.000e-09"),
         ],
         ids=["trace", "nan", "negative"],
     )
     def test_every_round_is_checked(self, tce, tce_thermal_half, monkeypatch, corrupt, message):
         # the checks DensityMatrix runs (unit trace, finiteness, the
-        # eigenvalue floor) run on every cooled population tensor
+        # eigenvalue floor) run on every round's eight populations
         honest = hbac.ppa_round
         monkeypatch.setattr(hbac, "ppa_round", lambda p, schedule: corrupt(honest(p, schedule)))
         with pytest.raises(StateInvariantError, match=message):
             run_ppa(tce_thermal_half, tce, 0.5, 2)
+
+    def test_memory_per_round_is_bounded(self, tce, tce_thermal_half):
+        # a round keeps its populations (64 B), two polarizations and a
+        # temperature (8 B each) and allocates nothing more that outlives it;
+        # the difference of two runs cancels what does not grow with n
+        def traced(n_rounds):
+            tracemalloc.start()
+            try:
+                trace = run_ppa(tce_thermal_half, tce, 0.5, n_rounds)
+                return tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+
+        traced(0)
+        n_rounds = 20_000
+        (retained0, peak0), (retained, peak) = traced(0), traced(n_rounds)
+        assert retained - retained0 <= 88 * n_rounds + 1024
+        assert peak - peak0 <= 88 * n_rounds + 1024
 
     def test_full_field_run(self, tce, tce_thermal):
         # the two-stroke engine cools at the unscaled field
