@@ -9,6 +9,7 @@ configuration errors, 3 on numerical-invariant violations.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys as _sys
 from collections.abc import Callable
@@ -56,7 +57,7 @@ class RunConfig:
         if self.field_scale is not None:
             lines.append(f"field_scale={reports.fmt(self.field_scale)}")
         if self.omega_s_mhz is not None:
-            lines.append("omega_s_mhz=" + ",".join(map("%.12e".__mod__, self.omega_s_mhz)))
+            lines.append(f"omega_s_mhz={reports.fmt_floats(self.omega_s_mhz)}")
         if self.tau is not None:
             lines.append(f"tau={reports.fmt(self.tau)}")
         return lines
@@ -246,10 +247,12 @@ def _cmd_two_stroke(config: RunConfig, system: SpinSystem) -> int:
     ]
     # rows are round-count-major, so each round count's block starts every len(grid) rows
     cooled = table.columns["cooled_target_temperature"][:: len(grid)].tolist()
-    for n, cooled_temperature in zip(table.axes["n_rounds"], cooled):
-        window = engines.positive_work_window(omega_t, system.bath_temperature, cooled_temperature)
-        text = "none" if window is None else "(%.2f, %.2f) MHz" % tuple(w / TWO_PI / 1e6 for w in window)
-        lines.append(f"positive-work window n={n}: {text}")
+    bounds = [engines.positive_work_window(omega_t, system.bath_temperature, t) for t in cooled]
+    shown = ["none" if w is None else "(%.2f, %.2f) MHz" % tuple(f / TWO_PI / 1e6 for f in w) for w in bounds]
+    # one line per run of consecutive round counts whose window prints the same
+    for text, run in itertools.groupby(zip(table.axes["n_rounds"], shown), key=lambda pair: pair[1]):
+        first, *rest = (n for n, _ in run)
+        lines.append(f"positive-work window n={first}{'..%d' % rest[-1] if rest else ''}: {text}")
     _emit(
         config,
         lambda: reports.render_two_stroke_csv(table, config.canonical_lines(), system),

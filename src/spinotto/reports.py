@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import errno
 import hashlib
-import itertools
 import math
 import os
 import tempfile
@@ -74,15 +73,92 @@ def metadata_lines(
     return lines
 
 
-# every data row is one %-format string; a bool cell indexes this pair
-_BOOL = ("false", "true")
-_PPA_ROW = "%d,%.12e,%.12e,%.12e,%.12e"
-_FOUR_STROKE_ROW = "%d,%.12e,%.12e,%.12e,%.12e,%.12e,%.12e,%s"
-_TWO_STROKE_ROW = "%s,%d,%.12e,%.12e,%s,%s"
+# Tables render in blocks of rows, each column as word-major arrays: a cell is five
+# uint32 words of NUL-padded ASCII (two for a bool), and NUL never occurs in a CSV.
+_BLOCK_ROWS = 1 << 14
+# ASCII digit j of each k < 10**4 in row j, then with NUL for leading zeros but the last
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1) + np.uint8(ord("0"))
+_TRIMMED = np.where(np.arange(10**4) < np.array([[1000], [100], [10], [0]]), 0, _DIGITS)
+# words: k < 10**4 trimmed, then zero-padded, then a float's lead word (NUL, sign, digit, "."), then "e+07"
+_WORDS = np.concatenate([
+    np.concatenate([_TRIMMED.T, _DIGITS.T]).copy().view(np.uint32).ravel(),
+    np.array([b"\0%s%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10)]).view(np.uint32),
+    np.array([b"e%+03d" % e for e in range(-100, 101)], "S4").view(np.uint32),
+])
+_FLOAT_OFFSETS = np.array([2 * 10**4, 10**4, 10**4, 10**4, 2 * 10**4 + 20])[:, None, None]
+# by exponent + 100: 10**(12 - exponent) correctly rounded, NaN past two digits
+_POW10 = np.array([math.nan, *(float("1e%d" % (12 - e)) for e in range(-99, 100)), math.nan])
+_PLACES = np.array([1e12, 1e8, 1e4, 1.0])[:, None, None]
+_BOOL_WORDS = np.array([b"false", b"true"], "S8").view(np.uint32).reshape(2, 2).T.copy()
+_COMMA, _NEWLINE = np.array([b",", b"\n"], "S4").view(np.uint32)
 
 
-def _csv(metadata: list[str], header: Sequence[str], rows: Iterable[str]) -> str:
-    return "\n".join([*metadata, ",".join(header), *rows]) + "\n"
+def _exact(cells, fast, x, spec: bytes):
+    """Overwrite the cells of ``x`` that ``fast`` leaves out with Python's ``spec % value``."""
+    if not fast.all():
+        cells[:, ~fast] = np.array([spec % v for v in x[~fast].tolist()], "S20").view("u4").reshape(-1, 5).T
+    return cells
+
+
+@np.errstate(all="ignore")
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """``b"%.12e" % v`` of each value of a 2-D float64 array as five words: shape ``(5,) + x.shape``.
+
+    The digits are ``m = |x| * 10**(12 - e)`` rounded, ``e`` from ``log10`` less 1e-12
+    (never above the exponent, so ``m >= 1e12``).  Two roundings of 2**-53 leave ``m``
+    within 3e-3 of exact, so only a fraction within 0.01 of one half could round
+    wrongly.  Those cells take the exact path, as do those whose rounded ``m`` reaches
+    1e13: ``e`` one too small, and through the NaN ends of ``_POW10`` zero,
+    subnormal, non-finite and three-digit-exponent values.
+    """
+    a = np.abs(x)
+    k = (np.log10(a) + (100 - 1e-12)).astype(np.intp)
+    m = a * _POW10.take(k, mode="clip")
+    r = np.minimum(np.rint(m), 1e13 - 1)  # so that m of 1e13 and more fails
+    fast = np.abs(m - r) < 0.49
+    r += 1e13 * (x < 0)  # a 14th digit: the lead word of a negative value
+    # r // 1e12, r // 1e8, r // 1e4 and r, exact below 2**53, to four-digit groups
+    prefixes = np.floor(r / _PLACES)
+    prefixes[1:] -= 1e4 * prefixes[:-1]
+    index = np.empty((5,) + x.shape, np.intp)
+    index[:4], index[4] = prefixes, k
+    index += _FLOAT_OFFSETS
+    return _exact(_WORDS.take(index, mode="clip"), fast, x, b"%.12e")
+
+
+def _int_cells(v: np.ndarray) -> np.ndarray:
+    """``b"%d" % v`` of each integer as five words; the exact path takes v outside [0, 1e8)."""
+    high, low = np.divmod(v, 10**4)
+    cells = np.zeros((5,) + v.shape, np.uint32)
+    # no high word below 1e4; after one, the low word keeps its leading zeros
+    np.multiply(_WORDS.take(high, mode="clip"), high > 0, out=cells[3])
+    _WORDS.take(np.minimum(v, low + 10**4), out=cells[4], mode="clip")
+    return _exact(cells, v.astype(np.uint64) < 10**8, v, b"%d")
+
+
+def _rows(columns: Sequence[np.ndarray]) -> str:
+    """One line per row of ``columns``: floats as ``%.12e``, integers as ``%d``, bools as true/false."""
+    text = []
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [c[start : start + _BLOCK_ROWS] for c in columns]
+        floats = np.array([c for c in block if c.dtype.kind == "f"], float).reshape(-1, len(block[0]))
+        floats = iter(_float_cells(floats).swapaxes(0, 1))
+        words = [np.full((1, len(block[0])), _COMMA)] * (2 * len(block))
+        words[::2] = [next(floats) if c.dtype.kind == "f" else _BOOL_WORDS.take(c.astype(np.intp), axis=1)
+                      if c.dtype.kind == "b" else _int_cells(c) for c in block]
+        words[-1] = np.full_like(words[-1], _NEWLINE)
+        flat = np.concatenate(words).T.ravel().view(np.uint8)
+        text.append(flat[flat != 0].tobytes().decode())
+    return "".join(text)
+
+
+def fmt_floats(values: Sequence[float]) -> str:
+    """``",".join("%.12e" % v for v in values)``, through the table renderer."""
+    return _rows([np.asarray(values, dtype=float)])[:-1].replace("\n", ",")
+
+
+def _csv(metadata: list[str], header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
+    return "\n".join([*metadata, ",".join(header)]) + "\n" + _rows(columns)
 
 
 def render_ppa_csv(
@@ -92,18 +168,12 @@ def render_ppa_csv(
     config_lines: Sequence[str],
     constants: PhysicalConstants = CODATA2018,
 ) -> str:
-    bound = shannon_bound(sys, field_scale, constants)
-    rows = zip(
-        itertools.count(),
-        trace.target_polarization.tolist(),
-        trace.reset_polarization.tolist(),
-        trace.target_effective_temperature.tolist(),
-        itertools.repeat(bound),
-    )
+    rounds = len(trace.target_polarization)
     return _csv(
         metadata_lines("algorithmic cooling trace", config_lines, sys, constants),
         ("round", "eps_target", "eps_reset", "T_eff_K", "shannon_bound_eps"),
-        map(_PPA_ROW.__mod__, rows),
+        (np.arange(rounds), trace.target_polarization, trace.reset_polarization,
+         trace.target_effective_temperature, np.full(rounds, shannon_bound(sys, field_scale, constants))),
     )
 
 
@@ -115,26 +185,12 @@ def render_four_stroke_csv(
 ) -> str:
     assert table.reference_reports is not None
     cols, ref = table.columns, table.reference_reports.columns
-    # tolist() yields Python ints, floats and bools, which %d and %.12e render
-    rows = zip(
-        *(cols[name].tolist() for name in ("n_rounds", "q_in", "q_out", "net_work", "power")),
-        ref["power"].tolist(),
-        cols["cooled_target_temperature"].tolist(),
-        map(_BOOL.__getitem__, (ref["power"] > cols["power"]).tolist()),
-    )
     return _csv(
         metadata_lines("four-stroke cycle sweep", config_lines, sys, constants),
-        (
-            "n",
-            "Qin_J_per_mol",
-            "Qout_J_per_mol",
-            "W_J_per_mol",
-            "P_W_per_mol",
-            "P_iso_W_per_mol",
-            "T_cold_K",
-            "iso_dominates",
-        ),
-        map(_FOUR_STROKE_ROW.__mod__, rows),
+        ("n", "Qin_J_per_mol", "Qout_J_per_mol", "W_J_per_mol", "P_W_per_mol", "P_iso_W_per_mol",
+         "T_cold_K", "iso_dominates"),
+        (*(cols[name] for name in ("n_rounds", "q_in", "q_out", "net_work", "power")),
+         ref["power"], cols["cooled_target_temperature"], ref["power"] > cols["power"]),
     )
 
 
@@ -144,31 +200,12 @@ def render_two_stroke_csv(
     sys: SpinSystem,
     constants: PhysicalConstants = CODATA2018,
 ) -> str:
-    """Rows are round-count-major; the frequency cells of one block serve every block."""
     cols = table.columns
-    omega_mhz = np.array(table.axes["omega_s"]) / TWO_PI / 1e6
-    points = len(omega_mhz)
-    efficiency = cols["efficiency"]
-    # reuse the first block's cells only if every block repeats its bits:
-    # 0.0 and -0.0 compare equal but render differently
-    blocks = efficiency.view(np.uint64).reshape(-1, points)
-    repeats = len(blocks)
-    if (blocks == blocks[0]).all():
-        eta = ["%.12e" % e for e in efficiency[:points].tolist()] * repeats
-    else:
-        eta = map("%.12e".__mod__, efficiency.tolist())
-    rows = zip(
-        ["%.12e" % w for w in omega_mhz.tolist()] * repeats,
-        cols["n_rounds"].tolist(),
-        cols["net_work"].tolist(),
-        cols["power"].tolist(),
-        eta,
-        map(_BOOL.__getitem__, cols["in_window"].tolist()),
-    )
     return _csv(
         metadata_lines("two-stroke cycle sweep", config_lines, sys, constants),
         ("omega_s_MHz", "n", "W_J_per_mol", "P_W_per_mol", "eta", "in_window"),
-        map(_TWO_STROKE_ROW.__mod__, rows),
+        (cols["omega_s"] / TWO_PI / 1e6,
+         *(cols[name] for name in ("n_rounds", "net_work", "power", "efficiency", "in_window"))),
     )
 
 

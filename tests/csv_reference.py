@@ -1,8 +1,10 @@
 """Reference CSV renderer: every cell through ``reports.fmt``, one call each.
 
-The package renders each data row with one ``%`` format string and
-formats the two-stroke frequency cells once per grid point.  This is the
-per-cell renderer it replaced, kept as the reference its bytes must
+The package renders tables column by column: numpy builds each float's
+``%.12e`` bytes from a power-of-ten table and a digit table, and only the
+cells that could round wrongly (a digit fraction near one half, zero,
+non-finite, subnormal or three-digit-exponent values) go through
+Python's ``%``.  This per-cell renderer is the reference its bytes must
 match.  The metadata lines are shared with the package.
 """
 

@@ -10,6 +10,8 @@ utilities that only the tests use (``kron``, ``fidelity``,
 ``qubit_marginal``) live here too.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from spinotto.gates import apply, comp_unitary, reset_channel, swap_unitary
@@ -37,26 +39,36 @@ def fresh_reset(sys, field_scale):
     return diagonal_state(thermal_reset_state(sys, field_scale), (sys.label_for_role(Role.RESET),))
 
 
-def initial_stage(rho, sys, field_scale):
-    target, _, reset = _roles(sys)
-    state = reset_channel(rho, reset, fresh_reset(sys, field_scale))
-    return apply(swap_unitary(rho.qubits, target, reset), state)
-
-
-def ppa_round(rho, sys, field_scale):
+def schedule(rho, sys, field_scale):
+    """The reset qubit's bath state and the three gates of one run, built once."""
     target, compression, reset = _roles(sys)
-    fresh = fresh_reset(sys, field_scale)
-    state = reset_channel(rho, reset, fresh)
-    state = apply(swap_unitary(rho.qubits, compression, reset), state)
-    state = reset_channel(state, reset, fresh)
-    return apply(comp_unitary((target, compression, reset)), state)
+    return SimpleNamespace(
+        reset=reset,
+        fresh=fresh_reset(sys, field_scale),
+        swap_target_reset=swap_unitary(rho.qubits, target, reset),
+        swap_compression_reset=swap_unitary(rho.qubits, compression, reset),
+        comp=comp_unitary((target, compression, reset)),
+    )
+
+
+def initial_stage(rho, run):
+    state = reset_channel(rho, run.reset, run.fresh)
+    return apply(run.swap_target_reset, state)
+
+
+def ppa_round(rho, run):
+    state = reset_channel(rho, run.reset, run.fresh)
+    state = apply(run.swap_compression_reset, state)
+    state = reset_channel(state, run.reset, run.fresh)
+    return apply(run.comp, state)
 
 
 def cooling_states(rho, sys, field_scale, n_rounds):
     """Register states after the initial stage and after each of ``n_rounds`` rounds."""
-    states = [initial_stage(rho, sys, field_scale)]
+    run = schedule(rho, sys, field_scale)
+    states = [initial_stage(rho, run)]
     for _ in range(n_rounds):
-        states.append(ppa_round(states[-1], sys, field_scale))
+        states.append(ppa_round(states[-1], run))
     return states
 
 
@@ -68,8 +80,9 @@ def cooling_rows(rho, sys, field_scale, n_rounds):
     repeats the rows since then.  The dense rounds stop there (about 40
     rounds on the TCE system), and the cycle fills the remaining rows.
     """
+    run = schedule(rho, sys, field_scale)
     rows, first_seen = [], {}
-    state = initial_stage(rho, sys, field_scale)
+    state = initial_stage(rho, run)
     while len(rows) <= n_rounds:
         key = state.matrix.tobytes()
         if key in first_seen:
@@ -79,7 +92,7 @@ def cooling_rows(rho, sys, field_scale, n_rounds):
             break
         first_seen[key] = len(rows)
         rows.append(state.populations)
-        state = ppa_round(state, sys, field_scale)
+        state = ppa_round(state, run)
     return np.array(rows)
 
 

@@ -167,6 +167,19 @@ class TestTwoStrokeCommand:
             "positive-work window n=3: (125.77, 937.74) MHz",
         ]
 
+    def test_summary_joins_round_counts_with_the_same_window(self, tmp_path, monkeypatch, capsys):
+        rc = run_cli(
+            ["two-stroke", "--rounds", "15..1000", "--omega-s", "900:900:1", "--format", "summary"],
+            tmp_path,
+            monkeypatch,
+        )
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "positive-work window n=15: (125.77, 1000.24) MHz",
+            "positive-work window n=16: (125.77, 1000.25) MHz",
+            "positive-work window n=17..1000: (125.77, 1000.26) MHz",
+        ]
+
     def test_bad_grid_exits_2(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["two-stroke", "--omega-s", "900:100:1"], tmp_path, monkeypatch)

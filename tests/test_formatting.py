@@ -1,0 +1,135 @@
+"""The columnar cell formatter against Python's own ``%`` formatting, byte for byte."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import csv_reference
+from spinotto import cli, reports
+
+# a fixed, small example budget keeps the whole file at about a second
+SETTINGS = settings(derandomize=True, database=None, max_examples=120, deadline=None)
+
+
+def as_floats(bits):
+    """64-bit patterns reinterpreted as float64: every sign, exponent and mantissa."""
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+def expected(values):
+    return "".join("%.12e\n" % v for v in values.tolist())
+
+
+def assert_same_text(got, want):
+    """Name the first differing lines; a diff of the whole text would take minutes."""
+    wrong = [(g, w) for g, w in zip(got.splitlines(), want.splitlines()) if g != w]
+    assert (wrong[:5], len(got)) == ([], len(want))
+
+
+def ulps_around(value, count):
+    """``value`` and the ``count`` floats on either side of it."""
+    below = above = value
+    out = [value]
+    for _ in range(count):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [below, above]
+    return out
+
+
+def edge_values():
+    powers = [float("1e%d" % k) for k in range(-307, 309)]
+    near_powers = [v for p in powers for v in ulps_around(p, 3)]
+    # 14-digit integers whose last digit is an exact tie at 13 digits
+    ties = [float(10**13 + 10 * i + 5) for i in [*range(1000), *range(10**3, 9 * 10**12, 10**10 + 7)]]
+    scaled_ties = [t * 2.0**-20 for t in ties]
+    # the same ties written in decimal: the nearest float lies within about
+    # 1e-3 of the tie in the last digit, on either side
+    decimal_ties = [float("%.13fe%d" % (t / 1e13, k)) for t in ties for k in range(-290, 291, 29)]
+    # the largest 13-digit mantissa, where rounding carries into the exponent
+    carries = [v for k in range(-300, 300) for v in ulps_around(float("9.9999999999995e%d" % k), 3)]
+    specials = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324]
+    return np.array(near_powers + ties + scaled_ties + decimal_ties + carries + specials)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_edge_values_match_python(sign):
+    values = sign * edge_values()
+    assert_same_text(reports._rows([values]), expected(values))
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+@example([0x7FF8000000000001, 0xFFF8000000000000, 0x8000000000000001])
+def test_any_bit_pattern_matches_python(bits):
+    values = as_floats(bits)
+    assert_same_text(reports._rows([values]), expected(values))
+
+
+@SETTINGS
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
+@example([0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, -1, -(2**63)])
+def test_any_int64_matches_python(ints):
+    values = np.array(ints, dtype=np.int64)
+    assert_same_text(reports._rows([values]), "".join("%d\n" % n for n in ints))
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 10**6), st.booleans()), min_size=1, max_size=40))
+def test_mixed_rows_match_python(rows):
+    bits, ints, flags = zip(*rows)
+    floats = as_floats(bits)
+    columns = [floats, np.array(ints), floats[::-1].copy(), np.array(flags)]
+    lines = zip(floats.tolist(), ints, floats[::-1].tolist(), flags)
+    want = "".join("%.12e,%d,%.12e,%s\n" % (a, n, b, "true" if f else "false") for a, n, b, f in lines)
+    assert_same_text(reports._rows(columns), want)
+
+
+def test_most_cells_take_the_vectorised_path(monkeypatch):
+    """Only cells near a rounding tie, or with extreme exponents, go through Python."""
+    exact = []
+
+    def counting(cells, fast, values, spec):
+        exact.append(int(fast.size - fast.sum()))
+        return original(cells, fast, values, spec)
+
+    original = reports._exact
+    monkeypatch.setattr(reports, "_exact", counting)
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal(10**4) * 10.0 ** rng.integers(-40, 40, 10**4)
+    assert_same_text(reports._rows([values]), expected(values))
+    # a fraction within 0.01 of one half: about 2% of cells
+    assert 0 < sum(exact) <= 0.03 * values.size
+
+
+def test_rows_span_several_blocks(monkeypatch):
+    monkeypatch.setattr(reports, "_BLOCK_ROWS", 7)
+    values = np.linspace(-3.0, 3.0, 50)
+    rounds = np.arange(50)
+    assert reports._rows([rounds, values]) == "".join("%d,%.12e\n" % pair for pair in zip(range(50), values.tolist()))
+
+
+def test_renders_without_numpy_string_api(monkeypatch, tmp_path, capsys):
+    """numpy before 2.0 has neither ``np.strings`` nor ``StringDType``; no table may need them."""
+    monkeypatch.chdir(tmp_path)
+    commands = {
+        "ppa": ["ppa", "--rounds", "12"],
+        "four": ["four-stroke", "--rounds", "0..10"],
+        "two": ["two-stroke", "--rounds", "0..3", "--omega-s", "100:900:7"],
+    }
+    for name, args in commands.items():
+        assert cli.run([*args, "--out", f"{name}.csv"]) == 0
+    before = {name: (tmp_path / f"{name}.csv").read_bytes() for name in commands}
+    monkeypatch.delattr(np, "strings", raising=False)
+    if hasattr(np, "dtypes"):
+        monkeypatch.delattr(np.dtypes, "StringDType", raising=False)
+    for name, args in commands.items():
+        assert cli.run([*args, "--out", f"{name}.csv"]) == 0
+        assert (tmp_path / f"{name}.csv").read_bytes() == before[name]
+
+
+def test_omega_line_matches_python():
+    grid = cli._parse_omega_grid("0.1:3:0.1") + (5e-324, 1e100, -2.5, 9.9999999999995)
+    assert reports.fmt_floats(grid) == csv_reference.canonical_omega_line(grid).removeprefix("omega_s_mhz=")
