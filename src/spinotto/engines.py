@@ -164,8 +164,8 @@ class SweepTable(Sequence):
 
 
 def _energy(levels: np.ndarray, populations: np.ndarray) -> np.ndarray:
-    """``Tr[H rho]`` of diagonal qubit states, over the last axis."""
-    return (levels * populations).sum(axis=-1)
+    """``Tr[H rho]`` of diagonal qubit states, over the last axis of length two."""
+    return levels[..., 0] * populations[..., 0] + levels[..., 1] * populations[..., 1]
 
 
 class _FourStroke:

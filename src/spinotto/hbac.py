@@ -12,8 +12,9 @@ by ``n`` rounds of
 Each reset is a marginal replacement against the bath (the reset qubit's
 relaxation time enters only the engine time bookkeeping, not the state
 update).  For thermal product inputs the target polarization follows the
-recurrence ``eps_n = eps_{n-1}/2 + eps_b`` toward the ``2 eps_b`` ceiling,
-pushing past the single-reset (Shannon) bound after the first round.
+exact map ``eps_n = eps_{n-1} (1 - eps_b**2)/2 + eps_b`` toward the limit
+``2 eps_b/(1 + eps_b**2)``, past the single-reset (Shannon) bound from the
+first round on; the paper's ``eps_{n-1}/2 + eps_b`` drops the ``eps_b**2`` terms.
 
 Resets and permutation gates map diagonal states to diagonal states, so
 a run holds the register as its eight populations, Python floats in C

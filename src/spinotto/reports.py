@@ -14,15 +14,13 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .engines import SweepTable
 from .hbac import PpaTrace, shannon_bound
-from .spinsys import CODATA2018, PhysicalConstants, SpinSystem
-
-TWO_PI = 2.0 * math.pi
+from .spinsys import CODATA2018, TWO_PI, PhysicalConstants, SpinSystem
 
 
 def fmt(value) -> str:
@@ -75,7 +73,8 @@ def metadata_lines(
 
 # Tables render in blocks of rows, each column as word-major arrays: a cell is five
 # uint32 words of NUL-padded ASCII (two for a bool), and NUL never occurs in a CSV.
-_BLOCK_ROWS = 1 << 14
+# A block of 2048 rows keeps each pass's arrays within a 1-2 MiB L2 cache.
+_BLOCK_ROWS = 1 << 11
 # ASCII digit j of each k < 10**4 in row j, then with NUL for leading zeros but the last
 _DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1) + np.uint8(ord("0"))
 _TRIMMED = np.where(np.arange(10**4) < np.array([[1000], [100], [10], [0]]), 0, _DIGITS)
@@ -105,9 +104,10 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     """``b"%.12e" % v`` of each value of a 2-D float64 array as five words: shape ``(5,) + x.shape``.
 
     The digits are ``m = |x| * 10**(12 - e)`` rounded, ``e`` from ``log10`` less 1e-12
-    (never above the exponent, so ``m >= 1e12``).  Two roundings of 2**-53 leave ``m``
-    within 3e-3 of exact, so only a fraction within 0.01 of one half could round
-    wrongly.  Those cells take the exact path, as do those whose rounded ``m`` reaches
+    (never above the exponent, so ``m >= 1e12``).  Two roundings of 2**-53 leave
+    ``m < 1e13`` within 2.2e-3 of exact, so only a fraction within that of one half
+    could round wrongly; a window of 0.005 keeps twice that margin.  Cells in the
+    window take the exact path, as do those whose rounded ``m`` reaches
     1e13: ``e`` one too small, and through the NaN ends of ``_POW10`` zero,
     subnormal, non-finite and three-digit-exponent values.
     """
@@ -115,7 +115,7 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     k = (np.log10(a) + (100 - 1e-12)).astype(np.intp)
     m = a * _POW10.take(k, mode="clip")
     r = np.minimum(np.rint(m), 1e13 - 1)  # so that m of 1e13 and more fails
-    fast = np.abs(m - r) < 0.49
+    fast = np.abs(m - r) < 0.495
     r += 1e13 * (x < 0)  # a 14th digit: the lead word of a negative value
     # r // 1e12, r // 1e8, r // 1e4 and r, exact below 2**53, to four-digit groups
     prefixes = np.floor(r / _PLACES)
@@ -136,9 +136,8 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
     return _exact(cells, v.astype(np.uint64) < 10**8, v, b"%d")
 
 
-def _rows(columns: Sequence[np.ndarray]) -> str:
-    """One line per row of ``columns``: floats as ``%.12e``, integers as ``%d``, bools as true/false."""
-    text = []
+def _rows(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
+    """Lines of ``columns`` as bytes, a block of rows at a time: ``%.12e``, ``%d`` and true/false cells."""
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         block = [c[start : start + _BLOCK_ROWS] for c in columns]
         floats = np.array([c for c in block if c.dtype.kind == "f"], float).reshape(-1, len(block[0]))
@@ -148,17 +147,17 @@ def _rows(columns: Sequence[np.ndarray]) -> str:
                       if c.dtype.kind == "b" else _int_cells(c) for c in block]
         words[-1] = np.full_like(words[-1], _NEWLINE)
         flat = np.concatenate(words).T.ravel().view(np.uint8)
-        text.append(flat[flat != 0].tobytes().decode())
-    return "".join(text)
+        yield flat[flat != 0].tobytes()
 
 
 def fmt_floats(values: Sequence[float]) -> str:
     """``",".join("%.12e" % v for v in values)``, through the table renderer."""
-    return _rows([np.asarray(values, dtype=float)])[:-1].replace("\n", ",")
+    return b"".join(_rows([np.asarray(values, dtype=float)]))[:-1].replace(b"\n", b",").decode()
 
 
-def _csv(metadata: list[str], header: Sequence[str], columns: Sequence[np.ndarray]) -> str:
-    return "\n".join([*metadata, ",".join(header)]) + "\n" + _rows(columns)
+def _csv(metadata: list[str], header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[bytes]:
+    yield "\n".join([*metadata, ",".join(header), ""]).encode()
+    yield from _rows(columns)
 
 
 def render_ppa_csv(
@@ -167,13 +166,13 @@ def render_ppa_csv(
     field_scale: float,
     config_lines: Sequence[str],
     constants: PhysicalConstants = CODATA2018,
-) -> str:
-    rounds = len(trace.target_polarization)
+) -> Iterator[bytes]:
+    bound = np.broadcast_to(shannon_bound(sys, field_scale, constants), len(trace.target_polarization))
     return _csv(
         metadata_lines("algorithmic cooling trace", config_lines, sys, constants),
         ("round", "eps_target", "eps_reset", "T_eff_K", "shannon_bound_eps"),
-        (np.arange(rounds), trace.target_polarization, trace.reset_polarization,
-         trace.target_effective_temperature, np.full(rounds, shannon_bound(sys, field_scale, constants))),
+        (np.arange(len(bound)), trace.target_polarization, trace.reset_polarization,
+         trace.target_effective_temperature, bound),
     )
 
 
@@ -182,7 +181,7 @@ def render_four_stroke_csv(
     config_lines: Sequence[str],
     sys: SpinSystem,
     constants: PhysicalConstants = CODATA2018,
-) -> str:
+) -> Iterator[bytes]:
     assert table.reference_reports is not None
     cols, ref = table.columns, table.reference_reports.columns
     return _csv(
@@ -199,7 +198,7 @@ def render_two_stroke_csv(
     config_lines: Sequence[str],
     sys: SpinSystem,
     constants: PhysicalConstants = CODATA2018,
-) -> str:
+) -> Iterator[bytes]:
     cols = table.columns
     return _csv(
         metadata_lines("two-stroke cycle sweep", config_lines, sys, constants),
@@ -209,8 +208,8 @@ def render_two_stroke_csv(
     )
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partial output."""
+def write_atomic(path: str | Path, blocks: Iterable[bytes]) -> None:
+    """Write ``blocks`` to a sibling temp file, then rename: no reader sees partial or failed output."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -219,8 +218,8 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise NotADirectoryError(errno.ENOTDIR, f"{path.parent} is not a directory") from None
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(blocks)
         os.replace(tmp_name, path)
     except BaseException:
         try:

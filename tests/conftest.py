@@ -9,6 +9,8 @@ from spinotto import tce_system, thermal_state
 from spinotto.spinsys import from_config_text
 from test_spinsys import TCE_CONFIG
 
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture(scope="session")
 def tce():
