@@ -19,7 +19,7 @@ from .engines import (
     sweep_two_stroke,
 )
 from .gates import GateUnitary, apply, comp_unitary, reset_channel, swap_unitary
-from .hbac import PpaTrace, initial_stage, ppa_round, run_ppa, shannon_bound
+from .hbac import PpaTrace, ppa_round, run_ppa, shannon_bound
 from .qmath import (
     DensityMatrix,
     StateInvariantError,
@@ -39,6 +39,7 @@ from .spinsys import (
     polarization,
     register_levels,
     tce_system,
+    thermal_marginal_polarization,
     thermal_polarization,
     thermal_state,
 )

@@ -28,7 +28,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 # the most values one flag may list, the largest round count and the most rows of a two-stroke
-# table; a cooling run keeps 88 B per round, and `ppa --rounds 1000000` peaks at 135 MiB RSS
+# table; a cooling run keeps 24 B per round, and `ppa --rounds 1000000` peaks at 76 MiB RSS
 MAX_VALUES = 10**6
 
 

@@ -6,9 +6,15 @@ expansion; the reference engine swaps the cooling stage for contact with
 a cold bath; the two-stroke engine heats a partner qubit and cools the
 target in parallel, then exchanges them with a single SWAP.
 
-Heats and works are evaluated on the target's local Hamiltonian and
-marginal state and reported per mole.  Cycle times count only the
-relaxation stages: gate applications and field ramps are treated as fast.
+Every state is diagonal and the field ramps freeze populations, so only
+the target's polarization enters a cycle: at frequency ``omega`` its
+energy is ``-(hbar omega / 2) eps``, and every heat and work is
+``(hbar omega / 2)`` times a difference of polarizations, reported per
+mole.  The cooled target comes from the closed-form cooling run, the
+hot target from the J-coupled register's Gibbs marginal and a cold bath
+from ``tanh``; none is a difference of two populations near 1/2.  Cycle
+times count only the relaxation stages: gate applications and field
+ramps are treated as fast.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from functools import reduce
 import numpy as np
 
 from .adiabatic import COMPRESSED_FIELD_SCALE, COMPRESSION, StrokeSpec, evolve_stroke
-from .hbac import check_populations, marginal, reset, run_ppa
+from .hbac import run_ppa
 from .qmath import StateInvariantError
 from .spinsys import (
     CODATA2018,
@@ -28,10 +34,9 @@ from .spinsys import (
     PhysicalConstants,
     Role,
     SpinSystem,
-    local_levels,
-    thermal_populations,
+    thermal_marginal_polarization,
+    thermal_polarization,
     thermal_state,
-    zeeman_levels,
 )
 
 FOUR_STROKE_HBAC = "four_stroke_hbac"
@@ -163,20 +168,15 @@ class SweepTable(Sequence):
         return self[int(np.argmax(self.columns["net_work"]))]
 
 
-def _energy(levels: np.ndarray, populations: np.ndarray) -> np.ndarray:
-    """``Tr[H rho]`` of diagonal qubit states, over the last axis of length two."""
-    return levels[..., 0] * populations[..., 0] + levels[..., 1] * populations[..., 1]
-
-
 class _FourStroke:
     """The hot and compressed states that every four-stroke cycle of one system shares.
 
     Each method takes the cooling stages of many cycles at once and
-    returns their columns.  Every state is diagonal, so the expansion
-    stroke leaves each cooled register as it is, and the arithmetic
-    follows the dense cycle (partial traces, ``Tr[H rho]``, the reset
-    channel) operation by operation, so every column is bit-identical
-    to it.
+    returns their columns.  Every state is diagonal, so the field ramps
+    freeze the populations and only the target's polarization enters:
+    at frequency ``omega`` its energy is ``-(hbar omega / 2) eps``, and
+    each heat and work is ``hbar omega / 2`` times a difference of
+    polarizations.
     """
 
     def __init__(self, sys: SpinSystem, stroke: StrokeSpec | None, constants: PhysicalConstants):
@@ -184,31 +184,27 @@ class _FourStroke:
         self.sys, self.constants = sys, constants
         target = sys.label_for_role(Role.TARGET)
         self.t1_target = sys.qubit(target).t1
-        self.h0 = local_levels(sys, target, 1.0, constants)
-        self.h1 = local_levels(sys, target, COMPRESSED_FIELD_SCALE, constants)
-        hot = thermal_state(sys, 1.0, constants)
-        self.rho_compressed = evolve_stroke(hot, sys, compression, constants)
-        self.compressed = self.rho_compressed.populations.reshape(2, 2, 2)
-        self.slot = hot.qubits.index(target)
-        self.e0 = _energy(self.h0, marginal(hot.populations.reshape(2, 2, 2), self.slot))
-        self.e1 = _energy(self.h1, marginal(self.compressed, self.slot))
+        self.omega1 = sys.omega(target, COMPRESSED_FIELD_SCALE)
+        # per mole: hbar omega / 2 at the full and the compressed field
+        self.half0 = constants.hbar * sys.omega(target, 1.0) / 2.0 * constants.avogadro
+        self.half1 = constants.hbar * self.omega1 / 2.0 * constants.avogadro
+        self.rho_compressed = evolve_stroke(thermal_state(sys, 1.0, constants), sys, compression, constants)
+        # the compression stroke leaves the hot target's polarization as it is
+        self.eps_hot = thermal_marginal_polarization(sys, target, 1.0, constants)
 
-    def _columns(self, cooled, cooled_target, cycle_time, temperature) -> dict[str, np.ndarray]:
-        """Columns of cycles from their cooled 2x2x2 registers and target populations."""
-        e2 = _energy(self.h1, cooled_target)
-        # after the expansion stroke, which leaves the populations alone
-        e3 = _energy(self.h0, marginal(cooled, self.slot))
-        q_in = self.e0 - e3
-        q_out = self.e1 - e2
-        mole = self.constants.avogadro
-        net = (q_in - q_out) * mole
+    def _columns(self, eps_cold, cycle_time, temperature) -> dict[str, np.ndarray]:
+        """Columns of cycles from their cooled target polarizations."""
+        gain = eps_cold - self.eps_hot
+        q_in = self.half0 * gain
+        q_out = self.half1 * gain
+        net = q_in - q_out
         return {
-            "w1": np.full(len(e2), (self.e0 - self.e1) * mole),
-            "w2": (e2 - e3) * mole,
-            "q_in": q_in * mole,
-            "q_out": q_out * mole,
+            "w1": np.full(len(gain), (self.half1 - self.half0) * self.eps_hot),
+            "w2": (self.half0 - self.half1) * eps_cold,
+            "q_in": q_in,
+            "q_out": q_out,
             "net_work": net,
-            "efficiency": np.full(len(e2), 1.0 - COMPRESSED_FIELD_SCALE),
+            "efficiency": np.full(len(gain), 1.0 - COMPRESSED_FIELD_SCALE),
             "power": net / cycle_time,
             "cycle_time": cycle_time,
             "cooled_target_temperature": temperature,
@@ -221,12 +217,10 @@ class _FourStroke:
         trace = run_ppa(
             self.rho_compressed, self.sys, COMPRESSED_FIELD_SCALE, max(n_list), self.constants
         )
-        cooled = trace.populations[n_list]
         n_rounds = np.array(n_list)
         t1_reset = self.sys.qubit(self.sys.label_for_role(Role.RESET)).t1
         columns = self._columns(
-            cooled,
-            marginal(cooled, self.slot),
+            trace.target_polarization[n_list],
             self.t1_target + t1_reset * (2 * n_rounds + 1),
             trace.target_effective_temperature[n_list],
         )
@@ -236,11 +230,16 @@ class _FourStroke:
     @np.errstate(all="ignore")
     def cooled_by_bath(self, temperatures: np.ndarray) -> dict[str, np.ndarray]:
         """Reference cycles that reset the target at each cold temperature instead."""
-        cold = thermal_populations(self.h1, temperatures, self.constants)
-        cooled = reset(self.compressed, self.slot, cold)
-        check_populations(cooled, "isochoric reference")
+        cold = thermal_polarization(self.omega1, temperatures, self.constants)
+        # past 1 a polarization gives the upper level a negative population; NaN fails too
+        bad = np.flatnonzero(~(abs(cold) <= 1.0))
+        if bad.size:
+            i = bad[0]
+            raise StateInvariantError(
+                f"isochoric reference at {temperatures[i]:g} K: target polarization {cold[i]} outside [-1, 1]"
+            )
         cycle_time = np.full(len(temperatures), 2.0 * self.t1_target)
-        return self._columns(cooled, cold, cycle_time, temperatures)
+        return self._columns(cold, cycle_time, temperatures)
 
 
 def run_four_stroke(
@@ -371,9 +370,9 @@ def sweep_two_stroke(
     frequency).
 
     The bath-equilibrated partner and the cooled target are diagonal
-    qubits, so the SWAP only exchanges their populations.  The arithmetic
-    follows the dense cycle (product state, SWAP, two partial traces)
-    operation by operation, so every column is bit-identical to it.
+    qubits, so the SWAP only exchanges their polarizations: the partner
+    absorbs ``(hbar omega_S / 2)`` times the difference, and the target
+    gives back ``(hbar omega_T / 2)`` times it.
     """
     grid = np.array(omega_s_grid, dtype=float)
     n_list = [int(n) for n in n_values]
@@ -384,28 +383,19 @@ def sweep_two_stroke(
     if min(n_list) < 0:
         raise ValueError(f"n_rounds must be >= 0, got {min(n_list)}")
     trace = run_ppa(thermal_state(sys, 1.0, constants), sys, 1.0, max(n_list), constants)
-    target = trace.target
-    omega_t = sys.omega(target, 1.0)
+    omega_t = sys.omega(trace.target, 1.0)
     n_rounds = np.array(n_list)[:, None]
     cooled = trace.target_effective_temperature[n_list]
 
-    h_s = zeeman_levels(grid, constants)  # one row per partner frequency
-    h_t = local_levels(sys, target, 1.0, constants)
-    p0_s = thermal_populations(h_s, sys.bath_temperature, constants)
-    # one row per round count, broadcast against the grid axis
-    p0_t = marginal(trace.populations[n_list], trace.qubits.index(target))[:, None, :]
+    # one row per round count, broadcast against the grid axis: the SWAP
+    # hands the partner the cooled target's polarization and back
+    gain = trace.target_polarization[n_list][:, None] - thermal_polarization(grid, sys.bath_temperature, constants)
+    half = constants.hbar / 2.0 * constants.avogadro
+    q_in = half * grid * gain
+    q_out = half * omega_t * gain
 
-    # after the SWAP each qubit's marginal is the other's old populations,
-    # summed over the other slot of the product state
-    p1_s = p0_t * p0_s[:, :1] + p0_t * p0_s[:, 1:]
-    p1_t = p0_t[..., :1] * p0_s + p0_t[..., 1:] * p0_s
-
-    q_in = _energy(h_s, p0_s) - _energy(h_s, p1_s)
-    q_out = _energy(h_t, p1_t) - _energy(h_t, p0_t)
-
-    mole = constants.avogadro
     cycle_time = sys.qubit(sys.label_for_role(Role.RESET)).t1 * (2 * n_rounds + 1)
-    net = (q_in - q_out) * mole
+    net = q_in - q_out
     # one window per round count; the empty (inf, inf) stands in for none
     windows = [positive_work_window(omega_t, sys.bath_temperature, t) for t in cooled.tolist()]
     bounds = np.array([w or (np.inf, np.inf) for w in windows])
@@ -413,8 +403,8 @@ def sweep_two_stroke(
     shape = net.shape
     columns = {
         "n_rounds": np.broadcast_to(n_rounds, shape),
-        "q_in": q_in * mole,
-        "q_out": q_out * mole,
+        "q_in": q_in,
+        "q_out": q_out,
         "net_work": net,
         "efficiency": np.broadcast_to(1.0 - omega_t / grid, shape),
         "power": net / cycle_time,

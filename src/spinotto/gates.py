@@ -5,10 +5,10 @@ compression COMP, are classical permutations of computational-basis
 states.  A gate is therefore stored as its permutation and applied by
 an index gather, which is exact.  Gates are instantaneous and perfect.
 
-Cooling runs on a register's eight populations (``spinotto.hbac``) and
-uses only the gathers, each as an ``itemgetter``.  ``apply`` and ``reset_channel`` are the same operations on
-dense density matrices, including coherent ones; the tests hold the
-population code to them bit for bit.
+Cooling runs in closed form on polarizations (``spinotto.hbac``) and
+uses no gate.  ``apply`` and ``reset_channel`` are the same operations on
+dense density matrices, including coherent ones; the tests' dense
+cooling reference is built from them.
 """
 
 from __future__ import annotations

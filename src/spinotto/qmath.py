@@ -11,8 +11,7 @@ is diagonal, so ``spinotto.spinsys`` stores it as level energies.
 A ``DensityMatrix`` is the library's boundary type: the input of a
 cooling run, the hot and compressed engine states, and views built on
 request.  Every state the engines produce is diagonal, so cooling
-(``spinotto.hbac``) and the sweeps work on population arrays instead and
-check them against the same ``ATOL`` and ``EIGENVALUE_FLOOR``.
+(``spinotto.hbac``) and the sweeps work on polarizations instead.
 """
 
 from __future__ import annotations

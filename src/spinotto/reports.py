@@ -85,8 +85,8 @@ _WORDS = np.concatenate([
     np.array([b"e%+03d" % e for e in range(-100, 101)], "S4").view(np.uint32),
 ])
 _FLOAT_OFFSETS = np.array([2 * 10**4, 10**4, 10**4, 10**4, 2 * 10**4 + 20])[:, None, None]
-# by exponent + 100: 10**(12 - exponent) correctly rounded, NaN past two digits
-_POW10 = np.array([math.nan, *(float("1e%d" % (12 - e)) for e in range(-99, 100)), math.nan])
+# by exponent + 100: 10**(12 - exponent) correctly rounded for exponents -100..99, then NaN
+_POW10 = np.array([*(float("1e%d" % (12 - e)) for e in range(-100, 100)), math.nan])
 _PLACES = np.array([1e12, 1e8, 1e4, 1.0])[:, None, None]
 _BOOL_WORDS = np.array([b"false", b"true"], "S8").view(np.uint32).reshape(2, 2).T.copy()
 _COMMA, _NEWLINE = np.array([b",", b"\n"], "S4").view(np.uint32)
@@ -105,17 +105,24 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
 
     The digits are ``m = |x| * 10**(12 - e)`` rounded, ``e`` from ``log10`` less 1e-12
     (never above the exponent, so ``m >= 1e12``).  Two roundings of 2**-53 leave
-    ``m < 1e13`` within 2.2e-3 of exact, so only a fraction within that of one half
+    ``m`` within 2.2e-3 of exact, so only a fraction within that of one half
     could round wrongly; a window of 0.005 keeps twice that margin.  Cells in the
-    window take the exact path, as do those whose rounded ``m`` reaches
-    1e13: ``e`` one too small, and through the NaN ends of ``_POW10`` zero,
-    subnormal, non-finite and three-digit-exponent values.
+    window take the exact path.  A rounded ``m`` of exactly 1e13, from ``e`` one
+    too small (an exact power of ten) or from a carry, is 1e12 at ``e + 1``; one
+    above 1e13 takes the exact path, as do, through the exponent range check and
+    the NaN ends of ``_POW10``, zero, subnormal, non-finite and three-digit-exponent
+    values.
     """
     a = np.abs(x)
     k = (np.log10(a) + (100 - 1e-12)).astype(np.intp)
     m = a * _POW10.take(k, mode="clip")
-    r = np.minimum(np.rint(m), 1e13 - 1)  # so that m of 1e13 and more fails
+    r = np.rint(m)
     fast = np.abs(m - r) < 0.495
+    carry = r == 1e13
+    r[carry] = 1e12
+    k += carry
+    # two-digit exponents only, and no m of more than 1e13
+    fast &= (k >= 1) & (k <= 199) & (r < 1e13)
     r += 1e13 * (x < 0)  # a 14th digit: the lead word of a negative value
     # r // 1e12, r // 1e8, r // 1e4 and r, exact below 2**53, to four-digit groups
     prefixes = np.floor(r / _PLACES)

@@ -38,9 +38,13 @@ def _positive_finite(value: float) -> bool:
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """CODATA-2018 values; override only by constructing a new instance."""
+    """CODATA-2018 values; override only by constructing a new instance.
 
-    hbar: float = 1.054_571_817e-34  # J*s
+    ``hbar`` is derived from the exact SI Planck constant rather than
+    written as a truncated decimal.
+    """
+
+    hbar: float = 6.626_070_15e-34 / (2.0 * math.pi)  # J*s
     k_boltzmann: float = 1.380_649e-23  # J/K
     avogadro: float = 6.022_140_76e23  # 1/mol
 
@@ -176,24 +180,6 @@ PRESETS = {"tce": tce_system}
 # ---------------------------------------------------------------------------
 
 
-def zeeman_levels(omega, constants: PhysicalConstants = CODATA2018) -> np.ndarray:
-    """Level energies ``(-hbar w / 2, +hbar w / 2)`` of ``-hbar*omega*Iz`` (joules).
-
-    ``omega`` broadcasts: an array of frequencies gives one row of levels each.
-    """
-    return np.stack([-constants.hbar * omega / 2, +constants.hbar * omega / 2], axis=-1)
-
-
-def local_levels(
-    sys: SpinSystem,
-    label: str,
-    field_scale: float = 1.0,
-    constants: PhysicalConstants = CODATA2018,
-) -> np.ndarray:
-    """Zeeman level energies of one register qubit at the scaled field."""
-    return zeeman_levels(sys.omega(label, field_scale), constants)
-
-
 def register_levels(
     sys: SpinSystem,
     field_scale: float = 1.0,
@@ -268,25 +254,46 @@ def polarization(rho_1q: DensityMatrix) -> float:
     return float((rho_1q.matrix[0, 0] - rho_1q.matrix[1, 1]).real)
 
 
-def thermal_polarization(
-    omega: float, temperature: float, constants: PhysicalConstants = CODATA2018
-) -> float:
-    """Equilibrium polarization ``tanh(hbar*omega / 2 k_B T)``."""
-    return math.tanh(constants.hbar * omega / (2.0 * constants.k_boltzmann * temperature))
+def thermal_polarization(omega, temperature, constants: PhysicalConstants = CODATA2018):
+    """Equilibrium polarization ``tanh(hbar*omega / 2 k_B T)``; arrays broadcast."""
+    return np.tanh(constants.hbar * omega / (2.0 * constants.k_boltzmann * temperature))
 
 
-def effective_temperature(
-    epsilon: float, omega: float, constants: PhysicalConstants = CODATA2018
+def thermal_marginal_polarization(
+    sys: SpinSystem,
+    label: str,
+    field_scale: float = 1.0,
+    constants: PhysicalConstants = CODATA2018,
 ) -> float:
-    """Spin temperature whose thermal polarization at ``omega`` is ``epsilon``.
+    """Polarization of one qubit of the register's Gibbs state at the bath temperature.
+
+    The J couplings make the marginal differ from ``thermal_polarization``
+    of the bare line.  Basis states that differ only in ``label``'s bit
+    form a pair with mean energy ``m`` and splitting ``d = E_1 - E_0``, so
+    the marginal is ``sum e^(-m/kT) sinh(d/2kT) / sum e^(-m/kT) cosh(d/2kT)``
+    over the pairs, with no difference of two populations near 1/2.
+    """
+    levels = register_levels(sys, field_scale, constants).reshape((2,) * len(sys.labels))
+    lower, upper = np.moveaxis(levels, sys.labels.index(label), 0)
+    kt = constants.k_boltzmann * sys.bath_temperature
+    mean = (lower + upper) / (2.0 * kt)
+    half_splitting = (upper - lower) / (2.0 * kt)
+    weights = np.exp(mean.min() - mean)
+    return float((weights * np.sinh(half_splitting)).sum() / (weights * np.cosh(half_splitting)).sum())
+
+
+def effective_temperature(epsilon, omega: float, constants: PhysicalConstants = CODATA2018):
+    """Spin temperature whose thermal polarization at ``omega`` is ``epsilon``; arrays map elementwise.
 
     Exact inverse of :func:`thermal_polarization`.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"polarization {epsilon} outside (0, 1)")
+    epsilon = np.asarray(epsilon, dtype=float)
+    outside = ~((0.0 < epsilon) & (epsilon < 1.0))
+    if outside.any():
+        raise ValueError(f"polarization {epsilon[outside].flat[0]} outside (0, 1)")
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    return constants.hbar * omega / (2.0 * constants.k_boltzmann * math.atanh(epsilon))
+    return constants.hbar * omega / (2.0 * constants.k_boltzmann * np.arctanh(epsilon))
 
 
 # ---------------------------------------------------------------------------

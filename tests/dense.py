@@ -1,13 +1,14 @@
 """Reference cooling and stroke work on dense density matrices.
 
-The package cools on population tensors and evaluates works on
-population columns.  This is the dense code it replaced, kept as the
-reference it must match bit for bit: gates conjugate the full matrix
+The package cools in closed form on polarizations and evaluates works
+as polarization differences.  This is the dense code it replaced, kept
+as the independent reference: gates conjugate the full matrix
 (``gates.apply``), a reset rebuilds the register as a ``kron`` of
 single-qubit partial traces (``gates.reset_channel``), and a stroke's
-work is ``Tr[H rho]`` at its start minus at its end.  The dense state
-utilities that only the tests use (``kron``, ``fidelity``,
-``qubit_marginal``) live here too.
+work is ``Tr[H rho]`` at its start minus at its end.  ``trace_rows``
+rebuilds the registers a cooling trace describes, so the two can be
+compared population by population.  The dense state utilities that only
+the tests use (``kron``, ``fidelity``, ``qubit_marginal``) live here too.
 """
 
 from types import SimpleNamespace
@@ -15,9 +16,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from spinotto.gates import apply, comp_unitary, reset_channel, swap_unitary
-from spinotto.hbac import thermal_reset_state
 from spinotto.qmath import DensityMatrix, partial_trace
-from spinotto.spinsys import Role, thermal_populations
+from spinotto.spinsys import CODATA2018, Role, thermal_populations
 
 
 def _roles(sys):
@@ -32,6 +32,25 @@ def diagonal_state(populations, qubits):
 def gibbs(levels, temperature, qubits):
     """Diagonal thermal ``DensityMatrix`` over level energies."""
     return diagonal_state(thermal_populations(levels, temperature), qubits)
+
+
+def zeeman_levels(omega):
+    """Level energies ``(-hbar w / 2, +hbar w / 2)`` of ``-hbar*omega*Iz`` (joules).
+
+    ``omega`` broadcasts: an array of frequencies gives one row of levels each.
+    """
+    return np.stack([-CODATA2018.hbar * omega / 2, +CODATA2018.hbar * omega / 2], axis=-1)
+
+
+def local_levels(sys, label, field_scale=1.0):
+    """Zeeman level energies of one register qubit at the scaled field."""
+    return zeeman_levels(sys.omega(label, field_scale))
+
+
+def thermal_reset_state(sys, field_scale):
+    """Bath-equilibrium populations of the reset qubit at the scaled field."""
+    levels = local_levels(sys, sys.label_for_role(Role.RESET), field_scale)
+    return thermal_populations(levels, sys.bath_temperature)
 
 
 def fresh_reset(sys, field_scale):
@@ -94,6 +113,41 @@ def cooling_rows(rho, sys, field_scale, n_rounds):
         rows.append(state.populations)
         state = ppa_round(state, run)
     return np.array(rows)
+
+
+def _qubit(eps):
+    return np.array([(1.0 + eps) / 2.0, (1.0 - eps) / 2.0])
+
+
+def trace_rows(trace, rho, sys, eps_b):
+    """The register populations a cooling trace of ``rho`` describes, one row per round.
+
+    Row 0 is the initial stage: the target at ``eps_b``, the compression
+    qubit at its input marginal and the reset qubit at the target's.
+    Row ``n`` is COMP applied to the product ``(eps_(n-1), eps_b, eps_b)``
+    of the target's previous polarization and two fresh bath qubits.
+    Products are taken in the register order of ``rho``.
+    """
+    target, compression, reset = _roles(sys)
+    comp = comp_unitary((target, compression, reset)).gather(rho.qubits)
+
+    def product(by_label):
+        out = np.ones(1)
+        for q in rho.qubits:
+            out = np.kron(out, _qubit(by_label[q]))
+        return out
+
+    first = {target: eps_b, compression: polarization_of(rho, compression), reset: trace.reset_polarization[0]}
+    rows = [product(first)]
+    for eps in trace.target_polarization[:-1].tolist():
+        rows.append(product({target: eps, compression: eps_b, reset: eps_b})[comp])
+    return np.array(rows)
+
+
+def polarization_of(rho, label):
+    """A qubit's polarization, by partial trace of the dense state."""
+    p = partial_trace(rho, {label}).populations
+    return p[0] - p[1]
 
 
 def stroke_work(h_local_start, rho_local_start, h_local_end, rho_local_end):

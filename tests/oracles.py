@@ -10,6 +10,7 @@ it validates, and physical constants come from ``scipy.constants``.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import scipy.constants
@@ -45,14 +46,20 @@ def spin_temperature(eps: float, omega: float) -> float:
 
 
 def eps_after_rounds(eps_bath: float, n: int) -> float:
-    """Closed form of the cooling recurrence eps_k = eps_{k-1}/2 + eps_bath."""
-    return eps_bath * (2.0 - 0.5**n)
+    """Closed form of the exact cooling map eps_k = eps_{k-1} (1 - eps_bath**2)/2 + eps_bath.
+
+    Its fixed point is the three-qubit PPA limit ``2 eps_bath/(1 + eps_bath**2)``.
+    """
+    ratio = (1.0 - eps_bath**2) / 2.0
+    limit = 2.0 * eps_bath / (1.0 + eps_bath**2)
+    return limit - (limit - eps_bath) * ratio**n
 
 
 def eps_by_recurrence(eps_bath: float, n: int) -> float:
+    """The exact cooling map iterated ``n`` times from ``eps_bath``."""
     eps = eps_bath
     for _ in range(n):
-        eps = eps / 2.0 + eps_bath
+        eps = eps * (1.0 - eps_bath**2) / 2.0 + eps_bath
     return eps
 
 
@@ -98,6 +105,34 @@ def two_stroke_closed_form(omega_s_mhz: float, n: int) -> dict:
         "window": (omega_t, omega_t * BATH_K / t_cold),
         "t_cold": t_cold,
     }
+
+
+# 50 digits of pi, for the decimal oracle
+PI_50 = Decimal("3.14159265358979323846264338327950288419716939937511")
+
+
+def coupled_marginal_polarization(omegas, j_hz: dict, slot: int, temperature: float = BATH_K) -> float:
+    """Thermal polarization of one slot of an Iz-Iz coupled register, in 40-digit decimals.
+
+    ``omegas`` in rad/s, one per slot (slot 0 = most significant bit);
+    ``j_hz`` maps slot pairs ``(i, j)`` to J/2pi in Hz.  Every float input
+    is converted exactly, and the Boltzmann sums are taken directly.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        hbar, kt = Decimal(HBAR), Decimal(KB) * Decimal(temperature)
+        k = len(omegas)
+        up = down = Decimal(0)
+        for index in range(2**k):
+            spins = [Decimal(1 if (index >> (k - 1 - i)) & 1 == 0 else -1) / 2 for i in range(k)]
+            energy = -hbar * sum(Decimal(w) * s for w, s in zip(omegas, spins))
+            energy += hbar * sum(2 * PI_50 * Decimal(j) * spins[a] * spins[b] for (a, b), j in j_hz.items())
+            weight = (-energy / kt).exp()
+            if spins[slot] > 0:
+                up += weight
+            else:
+                down += weight
+        return float((up - down) / (up + down))
 
 
 def iz_hamiltonian(omegas, j_hz: dict) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from dense import diagonal_state, fidelity
+from dense import diagonal_state, fidelity, trace_rows
 from spinotto.engines import (
     isochoric_crossover,
     positive_work_window,
@@ -21,7 +21,7 @@ from spinotto.engines import (
     sweep_two_stroke,
 )
 from spinotto.gates import comp_unitary
-from spinotto.hbac import marginal, run_ppa, shannon_bound
+from spinotto.hbac import run_ppa, shannon_bound
 from spinotto.qmath import partial_trace, product_state, single_qubit_state
 from spinotto.adiabatic import COMPRESSION, EXPANSION, StrokeSpec, evolve_stroke
 
@@ -42,6 +42,14 @@ def check(criterion: str, conditions: list[tuple[str, bool]]) -> None:
 
 def within(value, target, rel):
     return abs(value - target) <= rel * abs(target)
+
+
+# Criterion 5 bounds against the exact-map oracles, about twice the measured
+# worst relative error.  Four-stroke: 5.6e-12, the J couplings the oracle
+# omits, which lower the hot target's polarization by 5.6e-12 relative.
+# Two-stroke (no hot register state enters): 1.3e-15, round-off.
+FOUR_STROKE_ORACLE_RTOL = 1e-11
+TWO_STROKE_ORACLE_RTOL = 3e-15
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +145,12 @@ class TestCriterion5:
                 ("power", report.power),
             ):
                 worst = max(worst, abs(got - expected[key]) / abs(expected[key]))
-        conditions.append((f"four-stroke worst relative error {worst:.2e} <= 1e-3", worst <= 1e-3))
+        conditions.append(
+            (
+                f"four-stroke worst relative error {worst:.2e} <= {FOUR_STROKE_ORACLE_RTOL:g}",
+                worst <= FOUR_STROKE_ORACLE_RTOL,
+            )
+        )
 
         worst2 = 0.0
         grid = [mhz(w) for w in (200.0, 430.0, 580.0, 900.0)]
@@ -151,7 +164,12 @@ class TestCriterion5:
                 ("power", report.power),
             ):
                 worst2 = max(worst2, abs(got - expected[key]) / abs(expected[key]))
-        conditions.append((f"two-stroke worst relative error {worst2:.2e} <= 1e-3", worst2 <= 1e-3))
+        conditions.append(
+            (
+                f"two-stroke worst relative error {worst2:.2e} <= {TWO_STROKE_ORACLE_RTOL:g}",
+                worst2 <= TWO_STROKE_ORACLE_RTOL,
+            )
+        )
         check("5 (closed-form oracle equivalence)", conditions)
 
 
@@ -165,7 +183,8 @@ class TestCriterion6:
         expansion = StrokeSpec(EXPANSION)
         rho1 = evolve_stroke(tce_thermal, tce, compression)
         trace = run_ppa(rho1, tce, 0.5, 3)
-        cooled = [diagonal_state(populations, trace.qubits) for populations in trace.populations]
+        rows = trace_rows(trace, rho1, tce, shannon_bound(tce, 0.5))
+        cooled = [diagonal_state(populations, trace.qubits) for populations in rows]
         rho3 = evolve_stroke(cooled[-1], tce, expansion)
         for state in [tce_thermal, rho1, *cooled, rho3]:
             m = state.matrix
@@ -200,7 +219,7 @@ class TestCriterion6:
                 single_qubit_state(eps_c, "c"),
                 single_qubit_state(eps_r, "r"),
             )
-            target = marginal(rho.populations[gate.gather(rho.qubits)].reshape(2, 2, 2), 0)
+            target = rho.populations[gate.gather(rho.qubits)].reshape(2, 4).sum(axis=1)
             got = target[0] - target[1]
             law_error = max(law_error, abs(got - (eps_t / 2 + (eps_c + eps_r) / 2)))
         conditions.append((f"(d) COMP law error {law_error:.2e} <= 1e-9", law_error <= 1e-9))

@@ -9,9 +9,9 @@ from spinotto.adiabatic import (
     evolve_stroke,
     stroke_endpoints,
 )
-from dense import stroke_work
+from dense import local_levels, stroke_work
 from spinotto.qmath import DensityMatrix, StateInvariantError, partial_trace, product_state
-from spinotto.spinsys import CODATA2018, local_levels, register_levels, thermal_state
+from spinotto.spinsys import CODATA2018, register_levels, thermal_state
 from test_qmath import random_density
 
 HBAR = CODATA2018.hbar

@@ -313,17 +313,43 @@ def test_saturated_polarization_exits_3(args, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["two-stroke", "--rounds", "1..2", "--omega-s", "150:200:50"],
+        ["four-stroke", "--rounds", "0..2"],
+        ["ppa", "--field-scale", "1"],
+    ],
+    ids=["two-stroke", "four-stroke", "ppa"],
+)
+def test_saturated_bath_exits_3_at_round_0(args, tmp_path, monkeypatch, capsys):
+    # at 0.5 mK the reset qubit's bath polarization itself rounds to 1.0 at
+    # full field (four-stroke cools at half field, where it is 1 - 7.5e-11 and
+    # the first round rounds to 1.0)
+    config = tmp_path / "cold.cfg"
+    config.write_text(TCE_CONFIG.replace("temperature_kelvin = 300.0", "temperature_kelvin = 0.0005"))
+    rc = run_cli([*args, "--system", str(config)], tmp_path, monkeypatch)
+    assert rc == 3
+    first_bad = 1 if args[0] == "four-stroke" else 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"numerical invariant violated: round {first_bad}: target polarization 1.0 outside (0, 1) "
+        "at bath temperature 0.0005 K"
+    ]
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_saturated_run_stops_at_the_first_bad_round(tmp_path, monkeypatch, capsys):
     # the 1 mK bath saturates the target at round 1: a run asked for the
-    # largest round count stops there instead of computing every round
+    # largest round count reports that round, and it is the closed form, so
+    # no round is stepped through to get there
     config = tmp_path / "cold.cfg"
     config.write_text(TCE_CONFIG.replace("temperature_kelvin = 300.0", "temperature_kelvin = 0.001"))
     calls = []
     honest = cli.hbac.ppa_round
 
-    def counted(register, schedule):
+    def counted(*args):
         calls.append(None)
-        return honest(register, schedule)
+        return honest(*args)
 
     monkeypatch.setattr(cli.hbac, "ppa_round", counted)
     argv = ["ppa", "--field-scale", "1", "--rounds", str(cli.MAX_VALUES), "--system", str(config)]
@@ -332,8 +358,18 @@ def test_saturated_run_stops_at_the_first_bad_round(tmp_path, monkeypatch, capsy
         "numerical invariant violated: round 1: target polarization 1.0 outside (0, 1) "
         "at bath temperature 0.001 K"
     ]
-    assert len(calls) <= 1
+    assert calls == []
     assert list(tmp_path.iterdir()) == [config]
+
+
+def test_largest_round_count_reaches_the_limit(tmp_path, monkeypatch, capsys):
+    argv = ["ppa", "--rounds", str(cli.MAX_VALUES), "--format", "summary"]
+    assert run_cli(argv, tmp_path, monkeypatch) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    # 2 eps_b/(1 + eps_b**2) at the compressed field, to the printed 7 digits
+    assert "final eps_target=4.000409e-05 T_eff=37.721 K" in captured.out
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -451,17 +487,17 @@ def test_module_entry_point(tmp_path):
         (
             ["ppa", "--system", "tce", "--rounds", "7", "--field-scale", "0.5"],
             "ppa_trace.csv",
-            "880892a69ffb76c38bbd40a2ce2e9b4c1002225969442b57c35ad22a714df653",
+            "0b37596708225187a27f61887d1b06a43b9bf57e268c5cce4bf965dbb17e27ac",
         ),
         (
             ["four-stroke", "--rounds", "0..10", "--tau", "0.1"],
             "four_stroke_sweep.csv",
-            "cd0f5e4a78a8e741604dced85592e29a85948117ba30b3d1ca788df8cb15b315",
+            "da8f61eba3c1afd92f2d6251fc7f8fac3c3c757e624fd4565d4b0932c953c4c3",
         ),
         (
             ["two-stroke", "--rounds", "1..8", "--omega-s", "150:1000:1"],
             "two_stroke_sweep.csv",
-            "3972afe02bac24d17a9c8bfee0fc4e8fd7688df9d911a20dd66a6f9810eda42f",
+            "d40f00529cc5c26c8f0d5e167ec5161d20b54f31a699ea0760c0d46f168b3298",
         ),
     ],
     ids=["ppa", "four-stroke", "two-stroke"],
@@ -496,9 +532,12 @@ def test_heated_target_two_stroke_reports_no_window(tmp_path, monkeypatch, capsy
         "positive-work window n=1: (125.77, 150.00) MHz",
     ]
     _, rows = data_rows(tmp_path / "two_stroke_sweep.csv")
+    # round 1's upper edge is 150.0000000008 MHz in 40-digit arithmetic, so
+    # the 150 MHz partner lies just inside the window and gains work
     assert [(row[1], row[5]) for row in rows] == [
-        ("0", "false"), ("0", "false"), ("1", "false"), ("1", "false")
+        ("0", "false"), ("0", "false"), ("1", "true"), ("1", "false")
     ]
+    assert float(rows[2][2]) > 0
 
 
 def test_heated_target_four_stroke_exits_2(tmp_path, monkeypatch, capsys):

@@ -105,6 +105,28 @@ def test_most_cells_take_the_vectorised_path(monkeypatch):
     assert 0 < sum(exact) <= 0.015 * values.size
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_powers_of_ten_take_the_vectorised_path(sign, monkeypatch):
+    """Every exact power of ten with a two-digit exponent, and the carries just below one.
+
+    ``log10`` less 1e-12 puts an exact power one exponent low, so its rounded
+    mantissa is 1e13; such a cell is 1e12 at the next exponent.
+    """
+    exact = []
+
+    def counting(cells, fast, values, spec):
+        exact.append(values[~fast].tolist())
+        return original(cells, fast, values, spec)
+
+    original = reports._exact
+    monkeypatch.setattr(reports, "_exact", counting)
+    powers = [float("1e%d" % k) for k in range(-99, 100)]
+    carries = [float("9.99999999999995e%d" % k) for k in range(-100, 99)]
+    values = sign * np.array(powers + carries)
+    assert_same_text(reports._rows([values]), expected(values))
+    assert sum(map(len, exact)) == 0
+
+
 def test_rows_span_several_blocks(monkeypatch):
     monkeypatch.setattr(reports, "_BLOCK_ROWS", 7)
     values = np.linspace(-3.0, 3.0, 50)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from dense import qubit_marginal
+from dense import local_levels, qubit_marginal, zeeman_levels
 from spinotto.qmath import DensityMatrix
 from spinotto.spinsys import (
     CODATA2018,
@@ -16,14 +16,13 @@ from spinotto.spinsys import (
     effective_temperature,
     from_config_text,
     load_system,
-    local_levels,
     polarization,
     register_levels,
     tce_system,
+    thermal_marginal_polarization,
     thermal_polarization,
     thermal_populations,
     thermal_state,
-    zeeman_levels,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -240,18 +239,46 @@ class TestPolarization:
             polarization(tce_thermal)
 
 
+def test_hbar_is_derived_from_the_exact_planck_constant():
+    # h is exact in the SI since 2019; scipy derives hbar the same way
+    assert CODATA2018.hbar == 6.62607015e-34 / (2 * math.pi) == oracles.HBAR
+
+
+class TestThermalMarginalPolarization:
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_matches_the_decimal_oracle(self, tce, scale):
+        omegas = [tce.omega(q, scale) for q in tce.labels]
+        couplings = {(0, 1): 103.0, (0, 2): 9.0, (1, 2): 200.8}
+        for slot, label in enumerate(tce.labels):
+            want = oracles.coupled_marginal_polarization(omegas, couplings, slot)
+            # measured: at most 1.7e-16 relative
+            assert thermal_marginal_polarization(tce, label, scale) == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_couplings_shift_the_target_below_the_bare_line(self, tce):
+        # the C1 couplings lower its marginal by 5.6e-12 relative of tanh
+        eps = thermal_marginal_polarization(tce, "C1")
+        bare = thermal_polarization(tce.omega("C1"), tce.bath_temperature)
+        assert (eps - bare) / bare == pytest.approx(-5.6e-12, rel=0.05, abs=0)
+
+    def test_matches_the_dense_marginal(self, tce, tce_thermal):
+        # the dense marginal cancels about 4.5 digits in its population difference
+        for label in tce.labels:
+            dense_eps = polarization(qubit_marginal(tce_thermal, label))
+            assert thermal_marginal_polarization(tce, label) == pytest.approx(dense_eps, rel=1e-10, abs=0)
+
+
 class TestThermalPolarization:
     def test_zero_frequency_limit(self):
         assert thermal_polarization(1e-30, 300.0) == pytest.approx(0.0, abs=1e-20)
 
     def test_carbon_full_field(self):
         got = thermal_polarization(TWO_PI * 125.77e6, 300.0)
-        assert got == pytest.approx(oracles.eps_thermal(oracles.mhz(125.77)), rel=1e-9)
+        assert got == pytest.approx(oracles.eps_thermal(oracles.mhz(125.77)), rel=1e-15, abs=0)
         assert got == pytest.approx(1.006e-5, rel=1e-3)
 
     def test_hydrogen_full_field(self):
         got = thermal_polarization(TWO_PI * 500.13e6, 300.0)
-        assert got == pytest.approx(oracles.eps_thermal(oracles.mhz(500.13)), rel=1e-9)
+        assert got == pytest.approx(oracles.eps_thermal(oracles.mhz(500.13)), rel=1e-15, abs=0)
         assert got == pytest.approx(4.000e-5, rel=1e-3)
 
 
