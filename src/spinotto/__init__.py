@@ -6,7 +6,6 @@ replaced by partner-pairing algorithmic cooling, which pumps the target
 qubit's polarization past the bath limit and shortens the cycle.
 """
 
-from .adiabatic import COMPRESSION, EXPANSION, StrokeSpec, evolve_stroke
 from .engines import (
     CycleReport,
     SweepTable,
@@ -18,15 +17,7 @@ from .engines import (
     sweep_four_stroke,
     sweep_two_stroke,
 )
-from .gates import GateUnitary, apply, comp_unitary, reset_channel, swap_unitary
 from .hbac import PpaTrace, ppa_round, run_ppa, shannon_bound
-from .qmath import (
-    DensityMatrix,
-    StateInvariantError,
-    partial_trace,
-    product_state,
-    single_qubit_state,
-)
 from .spinsys import (
     CODATA2018,
     ConfigError,
@@ -34,14 +25,13 @@ from .spinsys import (
     QubitSpec,
     Role,
     SpinSystem,
+    StateInvariantError,
     effective_temperature,
     load_system,
-    polarization,
     register_levels,
     tce_system,
     thermal_marginal_polarization,
     thermal_polarization,
-    thermal_state,
 )
 
 __version__ = "0.1.0"

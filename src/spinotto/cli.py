@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys as _sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -19,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import engines, hbac, reports
-from .adiabatic import COMPRESSED_FIELD_SCALE, COMPRESSION, DEFAULT_TAU, StrokeSpec
-from .qmath import StateInvariantError
-from .spinsys import TWO_PI, ConfigError, Role, SpinSystem, load_system, thermal_state
+from .engines import COMPRESSED_FIELD_SCALE
+from .spinsys import TWO_PI, ConfigError, Role, SpinSystem, StateInvariantError, load_system
+from .spinsys import thermal_marginal_polarization
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,6 +31,9 @@ EXIT_NUMERICAL = 3
 # the most values one flag may list, the largest round count and the most rows of a two-stroke
 # table; a cooling run keeps 24 B per round, and `ppa --rounds 1000000` peaks at 76 MiB RSS
 MAX_VALUES = 10**6
+
+# drive period of the field ramps (s); they freeze populations, so --tau only enters the config hash
+DEFAULT_TAU = 0.1
 
 
 @dataclass(frozen=True)
@@ -151,7 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_four = sub.add_parser("four-stroke", help="sweep the four-stroke engine over round counts")
     p_four.add_argument("--rounds", "-n", type=_parse_rounds, default=tuple(range(11)))
     p_four.add_argument(
-        "--tau", type=_parse_positive, default=DEFAULT_TAU, help="drive period in seconds (sets only phases)"
+        "--tau",
+        type=_parse_positive,
+        default=DEFAULT_TAU,
+        help="drive period in seconds; changes no number, is recorded in the config hash only and kept for the benchmark",
     )
     add_common(p_four, "four_stroke_sweep.csv")
 
@@ -188,8 +195,8 @@ def _cmd_ppa(config: RunConfig, system: SpinSystem) -> int:
         raise ConfigError("ppa takes a single round count, not a range")
     n_rounds = config.rounds[0]
     field_scale = config.field_scale
-    rho = thermal_state(system, field_scale)
-    trace = hbac.run_ppa(rho, system, field_scale, n_rounds)
+    eps_in = thermal_marginal_polarization(system, system.label_for_role(Role.TARGET), field_scale)
+    trace = hbac.run_ppa(eps_in, system, field_scale, n_rounds)
 
     bound = hbac.shannon_bound(system, field_scale)
     crossing = np.flatnonzero(trace.target_polarization > bound * (1.0 + 1e-6))
@@ -208,8 +215,7 @@ def _cmd_ppa(config: RunConfig, system: SpinSystem) -> int:
 
 
 def _cmd_four_stroke(config: RunConfig, system: SpinSystem) -> int:
-    stroke = StrokeSpec(COMPRESSION, tau=config.tau)
-    table = engines.sweep_four_stroke(system, config.rounds, stroke)
+    table = engines.sweep_four_stroke(system, config.rounds)
     best = table.argmax_power()
     crossover = engines.isochoric_crossover(table)
     summary = (
@@ -287,7 +293,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        status = run()
+        _sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout after the run finished its work; point
+        # stdout at devnull so the interpreter's final flush cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        status = EXIT_OK
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

@@ -6,42 +6,45 @@ expansion; the reference engine swaps the cooling stage for contact with
 a cold bath; the two-stroke engine heats a partner qubit and cools the
 target in parallel, then exchanges them with a single SWAP.
 
-Every state is diagonal and the field ramps freeze populations, so only
-the target's polarization enters a cycle: at frequency ``omega`` its
-energy is ``-(hbar omega / 2) eps``, and every heat and work is
-``(hbar omega / 2)`` times a difference of polarizations, reported per
-mole.  The cooled target comes from the closed-form cooling run, the
-hot target from the J-coupled register's Gibbs marginal and a cold bath
-from ``tanh``; none is a difference of two populations near 1/2.  Cycle
-times count only the relaxation stages: gate applications and field
-ramps are treated as fast.
+Every state is diagonal, so the engines form no state: only the
+target's polarization enters a cycle.  A field ramp drives only Iz terms, so it
+freezes every population, and a stroke is the statement that the
+target keeps its polarization while its levels move: at frequency
+``omega`` its energy is ``-(hbar omega / 2) eps``, and every heat and
+work is ``(hbar omega / 2)`` times a difference of polarizations,
+reported per mole.  The cooled target comes from the closed-form
+cooling run, the hot target from the J-coupled register's Gibbs
+marginal and a cold bath from ``tanh``; none is a difference of two
+populations near 1/2.  Cycle times count only the relaxation stages:
+gate applications and field ramps are treated as fast.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import reduce
 
 import numpy as np
 
-from .adiabatic import COMPRESSED_FIELD_SCALE, COMPRESSION, StrokeSpec, evolve_stroke
 from .hbac import run_ppa
-from .qmath import StateInvariantError
 from .spinsys import (
     CODATA2018,
     ConfigError,
     PhysicalConstants,
     Role,
     SpinSystem,
+    StateInvariantError,
     thermal_marginal_polarization,
     thermal_polarization,
-    thermal_state,
 )
 
 FOUR_STROKE_HBAC = "four_stroke_hbac"
 FOUR_STROKE_ISOCHORIC_REF = "four_stroke_isochoric_ref"
 TWO_STROKE_HBAC = "two_stroke_hbac"
+
+# The compressed field is half the reference field throughout.
+COMPRESSED_FIELD_SCALE = 0.5
 
 _CLOSURE_RTOL = 1e-9
 
@@ -169,18 +172,16 @@ class SweepTable(Sequence):
 
 
 class _FourStroke:
-    """The hot and compressed states that every four-stroke cycle of one system shares.
+    """The hot target that every four-stroke cycle of one system shares.
 
     Each method takes the cooling stages of many cycles at once and
-    returns their columns.  Every state is diagonal, so the field ramps
-    freeze the populations and only the target's polarization enters:
-    at frequency ``omega`` its energy is ``-(hbar omega / 2) eps``, and
-    each heat and work is ``hbar omega / 2`` times a difference of
-    polarizations.
+    returns their columns.  The field ramps freeze the populations, so
+    the compressed target is still at the hot polarization: it is the
+    cooling run's input, and each heat and work is ``hbar omega / 2``
+    times a difference of polarizations.
     """
 
-    def __init__(self, sys: SpinSystem, stroke: StrokeSpec | None, constants: PhysicalConstants):
-        compression = replace(stroke or StrokeSpec(COMPRESSION), direction=COMPRESSION)
+    def __init__(self, sys: SpinSystem, constants: PhysicalConstants):
         self.sys, self.constants = sys, constants
         target = sys.label_for_role(Role.TARGET)
         self.t1_target = sys.qubit(target).t1
@@ -188,7 +189,6 @@ class _FourStroke:
         # per mole: hbar omega / 2 at the full and the compressed field
         self.half0 = constants.hbar * sys.omega(target, 1.0) / 2.0 * constants.avogadro
         self.half1 = constants.hbar * self.omega1 / 2.0 * constants.avogadro
-        self.rho_compressed = evolve_stroke(thermal_state(sys, 1.0, constants), sys, compression, constants)
         # the compression stroke leaves the hot target's polarization as it is
         self.eps_hot = thermal_marginal_polarization(sys, target, 1.0, constants)
 
@@ -214,9 +214,7 @@ class _FourStroke:
     @np.errstate(all="ignore")
     def cooled_by_ppa(self, n_list: list[int]) -> dict[str, np.ndarray]:
         """HBAC cycles for each round count, all read off one cooling run."""
-        trace = run_ppa(
-            self.rho_compressed, self.sys, COMPRESSED_FIELD_SCALE, max(n_list), self.constants
-        )
+        trace = run_ppa(self.eps_hot, self.sys, COMPRESSED_FIELD_SCALE, max(n_list), self.constants)
         n_rounds = np.array(n_list)
         t1_reset = self.sys.qubit(self.sys.label_for_role(Role.RESET)).t1
         columns = self._columns(
@@ -245,7 +243,6 @@ class _FourStroke:
 def run_four_stroke(
     sys: SpinSystem,
     n_rounds: int,
-    stroke: StrokeSpec | None = None,
     constants: PhysicalConstants = CODATA2018,
 ) -> CycleReport:
     """Simulate one four-stroke cycle with algorithmic cooling.
@@ -257,14 +254,13 @@ def run_four_stroke(
     """
     if n_rounds < 0:
         raise ValueError(f"n_rounds must be >= 0, got {n_rounds}")
-    columns = _FourStroke(sys, stroke, constants).cooled_by_ppa([n_rounds])
+    columns = _FourStroke(sys, constants).cooled_by_ppa([n_rounds])
     return SweepTable({}, FOUR_STROKE_HBAC, columns)[0]
 
 
 def run_isochoric_reference(
     sys: SpinSystem,
     cold_temperature: float,
-    stroke: StrokeSpec | None = None,
     constants: PhysicalConstants = CODATA2018,
 ) -> CycleReport:
     """Benchmark cycle that cools the target in a cold bath instead.
@@ -279,7 +275,7 @@ def run_isochoric_reference(
             f"cold temperature {cold_temperature} must lie in "
             f"(0, {sys.bath_temperature}] (bath temperature)"
         )
-    columns = _FourStroke(sys, stroke, constants).cooled_by_bath(np.array([cold_temperature]))
+    columns = _FourStroke(sys, constants).cooled_by_bath(np.array([cold_temperature]))
     return SweepTable({}, FOUR_STROKE_ISOCHORIC_REF, columns)[0]
 
 
@@ -318,7 +314,6 @@ def run_two_stroke(
 def sweep_four_stroke(
     sys: SpinSystem,
     n_values: int | Iterable[int],
-    stroke: StrokeSpec | None = None,
     constants: PhysicalConstants = CODATA2018,
 ) -> SweepTable:
     """Four-stroke cycles for each round count, with isochoric references.
@@ -327,7 +322,7 @@ def sweep_four_stroke(
     reference cycle is cooled to the matching cycle's effective
     temperature, so the pair differs only in timing.  One cooling run to
     the largest round count serves every row, and both engines share one
-    hot state and one compression stroke.  A round whose target ends
+    hot target polarization.  A round whose target ends
     above the bath temperature has no cold bath for its reference, which
     is a ``ConfigError``.
     """
@@ -338,7 +333,7 @@ def sweep_four_stroke(
         raise ValueError("empty round-count grid")
     if min(n_list) < 0:
         raise ValueError(f"n_rounds must be >= 0, got {min(n_list)}")
-    cycles = _FourStroke(sys, stroke, constants)
+    cycles = _FourStroke(sys, constants)
     columns = cycles.cooled_by_ppa(n_list)
     cold = columns["cooled_target_temperature"]
     above = np.flatnonzero(cold > sys.bath_temperature)
@@ -382,7 +377,8 @@ def sweep_two_stroke(
         raise ValueError(f"omega_s must be positive, got {grid.min()}")
     if min(n_list) < 0:
         raise ValueError(f"n_rounds must be >= 0, got {min(n_list)}")
-    trace = run_ppa(thermal_state(sys, 1.0, constants), sys, 1.0, max(n_list), constants)
+    eps_in = thermal_marginal_polarization(sys, sys.label_for_role(Role.TARGET), 1.0, constants)
+    trace = run_ppa(eps_in, sys, 1.0, max(n_list), constants)
     omega_t = sys.omega(trace.target, 1.0)
     n_rounds = np.array(n_list)[:, None]
     cooled = trace.target_effective_temperature[n_list]

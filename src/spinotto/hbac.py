@@ -26,8 +26,10 @@ A run is therefore the closed form of that map, evaluated for every
 round at once: ``eps_n = eps_inf + (eps_b - eps_inf) a**n`` with
 ``a = (1 - eps_b**2)/2``.  Each polarization is computed directly, never
 as the difference of two populations near 1/2, which would cancel about
-4.5 digits at NMR polarizations.  ``PpaTrace`` holds three columns, 24 B
-a round, and no populations.
+4.5 digits at NMR polarizations.  Of the input register a run reads only
+the target's polarization, which the initial stage's SWAP hands to the
+reset qubit (row 0), so that polarization is all ``run_ppa`` takes.
+``PpaTrace`` holds three columns, 24 B a round, and no populations.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import DensityMatrix, StateInvariantError, is_diagonal
 from .spinsys import (
     CODATA2018,
     PhysicalConstants,
     Role,
     SpinSystem,
+    StateInvariantError,
     effective_temperature,
     thermal_polarization,
 )
@@ -52,8 +54,8 @@ class PpaTrace:
     """A cooling run as read-only columns: row 0 after the initial stage, row ``n`` after round ``n``.
 
     Each column has shape ``(n+1,)``; the temperature is in kelvin at the
-    scaled target frequency.  ``qubits`` is the register order of the
-    input state and ``target`` the target's label.
+    scaled target frequency.  ``qubits`` is the system's register order
+    and ``target`` the target's label.
     """
 
     target_polarization: np.ndarray
@@ -91,39 +93,32 @@ def cooling_polarizations(eps_b: float, eps_reset0: float, n_rounds: int) -> np.
 
 
 def run_ppa(
-    rho1: DensityMatrix,
+    eps_in: float,
     sys: SpinSystem,
     field_scale: float,
     n_rounds: int,
     constants: PhysicalConstants = CODATA2018,
 ) -> PpaTrace:
-    """Run the initial stage plus ``n_rounds`` cooling rounds on a diagonal state.
+    """Run the initial stage plus ``n_rounds`` cooling rounds from the target's polarization ``eps_in``.
 
-    The trace holds both polarizations and the target's effective spin
-    temperature (evaluated at ``field_scale * omega_T``) after every
-    round, with the initial stage as row 0.  The run stops at the first
-    round whose target or reset polarization leaves (0, 1): such a
-    polarization has no spin temperature, and past 1 (or NaN) it is no
-    state.  After round 0 every register is COMP applied to the product
-    of the previous target polarization and two qubits at ``eps_b`` (row
-    0's target), so this also keeps every population of the run positive.
+    The initial stage hands ``eps_in`` to the reset qubit (row 0); a
+    thermal input is ``thermal_marginal_polarization(sys, target,
+    field_scale)``.  The trace holds both polarizations and the target's
+    effective spin temperature (evaluated at ``field_scale * omega_T``)
+    after every round, with the initial stage as row 0.  The run stops at
+    the first round whose target or reset polarization leaves (0, 1),
+    ``eps_in`` included: such a polarization has no spin temperature,
+    and past 1 (or NaN) it is no state.  A target so weakly polarized
+    (by a very hot bath) that its spin temperature overflows stops the
+    run at round 0 too.  After round 0 every register is COMP applied to
+    the product of the previous target polarization and two qubits at
+    ``eps_b`` (row 0's target), so this also keeps every population of
+    the run positive.
     """
     if n_rounds < 0:
         raise ValueError(f"n_rounds must be >= 0, got {n_rounds}")
-    roles = {sys.label_for_role(role) for role in (Role.TARGET, Role.COMPRESSION, Role.RESET)}
-    missing = roles - set(rho1.qubits)
-    if missing:
-        raise ValueError(f"state register {rho1.qubits} is missing roles {sorted(missing)}")
-    if len(rho1.qubits) != 3:
-        raise ValueError(f"cooling runs on a 3-qubit register, got {rho1.qubits}")
-    if not is_diagonal(rho1.matrix):
-        raise ValueError("cooling runs on populations and needs a diagonal input state")
     target = sys.label_for_role(Role.TARGET)
-    # the target marginal of the input, from differences of populations that differ only in its bit
-    p = np.moveaxis(rho1.populations.reshape(2, 2, 2), rho1.qubits.index(target), 0)
-    eps_in = float((p[0] - p[1]).sum())
-
-    columns = cooling_polarizations(shannon_bound(sys, field_scale, constants), eps_in, n_rounds)
+    columns = cooling_polarizations(shannon_bound(sys, field_scale, constants), float(eps_in), n_rounds)
     inside = (0.0 < columns) & (columns < 1.0)
     if not inside.all():
         # the first bad round, and within it the target before the reset qubit
@@ -133,10 +128,18 @@ def run_ppa(
             f"round {index}: {('target', 'reset')[row]} polarization {float(columns[row, index])} "
             f"outside (0, 1) at bath temperature {sys.bath_temperature:g} K"
         )
-    temperature = effective_temperature(columns[0], sys.omega(target, field_scale), constants)
+    # the target's polarization only rises, so its spin temperature is
+    # largest at row 0, where an overflow to inf shows first
+    with np.errstate(divide="ignore", over="ignore"):
+        temperature = effective_temperature(columns[0], sys.omega(target, field_scale), constants)
+    if not np.isfinite(temperature[0]):
+        raise StateInvariantError(
+            f"round 0: target polarization {float(columns[0, 0])} has no finite spin temperature "
+            f"at bath temperature {sys.bath_temperature:g} K"
+        )
     columns.setflags(write=False)
     temperature.setflags(write=False)
-    return PpaTrace(*columns, temperature, rho1.qubits, target)
+    return PpaTrace(*columns, temperature, sys.labels, target)
 
 
 def shannon_bound(

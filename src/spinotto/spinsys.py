@@ -1,4 +1,4 @@
-"""NMR spin-system definition, level energies, thermal states, and polarization helpers.
+"""NMR spin-system definition, level energies, and thermal polarizations.
 
 A ``SpinSystem`` is an ordered register of spin-1/2 nuclei in a static
 field ``B_z`` with weak scalar (Iz-Iz) couplings, in contact with a heat
@@ -7,7 +7,10 @@ with ``Iz|0> = +1/2|0>``), so thermal polarizations are positive.
 
 Every Hamiltonian here is a sum of Zeeman and Iz-Iz terms, diagonal in
 the computational basis at any field, so it is stored as its real level
-energies, one per basis state, and never as a matrix.
+energies, one per basis state, and never as a matrix.  Every state the
+package forms is diagonal too, so a qubit's state is its polarization
+``P_up - P_down`` and the register's Gibbs state enters only through
+its marginals (``thermal_marginal_polarization``).
 
 Systems can be built in code, from the built-in ``tce`` preset, or from
 an INI-style configuration file (see ``from_config_file``).
@@ -23,13 +26,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .qmath import DensityMatrix
-
 TWO_PI = 2.0 * math.pi
 
 
 class ConfigError(ValueError):
     """A system definition (preset name, file, or values) is invalid."""
+
+
+class StateInvariantError(ValueError):
+    """A computed state or cycle broke a physical invariant (a polarization outside (0, 1), the first law)."""
 
 
 def _positive_finite(value: float) -> bool:
@@ -116,6 +121,8 @@ class SpinSystem:
             canonical[key] = float(j)
         object.__setattr__(self, "j_over_2pi", canonical)
         object.__setattr__(self, "qubits", tuple(self.qubits))
+        for label in labels:
+            self.omega(label)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -128,10 +135,15 @@ class SpinSystem:
         raise KeyError(f"unknown qubit label {label!r}; register is {self.labels}")
 
     def omega(self, label: str, field_scale: float = 1.0) -> float:
-        """Larmor angular frequency in rad/s at the scaled field."""
+        """Larmor angular frequency in rad/s at the scaled field; a ``ConfigError`` if it overflows."""
         q = self.qubit(label)
         mhz = q.omega_over_2pi if q.omega_over_2pi is not None else q.gamma_over_2pi * self.b_field
-        return TWO_PI * 1e6 * mhz * field_scale
+        omega = TWO_PI * 1e6 * mhz * field_scale
+        if not math.isfinite(omega):
+            raise ConfigError(
+                f"qubit {label}: Larmor frequency {mhz:g} MHz at field scale {field_scale:g} overflows in rad/s"
+            )
+        return omega
 
     def j_coupling(self, a: str, b: str) -> float:
         """Scalar coupling J/2pi in Hz for the unordered pair, 0 if absent."""
@@ -176,7 +188,7 @@ PRESETS = {"tce": tce_system}
 
 
 # ---------------------------------------------------------------------------
-# Level energies and thermal states
+# Level energies
 # ---------------------------------------------------------------------------
 
 
@@ -214,44 +226,9 @@ def register_levels(
     return levels
 
 
-def thermal_populations(
-    energies,
-    temperature,
-    constants: PhysicalConstants = CODATA2018,
-) -> np.ndarray:
-    """Boltzmann populations ``exp(-E/kT) / Z`` over the last axis of ``energies``.
-
-    Temperatures broadcast against the leading axes, one distribution
-    per energy row and temperature.
-    """
-    energies = np.asarray(energies, dtype=float)
-    beta = (1.0 / (constants.k_boltzmann * np.asarray(temperature, dtype=float)))[..., None]
-    weights = np.exp(-beta * (energies - energies.min(axis=-1, keepdims=True)))
-    return weights / weights.sum(axis=-1, keepdims=True)
-
-
-def thermal_state(
-    sys: SpinSystem,
-    field_scale: float = 1.0,
-    constants: PhysicalConstants = CODATA2018,
-) -> DensityMatrix:
-    """Register Gibbs state at the bath temperature and scaled field."""
-    levels = register_levels(sys, field_scale, constants)
-    populations = thermal_populations(levels, sys.bath_temperature, constants)
-    return DensityMatrix(np.diag(populations).astype(complex), sys.labels)
-
-
 # ---------------------------------------------------------------------------
-# Polarization / spin temperature
+# Thermal polarizations / spin temperature
 # ---------------------------------------------------------------------------
-
-
-def polarization(rho_1q: DensityMatrix) -> float:
-    """Population difference ``P_up - P_down`` of a single-qubit state."""
-    if rho_1q.dim != 2:
-        raise ValueError(f"expected a single-qubit state, got dim {rho_1q.dim}")
-    # a DensityMatrix is Hermitian, so its diagonal is real within ATOL
-    return float((rho_1q.matrix[0, 0] - rho_1q.matrix[1, 1]).real)
 
 
 def thermal_polarization(omega, temperature, constants: PhysicalConstants = CODATA2018):
@@ -269,17 +246,21 @@ def thermal_marginal_polarization(
 
     The J couplings make the marginal differ from ``thermal_polarization``
     of the bare line.  Basis states that differ only in ``label``'s bit
-    form a pair with mean energy ``m`` and splitting ``d = E_1 - E_0``, so
-    the marginal is ``sum e^(-m/kT) sinh(d/2kT) / sum e^(-m/kT) cosh(d/2kT)``
-    over the pairs, with no difference of two populations near 1/2.
+    form a pair with mean energy ``m`` and half-splitting ``d = (E_1 -
+    E_0)/2``, both in units of kT.  A pair holds ``2 e^(-m) cosh d`` of
+    the partition sum and has polarization ``tanh d``, so the marginal is
+    the ``tanh d`` of the pairs averaged with the weights ``e^(-m) cosh
+    d``.  The weights are taken in log space, so no splitting overflows
+    them, and no polarization is a difference of two populations near 1/2.
     """
     levels = register_levels(sys, field_scale, constants).reshape((2,) * len(sys.labels))
     lower, upper = np.moveaxis(levels, sys.labels.index(label), 0)
     kt = constants.k_boltzmann * sys.bath_temperature
-    mean = (lower + upper) / (2.0 * kt)
     half_splitting = (upper - lower) / (2.0 * kt)
-    weights = np.exp(mean.min() - mean)
-    return float((weights * np.sinh(half_splitting)).sum() / (weights * np.cosh(half_splitting)).sum())
+    # log of e^(-m) cosh d, less log 2
+    log_weights = np.logaddexp(half_splitting, -half_splitting) - (lower + upper) / (2.0 * kt)
+    weights = np.exp(log_weights - log_weights.max())
+    return float((weights * np.tanh(half_splitting)).sum() / weights.sum())
 
 
 def effective_temperature(epsilon, omega: float, constants: PhysicalConstants = CODATA2018):

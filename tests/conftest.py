@@ -5,7 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from spinotto import tce_system, thermal_state
+from dense import thermal_state
+from spinotto import tce_system
 from spinotto.spinsys import from_config_text
 from test_spinsys import TCE_CONFIG
 

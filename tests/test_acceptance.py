@@ -2,8 +2,8 @@
 
 Every test prints a single PASS/FAIL line (visible with ``pytest -v -s``
 or in captured output) before asserting, so the suite doubles as a
-checklist.  These runs use the default stroke settings, not the
-coarsened ones used elsewhere for speed.
+checklist.  The strokes of criterion 6 are the dense reference
+propagator's, at the default drive period of 0.1 s.
 """
 
 import math
@@ -12,7 +12,19 @@ import numpy as np
 import pytest
 
 import oracles
-from dense import diagonal_state, fidelity, trace_rows
+from dense import (
+    COMPRESSION,
+    EXPANSION,
+    comp_unitary,
+    diagonal_state,
+    fidelity,
+    partial_trace,
+    product_state,
+    single_qubit_state,
+    stroke,
+    trace_rows,
+)
+from oracles import mhz
 from spinotto.engines import (
     isochoric_crossover,
     positive_work_window,
@@ -20,16 +32,10 @@ from spinotto.engines import (
     sweep_four_stroke,
     sweep_two_stroke,
 )
-from spinotto.gates import comp_unitary
 from spinotto.hbac import run_ppa, shannon_bound
-from spinotto.qmath import partial_trace, product_state, single_qubit_state
-from spinotto.adiabatic import COMPRESSION, EXPANSION, StrokeSpec, evolve_stroke
+from spinotto.spinsys import thermal_marginal_polarization
 
 TWO_PI = 2.0 * math.pi
-
-
-def mhz(value):
-    return TWO_PI * 1e6 * value
 
 
 def check(criterion: str, conditions: list[tuple[str, bool]]) -> None:
@@ -54,13 +60,12 @@ TWO_STROKE_ORACLE_RTOL = 3e-15
 
 @pytest.fixture(scope="module")
 def default_four_stroke_table(tce):
-    # default stroke timing: tau = 0.1 s
     return sweep_four_stroke(tce, 10)
 
 
 class TestCriterion1:
-    def test_ppa_cooling_curve(self, tce, tce_thermal_half):
-        trace = run_ppa(tce_thermal_half, tce, 0.5, 7)
+    def test_ppa_cooling_curve(self, tce):
+        trace = run_ppa(thermal_marginal_polarization(tce, "C1", 0.5), tce, 0.5, 7)
         bound = shannon_bound(tce, 0.5)
         eps0 = trace.target_polarization[0]
         t1 = trace.target_effective_temperature[1]
@@ -179,13 +184,11 @@ class TestCriterion6:
 
         # (a) state invariants through every stage of a cycle's pipeline
         state_checks = []
-        compression = StrokeSpec(COMPRESSION)
-        expansion = StrokeSpec(EXPANSION)
-        rho1 = evolve_stroke(tce_thermal, tce, compression)
-        trace = run_ppa(rho1, tce, 0.5, 3)
+        rho1 = stroke(tce_thermal, tce, COMPRESSION)
+        trace = run_ppa(thermal_marginal_polarization(tce, "C1", 1.0), tce, 0.5, 3)
         rows = trace_rows(trace, rho1, tce, shannon_bound(tce, 0.5))
         cooled = [diagonal_state(populations, trace.qubits) for populations in rows]
-        rho3 = evolve_stroke(cooled[-1], tce, expansion)
+        rho3 = stroke(cooled[-1], tce, EXPANSION)
         for state in [tce_thermal, rho1, *cooled, rho3]:
             m = state.matrix
             state_checks.append(abs(np.trace(m) - 1) <= 1e-12)

@@ -9,9 +9,9 @@ import pytest
 
 import spinotto
 from spinotto import cli
-from spinotto.qmath import StateInvariantError
+from spinotto.spinsys import StateInvariantError
 
-from test_spinsys import TCE_CONFIG
+from test_spinsys import TCE_CONFIG, huge_coupling_config
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -254,10 +254,11 @@ class TestOutputContract:
         [
             ["four-stroke", "--tau", "nan"],
             ["four-stroke", "--tau", "inf"],
+            ["four-stroke", "--tau", "0"],
             ["ppa", "--field-scale", "inf"],
             ["four-stroke", "--dt", "0.001"],  # not an option
         ],
-        ids=["tau-nan", "tau-inf", "field-scale-inf", "dt-removed"],
+        ids=["tau-nan", "tau-inf", "tau-zero", "field-scale-inf", "dt-removed"],
     )
     def test_bad_arguments_exit_2(self, args, tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -267,8 +268,8 @@ class TestOutputContract:
         assert list(tmp_path.iterdir()) == []
 
     def test_extreme_tau_keeps_data_rows(self, tmp_path, monkeypatch, capsys):
-        # tau sets only coherence phases, and every engine state is diagonal,
-        # so even a tau whose phases would overflow changes no data row
+        # the field ramps freeze populations, so tau enters only the config
+        # hash: no drive period, however extreme, changes a data row
         def rows(tau):
             out = f"tau_{tau}.csv"
             args = ["four-stroke", "--rounds", "0..10", "--tau", tau, "--out", out]
@@ -402,6 +403,52 @@ SUBCOMMANDS = [
 ]
 
 
+@pytest.mark.parametrize("args", SUBCOMMANDS, ids=["ppa", "four-stroke", "two-stroke"])
+def test_huge_coupling_runs_without_warnings(args, tmp_path, monkeypatch, capsys):
+    # pairs split by about 4000 kT, where sinh and cosh of the Gibbs
+    # marginal overflow; any warning fails the test
+    config = tmp_path / "coupled.cfg"
+    config.write_text(huge_coupling_config())
+    assert run_cli([*args, "--system", str(config), "--format", "summary"], tmp_path, monkeypatch) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize("args", SUBCOMMANDS, ids=["ppa", "four-stroke", "two-stroke"])
+def test_bath_too_hot_for_a_spin_temperature_exits_3(args, tmp_path, monkeypatch, capsys):
+    # at 1e300 K the cooled target's spin temperature overflows to inf,
+    # which no CSV cell may hold
+    config = tmp_path / "hot.cfg"
+    config.write_text(TCE_CONFIG.replace("temperature_kelvin = 300.0", "temperature_kelvin = 1e300"))
+    assert run_cli([*args, "--system", str(config)], tmp_path, monkeypatch) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "has no finite spin temperature at bath temperature 1e+300 K" in err[0]
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("args", SUBCOMMANDS, ids=["ppa", "four-stroke", "two-stroke"])
+def test_overflowing_larmor_frequency_exits_2(args, tmp_path, monkeypatch, capsys):
+    # C1 takes its frequency from gamma * B, 1.07e305 MHz, which overflows in rad/s
+    config = tmp_path / "strong.cfg"
+    text = TCE_CONFIG.replace("reference_qubit = H\nreference_omega_mhz = 500.13", "b_field_tesla = 1e304")
+    config.write_text(text.replace("omega_mhz = 125.77\n\n[qubit.C2]", "\n[qubit.C2]"))
+    assert run_cli([*args, "--system", str(config)], tmp_path, monkeypatch) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {config}: qubit C1: Larmor frequency 1.07084e+305 MHz at field scale 1 overflows in rad/s"
+    ]
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_overflowing_field_scale_exits_2(tmp_path, monkeypatch, capsys):
+    assert run_cli(["ppa", "--field-scale", "1e305"], tmp_path, monkeypatch) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: qubit C1: Larmor frequency 125.77 MHz at field scale 1e+305 overflows in rad/s"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "old,new",
     [
@@ -459,18 +506,25 @@ def test_default_grid_is_recorded(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
 
 
-def test_module_entry_point(tmp_path):
-    # The child runs from an unrelated directory, so a relative PYTHONPATH
-    # (such as PYTHONPATH=src) would no longer resolve: put the absolute
-    # directory of the package this suite imported in front of it.
+def child_env():
+    """The environment of a child ``python -m spinotto`` that imports this suite's package.
+
+    The child runs from an unrelated directory, so a relative PYTHONPATH
+    (such as PYTHONPATH=src) would no longer resolve: put the absolute
+    directory of the package this suite imported in front of it.
+    """
     package_root = str(Path(spinotto.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, inherited]))
+    return env
+
+
+def test_module_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "spinotto", "ppa", "--rounds", "1", "--format", "summary"],
         cwd=tmp_path,
-        env=env,
+        env=child_env(),
         capture_output=True,
         text=True,
     )
@@ -481,13 +535,35 @@ def test_module_entry_point(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_closed_stdout_exits_0(tmp_path):
+    # as `spinotto two-stroke --format summary | head -1`: the reader
+    # closes the pipe after the first summary line, the rest of it has
+    # nowhere to go, and the run itself succeeded
+    child = subprocess.Popen(
+        [sys.executable, "-m", "spinotto", "two-stroke", "--format", "summary"],
+        cwd=tmp_path,
+        env=child_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = child.stdout.readline()
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 0
+    assert first.startswith(b"two-stroke max power at omega_s=")
+    assert stderr == b""
+
+
 @pytest.mark.parametrize(
     "args,name,digest",
     [
         (
             ["ppa", "--system", "tce", "--rounds", "7", "--field-scale", "0.5"],
             "ppa_trace.csv",
-            "0b37596708225187a27f61887d1b06a43b9bf57e268c5cce4bf965dbb17e27ac",
+            # row 0's eps_reset is the closed-form Gibbs marginal, 5.030006677740e-06 as the
+            # decimal oracle gives it, not a difference of populations (...773e-06)
+            "cc83811c7585a88a9ce189a559a2de9edb4419a5bd0bbc5022f98ff780c49bc5",
         ),
         (
             ["four-stroke", "--rounds", "0..10", "--tau", "0.1"],

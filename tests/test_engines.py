@@ -1,14 +1,25 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import dense
 import oracles
-from dense import local_levels, zeeman_levels
+from dense import (
+    apply,
+    local_levels,
+    partial_trace,
+    polarization,
+    product_state,
+    reset_channel,
+    swap_unitary,
+    thermal_state,
+    zeeman_levels,
+)
+from oracles import mhz
 from spinotto import cli, engines
-from spinotto.adiabatic import COMPRESSION, EXPANSION, StrokeSpec, evolve_stroke
 from spinotto.engines import (
     CycleReport,
     FOUR_STROKE_HBAC,
@@ -23,15 +34,13 @@ from spinotto.engines import (
     sweep_four_stroke,
     sweep_two_stroke,
 )
-from spinotto.gates import apply, reset_channel, swap_unitary
 from spinotto.hbac import run_ppa
-from spinotto.qmath import DensityMatrix, StateInvariantError, partial_trace, product_state
 from spinotto.spinsys import (
     CODATA2018,
     ConfigError,
+    StateInvariantError,
     effective_temperature,
-    polarization,
-    thermal_state,
+    thermal_marginal_polarization,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -44,10 +53,6 @@ TWO_PI = 2.0 * math.pi
 # twice that.  Columns that need no such difference stay bit-for-bit.
 DENSE_RTOL = 3e-11
 EXACT_COLUMNS = {"n_rounds", "cycle_time", "efficiency", "in_window"}
-
-
-def mhz(value):
-    return TWO_PI * 1e6 * value
 
 
 def assert_matches_dense(columns, rows):
@@ -175,10 +180,11 @@ class TestFourStrokeSweep:
         [("tce", range(41), 0.1), ("tce", [0, 3, 17], 7.5), ("tce_h_first", range(13), 0.1)],
     )
     def test_matches_dense_reference_cycles(self, request, system, n_values, tau):
+        # the dense cycles propagate their strokes at the drive period tau,
+        # which no number of the package depends on
         system = request.getfixturevalue(system)
-        stroke = StrokeSpec(COMPRESSION, tau=tau)
-        table = sweep_four_stroke(system, n_values, stroke)
-        cycles, references = dense_four_stroke_cycles(system, n_values, stroke)
+        table = sweep_four_stroke(system, n_values)
+        cycles, references = dense_four_stroke_cycles(system, n_values, tau)
         for got, rows in ((table, cycles), (table.reference_reports, references)):
             assert set(got.columns) == set(rows[0])
             assert_matches_dense(got.columns, rows)
@@ -189,23 +195,11 @@ class TestFourStrokeSweep:
             reference = four_stroke_table.reference_reports[n]
             assert run_isochoric_reference(tce, reference.cooled_target_temperature) == reference
 
-    def test_validations_do_not_grow_with_the_round_count(self, tce, monkeypatch):
-        # one hot state, one compression stroke and one cooling run serve
-        # every round count; cooled states stay populations
-        calls = []
-        validate = DensityMatrix.__post_init__
-
-        def counted(self):
-            calls.append(None)
-            validate(self)
-
-        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
-        counts = []
-        for n_max in (1, 60):
-            calls.clear()
-            sweep_four_stroke(tce, n_max)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+    def test_validations_do_not_grow_with_the_round_count(self, tce):
+        # the package forms no state to validate: one hot Gibbs marginal and
+        # one cooling run, whose rows are checked as one column, serve every
+        # round count of both engines
+        assert [state_work(sweep_four_stroke, tce, n_max) for n_max in (1, 60)] == [(1, 1)] * 2
 
     def test_rejects_negative_round_count_before_cooling(self, tce, monkeypatch):
         def no_cooling(*args, **kwargs):
@@ -240,6 +234,14 @@ class TestFourStrokeSweep:
         assert (table.columns["cooled_target_temperature"] < slow_reset.bath_temperature).all()
 
 
+def state_work(sweep, *args):
+    """How many Gibbs marginals and cooling runs one sweep starts."""
+    with mock.patch.object(engines, "thermal_marginal_polarization", wraps=thermal_marginal_polarization) as marginal:
+        with mock.patch.object(engines, "run_ppa", wraps=run_ppa) as cooling:
+            sweep(*args)
+    return marginal.call_count, cooling.call_count
+
+
 def heated_target_system(tce):
     """TCE with the reset line at 100 MHz, below the 125.77 MHz target."""
     qubits = tuple(
@@ -252,20 +254,18 @@ def energy(h, rho):
     return float(np.real(np.trace(h @ rho.matrix)))
 
 
-def dense_four_stroke_cycles(sys, n_values, stroke):
+def dense_four_stroke_cycles(sys, n_values, tau):
     """Reference four-stroke and isochoric cycles on dense states, one row per round count.
 
     The dense cycles the columnar sweep replaced: dense cooling, the
-    dense reset channel for the cold bath, ``evolve_stroke``, partial
-    traces and ``stroke_work``.
+    dense reset channel for the cold bath, strokes propagated at the drive
+    period ``tau`` (``dense.stroke``), partial traces and ``stroke_work``.
     """
-    compression = replace(stroke, direction=COMPRESSION)
-    expansion = replace(stroke, direction=EXPANSION)
     levels1 = local_levels(sys, "C1", 0.5)
     h0 = np.diag(local_levels(sys, "C1", 1.0)).astype(complex)
     h1 = np.diag(levels1).astype(complex)
     rho_hot = thermal_state(sys, 1.0)
-    rho_compressed = evolve_stroke(rho_hot, sys, compression)
+    rho_compressed = dense.stroke(rho_hot, sys, dense.COMPRESSION, tau)
     rho0_t = partial_trace(rho_hot, {"C1"})
     rho1_t = partial_trace(rho_compressed, {"C1"})
     states = dense.cooling_states(rho_compressed, sys, 0.5, max(n_values))
@@ -273,7 +273,7 @@ def dense_four_stroke_cycles(sys, n_values, stroke):
     t1_target, t1_reset = sys.qubit("C1").t1, sys.qubit("H").t1
 
     def cycle(rho_cooled, rho2_t, cycle_time, cold):
-        rho3_t = partial_trace(evolve_stroke(rho_cooled, sys, expansion), {"C1"})
+        rho3_t = partial_trace(dense.stroke(rho_cooled, sys, dense.EXPANSION, tau), {"C1"})
         q_in = energy(h0, rho0_t) - energy(h0, rho3_t)
         q_out = energy(h1, rho1_t) - energy(h1, rho2_t)
         net = (q_in - q_out) * mole
@@ -428,7 +428,7 @@ class TestTwoStrokeSweep:
         # every 7th point of the CLI default grid, points within 1e-6 relative
         # of both window edges for every n, and partners below omega_T
         n_values = range(9)
-        trace = run_ppa(thermal_state(tce, 1.0), tce, 1.0, max(n_values))
+        trace = run_ppa(thermal_marginal_polarization(tce, "C1", 1.0), tce, 1.0, max(n_values))
         omega_t = tce.omega("C1")
         edges = [omega_t] + [
             omega_t * tce.bath_temperature / trace.target_effective_temperature[n]
@@ -467,23 +467,12 @@ class TestTwoStrokeSweep:
         assert (blocks == blocks[0]).all()
         assert 0.0 in table.columns["efficiency"]
 
-    def test_validations_do_not_grow_with_the_grid(self, tce, monkeypatch):
-        # the exchange runs on marginals: DensityMatrix validations come from
-        # the cooling run and the per-round target, never from a grid point
-        calls = []
-        validate = DensityMatrix.__post_init__
-
-        def counted(self):
-            calls.append(None)
-            validate(self)
-
-        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
-        counts = []
-        for points in (2, 200):
-            calls.clear()
-            sweep_two_stroke(tce, np.linspace(mhz(150.0), mhz(1000.0), points), [1, 2, 3])
-            counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+    def test_validations_do_not_grow_with_the_grid(self, tce):
+        # the exchange runs on polarizations: the package forms no state to
+        # validate, and one Gibbs marginal and one cooling run serve every
+        # grid point
+        grids = [np.linspace(mhz(150.0), mhz(1000.0), points) for points in (2, 200)]
+        assert [state_work(sweep_two_stroke, tce, grid, [1, 2, 3]) for grid in grids] == [(1, 1)] * 2
 
     def test_rejects_negative_round_count(self, tce):
         with pytest.raises(ValueError, match="n_rounds"):
@@ -517,10 +506,6 @@ def dense_two_stroke_cycle(sys, omega_s, n_rounds, cooled_target, cooled_tempera
     swapped = apply(swap_unitary(joint.qubits, "S", "C1"), joint)
     rho1_s = partial_trace(swapped, {"S"})
     rho1_t = partial_trace(swapped, {"C1"})
-
-    def energy(h, rho):
-        return float(np.real(np.trace(h @ rho.matrix)))
-
     q_in = energy(h_s, rho0_s) - energy(h_s, rho1_s)
     q_out = energy(h_t, rho1_t) - energy(h_t, rho0_t)
     mole = CODATA2018.avogadro

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 import oracles
-from spinotto.gates import GateUnitary, apply, comp_unitary, reset_channel, swap_unitary
-from spinotto.qmath import (
+from dense import (
     DensityMatrix,
+    GateUnitary,
+    apply,
+    comp_unitary,
     is_diagonal,
     partial_trace,
+    polarization,
     product_state,
+    reset_channel,
     single_qubit_state,
+    swap_unitary,
 )
-from spinotto.spinsys import polarization
 from test_qmath import random_density
 
 REG = ("t", "c", "r")

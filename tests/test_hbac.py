@@ -10,18 +10,25 @@ from hypothesis import strategies as st
 
 import dense
 import oracles
-from spinotto import hbac
-from spinotto.hbac import PpaTrace, ppa_round, run_ppa, shannon_bound
-from spinotto.gates import reset_channel
-from spinotto.qmath import (
+from dense import (
     DensityMatrix,
-    StateInvariantError,
     is_diagonal,
     partial_trace,
     product_state,
+    reset_channel,
     single_qubit_state,
+    thermal_state,
 )
-from spinotto.spinsys import effective_temperature, thermal_polarization, thermal_state
+from spinotto import hbac
+from spinotto.hbac import PpaTrace, ppa_round, run_ppa, shannon_bound
+from spinotto.spinsys import (
+    ConfigError,
+    Role,
+    StateInvariantError,
+    effective_temperature,
+    thermal_marginal_polarization,
+    thermal_polarization,
+)
 
 TCE_ORDER = ("C1", "C2", "H")
 
@@ -46,6 +53,11 @@ def tce_product(eps_t, eps_c, eps_r):
         single_qubit_state(eps_c, "C2"),
         single_qubit_state(eps_r, "H"),
     )
+
+
+def thermal_target(sys, field_scale):
+    """The target polarization of the register's Gibbs state, a thermal cooling run's input."""
+    return thermal_marginal_polarization(sys, sys.label_for_role(Role.TARGET), field_scale)
 
 
 def rel_err(got, want):
@@ -74,40 +86,42 @@ def eps_bath_half(tce):
 
 
 class TestInitialStage:
-    def test_thermal_half_field_reaches_bath_polarization(self, tce, tce_thermal_half, eps_bath_half):
-        trace = run_ppa(tce_thermal_half, tce, 0.5, 0)
+    def test_thermal_half_field_reaches_bath_polarization(self, tce, eps_bath_half):
+        trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 0)
         assert trace.target_polarization[0] == eps_bath_half
         assert trace.target_polarization[0] == pytest.approx(2.000e-5, rel=2e-2)
 
     def test_target_already_at_reset_polarization(self, tce, eps_bath_half):
-        trace = run_ppa(tce_product(eps_bath_half, 5e-6, 5e-6), tce, 0.5, 0)
+        trace = run_ppa(eps_bath_half, tce, 0.5, 0)
         assert trace.target_polarization[0] == eps_bath_half
         assert trace.reset_polarization[0] == pytest.approx(eps_bath_half, rel=DENSE_POLARIZATION_RTOL, abs=0)
 
-    def test_reset_takes_the_input_target_marginal(self, tce, tce_thermal_half, eps_bath_half):
-        # the SWAP hands the reset qubit the target's input marginal
-        for rho in (tce_thermal_half, tce_product(3e-5, 0.0, 0.7)):
-            trace = run_ppa(rho, tce, 0.5, 2)
-            want = dense.polarization_of(rho, "C1")
+    def test_reset_takes_the_input_target_marginal(self, tce, tce_thermal_half):
+        # the dense initial stage's SWAP hands the reset qubit the target's
+        # input marginal, which is all a run takes of its input
+        for rho, eps_in in (
+            (tce_thermal_half, thermal_target(tce, 0.5)),
+            (tce_product(3e-5, 0.0, 0.7), 3e-5),
+        ):
+            trace = run_ppa(eps_in, tce, 0.5, 2)
+            state = dense.initial_stage(rho, dense.schedule(rho, tce, 0.5))
+            want = dense.polarization_of(state, "H")
             assert abs(trace.reset_polarization[0] - want) <= DENSE_POLARIZATION_RTOL * want
 
-    def test_compression_marginal_untouched(self, tce, tce_thermal_half, eps_bath_half):
+    def test_compression_marginal_untouched(self, tce, eps_bath_half):
         # the trace's row 0 takes the compression qubit's input marginal as it
         # is: the dense initial stage leaves it there
         rho = tce_product(3e-5, 1.7e-5, 0.7)
         state = dense.initial_stage(rho, dense.schedule(rho, tce, 0.5))
         assert dense.polarization_of(state, "C2") == pytest.approx(1.7e-5, rel=DENSE_POLARIZATION_RTOL, abs=0)
-        rows = dense.trace_rows(run_ppa(rho, tce, 0.5, 0), rho, tce, eps_bath_half)
+        rows = dense.trace_rows(run_ppa(3e-5, tce, 0.5, 0), rho, tce, eps_bath_half)
         assert rel_err(rows[0], state.populations) <= POPULATION_RTOL
 
     def test_rejects_wrong_register(self, tce):
-        bad = product_state(
-            single_qubit_state(0.0, "a"),
-            single_qubit_state(0.0, "b"),
-            single_qubit_state(0.0, "c"),
-        )
-        with pytest.raises(ValueError, match="missing roles"):
-            run_ppa(bad, tce, 0.5, 1)
+        # cooling needs one target, one compression and one reset qubit
+        bad = replace(tce, qubits=tuple(replace(q, role=Role.TARGET) for q in tce.qubits))
+        with pytest.raises(ConfigError, match="exactly one target, one compression and one reset"):
+            run_ppa(1e-5, bad, 0.5, 1)
 
 
 class TestPpaRound:
@@ -155,7 +169,7 @@ class TestDenseReference:
         # the target and reset marginals against its partial traces (4.4e-16)
         system = request.getfixturevalue(system)
         rho = thermal_state(system, field_scale)
-        trace = run_ppa(rho, system, field_scale, 200)
+        trace = run_ppa(thermal_target(system, field_scale), system, field_scale, 200)
         states = dense.cooling_states(rho, system, field_scale, 200)
         assert len(trace.target_polarization) == len(states) == 201
         rows = dense.trace_rows(trace, rho, system, shannon_bound(system, field_scale))
@@ -180,7 +194,7 @@ class TestDenseReference:
         # channel (gates.reset_channel, gates.apply), in both register orders
         system = request.getfixturevalue(system)
         rho = thermal_state(system, field_scale)
-        trace = run_ppa(rho, system, field_scale, 2000)
+        trace = run_ppa(thermal_target(system, field_scale), system, field_scale, 2000)
         expected = dense.cooling_rows(rho, system, field_scale, 2000)
         assert expected.shape == (2001, 8)
         rows = dense.trace_rows(trace, rho, system, shannon_bound(system, field_scale))
@@ -197,7 +211,7 @@ class TestDenseReference:
     def test_property_matches_dense_and_never_cools_less(self, request, temperature, field_scale, order):
         system = replace(request.getfixturevalue(order), bath_temperature=temperature)
         rho = thermal_state(system, field_scale)
-        trace = run_ppa(rho, system, field_scale, 12)
+        trace = run_ppa(thermal_target(system, field_scale), system, field_scale, 12)
         expected = dense.cooling_rows(rho, system, field_scale, 12)
         rows = dense.trace_rows(trace, rho, system, shannon_bound(system, field_scale))
         # relative to each row's largest population: near-saturated registers
@@ -225,36 +239,35 @@ class TestDenseReference:
                 got = reset_channel(rho, label, fresh).populations
                 assert rel_err(got, want) <= POPULATION_RTOL
 
-    def test_validations_do_not_grow_with_rounds(self, tce, tce_thermal_half, monkeypatch):
-        # a run is columns of polarizations: it builds no DensityMatrix at all
+    def test_validations_do_not_grow_with_rounds(self, tce, monkeypatch):
+        # a run is columns of polarizations and builds no state to validate:
+        # its spin temperatures, range check included, are one pass over the
+        # whole target column, once per run whatever its length
         calls = []
-        validate = DensityMatrix.__post_init__
+        honest = hbac.effective_temperature
 
-        def counted(self):
-            calls.append(None)
-            validate(self)
+        def counted(*args):
+            calls.append(len(args[0]))
+            return honest(*args)
 
-        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
-        counts = []
+        monkeypatch.setattr(hbac, "effective_temperature", counted)
         for n_max in (1, 50):
-            calls.clear()
-            run_ppa(tce_thermal_half, tce, 0.5, n_max)
-            counts.append(len(calls))
-        assert counts == [0, 0]
+            run_ppa(thermal_target(tce, 0.5), tce, 0.5, n_max)
+        assert calls == [2, 51]
 
 
 class TestExactMap:
     @pytest.mark.parametrize("field_scale", [0.5, 1.0])
-    def test_target_matches_rational_map_over_300_rounds(self, tce, tce_thermal, field_scale):
-        trace = run_ppa(tce_thermal, tce, field_scale, 300)
+    def test_target_matches_rational_map_over_300_rounds(self, tce, field_scale):
+        trace = run_ppa(thermal_target(tce, field_scale), tce, field_scale, 300)
         exact = exact_map(shannon_bound(tce, field_scale), 300)
         worst = max(abs(Fraction(float(got)) - want) / want for got, want in zip(trace.target_polarization, exact))
         assert worst <= EXACT_MAP_RTOL
 
-    def test_limit_at_the_largest_round_count(self, tce, tce_thermal_half):
+    def test_limit_at_the_largest_round_count(self, tce):
         eps_b = shannon_bound(tce, 0.5)
         limit = Fraction(2) * Fraction(eps_b) / (1 + Fraction(eps_b) ** 2)
-        trace = run_ppa(tce_thermal_half, tce, 0.5, 10**6)
+        trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 10**6)
         ulp = Fraction(math.ulp(float(limit)))
         # measured: the last row, the largest, lies 0.72 ulp above the rational
         # limit (0.86 ulp at field scale 1); allow one ulp either way
@@ -263,46 +276,55 @@ class TestExactMap:
 
 
 class TestRunPpa:
-    def test_seven_rounds_half_field(self, tce, tce_thermal_half, eps_bath_half):
-        trace = run_ppa(tce_thermal_half, tce, 0.5, 7)
+    def test_seven_rounds_half_field(self, tce, eps_bath_half):
+        trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 7)
         expected = oracles.eps_after_rounds(eps_bath_half, 7)
         assert trace.target_polarization[-1] == pytest.approx(expected, rel=EXACT_MAP_RTOL, abs=0)
         assert trace.target_polarization[-1] == pytest.approx(4.0e-5, rel=2e-2)
         assert trace.target_effective_temperature[-1] == pytest.approx(37.9, abs=0.1)
 
-    def test_zero_rounds_trace(self, tce, tce_thermal_half, eps_bath_half):
-        trace = run_ppa(tce_thermal_half, tce, 0.5, 0)
+    def test_zero_rounds_trace(self, tce, eps_bath_half):
+        trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 0)
         assert [len(c) for c in (trace.target_polarization, trace.reset_polarization)] == [1, 1]
         assert trace.target_polarization[0] == eps_bath_half
         assert trace.target_effective_temperature[0] == pytest.approx(75.4, abs=0.1)
 
-    def test_shannon_bound_exceeded_from_round_one(self, tce, tce_thermal_half):
+    def test_shannon_bound_exceeded_from_round_one(self, tce):
         bound = shannon_bound(tce, 0.5)
-        trace = run_ppa(tce_thermal_half, tce, 0.5, 7)
+        trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 7)
         assert (trace.target_polarization[1:] > bound).all()
         assert trace.target_polarization[0] <= bound * (1 + 1e-9)
 
-    def test_rejects_negative_rounds(self, tce, tce_thermal_half):
+    def test_rejects_negative_rounds(self, tce):
         with pytest.raises(ValueError):
-            run_ppa(tce_thermal_half, tce, 0.5, -1)
+            run_ppa(thermal_target(tce, 0.5), tce, 0.5, -1)
 
     def test_saturated_polarization_is_an_invariant_error(self, tce):
         # at 1 mK the first round drives the target polarization to exactly 1.0,
         # which has no finite spin temperature
         cold = replace(tce, bath_temperature=0.001)
         with pytest.raises(StateInvariantError, match=r"round 1: target .* 0\.001 K"):
-            run_ppa(thermal_state(cold, 1.0), cold, 1.0, 2)
+            run_ppa(thermal_target(cold, 1.0), cold, 1.0, 2)
 
     def test_saturated_bath_stops_at_round_zero(self, tce):
         # at 0.5 mK the bath polarization itself rounds to 1.0
         cold = replace(tce, bath_temperature=0.0005)
         with pytest.raises(StateInvariantError, match=r"round 0: target polarization 1\.0 .* 0\.0005 K"):
-            run_ppa(thermal_state(cold, 1.0), cold, 1.0, 2)
+            run_ppa(thermal_target(cold, 1.0), cold, 1.0, 2)
 
-    def test_rejects_coherent_input(self, tce):
-        coherent = DensityMatrix(np.full((8, 8), 1 / 8, dtype=complex), TCE_ORDER)
-        with pytest.raises(ValueError, match="diagonal"):
-            run_ppa(coherent, tce, 0.5, 1)
+    def test_hot_bath_has_no_finite_spin_temperature(self, tce):
+        # at 1e300 K the bath polarization is about 1e-302, and hbar omega /
+        # (2 k arctanh(eps)) overflows: the run stops at round 0, unwarned
+        hot = replace(tce, bath_temperature=1e300)
+        message = r"round 0: target polarization 6\.0006\d*e-303 has no finite spin temperature at bath temperature 1e\+300 K"
+        with pytest.raises(StateInvariantError, match=message):
+            run_ppa(thermal_target(hot, 0.5), hot, 0.5, 2)
+
+    @pytest.mark.parametrize("eps_in", [0.0, -1e-5, 1.0, math.nan])
+    def test_rejects_input_polarization_outside_unit_interval(self, tce, eps_in):
+        # the input is row 0's reset polarization and is checked with it
+        with pytest.raises(StateInvariantError, match=rf"round 0: reset polarization {eps_in} outside \(0, 1\)"):
+            run_ppa(eps_in, tce, 0.5, 1)
 
     @pytest.mark.parametrize(
         "row,corrupt,message",
@@ -331,16 +353,16 @@ class TestRunPpa:
 
         monkeypatch.setattr(hbac, "cooling_polarizations", corrupted)
         with pytest.raises(StateInvariantError, match=message + r" outside \(0, 1\) at bath temperature 0\.01 K"):
-            run_ppa(thermal_state(cold, 1.0), cold, 1.0, 2)
+            run_ppa(thermal_target(cold, 1.0), cold, 1.0, 2)
 
-    def test_memory_per_round_is_bounded(self, tce, tce_thermal_half):
+    def test_memory_per_round_is_bounded(self, tce):
         # a round keeps two polarizations and a temperature, 8 B each, and
         # allocates nothing more that outlives it; the difference of two runs
         # cancels what does not grow with n
         def traced(n_rounds):
             tracemalloc.start()
             try:
-                trace = run_ppa(tce_thermal_half, tce, 0.5, n_rounds)
+                trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, n_rounds)
                 return tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -353,10 +375,10 @@ class TestRunPpa:
         # temporaries peak at 35 B a round
         assert peak - peak0 <= 48 * n_rounds + 1024
 
-    def test_full_field_run(self, tce, tce_thermal):
+    def test_full_field_run(self, tce):
         # the two-stroke engine cools at the unscaled field
         eps_bath = thermal_polarization(tce.omega("H", 1.0), tce.bath_temperature)
-        trace = run_ppa(tce_thermal, tce, 1.0, 1)
+        trace = run_ppa(thermal_target(tce, 1.0), tce, 1.0, 1)
         assert trace.target_polarization[-1] == pytest.approx(
             oracles.eps_after_rounds(eps_bath, 1), rel=EXACT_MAP_RTOL
         )
@@ -364,16 +386,16 @@ class TestRunPpa:
 
 
 class TestClosedFormEquivalence:
-    def test_matches_recurrence_up_to_twenty_rounds(self, tce, tce_thermal_half, eps_bath_half):
-        trace = run_ppa(tce_thermal_half, tce, 0.5, 20)
+    def test_matches_recurrence_up_to_twenty_rounds(self, tce, eps_bath_half):
+        trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 20)
         for n, eps in enumerate(trace.target_polarization):
             expected = oracles.eps_after_rounds(eps_bath_half, n)
             assert eps == pytest.approx(expected, rel=EXACT_MAP_RTOL, abs=0)
             # the two scalar oracle forms agree with each other too
             assert oracles.eps_by_recurrence(eps_bath_half, n) == pytest.approx(expected, rel=EXACT_MAP_RTOL, abs=0)
 
-    def test_monotone_convergence_with_ratio_half(self, tce, tce_thermal_half, eps_bath_half):
-        trace = run_ppa(tce_thermal_half, tce, 0.5, 30)
+    def test_monotone_convergence_with_ratio_half(self, tce, eps_bath_half):
+        trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 30)
         limit = 2 * eps_bath_half / (1 + eps_bath_half**2)
         eps = trace.target_polarization
         assert (eps[1:] > eps[:-1]).all()
@@ -383,23 +405,23 @@ class TestClosedFormEquivalence:
         for previous, current in zip(gaps, gaps[1:]):
             assert current / previous == pytest.approx((1 - eps_bath_half**2) / 2, rel=1e-8)
 
-    def test_reset_polarization_never_exceeds_bound(self, tce, tce_thermal_half):
+    def test_reset_polarization_never_exceeds_bound(self, tce):
         bound = shannon_bound(tce, 0.5)
-        trace = run_ppa(tce_thermal_half, tce, 0.5, 12)
+        trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 12)
         assert (trace.reset_polarization[1:] < bound).all()
 
     def test_diagonality_preserved(self, tce, tce_thermal_half):
         # the dense rounds stay diagonal, so the trace's polarizations describe
         # them fully: the registers it describes are the dense states
-        trace = run_ppa(tce_thermal_half, tce, 0.5, 5)
+        trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 5)
         states = dense.cooling_states(tce_thermal_half, tce, 0.5, 5)
         rows = dense.trace_rows(trace, tce_thermal_half, tce, shannon_bound(tce, 0.5))
         for populations, state in zip(rows, states):
             assert is_diagonal(state.matrix, atol=0.0)
             assert rel_err(populations, state.populations) <= POPULATION_RTOL
 
-    def test_target_polarization_nondecreasing(self, tce, tce_thermal_half):
-        trace = run_ppa(tce_thermal_half, tce, 0.5, 10_000)
+    def test_target_polarization_nondecreasing(self, tce):
+        trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 10_000)
         eps = trace.target_polarization
         assert (eps[1:] >= eps[:-1]).all()
 
@@ -412,7 +434,7 @@ class TestTelemetry:
 
     def test_trace_rows_schema(self, tce, tce_thermal_half, eps_bath_half):
         # the trace is read-only columns whose rows are the dense rounds
-        trace = run_ppa(tce_thermal_half, tce, 0.5, 3)
+        trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 3)
         states = dense.cooling_states(tce_thermal_half, tce, 0.5, 3)
         assert (trace.qubits, trace.target) == (TCE_ORDER, "C1")
         columns = (trace.target_polarization, trace.reset_polarization, trace.target_effective_temperature)
@@ -431,7 +453,7 @@ class TestTelemetry:
         assert shannon_bound(tce, 0.5) == eps_bath_half
 
     def test_trace_holds_valid_states(self, tce, tce_thermal_half):
-        trace = run_ppa(tce_thermal_half, tce, 0.5, 4)
+        trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 4)
         assert isinstance(trace, PpaTrace)
         for populations in dense.trace_rows(trace, tce_thermal_half, tce, shannon_bound(tce, 0.5)):
             # construction enforces unit trace, Hermiticity and the eigenvalue floor

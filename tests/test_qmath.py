@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 import oracles
-from dense import fidelity, kron
-from spinotto.qmath import (
+from dense import (
     DensityMatrix,
-    StateInvariantError,
+    fidelity,
     is_diagonal,
+    kron,
     partial_trace,
     product_state,
     single_qubit_state,
 )
-from spinotto.spinsys import register_levels
+from spinotto.spinsys import StateInvariantError, register_levels
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 

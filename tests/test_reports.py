@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import csv_reference
-from spinotto import cli, engines, hbac, reports, thermal_state
+from spinotto import cli, engines, hbac, reports, thermal_marginal_polarization
 
 RENDERERS = ("render_ppa_csv", "render_four_stroke_csv", "render_two_stroke_csv")
 
@@ -154,7 +154,7 @@ def test_config_grid_line_matches_reference():
 @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["block-less-one", "one-block", "block-plus-one"])
 def test_tables_at_the_block_size_match_reference(offset, tce):
     rows = reports._BLOCK_ROWS + offset
-    trace = hbac.run_ppa(thermal_state(tce, 0.5), tce, 0.5, rows - 1)
+    trace = hbac.run_ppa(thermal_marginal_polarization(tce, "C1", 0.5), tce, 0.5, rows - 1)
     grid = np.linspace(2 * math.pi * 150e6, 2 * math.pi * 1000e6, rows)
     table = engines.sweep_two_stroke(tce, grid, [3])
     renders = [
@@ -188,7 +188,7 @@ def test_failed_stream_leaves_the_target_as_it_was(existing, tmp_path):
 
 def test_writing_a_long_table_holds_one_block_at_a_time(tce, tmp_path):
     rounds = 10**5
-    run = hbac.run_ppa(thermal_state(tce, 0.5), tce, 0.5, 1000)
+    run = hbac.run_ppa(thermal_marginal_polarization(tce, "C1", 0.5), tce, 0.5, 1000)
     # a 10^5-round trace, tiled from a real run to keep the test fast
     trace = SimpleNamespace(**{
         name: np.resize(getattr(run, name), rounds + 1)

@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 import oracles
-from dense import local_levels, qubit_marginal, zeeman_levels
-from spinotto.qmath import DensityMatrix
+from dense import (
+    DensityMatrix,
+    local_levels,
+    polarization,
+    polarization_of,
+    thermal_populations,
+    thermal_state,
+    zeeman_levels,
+)
 from spinotto.spinsys import (
     CODATA2018,
     ConfigError,
@@ -16,13 +23,10 @@ from spinotto.spinsys import (
     effective_temperature,
     from_config_text,
     load_system,
-    polarization,
     register_levels,
     tce_system,
     thermal_marginal_polarization,
     thermal_polarization,
-    thermal_populations,
-    thermal_state,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -124,6 +128,14 @@ class TestSpinSystemValidation:
         with pytest.raises(ConfigError, match="finite"):
             SpinSystem((q,), {}, 1.0, value)
 
+    def test_rejects_an_overflowing_larmor_frequency(self):
+        # gamma * B is finite in MHz, but not in rad/s
+        q = QubitSpec("a", Role.TARGET, 10.0, 1.0)
+        with pytest.raises(ConfigError, match=r"^qubit a: Larmor frequency 1e\+305 MHz at field scale 1 overflows"):
+            SpinSystem((q,), {}, 1e304, 300.0)
+        with pytest.raises(ConfigError, match=r"^qubit q: Larmor frequency 500\.13 MHz at field scale 1e\+305 overflows"):
+            single_spin(500.13).omega("q", 1e305)
+
 
 class TestStaticHamiltonian:
     # stored as its level energies, one per computational basis state
@@ -193,7 +205,7 @@ class TestGibbsState:
         assert eps == pytest.approx(4.000e-5, rel=1e-3)
 
     def test_tce_target_marginal(self, tce_thermal):
-        eps = polarization(qubit_marginal(tce_thermal, "C1"))
+        eps = polarization_of(tce_thermal, "C1")
         assert eps == pytest.approx(1.006e-5, rel=1e-3)
 
     def test_populations_decrease_with_energy(self, tce, tce_thermal):
@@ -231,7 +243,7 @@ class TestPolarization:
 
     def test_hydrogen_half_field(self, tce):
         rho = thermal_state(tce, 0.5)
-        eps = polarization(qubit_marginal(rho, "H"))
+        eps = polarization_of(rho, "H")
         assert eps == pytest.approx(2.000e-5, rel=1e-3)
 
     def test_rejects_multi_qubit_input(self, tce_thermal):
@@ -260,10 +272,22 @@ class TestThermalMarginalPolarization:
         bare = thermal_polarization(tce.omega("C1"), tce.bath_temperature)
         assert (eps - bare) / bare == pytest.approx(-5.6e-12, rel=0.05, abs=0)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_half_splittings_past_the_overflow_of_cosh(self, scale):
+        # a C1-C2 coupling of 1e17 Hz splits the pairs by about 4000 kT:
+        # sinh and cosh overflow there, their logarithms do not.  Measured
+        # 4.8e-9 and 3.4e-8 relative, the round-off of level energies that
+        # large, which the oracle takes in 40 digits
+        sys = from_config_text(huge_coupling_config())
+        omegas = [sys.omega(q, scale) for q in sys.labels]
+        couplings = {(0, 1): 1e17, (0, 2): 9.0, (1, 2): 200.8}
+        want = oracles.coupled_marginal_polarization(omegas, couplings, 0)
+        assert thermal_marginal_polarization(sys, "C1", scale) == pytest.approx(want, rel=1e-7, abs=0)
+
     def test_matches_the_dense_marginal(self, tce, tce_thermal):
         # the dense marginal cancels about 4.5 digits in its population difference
         for label in tce.labels:
-            dense_eps = polarization(qubit_marginal(tce_thermal, label))
+            dense_eps = polarization_of(tce_thermal, label)
             assert thermal_marginal_polarization(tce, label) == pytest.approx(dense_eps, rel=1e-10, abs=0)
 
 
@@ -307,9 +331,15 @@ def test_marginal_polarization_matches_tanh_everywhere(tce):
     for scale in (1.0, 0.5, 0.25):
         rho = thermal_state(tce, scale)
         for q in tce.labels:
-            eps = polarization(qubit_marginal(rho, q))
+            eps = polarization_of(rho, q)
             expected = thermal_polarization(tce.omega(q, scale), tce.bath_temperature)
             assert abs(eps - expected) <= 2e-9
+
+
+def huge_coupling_config():
+    """The TCE INI text with C1 at 200 MHz and a C1-C2 coupling of 1e17 Hz."""
+    text = TCE_CONFIG.replace("omega_mhz = 125.77\n\n[qubit.C2]", "omega_mhz = 200.0\n\n[qubit.C2]")
+    return text.replace("C1-C2 = 103.0", "C1-C2 = 1e17")
 
 
 TCE_CONFIG = """\
