@@ -22,6 +22,7 @@ from dense import (
     stroke_work,
     thermal_state,
 )
+from spinotto import cli
 from spinotto.spinsys import CODATA2018, register_levels
 from test_qmath import random_density
 
@@ -47,6 +48,19 @@ def coherent_state(tce, tce_thermal, label):
         for q in tce.labels
     ]
     return product_state(*factors)
+
+
+class TestStrokeSpec:
+    @pytest.mark.parametrize("tau", ["inf", "nan"])
+    def test_rejects_non_finite_tau(self, tau, capsys):
+        # the drive period enters the package only through --tau, whose
+        # parser must turn a non-finite period away before any stroke is set up
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_parser().parse_args(["four-stroke", "--tau", tau])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tau" in err
+        assert "finite" in err
 
 
 class TestDriveHamiltonian:
