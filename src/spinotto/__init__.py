@@ -11,9 +11,6 @@ from .engines import (
     SweepTable,
     isochoric_crossover,
     positive_work_window,
-    run_four_stroke,
-    run_isochoric_reference,
-    run_two_stroke,
     sweep_four_stroke,
     sweep_two_stroke,
 )

@@ -83,6 +83,11 @@ def _parse_rounds(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
+def _rad_s(grid_mhz: Iterable[float]) -> list[float]:
+    """Angular frequencies (rad/s) of frequencies omega/2pi given in MHz."""
+    return [TWO_PI * 1e6 * w for w in grid_mhz]
+
+
 def _parse_omega_grid(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -104,9 +109,14 @@ def _parse_omega_grid(text: str) -> tuple[float, ...]:
     if not count < MAX_VALUES:
         raise argparse.ArgumentTypeError(f"omega grid has more than {MAX_VALUES} points: {text!r}")
     grid = tuple(start + i * step for i in range(int(math.floor(count)) + 1))
-    # the sweep runs in rad/s, which must stay finite too
-    if not math.isfinite(TWO_PI * 1e6 * grid[-1]):
+    # the sweep runs in rad/s, where the points must stay finite and distinct too
+    rad_s = _rad_s(grid)
+    if not math.isfinite(rad_s[-1]):
         raise argparse.ArgumentTypeError(f"omega grid overflows in rad/s: {text!r}")
+    if any(b <= a for a, b in zip(rad_s, rad_s[1:])):
+        raise argparse.ArgumentTypeError(
+            f"omega grid repeats a point in rad/s (step below float resolution): {text!r}"
+        )
     return grid
 
 
@@ -236,7 +246,7 @@ def _cmd_two_stroke(config: RunConfig, system: SpinSystem) -> int:
     rows = len(config.rounds) * len(config.omega_s_mhz)
     if rows > MAX_VALUES:
         raise ConfigError(f"two-stroke table would have {rows} rows, more than {MAX_VALUES}")
-    grid = [TWO_PI * 1e6 * w for w in config.omega_s_mhz]
+    grid = _rad_s(config.omega_s_mhz)
     try:
         table = engines.sweep_two_stroke(system, grid, config.rounds)
     except engines.NonFiniteCell as exc:

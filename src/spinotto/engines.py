@@ -1,4 +1,4 @@
-"""Otto-cycle orchestration: four-stroke, isochoric reference, two-stroke.
+"""Otto-cycle sweeps: four-stroke, isochoric reference, two-stroke.
 
 All engines share one heat bath.  The four-stroke cycle is
 isochoric heating -> field compression -> algorithmic cooling -> field
@@ -7,16 +7,19 @@ a cold bath; the two-stroke engine heats a partner qubit and cools the
 target in parallel, then exchanges them with a single SWAP.
 
 Every state is diagonal, so the engines form no state: only the
-target's polarization enters a cycle.  A field ramp drives only Iz terms, so it
-freezes every population, and a stroke is the statement that the
-target keeps its polarization while its levels move: at frequency
-``omega`` its energy is ``-(hbar omega / 2) eps``, and every heat and
-work is ``(hbar omega / 2)`` times a difference of polarizations,
-reported per mole.  The cooled target comes from the closed-form
+target's polarization enters a cycle.  A field ramp drives only Iz
+terms, so it freezes every population, and a stroke is the statement
+that the target keeps its polarization while its levels move: at
+frequency ``omega`` its energy is ``-(hbar omega / 2) eps``.  Each
+engine is therefore one Otto cycle between two frequencies across which
+the target's polarization swings by some gain, and one kernel,
+``_otto``, turns those into the heat, work, efficiency and power
+columns, per mole.  The cooled target comes from the closed-form
 cooling run, the hot target from the J-coupled register's Gibbs
 marginal and a cold bath from ``tanh``; none is a difference of two
 populations near 1/2.  Cycle times count only the relaxation stages:
-gate applications and field ramps are treated as fast.
+gate applications and field ramps are treated as fast.  The sweeps are
+the only entry points; one cycle is a one-point sweep.
 """
 
 from __future__ import annotations
@@ -171,112 +174,27 @@ class SweepTable(Sequence):
         return self[int(np.argmax(self.columns["net_work"]))]
 
 
-class _FourStroke:
-    """The hot target that every four-stroke cycle of one system shares.
+def _otto(omega_in, omega_out, gain, cycle_time, constants: PhysicalConstants) -> dict[str, np.ndarray]:
+    """Columns of Otto cycles whose target polarization swings by ``gain``; arrays broadcast.
 
-    Each method takes the cooling stages of many cycles at once and
-    returns their columns.  The field ramps freeze the populations, so
-    the compressed target is still at the hot polarization: it is the
-    cooling run's input, and each heat and work is ``hbar omega / 2``
-    times a difference of polarizations.
+    The working qubit takes ``(hbar omega_in / 2) gain`` per mole from
+    the hot side and gives ``(hbar omega_out / 2) gain`` back to the cold
+    side, both reported as positive magnitudes, so the work is their
+    difference and the efficiency ``1 - omega_out / omega_in``.
     """
-
-    def __init__(self, sys: SpinSystem, constants: PhysicalConstants):
-        self.sys, self.constants = sys, constants
-        target = sys.label_for_role(Role.TARGET)
-        self.t1_target = sys.qubit(target).t1
-        self.omega1 = sys.omega(target, COMPRESSED_FIELD_SCALE)
-        # per mole: hbar omega / 2 at the full and the compressed field
-        self.half0 = constants.hbar * sys.omega(target, 1.0) / 2.0 * constants.avogadro
-        self.half1 = constants.hbar * self.omega1 / 2.0 * constants.avogadro
-        # the compression stroke leaves the hot target's polarization as it is
-        self.eps_hot = thermal_marginal_polarization(sys, target, 1.0, constants)
-
-    def _columns(self, eps_cold, cycle_time, temperature) -> dict[str, np.ndarray]:
-        """Columns of cycles from their cooled target polarizations."""
-        gain = eps_cold - self.eps_hot
-        q_in = self.half0 * gain
-        q_out = self.half1 * gain
-        net = q_in - q_out
-        return {
-            "w1": np.full(len(gain), (self.half1 - self.half0) * self.eps_hot),
-            "w2": (self.half0 - self.half1) * eps_cold,
-            "q_in": q_in,
-            "q_out": q_out,
-            "net_work": net,
-            "efficiency": np.full(len(gain), 1.0 - COMPRESSED_FIELD_SCALE),
-            "power": net / cycle_time,
-            "cycle_time": cycle_time,
-            "cooled_target_temperature": temperature,
-        }
-
-    # an overflow shows as a non-finite column, which SweepTable rejects
-    @np.errstate(all="ignore")
-    def cooled_by_ppa(self, n_list: list[int]) -> dict[str, np.ndarray]:
-        """HBAC cycles for each round count, all read off one cooling run."""
-        trace = run_ppa(self.eps_hot, self.sys, COMPRESSED_FIELD_SCALE, max(n_list), self.constants)
-        n_rounds = np.array(n_list)
-        t1_reset = self.sys.qubit(self.sys.label_for_role(Role.RESET)).t1
-        columns = self._columns(
-            trace.target_polarization[n_list],
-            self.t1_target + t1_reset * (2 * n_rounds + 1),
-            trace.target_effective_temperature[n_list],
-        )
-        columns["n_rounds"] = n_rounds
-        return columns
-
-    @np.errstate(all="ignore")
-    def cooled_by_bath(self, temperatures: np.ndarray) -> dict[str, np.ndarray]:
-        """Reference cycles that reset the target at each cold temperature instead."""
-        cold = thermal_polarization(self.omega1, temperatures, self.constants)
-        # past 1 a polarization gives the upper level a negative population; NaN fails too
-        bad = np.flatnonzero(~(abs(cold) <= 1.0))
-        if bad.size:
-            i = bad[0]
-            raise StateInvariantError(
-                f"isochoric reference at {temperatures[i]:g} K: target polarization {cold[i]} outside [-1, 1]"
-            )
-        cycle_time = np.full(len(temperatures), 2.0 * self.t1_target)
-        return self._columns(cold, cycle_time, temperatures)
-
-
-def run_four_stroke(
-    sys: SpinSystem,
-    n_rounds: int,
-    constants: PhysicalConstants = CODATA2018,
-) -> CycleReport:
-    """Simulate one four-stroke cycle with algorithmic cooling.
-
-    Heat absorbed while re-thermalizing at full field and heat released
-    into the cooling stage at half field are both reported as positive
-    magnitudes, so ``net_work = q_in - q_out`` matches ``w1 + w2``.
-    Power uses the relaxation-time cost ``tau_T + tau_R (2n + 1)``.
-    """
-    if n_rounds < 0:
-        raise ValueError(f"n_rounds must be >= 0, got {n_rounds}")
-    columns = _FourStroke(sys, constants).cooled_by_ppa([n_rounds])
-    return SweepTable({}, FOUR_STROKE_HBAC, columns)[0]
-
-
-def run_isochoric_reference(
-    sys: SpinSystem,
-    cold_temperature: float,
-    constants: PhysicalConstants = CODATA2018,
-) -> CycleReport:
-    """Benchmark cycle that cools the target in a cold bath instead.
-
-    The cooling stage re-thermalizes the target under the half-field
-    Hamiltonian at ``cold_temperature``; choosing the effective
-    temperature reached by algorithmic cooling reproduces its work output
-    exactly.  Power uses the two-relaxation cost ``2 tau_T``.
-    """
-    if not 0.0 < cold_temperature <= sys.bath_temperature:
-        raise ValueError(
-            f"cold temperature {cold_temperature} must lie in "
-            f"(0, {sys.bath_temperature}] (bath temperature)"
-        )
-    columns = _FourStroke(sys, constants).cooled_by_bath(np.array([cold_temperature]))
-    return SweepTable({}, FOUR_STROKE_ISOCHORIC_REF, columns)[0]
+    half = constants.hbar / 2.0 * constants.avogadro
+    q_in = half * omega_in * gain
+    q_out = half * omega_out * gain
+    net = q_in - q_out
+    shape = np.shape(net)
+    return {
+        "q_in": q_in,
+        "q_out": q_out,
+        "net_work": net,
+        "efficiency": np.broadcast_to(1.0 - omega_out / omega_in, shape),
+        "power": net / cycle_time,
+        "cycle_time": np.broadcast_to(cycle_time, shape),
+    }
 
 
 def positive_work_window(
@@ -295,22 +213,7 @@ def positive_work_window(
     return omega_t, omega_t * bath_t / cooled_t
 
 
-def run_two_stroke(
-    sys: SpinSystem,
-    omega_s: float,
-    n_rounds: int,
-    constants: PhysicalConstants = CODATA2018,
-) -> CycleReport:
-    """Simulate one two-stroke cycle against a partner qubit at ``omega_s``.
-
-    Algorithmic cooling runs at full field (there is no compression
-    stroke); the cooled target and the bath-equilibrated partner exchange
-    states through one SWAP.  A partner frequency outside the positive
-    work window is reported with ``in_window=False``, not an error.
-    """
-    return sweep_two_stroke(sys, [omega_s], [n_rounds], constants)[0]
-
-
+@np.errstate(all="ignore")  # an overflow shows as a non-finite column, which SweepTable rejects
 def sweep_four_stroke(
     sys: SpinSystem,
     n_values: int | Iterable[int],
@@ -318,13 +221,19 @@ def sweep_four_stroke(
 ) -> SweepTable:
     """Four-stroke cycles for each round count, with isochoric references.
 
-    An integer argument means the inclusive range ``0..n_values``.  Every
-    reference cycle is cooled to the matching cycle's effective
-    temperature, so the pair differs only in timing.  One cooling run to
+    An integer argument means the inclusive range ``0..n_values``.  The
+    target heats at full field, the compression stroke halves the field,
+    the target cools, by ``n`` PPA rounds or, in the reference, in a cold
+    bath, and the expansion stroke restores the field.  The ramps keep
+    the polarization, so the compressed target is still at the hot
+    polarization: it is the cooling run's input.  The stroke works are
+    ``w1`` and ``w2``.  Every reference cycle is cooled to the matching
+    cycle's effective temperature, so the pair differs only in timing:
+    ``tau_T + tau_R (2n + 1)`` against ``2 tau_T``.  One cooling run to
     the largest round count serves every row, and both engines share one
-    hot target polarization.  A round whose target ends
-    above the bath temperature has no cold bath for its reference, which
-    is a ``ConfigError``.
+    hot target polarization.  A round whose target ends above the bath
+    temperature has no cold bath for its reference, which is a
+    ``ConfigError``.
     """
     if isinstance(n_values, int):
         n_values = range(n_values + 1)
@@ -333,9 +242,26 @@ def sweep_four_stroke(
         raise ValueError("empty round-count grid")
     if min(n_list) < 0:
         raise ValueError(f"n_rounds must be >= 0, got {min(n_list)}")
-    cycles = _FourStroke(sys, constants)
-    columns = cycles.cooled_by_ppa(n_list)
-    cold = columns["cooled_target_temperature"]
+    target = sys.label_for_role(Role.TARGET)
+    t1_target = sys.qubit(target).t1
+    omega0, omega1 = sys.omega(target, 1.0), sys.omega(target, COMPRESSED_FIELD_SCALE)
+    eps_hot = thermal_marginal_polarization(sys, target, 1.0, constants)
+    half = constants.hbar / 2.0 * constants.avogadro
+
+    def cycles(eps_cold, cycle_time, temperature) -> dict[str, np.ndarray]:
+        return {
+            "w1": np.broadcast_to(half * (omega1 - omega0) * eps_hot, len(eps_cold)),
+            "w2": half * (omega0 - omega1) * eps_cold,
+            **_otto(omega0, omega1, eps_cold - eps_hot, cycle_time, constants),
+            "cooled_target_temperature": temperature,
+        }
+
+    trace = run_ppa(eps_hot, sys, COMPRESSED_FIELD_SCALE, max(n_list), constants)
+    n_rounds = np.array(n_list)
+    cold = trace.target_effective_temperature[n_list]
+    t1_reset = sys.qubit(sys.label_for_role(Role.RESET)).t1
+    columns = cycles(trace.target_polarization[n_list], t1_target + t1_reset * (2 * n_rounds + 1), cold)
+    columns["n_rounds"] = n_rounds
     above = np.flatnonzero(cold > sys.bath_temperature)
     if above.size:
         i = above[0]
@@ -344,8 +270,16 @@ def sweep_four_stroke(
             f"bath temperature {sys.bath_temperature:g} K, so the isochoric reference "
             f"has no cold bath"
         )
+    eps_bath = thermal_polarization(omega1, cold, constants)
+    # past 1 a polarization gives the upper level a negative population; NaN fails too
+    bad = np.flatnonzero(~(abs(eps_bath) <= 1.0))
+    if bad.size:
+        i = bad[0]
+        raise StateInvariantError(
+            f"isochoric reference at {cold[i]:g} K: target polarization {eps_bath[i]} outside [-1, 1]"
+        )
     axes = {"n_rounds": tuple(n_list)}
-    reference = SweepTable(axes, FOUR_STROKE_ISOCHORIC_REF, cycles.cooled_by_bath(cold))
+    reference = SweepTable(axes, FOUR_STROKE_ISOCHORIC_REF, cycles(eps_bath, 2.0 * t1_target, cold))
     return SweepTable(axes, FOUR_STROKE_HBAC, columns, reference)
 
 
@@ -358,16 +292,17 @@ def sweep_two_stroke(
 ) -> SweepTable:
     """Two-stroke cycles over a partner-frequency grid (rad/s) per round count.
 
-    Rows are ordered round-count-major, frequency-minor.  One cooling run
-    to the largest round count serves every row: its row ``n`` is the
-    ``n``-round cooled target, which does not depend on the
-    partner.  The sweep is then one array pass over (round count,
-    frequency).
-
+    Rows are ordered round-count-major, frequency-minor.  Cooling runs at
+    full field (there is no compression stroke), and one cooling run to
+    the largest round count serves every row: its row ``n`` is the
+    ``n``-round cooled target, which does not depend on the partner.
     The bath-equilibrated partner and the cooled target are diagonal
     qubits, so the SWAP only exchanges their polarizations: the partner
     absorbs ``(hbar omega_S / 2)`` times the difference, and the target
-    gives back ``(hbar omega_T / 2)`` times it.
+    gives back ``(hbar omega_T / 2)`` times it.  The sweep is one array
+    pass over (round count, frequency).  A partner frequency outside the
+    positive-work window is reported with ``in_window=False``, not an
+    error.
     """
     grid = np.array(omega_s_grid, dtype=float)
     n_list = [int(n) for n in n_values]
@@ -383,31 +318,19 @@ def sweep_two_stroke(
     n_rounds = np.array(n_list)[:, None]
     cooled = trace.target_effective_temperature[n_list]
 
-    # one row per round count, broadcast against the grid axis: the SWAP
-    # hands the partner the cooled target's polarization and back
+    # one row per round count, broadcast against the grid axis
     gain = trace.target_polarization[n_list][:, None] - thermal_polarization(grid, sys.bath_temperature, constants)
-    half = constants.hbar / 2.0 * constants.avogadro
-    q_in = half * grid * gain
-    q_out = half * omega_t * gain
-
     cycle_time = sys.qubit(sys.label_for_role(Role.RESET)).t1 * (2 * n_rounds + 1)
-    net = q_in - q_out
     # one window per round count; the empty (inf, inf) stands in for none
     windows = [positive_work_window(omega_t, sys.bath_temperature, t) for t in cooled.tolist()]
     bounds = np.array([w or (np.inf, np.inf) for w in windows])
-    in_window = (bounds[:, :1] < grid) & (grid < bounds[:, 1:])
-    shape = net.shape
+    shape = gain.shape
     columns = {
         "n_rounds": np.broadcast_to(n_rounds, shape),
-        "q_in": q_in,
-        "q_out": q_out,
-        "net_work": net,
-        "efficiency": np.broadcast_to(1.0 - omega_t / grid, shape),
-        "power": net / cycle_time,
-        "cycle_time": np.broadcast_to(cycle_time, shape),
+        **_otto(grid, omega_t, gain, cycle_time, constants),
         "cooled_target_temperature": np.broadcast_to(cooled[:, None], shape),
         "omega_s": np.broadcast_to(grid, shape),
-        "in_window": in_window,
+        "in_window": (bounds[:, :1] < grid) & (grid < bounds[:, 1:]),
     }
     return SweepTable(
         axes={"n_rounds": tuple(n_list), "omega_s": tuple(grid.tolist())},

@@ -44,10 +44,9 @@ def system_lines(sys: SpinSystem) -> list[str]:
         f"system: B={fmt(sys.b_field)} T, bath={fmt(sys.bath_temperature)} K"
     ]
     for q in sys.qubits:
-        omega = q.omega_over_2pi if q.omega_over_2pi is not None else q.gamma_over_2pi * sys.b_field
         lines.append(
             f"qubit {q.label}: role={q.role.value} gamma={fmt(q.gamma_over_2pi)} MHz/T "
-            f"omega={fmt(omega)} MHz t1={fmt(q.t1)} s"
+            f"omega={fmt(sys.omega_mhz(q.label))} MHz t1={fmt(q.t1)} s"
         )
     for (a, b), j in sorted(sys.j_over_2pi.items()):
         lines.append(f"J {a}-{b}: {fmt(j)} Hz")

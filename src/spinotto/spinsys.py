@@ -134,10 +134,14 @@ class SpinSystem:
                 return q
         raise KeyError(f"unknown qubit label {label!r}; register is {self.labels}")
 
+    def omega_mhz(self, label: str) -> float:
+        """Larmor frequency omega/2pi in MHz at full field: the pinned value, else gamma times B."""
+        q = self.qubit(label)
+        return q.omega_over_2pi if q.omega_over_2pi is not None else q.gamma_over_2pi * self.b_field
+
     def omega(self, label: str, field_scale: float = 1.0) -> float:
         """Larmor angular frequency in rad/s at the scaled field; a ``ConfigError`` if it overflows."""
-        q = self.qubit(label)
-        mhz = q.omega_over_2pi if q.omega_over_2pi is not None else q.gamma_over_2pi * self.b_field
+        mhz = self.omega_mhz(label)
         omega = TWO_PI * 1e6 * mhz * field_scale
         if not math.isfinite(omega):
             raise ConfigError(

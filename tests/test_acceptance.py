@@ -28,7 +28,6 @@ from oracles import mhz
 from spinotto.engines import (
     isochoric_crossover,
     positive_work_window,
-    run_two_stroke,
     sweep_four_stroke,
     sweep_two_stroke,
 )
@@ -121,8 +120,8 @@ class TestCriterion3:
 
 class TestCriterion4:
     def test_two_stroke_optima(self, tce):
-        fast = run_two_stroke(tce, mhz(430.0), 1)
-        big = run_two_stroke(tce, mhz(580.0), 5)
+        fast = sweep_two_stroke(tce, [mhz(430.0)], [1])[0]
+        big = sweep_two_stroke(tce, [mhz(580.0)], [5])[0]
         check(
             "4 (two-stroke optima)",
             [
@@ -228,7 +227,7 @@ class TestCriterion6:
         conditions.append((f"(d) COMP law error {law_error:.2e} <= 1e-9", law_error <= 1e-9))
 
         # (e) positive work strictly inside and only inside the window
-        report_n1 = run_two_stroke(tce, mhz(430.0), 1)
+        report_n1 = sweep_two_stroke(tce, [mhz(430.0)], [1])[0]
         low, high = positive_work_window(
             tce.omega("C1"), tce.bath_temperature, report_n1.cooled_target_temperature
         )

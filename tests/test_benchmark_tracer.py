@@ -15,8 +15,9 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # The package keeps no density matrix, gate or stroke propagator: the dense
 # code moved to the tests' reference (tests/dense.py), and a stroke is the
-# frozen polarization in engines.  The tracer still names these targets,
-# which count 0 calls until the benchmark's layers are renamed with them.
+# frozen polarization in engines.  Nor does it keep one-cycle engine entry
+# points: a single cycle is a one-point sweep.  The tracer still names these
+# targets, which count 0 calls until the benchmark's layers are renamed with them.
 RETIRED = [
     "spinotto.qmath.DensityMatrix.__post_init__",
     "spinotto.qmath.partial_trace",
@@ -26,6 +27,8 @@ RETIRED = [
     "spinotto.gates.swap_unitary",
     "spinotto.gates.comp_unitary",
     "spinotto.adiabatic.evolve_stroke",
+    "spinotto.engines.run_four_stroke",
+    "spinotto.engines.run_isochoric_reference",
 ]
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -257,14 +258,22 @@ class TestOutputContract:
             ["four-stroke", "--tau", "0"],
             ["ppa", "--field-scale", "inf"],
             ["four-stroke", "--dt", "0.001"],  # not an option
+            # grids whose points repeat once they are floats
+            ["two-stroke", "--omega-s", "1e17:100000000000000100:4"],
+            ["two-stroke", "--omega-s", "1:1.000000000000002:0.0000000000000002"],
         ],
-        ids=["tau-nan", "tau-inf", "tau-zero", "field-scale-inf", "dt-removed"],
+        ids=[
+            "tau-nan", "tau-inf", "tau-zero", "field-scale-inf", "dt-removed",
+            "omega-repeats-near-1e17", "omega-repeats-near-1",
+        ],
     )
     def test_bad_arguments_exit_2(self, args, tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_cli(args, tmp_path, monkeypatch)
         assert excinfo.value.code == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert sum("error:" in line for line in err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_extreme_tau_keeps_data_rows(self, tmp_path, monkeypatch, capsys):
@@ -584,6 +593,17 @@ def test_readme_commands_keep_their_bytes(args, name, digest, tmp_path, monkeypa
     rc = run_cli([*args, "--out", name], tmp_path, monkeypatch)
     assert rc == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_readme_python_example_runs(capsys):
+    # the README's Python block, run as written, so it cannot go stale
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    net_work, power, efficiency = map(float, capsys.readouterr().out.split())
+    assert net_work > 0 and power > 0 and efficiency == 0.5
 
 
 def heated_target_config(tmp_path):

@@ -28,9 +28,6 @@ from spinotto.engines import (
     SweepTable,
     isochoric_crossover,
     positive_work_window,
-    run_four_stroke,
-    run_isochoric_reference,
-    run_two_stroke,
     sweep_four_stroke,
     sweep_two_stroke,
 )
@@ -41,6 +38,7 @@ from spinotto.spinsys import (
     StateInvariantError,
     effective_temperature,
     thermal_marginal_polarization,
+    thermal_polarization,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -117,7 +115,7 @@ class TestFourStroke:
 
     def test_rejects_negative_rounds(self, tce):
         with pytest.raises(ValueError):
-            run_four_stroke(tce, -1)
+            sweep_four_stroke(tce, [-1])
 
 
 class TestIsochoricReference:
@@ -133,20 +131,12 @@ class TestIsochoricReference:
     def test_zero_work_when_cold_bath_matches_compressed_frequency(self, tce):
         # the frozen post-compression polarization equals the half-field
         # thermal polarization at bath/2, so that is the zero-work point
-        report = run_isochoric_reference(tce, tce.bath_temperature / 2)
-        assert abs(report.net_work) <= 1e-12  # J/mol, vs ~1e-7 at one round
+        assert abs(reference_work(tce, tce.bath_temperature / 2)) <= 1e-12  # J/mol, vs ~1e-7 at one round
 
     def test_bath_temperature_cold_bath_consumes_work(self, tce):
         # "cooling" at the bath temperature under the half-field Hamiltonian
         # lowers the polarization below its frozen value: net work is negative
-        report = run_isochoric_reference(tce, tce.bath_temperature)
-        assert report.net_work < 0
-
-    def test_rejects_inverted_temperatures(self, tce):
-        with pytest.raises(ValueError):
-            run_isochoric_reference(tce, tce.bath_temperature * 1.5)
-        with pytest.raises(ValueError):
-            run_isochoric_reference(tce, 0.0)
+        assert reference_work(tce, tce.bath_temperature) < 0
 
     def test_crossover_at_six_rounds(self, four_stroke_table):
         assert isochoric_crossover(four_stroke_table) == 6
@@ -189,12 +179,6 @@ class TestFourStrokeSweep:
             assert set(got.columns) == set(rows[0])
             assert_matches_dense(got.columns, rows)
 
-    def test_one_point_calls_match_the_sweep(self, tce, four_stroke_table):
-        for n in (0, 2, 7):
-            assert run_four_stroke(tce, n) == four_stroke_table[n]
-            reference = four_stroke_table.reference_reports[n]
-            assert run_isochoric_reference(tce, reference.cooled_target_temperature) == reference
-
     def test_validations_do_not_grow_with_the_round_count(self, tce):
         # the package forms no state to validate: one hot Gibbs marginal and
         # one cooling run, whose rows are checked as one column, serve every
@@ -232,6 +216,13 @@ class TestFourStrokeSweep:
             sweep_four_stroke(slow_reset, 3)
         table = sweep_four_stroke(slow_reset, [1, 2, 3])
         assert (table.columns["cooled_target_temperature"] < slow_reset.bath_temperature).all()
+
+
+def reference_work(sys, cold_temperature):
+    """Net work of the isochoric reference cycle with its cold bath at ``cold_temperature``."""
+    omega0, omega1 = sys.omega("C1", 1.0), sys.omega("C1", 0.5)
+    gain = thermal_polarization(omega1, cold_temperature) - thermal_marginal_polarization(sys, "C1", 1.0)
+    return engines._otto(omega0, omega1, gain, 2 * sys.qubit("C1").t1, CODATA2018)["net_work"]
 
 
 def state_work(sweep, *args):
@@ -303,7 +294,7 @@ def dense_four_stroke_cycles(sys, n_values, tau):
 
 class TestTwoStroke:
     def test_optimum_anchor_430mhz(self, tce):
-        report = run_two_stroke(tce, mhz(430.0), 1)
+        report = sweep_two_stroke(tce, [mhz(430.0)], [1])[0]
         assert report.engine_kind == TWO_STROKE_HBAC
         assert report.net_work == pytest.approx(1.5e-6, rel=7e-2)
         assert report.power == pytest.approx(1.47e-7, rel=5e-2)
@@ -313,33 +304,33 @@ class TestTwoStroke:
         assert report.w1 is None and report.w2 is None
 
     def test_work_anchor_580mhz(self, tce):
-        report = run_two_stroke(tce, mhz(580.0), 5)
+        report = sweep_two_stroke(tce, [mhz(580.0)], [5])[0]
         assert report.net_work == pytest.approx(3.0e-6, rel=7e-2)
 
     def test_matches_closed_form(self, tce):
         for omega_mhz in (200.0, 430.0, 580.0, 900.0):
             for n in (0, 1, 5):
-                report = run_two_stroke(tce, mhz(omega_mhz), n)
+                report = sweep_two_stroke(tce, [mhz(omega_mhz)], [n])[0]
                 expected = oracles.two_stroke_closed_form(omega_mhz, n)
                 assert report.net_work == pytest.approx(expected["work"], rel=1e-3)
                 assert report.power == pytest.approx(expected["power"], rel=1e-3)
                 assert report.efficiency == pytest.approx(expected["eta"], rel=1e-6)
 
     def test_degenerate_frequency_gives_zero_work(self, tce):
-        report = run_two_stroke(tce, tce.omega("C1"), 1)
+        report = sweep_two_stroke(tce, [tce.omega("C1")], [1])[0]
         assert abs(report.net_work) <= 1e-12
         assert report.efficiency == 0.0
         assert not report.in_window
 
     def test_cooled_temperature_at_full_field(self, tce):
-        report = run_two_stroke(tce, mhz(430.0), 1)
+        report = sweep_two_stroke(tce, [mhz(430.0)], [1])[0]
         assert report.cooled_target_temperature == pytest.approx(50.3, abs=0.1)
 
     def test_rejects_bad_inputs(self, tce):
         with pytest.raises(ValueError):
-            run_two_stroke(tce, -1.0, 1)
+            sweep_two_stroke(tce, [-1.0], [1])
         with pytest.raises(ValueError):
-            run_two_stroke(tce, mhz(430.0), -1)
+            sweep_two_stroke(tce, [mhz(430.0)], [-1])
 
 
 class TestPositiveWorkWindow:
@@ -349,7 +340,7 @@ class TestPositiveWorkWindow:
         assert high == pytest.approx(mhz(200.0), rel=1e-12)
 
     def test_first_round_window(self, tce):
-        report = run_two_stroke(tce, mhz(430.0), 1)
+        report = sweep_two_stroke(tce, [mhz(430.0)], [1])[0]
         low, high = positive_work_window(
             tce.omega("C1"), tce.bath_temperature, report.cooled_target_temperature
         )
@@ -421,7 +412,7 @@ class TestTwoStrokeSweep:
         grid = [mhz(w) for w in (200.0, 430.0, 900.0)]
         n_values = [0, 1, 5]
         table = sweep_two_stroke(tce, grid, n_values)
-        expected = [run_two_stroke(tce, w, n) for n in n_values for w in grid]
+        expected = [sweep_two_stroke(tce, [w], [n])[0] for n in n_values for w in grid]
         assert list(table.reports) == expected
 
     def test_matches_dense_reference_cycle(self, tce):
@@ -558,7 +549,7 @@ class TestReportValidation:
             SweepTable(axes={"n_rounds": (2, 1)}, engine_kind=FOUR_STROKE_HBAC, columns={})
 
     def test_sweep_table_rejects_incomplete_rows(self, tce):
-        report = run_four_stroke(tce, 0)
+        report = sweep_four_stroke(tce, [0])[0]
         with pytest.raises(ValueError, match="incomplete"):
             SweepTable(
                 {"n_rounds": (0, 1)},
