@@ -7,14 +7,13 @@ qubit's polarization past the bath limit and shortens the cycle.
 """
 
 from .engines import (
-    CycleReport,
     SweepTable,
     isochoric_crossover,
     positive_work_window,
     sweep_four_stroke,
     sweep_two_stroke,
 )
-from .hbac import PpaTrace, ppa_round, run_ppa, shannon_bound
+from .hbac import PpaTrace, run_ppa, shannon_bound
 from .spinsys import (
     CODATA2018,
     ConfigError,

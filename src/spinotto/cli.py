@@ -227,10 +227,11 @@ def _cmd_ppa(config: RunConfig, system: SpinSystem) -> int:
 def _cmd_four_stroke(config: RunConfig, system: SpinSystem) -> int:
     table = engines.sweep_four_stroke(system, config.rounds)
     best = table.argmax_power()
+    n, power, work, eta = (table.columns[k].item(best) for k in ("n_rounds", "power", "net_work", "efficiency"))
     crossover = engines.isochoric_crossover(table)
     summary = (
-        f"four-stroke max power at n={best.n_rounds}: "
-        f"P={best.power:.6e} W/mol (W={best.net_work:.6e} J/mol, eta={best.efficiency:g}); "
+        f"four-stroke max power at n={n}: "
+        f"P={power:.6e} W/mol (W={work:.6e} J/mol, eta={eta:g}); "
         f"isochoric reference dominates from "
         f"{'-' if crossover is None else 'n=%d' % crossover}"
     )
@@ -253,11 +254,13 @@ def _cmd_two_stroke(config: RunConfig, system: SpinSystem) -> int:
         # the sweep runs in rad/s; name the point as it was passed, in MHz
         raise StateInvariantError(f"{exc} ({config.omega_s_mhz[exc.point['omega_s']]!r} MHz)") from None
     best = table.argmax_power()
+    omega_s, n, power, work, eta = (
+        table.columns[k].item(best) for k in ("omega_s", "n_rounds", "power", "net_work", "efficiency")
+    )
     omega_t = system.omega(system.label_for_role(Role.TARGET), 1.0)
     lines = [
-        f"two-stroke max power at omega_s={best.omega_s / TWO_PI / 1e6:.2f} MHz, "
-        f"n={best.n_rounds}: P={best.power:.6e} W/mol "
-        f"(W={best.net_work:.6e} J/mol, eta={best.efficiency:.4f})"
+        f"two-stroke max power at omega_s={omega_s / TWO_PI / 1e6:.2f} MHz, "
+        f"n={n}: P={power:.6e} W/mol (W={work:.6e} J/mol, eta={eta:.4f})"
     ]
     # rows are round-count-major, so each round count's block starts every len(grid) rows
     cooled = table.columns["cooled_target_temperature"][:: len(grid)].tolist()

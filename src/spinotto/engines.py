@@ -25,7 +25,7 @@ the only entry points; one cycle is a one-point sweep.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -52,11 +52,10 @@ COMPRESSED_FIELD_SCALE = 0.5
 _CLOSURE_RTOL = 1e-9
 
 
-_ENERGETICS = ("q_in", "q_out", "net_work", "efficiency", "w1", "w2")
-
-
-def _check_energetics(q_in, q_out, net_work, efficiency, w1, w2) -> None:
-    """First-law closure and the efficiency range, elementwise over scalars or columns."""
+def _check_energetics(columns: dict[str, np.ndarray]) -> None:
+    """First-law closure and the efficiency range over a table's columns; ``w1``/``w2`` are optional."""
+    q_in, q_out, net_work, efficiency = (columns[name] for name in ("q_in", "q_out", "net_work", "efficiency"))
+    w1, w2 = columns.get("w1"), columns.get("w2")
     # scale for the relative closure checks; the stroke works enter
     # because w1 and w2 can cancel almost exactly
     scale = reduce(np.maximum, [abs(x) for x in (q_in, q_out, net_work, w1, w2) if x is not None])
@@ -68,36 +67,12 @@ def _check_energetics(q_in, q_out, net_work, efficiency, w1, w2) -> None:
             raise StateInvariantError("first-law violation: net_work != w1 + w2")
     # only meaningfully positive work constrains the efficiency; at the
     # degenerate frequency boundary net_work is a round-off residue
-    efficiency = np.asarray(efficiency)
     bad = (net_work > tolerance) & ~((0.0 < efficiency) & (efficiency < 1.0))
     if bad.any():
         value = efficiency[bad][0]
         raise StateInvariantError(f"efficiency {value} outside (0, 1) at positive work")
 
 
-@dataclass(frozen=True)
-class CycleReport:
-    """Energy bookkeeping for one engine cycle (energies J/mol, power W/mol)."""
-
-    engine_kind: str
-    n_rounds: int | None
-    w1: float | None
-    w2: float | None
-    q_in: float
-    q_out: float
-    net_work: float
-    efficiency: float
-    power: float
-    cycle_time: float  # seconds
-    cooled_target_temperature: float  # kelvin
-    omega_s: float | None = None  # rad/s, two-stroke only
-    in_window: bool | None = None  # two-stroke only
-
-    def __post_init__(self):
-        _check_energetics(**{name: getattr(self, name) for name in _ENERGETICS})
-
-
-_COLUMN_FIELDS = tuple(f.name for f in fields(CycleReport) if f.name != "engine_kind")
 _AXIS_UNITS = {"omega_s": " rad/s"}
 
 
@@ -110,13 +85,12 @@ class NonFiniteCell(StateInvariantError):
 
 
 @dataclass(frozen=True, eq=False)
-class SweepTable(Sequence):
-    """Cycles of one engine kind over a parameter grid, stored as named columns.
+class SweepTable:
+    """Cycles of one engine kind over a parameter grid, stored as named read-only columns.
 
-    Each column is named after a ``CycleReport`` field and holds one value
-    per grid point in deterministic grid order; a field without a column
-    is None in every row.  As a sequence the table yields ``CycleReport``
-    rows, built on access.  A four-stroke sweep carries its isochoric
+    Each column holds one value per grid point in deterministic grid
+    order (energies J/mol, power W/mol, times s, temperatures K,
+    ``omega_s`` rad/s).  A four-stroke sweep carries its isochoric
     reference cycles as a second table over the same grid.  A non-finite
     float cell is a ``NonFiniteCell`` naming its grid point.
     """
@@ -148,7 +122,7 @@ class SweepTable(Sequence):
                 raise NonFiniteCell(
                     f"{self.engine_kind}: {name} is {column[first]} at {where or 'the only point'}", point
                 )
-        _check_energetics(**{name: columns.get(name) for name in _ENERGETICS})
+        _check_energetics(columns)
         if self.reference_reports is not None and len(self.reference_reports) != expected:
             raise ValueError("reference table must align with the primary table")
         object.__setattr__(self, "columns", columns)
@@ -156,22 +130,14 @@ class SweepTable(Sequence):
     def __len__(self) -> int:
         return len(self.columns["net_work"])
 
-    def __getitem__(self, index: int) -> CycleReport:
-        index = range(len(self))[index]
-        values = dict.fromkeys(_COLUMN_FIELDS)
-        values.update((name, column.item(index)) for name, column in self.columns.items())
-        return CycleReport(engine_kind=self.engine_kind, **values)
-
     @property
     def reports(self) -> SweepTable:
+        # only perfbench/tracer.py reads this, to count cycles; it goes with that tracer
         return self
 
-    def argmax_power(self) -> CycleReport:
-        # np.argmax keeps the first of equal maxima, like the builtin max
-        return self[int(np.argmax(self.columns["power"]))]
-
-    def argmax_work(self) -> CycleReport:
-        return self[int(np.argmax(self.columns["net_work"]))]
+    def argmax_power(self) -> int:
+        """Row index of the largest power, the first of equal maxima."""
+        return int(np.argmax(self.columns["power"]))
 
 
 def _otto(omega_in, omega_out, gain, cycle_time, constants: PhysicalConstants) -> dict[str, np.ndarray]:
@@ -314,7 +280,7 @@ def sweep_two_stroke(
         raise ValueError(f"n_rounds must be >= 0, got {min(n_list)}")
     eps_in = thermal_marginal_polarization(sys, sys.label_for_role(Role.TARGET), 1.0, constants)
     trace = run_ppa(eps_in, sys, 1.0, max(n_list), constants)
-    omega_t = sys.omega(trace.target, 1.0)
+    omega_t = sys.omega(sys.label_for_role(Role.TARGET), 1.0)
     n_rounds = np.array(n_list)[:, None]
     cooled = trace.target_effective_temperature[n_list]
 

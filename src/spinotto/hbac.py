@@ -54,20 +54,12 @@ class PpaTrace:
     """A cooling run as read-only columns: row 0 after the initial stage, row ``n`` after round ``n``.
 
     Each column has shape ``(n+1,)``; the temperature is in kelvin at the
-    scaled target frequency.  ``qubits`` is the system's register order
-    and ``target`` the target's label.
+    scaled target frequency.
     """
 
     target_polarization: np.ndarray
     reset_polarization: np.ndarray
     target_effective_temperature: np.ndarray
-    qubits: tuple[str, ...]
-    target: str
-
-
-def ppa_round(eps: float, eps_b: float) -> float:
-    """The target polarization after one round that starts at ``eps``, with the bath at ``eps_b``."""
-    return eps * ((1.0 - eps_b * eps_b) / 2.0) + eps_b
 
 
 def cooling_polarizations(eps_b: float, eps_reset0: float, n_rounds: int) -> np.ndarray:
@@ -139,7 +131,7 @@ def run_ppa(
         )
     columns.setflags(write=False)
     temperature.setflags(write=False)
-    return PpaTrace(*columns, temperature, sys.labels, target)
+    return PpaTrace(*columns, temperature)
 
 
 def shannon_bound(

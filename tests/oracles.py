@@ -55,11 +55,16 @@ def eps_after_rounds(eps_bath: float, n: int) -> float:
     return limit - (limit - eps_bath) * ratio**n
 
 
+def eps_after_one_round(eps: float, eps_bath: float) -> float:
+    """The exact cooling map once: the target after a round that starts at ``eps``."""
+    return eps * (1.0 - eps_bath**2) / 2.0 + eps_bath
+
+
 def eps_by_recurrence(eps_bath: float, n: int) -> float:
     """The exact cooling map iterated ``n`` times from ``eps_bath``."""
     eps = eps_bath
     for _ in range(n):
-        eps = eps * (1.0 - eps_bath**2) / 2.0 + eps_bath
+        eps = eps_after_one_round(eps, eps_bath)
     return eps
 
 

@@ -57,6 +57,15 @@ FOUR_STROKE_ORACLE_RTOL = 1e-11
 TWO_STROKE_ORACLE_RTOL = 3e-15
 
 
+def worst_relative_error(columns, expected):
+    """Largest relative error of the heat, work and power columns against per-row oracle dicts."""
+    worst = 0.0
+    for key, name in (("q_in", "q_in"), ("q_out", "q_out"), ("work", "net_work"), ("power", "power")):
+        want = np.array([row[key] for row in expected])
+        worst = max(worst, float(np.max(abs(columns[name] - want) / abs(want))))
+    return worst
+
+
 @pytest.fixture(scope="module")
 def default_four_stroke_table(tce):
     return sweep_four_stroke(tce, 10)
@@ -85,20 +94,17 @@ class TestCriterion1:
 
 class TestCriterion2:
     def test_four_stroke_heats_and_work(self, default_four_stroke_table):
-        table = default_four_stroke_table
-        first = table.reports[1]
-        plateau = table.reports[-1]
+        columns = default_four_stroke_table.columns
+        q_in, q_out, work = columns["q_in"][1], columns["q_out"][1], columns["net_work"][1]
+        plateau = columns["net_work"][-1]
         check(
             "2 (four-stroke heats and work)",
             [
-                (f"Q_in(1) {first.q_in:.3e} = 5.0e-7 +-5%", within(first.q_in, 5.0e-7, 0.05)),
-                (f"Q_out(1) {first.q_out:.3e} = 2.5e-7 +-5%", within(first.q_out, 2.5e-7, 0.05)),
-                (f"W(1) {first.net_work:.3e} = 2.5e-7 +-5%", within(first.net_work, 2.5e-7, 0.05)),
-                (
-                    f"work plateau {plateau.net_work:.3e} = 3.7e-7 +-5%",
-                    within(plateau.net_work, 3.7e-7, 0.05),
-                ),
-                ("efficiency exactly 0.5", all(r.efficiency == 0.5 for r in table.reports)),
+                (f"Q_in(1) {q_in:.3e} = 5.0e-7 +-5%", within(q_in, 5.0e-7, 0.05)),
+                (f"Q_out(1) {q_out:.3e} = 2.5e-7 +-5%", within(q_out, 2.5e-7, 0.05)),
+                (f"W(1) {work:.3e} = 2.5e-7 +-5%", within(work, 2.5e-7, 0.05)),
+                (f"work plateau {plateau:.3e} = 3.7e-7 +-5%", within(plateau, 3.7e-7, 0.05)),
+                ("efficiency exactly 0.5", bool((columns["efficiency"] == 0.5).all())),
             ],
         )
 
@@ -107,12 +113,13 @@ class TestCriterion3:
     def test_four_stroke_power_optimum(self, default_four_stroke_table):
         table = default_four_stroke_table
         best = table.argmax_power()
+        n, power = table.columns["n_rounds"][best], table.columns["power"][best]
         crossover = isochoric_crossover(table)
         check(
             "3 (four-stroke power optimum)",
             [
-                (f"argmax power n={best.n_rounds} is 2", best.n_rounds == 2),
-                (f"P(2) {best.power:.3e} = 5.2e-9 +-5%", within(best.power, 5.2e-9, 0.05)),
+                (f"argmax power n={n} is 2", n == 2),
+                (f"P(2) {power:.3e} = 5.2e-9 +-5%", within(power, 5.2e-9, 0.05)),
                 (f"isochoric reference overtakes at n={crossover} (want 6)", crossover == 6),
             ],
         )
@@ -120,18 +127,16 @@ class TestCriterion3:
 
 class TestCriterion4:
     def test_two_stroke_optima(self, tce):
-        fast = sweep_two_stroke(tce, [mhz(430.0)], [1])[0]
-        big = sweep_two_stroke(tce, [mhz(580.0)], [5])[0]
+        fast = sweep_two_stroke(tce, [mhz(430.0)], [1]).columns
+        work, power, eta = fast["net_work"][0], fast["power"][0], fast["efficiency"][0]
+        big = sweep_two_stroke(tce, [mhz(580.0)], [5]).columns["net_work"][0]
         check(
             "4 (two-stroke optima)",
             [
-                (f"W(430,1) {fast.net_work:.3e} = 1.5e-6 +-7%", within(fast.net_work, 1.5e-6, 0.07)),
-                (f"P(430,1) {fast.power:.3e} = 1.47e-7 +-5%", within(fast.power, 1.47e-7, 0.05)),
-                (
-                    f"eta(430,1) {fast.efficiency:.4f} = 0.707 +-0.01",
-                    abs(fast.efficiency - 0.707) <= 0.01,
-                ),
-                (f"W(580,5) {big.net_work:.3e} = 3.0e-6 +-7%", within(big.net_work, 3.0e-6, 0.07)),
+                (f"W(430,1) {work:.3e} = 1.5e-6 +-7%", within(work, 1.5e-6, 0.07)),
+                (f"P(430,1) {power:.3e} = 1.47e-7 +-5%", within(power, 1.47e-7, 0.05)),
+                (f"eta(430,1) {eta:.4f} = 0.707 +-0.01", abs(eta - 0.707) <= 0.01),
+                (f"W(580,5) {big:.3e} = 3.0e-6 +-7%", within(big, 3.0e-6, 0.07)),
             ],
         )
 
@@ -139,16 +144,9 @@ class TestCriterion4:
 class TestCriterion5:
     def test_oracle_equivalence(self, tce, default_four_stroke_table):
         conditions = []
-        worst = 0.0
-        for report in default_four_stroke_table.reports:
-            expected = oracles.four_stroke_closed_form(report.n_rounds)
-            for key, got in (
-                ("q_in", report.q_in),
-                ("q_out", report.q_out),
-                ("work", report.net_work),
-                ("power", report.power),
-            ):
-                worst = max(worst, abs(got - expected[key]) / abs(expected[key]))
+        columns = default_four_stroke_table.columns
+        expected = [oracles.four_stroke_closed_form(n) for n in columns["n_rounds"].tolist()]
+        worst = worst_relative_error(columns, expected)
         conditions.append(
             (
                 f"four-stroke worst relative error {worst:.2e} <= {FOUR_STROKE_ORACLE_RTOL:g}",
@@ -156,18 +154,10 @@ class TestCriterion5:
             )
         )
 
-        worst2 = 0.0
         grid = [mhz(w) for w in (200.0, 430.0, 580.0, 900.0)]
-        table = sweep_two_stroke(tce, grid, range(11))
-        for report in table.reports:
-            expected = oracles.two_stroke_closed_form(report.omega_s / TWO_PI / 1e6, report.n_rounds)
-            for key, got in (
-                ("q_in", report.q_in),
-                ("q_out", report.q_out),
-                ("work", report.net_work),
-                ("power", report.power),
-            ):
-                worst2 = max(worst2, abs(got - expected[key]) / abs(expected[key]))
+        columns = sweep_two_stroke(tce, grid, range(11)).columns
+        cells = zip((columns["omega_s"] / TWO_PI / 1e6).tolist(), columns["n_rounds"].tolist())
+        worst2 = worst_relative_error(columns, [oracles.two_stroke_closed_form(w, n) for w, n in cells])
         conditions.append(
             (
                 f"two-stroke worst relative error {worst2:.2e} <= {TWO_STROKE_ORACLE_RTOL:g}",
@@ -186,7 +176,7 @@ class TestCriterion6:
         rho1 = stroke(tce_thermal, tce, COMPRESSION)
         trace = run_ppa(thermal_marginal_polarization(tce, "C1", 1.0), tce, 0.5, 3)
         rows = trace_rows(trace, rho1, tce, shannon_bound(tce, 0.5))
-        cooled = [diagonal_state(populations, trace.qubits) for populations in rows]
+        cooled = [diagonal_state(populations, tce.labels) for populations in rows]
         rho3 = stroke(cooled[-1], tce, EXPANSION)
         for state in [tce_thermal, rho1, *cooled, rho3]:
             m = state.matrix
@@ -195,11 +185,9 @@ class TestCriterion6:
             state_checks.append(np.min(np.linalg.eigvalsh(m)) >= -1e-10)
         conditions.append(("(a) trace/Hermiticity/PSD at every stage", all(state_checks)))
 
-        # (b) first-law closure on every four-stroke report
-        closure = max(
-            abs(r.net_work - (r.w1 + r.w2)) / max(abs(r.q_in), abs(r.q_out))
-            for r in default_four_stroke_table.reports
-        )
+        # (b) first-law closure on every four-stroke cycle
+        c = default_four_stroke_table.columns
+        closure = np.max(abs(c["net_work"] - (c["w1"] + c["w2"])) / np.maximum(abs(c["q_in"]), abs(c["q_out"])))
         conditions.append((f"(b) first-law closure {closure:.2e} <= 1e-9", closure <= 1e-9))
 
         # (c) strokes freeze diagonal populations to 1e-12
@@ -227,15 +215,12 @@ class TestCriterion6:
         conditions.append((f"(d) COMP law error {law_error:.2e} <= 1e-9", law_error <= 1e-9))
 
         # (e) positive work strictly inside and only inside the window
-        report_n1 = sweep_two_stroke(tce, [mhz(430.0)], [1])[0]
-        low, high = positive_work_window(
-            tce.omega("C1"), tce.bath_temperature, report_n1.cooled_target_temperature
-        )
+        cooled_n1 = sweep_two_stroke(tce, [mhz(430.0)], [1]).columns["cooled_target_temperature"][0]
+        low, high = positive_work_window(tce.omega("C1"), tce.bath_temperature, cooled_n1)
         grid = [mhz(w) for w in range(120, 1001)]
-        sweep = sweep_two_stroke(tce, grid, [1])
-        window_ok = all(
-            (r.net_work > 0) == (low < r.omega_s < high) for r in sweep.reports
-        )
+        sweep = sweep_two_stroke(tce, grid, [1]).columns
+        omega_s = sweep["omega_s"]
+        window_ok = bool(((sweep["net_work"] > 0) == ((low < omega_s) & (omega_s < high))).all())
         conditions.append(("(e) positive work iff inside the window (1 MHz sweep)", window_ok))
 
         # (f) product-state fidelity of the register thermal state

@@ -4,11 +4,14 @@
 keeps running, so a rename in ``src/`` would only show up as zero calls
 in a traced benchmark.  This loads the tracer by path, without importing
 the rest of the benchmark, and checks that exactly the retired targets
-are absent.
+are absent, and that its cycle counter still reads the sweep tables.
 """
 
 import importlib.util
 from pathlib import Path
+
+from spinotto import cli
+from spinotto.engines import sweep_four_stroke, sweep_two_stroke
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -16,8 +19,9 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # The package keeps no density matrix, gate or stroke propagator: the dense
 # code moved to the tests' reference (tests/dense.py), and a stroke is the
 # frozen polarization in engines.  Nor does it keep one-cycle engine entry
-# points: a single cycle is a one-point sweep.  The tracer still names these
-# targets, which count 0 calls until the benchmark's layers are renamed with them.
+# points (a single cycle is a one-point sweep) or a one-round cooling map (a
+# run is the closed form).  The tracer still names these targets, which count
+# 0 calls until the benchmark's layers are renamed with them.
 RETIRED = [
     "spinotto.qmath.DensityMatrix.__post_init__",
     "spinotto.qmath.partial_trace",
@@ -26,14 +30,33 @@ RETIRED = [
     "spinotto.gates.reset_channel",
     "spinotto.gates.swap_unitary",
     "spinotto.gates.comp_unitary",
+    "spinotto.hbac.ppa_round",
     "spinotto.adiabatic.evolve_stroke",
     "spinotto.engines.run_four_stroke",
     "spinotto.engines.run_isochoric_reference",
 ]
 
 
-def test_every_tracer_target_resolves():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    assert tracer.Tracer().absent == RETIRED
+    return tracer
+
+
+def test_every_tracer_target_resolves():
+    assert load_tracer().Tracer().absent == RETIRED
+
+
+def test_tracer_counts_the_cycles_of_both_tables(tce):
+    # the tracer counts engines.cycles as len(table.reports) plus
+    # len(table.reference_reports): a four-stroke sweep's 11 rows and their
+    # 11 references, and the paper's two-stroke grid, 8 round counts x 851
+    # frequencies with no reference table
+    tracer = load_tracer().Tracer()
+    tracer._observe_sweep({}, sweep_four_stroke(tce, 10))
+    assert tracer.cycles == 22
+    tracer.begin_op(1)
+    grid = cli._rad_s(cli._parse_omega_grid("150:1000:1"))
+    tracer._observe_sweep({}, sweep_two_stroke(tce, grid, cli._parse_rounds("1..8")))
+    assert tracer.cycles == 6808

@@ -351,24 +351,24 @@ def test_saturated_bath_exits_3_at_round_0(args, tmp_path, monkeypatch, capsys):
 def test_saturated_run_stops_at_the_first_bad_round(tmp_path, monkeypatch, capsys):
     # the 1 mK bath saturates the target at round 1: a run asked for the
     # largest round count reports that round, and it is the closed form, so
-    # no round is stepped through to get there
+    # one evaluation of every round finds it, with no round stepped through
     config = tmp_path / "cold.cfg"
     config.write_text(TCE_CONFIG.replace("temperature_kelvin = 300.0", "temperature_kelvin = 0.001"))
     calls = []
-    honest = cli.hbac.ppa_round
+    honest = cli.hbac.cooling_polarizations
 
     def counted(*args):
-        calls.append(None)
+        calls.append(args[2])
         return honest(*args)
 
-    monkeypatch.setattr(cli.hbac, "ppa_round", counted)
+    monkeypatch.setattr(cli.hbac, "cooling_polarizations", counted)
     argv = ["ppa", "--field-scale", "1", "--rounds", str(cli.MAX_VALUES), "--system", str(config)]
     assert run_cli(argv, tmp_path, monkeypatch) == 3
     assert capsys.readouterr().err.splitlines() == [
         "numerical invariant violated: round 1: target polarization 1.0 outside (0, 1) "
         "at bath temperature 0.001 K"
     ]
-    assert calls == []
+    assert calls == [cli.MAX_VALUES]
     assert list(tmp_path.iterdir()) == [config]
 
 
@@ -565,7 +565,7 @@ def test_closed_stdout_exits_0(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args,name,digest",
+    "args,name,digest,summary",
     [
         (
             ["ppa", "--system", "tce", "--rounds", "7", "--field-scale", "0.5"],
@@ -573,26 +573,44 @@ def test_closed_stdout_exits_0(tmp_path):
             # row 0's eps_reset is the closed-form Gibbs marginal, 5.030006677740e-06 as the
             # decimal oracle gives it, not a difference of populations (...773e-06)
             "cc83811c7585a88a9ce189a559a2de9edb4419a5bd0bbc5022f98ff780c49bc5",
+            ["ppa rounds=7 field_scale=0.5: final eps_target=3.984782e-05 T_eff=37.869 K shannon_crossing_round=1"],
         ),
         (
             ["four-stroke", "--rounds", "0..10", "--tau", "0.1"],
             "four_stroke_sweep.csv",
             "da8f61eba3c1afd92f2d6251fc7f8fac3c3c757e624fd4565d4b0932c953c4c3",
+            [
+                "four-stroke max power at n=2: P=5.172818e-09 W/mol (W=3.129555e-07 J/mol, eta=0.5); "
+                "isochoric reference dominates from n=6"
+            ],
         ),
         (
             ["two-stroke", "--rounds", "1..8", "--omega-s", "150:1000:1"],
             "two_stroke_sweep.csv",
             "d40f00529cc5c26c8f0d5e167ec5161d20b54f31a699ea0760c0d46f168b3298",
+            [
+                "two-stroke max power at omega_s=438.00 MHz, n=1: P=1.481527e-07 W/mol "
+                "(W=1.555604e-06 J/mol, eta=0.7129)",
+                "positive-work window n=1: (125.77, 750.20) MHz",
+                "positive-work window n=2: (125.77, 875.23) MHz",
+                "positive-work window n=3: (125.77, 937.74) MHz",
+                "positive-work window n=4: (125.77, 969.00) MHz",
+                "positive-work window n=5: (125.77, 984.63) MHz",
+                "positive-work window n=6: (125.77, 992.45) MHz",
+                "positive-work window n=7: (125.77, 996.35) MHz",
+                "positive-work window n=8: (125.77, 998.31) MHz",
+            ],
         ),
     ],
     ids=["ppa", "four-stroke", "two-stroke"],
 )
-def test_readme_commands_keep_their_bytes(args, name, digest, tmp_path, monkeypatch, capsys):
-    # the README's three commands; a change that alters these files on
-    # purpose updates the digest and says why
+def test_readme_commands_keep_their_bytes(args, name, digest, summary, tmp_path, monkeypatch, capsys):
+    # the README's three commands, file and printed summary; a change that
+    # alters either on purpose updates the pin and says why
     rc = run_cli([*args, "--out", name], tmp_path, monkeypatch)
     assert rc == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    assert capsys.readouterr().out.splitlines() == [f"wrote {name}", *summary]
 
 
 def test_readme_python_example_runs(capsys):

@@ -21,7 +21,6 @@ from dense import (
 from oracles import mhz
 from spinotto import cli, engines
 from spinotto.engines import (
-    CycleReport,
     FOUR_STROKE_HBAC,
     FOUR_STROKE_ISOCHORIC_REF,
     TWO_STROKE_HBAC,
@@ -69,36 +68,37 @@ def four_stroke_table(tce):
 
 class TestFourStroke:
     def test_first_cycle_heats_and_work(self, four_stroke_table):
-        report = four_stroke_table.reports[1]
-        assert report.engine_kind == FOUR_STROKE_HBAC
-        assert report.q_in == pytest.approx(5.0e-7, rel=5e-2)
-        assert report.q_out == pytest.approx(2.5e-7, rel=5e-2)
-        assert report.net_work == pytest.approx(2.5e-7, rel=5e-2)
+        assert four_stroke_table.engine_kind == FOUR_STROKE_HBAC
+        columns = four_stroke_table.columns
+        assert columns["n_rounds"][1] == 1
+        assert columns["q_in"][1] == pytest.approx(5.0e-7, rel=5e-2)
+        assert columns["q_out"][1] == pytest.approx(2.5e-7, rel=5e-2)
+        assert columns["net_work"][1] == pytest.approx(2.5e-7, rel=5e-2)
 
     def test_matches_closed_form(self, four_stroke_table):
-        for report in four_stroke_table.reports:
-            expected = oracles.four_stroke_closed_form(report.n_rounds)
-            assert report.q_in == pytest.approx(expected["q_in"], rel=1e-3)
-            assert report.q_out == pytest.approx(expected["q_out"], rel=1e-3)
-            assert report.net_work == pytest.approx(expected["work"], rel=1e-3)
-            assert report.power == pytest.approx(expected["power"], rel=1e-3)
-            assert report.cooled_target_temperature == pytest.approx(
-                expected["t_cold"], rel=1e-3
-            )
+        columns = four_stroke_table.columns
+        expected = [oracles.four_stroke_closed_form(n) for n in columns["n_rounds"].tolist()]
+        for key, name in (
+            ("q_in", "q_in"),
+            ("q_out", "q_out"),
+            ("work", "net_work"),
+            ("power", "power"),
+            ("t_cold", "cooled_target_temperature"),
+        ):
+            assert columns[name] == pytest.approx([row[key] for row in expected], rel=1e-3), name
 
     def test_efficiency_is_exactly_half(self, four_stroke_table):
-        for report in four_stroke_table.reports:
-            assert report.efficiency == 0.5
+        assert (four_stroke_table.columns["efficiency"] == 0.5).all()
 
     def test_first_law_closure(self, four_stroke_table):
-        for report in four_stroke_table.reports:
-            scale = max(abs(report.q_in), abs(report.q_out))
-            assert abs(report.net_work - (report.w1 + report.w2)) <= 1e-9 * scale
-            assert abs(report.net_work - (report.q_in - report.q_out)) <= 1e-9 * scale
+        c = four_stroke_table.columns
+        scale = np.maximum(abs(c["q_in"]), abs(c["q_out"]))
+        assert (abs(c["net_work"] - (c["w1"] + c["w2"])) <= 1e-9 * scale).all()
+        assert (abs(c["net_work"] - (c["q_in"] - c["q_out"])) <= 1e-9 * scale).all()
 
     def test_cycle_time_bookkeeping(self, four_stroke_table):
-        for report in four_stroke_table.reports:
-            assert report.cycle_time == 43.0 + 3.5 * (2 * report.n_rounds + 1)
+        c = four_stroke_table.columns
+        assert c["cycle_time"].tolist() == [43.0 + 3.5 * (2 * n + 1) for n in c["n_rounds"].tolist()]
 
     def test_compression_work_takes_the_coupled_hot_marginal(self, tce, four_stroke_table):
         # w1 = (hbar/2)(omega_1 - omega_0) eps_hot per mole, with eps_hot the
@@ -110,8 +110,8 @@ class TestFourStroke:
         assert four_stroke_table.columns["w1"] == pytest.approx(np.full(11, w1), rel=1e-15, abs=0)
 
     def test_compression_work_is_negative(self, four_stroke_table):
-        for report in four_stroke_table.reports:
-            assert report.w1 < 0 < report.w2
+        assert (four_stroke_table.columns["w1"] < 0).all()
+        assert (four_stroke_table.columns["w2"] > 0).all()
 
     def test_rejects_negative_rounds(self, tce):
         with pytest.raises(ValueError):
@@ -120,13 +120,12 @@ class TestFourStroke:
 
 class TestIsochoricReference:
     def test_matched_cold_bath_reproduces_work(self, tce, four_stroke_table):
-        for report, reference in zip(
-            four_stroke_table.reports, four_stroke_table.reference_reports
-        ):
-            assert reference.engine_kind == FOUR_STROKE_ISOCHORIC_REF
-            assert reference.net_work == pytest.approx(report.net_work, rel=1e-6)
-            assert reference.cycle_time == 2 * 43.0
-            assert reference.power == pytest.approx(reference.net_work / 86.0, rel=1e-12)
+        reference = four_stroke_table.reference_reports
+        assert reference.engine_kind == FOUR_STROKE_ISOCHORIC_REF
+        work = reference.columns["net_work"]
+        assert work == pytest.approx(four_stroke_table.columns["net_work"], rel=1e-6)
+        assert (reference.columns["cycle_time"] == 2 * 43.0).all()
+        assert reference.columns["power"] == pytest.approx(work / 86.0, rel=1e-12)
 
     def test_zero_work_when_cold_bath_matches_compressed_frequency(self, tce):
         # the frozen post-compression polarization equals the half-field
@@ -140,30 +139,30 @@ class TestIsochoricReference:
 
     def test_crossover_at_six_rounds(self, four_stroke_table):
         assert isochoric_crossover(four_stroke_table) == 6
-        for report, reference in zip(
-            four_stroke_table.reports, four_stroke_table.reference_reports
-        ):
-            if report.n_rounds <= 5:
-                assert report.power > reference.power
-            else:
-                assert reference.power > report.power
+        power = four_stroke_table.columns["power"]
+        reference = four_stroke_table.reference_reports.columns["power"]
+        early = four_stroke_table.columns["n_rounds"] <= 5
+        assert (power[early] > reference[early]).all()
+        assert (reference[~early] > power[~early]).all()
 
 
 class TestFourStrokeSweep:
     def test_power_peaks_at_two_rounds(self, four_stroke_table):
         best = four_stroke_table.argmax_power()
-        assert best.n_rounds == 2
-        assert best.power == pytest.approx(5.2e-9, rel=5e-2)
+        assert isinstance(best, int)
+        assert four_stroke_table.columns["n_rounds"][best] == 2
+        assert four_stroke_table.columns["power"][best] == pytest.approx(5.2e-9, rel=5e-2)
 
     def test_work_plateau(self, four_stroke_table):
-        work = [r.net_work for r in four_stroke_table.reports]
+        work = four_stroke_table.columns["net_work"].tolist()
         assert work[-1] == pytest.approx(3.7e-7, rel=5e-2)
         assert all(b > a for a, b in zip(work, work[1:]))
         # saturation: the last increment is tiny compared to the early ones
         assert work[-1] - work[-2] < 0.01 * (work[1] - work[0])
 
     def test_argmax_work_is_last_round(self, four_stroke_table):
-        assert four_stroke_table.argmax_work().n_rounds == 10
+        columns = four_stroke_table.columns
+        assert columns["n_rounds"][np.argmax(columns["net_work"])] == 10
 
     @pytest.mark.parametrize(
         "system,n_values,tau",
@@ -292,39 +291,46 @@ def dense_four_stroke_cycles(sys, n_values, tau):
     return cycles, references
 
 
+def one_cycle(table):
+    """The cells of a one-point sweep, by column name."""
+    assert len(table) == 1
+    return {name: column.item(0) for name, column in table.columns.items()}
+
+
 class TestTwoStroke:
     def test_optimum_anchor_430mhz(self, tce):
-        report = sweep_two_stroke(tce, [mhz(430.0)], [1])[0]
-        assert report.engine_kind == TWO_STROKE_HBAC
-        assert report.net_work == pytest.approx(1.5e-6, rel=7e-2)
-        assert report.power == pytest.approx(1.47e-7, rel=5e-2)
-        assert report.efficiency == pytest.approx(0.707, abs=0.01)
-        assert report.in_window
-        assert report.omega_s == mhz(430.0)
-        assert report.w1 is None and report.w2 is None
+        table = sweep_two_stroke(tce, [mhz(430.0)], [1])
+        assert table.engine_kind == TWO_STROKE_HBAC
+        cycle = one_cycle(table)
+        assert cycle["net_work"] == pytest.approx(1.5e-6, rel=7e-2)
+        assert cycle["power"] == pytest.approx(1.47e-7, rel=5e-2)
+        assert cycle["efficiency"] == pytest.approx(0.707, abs=0.01)
+        assert cycle["in_window"]
+        assert cycle["omega_s"] == mhz(430.0)
+        assert "w1" not in cycle and "w2" not in cycle
 
     def test_work_anchor_580mhz(self, tce):
-        report = sweep_two_stroke(tce, [mhz(580.0)], [5])[0]
-        assert report.net_work == pytest.approx(3.0e-6, rel=7e-2)
+        cycle = one_cycle(sweep_two_stroke(tce, [mhz(580.0)], [5]))
+        assert cycle["net_work"] == pytest.approx(3.0e-6, rel=7e-2)
 
     def test_matches_closed_form(self, tce):
         for omega_mhz in (200.0, 430.0, 580.0, 900.0):
             for n in (0, 1, 5):
-                report = sweep_two_stroke(tce, [mhz(omega_mhz)], [n])[0]
+                cycle = one_cycle(sweep_two_stroke(tce, [mhz(omega_mhz)], [n]))
                 expected = oracles.two_stroke_closed_form(omega_mhz, n)
-                assert report.net_work == pytest.approx(expected["work"], rel=1e-3)
-                assert report.power == pytest.approx(expected["power"], rel=1e-3)
-                assert report.efficiency == pytest.approx(expected["eta"], rel=1e-6)
+                assert cycle["net_work"] == pytest.approx(expected["work"], rel=1e-3)
+                assert cycle["power"] == pytest.approx(expected["power"], rel=1e-3)
+                assert cycle["efficiency"] == pytest.approx(expected["eta"], rel=1e-6)
 
     def test_degenerate_frequency_gives_zero_work(self, tce):
-        report = sweep_two_stroke(tce, [tce.omega("C1")], [1])[0]
-        assert abs(report.net_work) <= 1e-12
-        assert report.efficiency == 0.0
-        assert not report.in_window
+        cycle = one_cycle(sweep_two_stroke(tce, [tce.omega("C1")], [1]))
+        assert abs(cycle["net_work"]) <= 1e-12
+        assert cycle["efficiency"] == 0.0
+        assert not cycle["in_window"]
 
     def test_cooled_temperature_at_full_field(self, tce):
-        report = sweep_two_stroke(tce, [mhz(430.0)], [1])[0]
-        assert report.cooled_target_temperature == pytest.approx(50.3, abs=0.1)
+        cycle = one_cycle(sweep_two_stroke(tce, [mhz(430.0)], [1]))
+        assert cycle["cooled_target_temperature"] == pytest.approx(50.3, abs=0.1)
 
     def test_rejects_bad_inputs(self, tce):
         with pytest.raises(ValueError):
@@ -340,10 +346,8 @@ class TestPositiveWorkWindow:
         assert high == pytest.approx(mhz(200.0), rel=1e-12)
 
     def test_first_round_window(self, tce):
-        report = sweep_two_stroke(tce, [mhz(430.0)], [1])[0]
-        low, high = positive_work_window(
-            tce.omega("C1"), tce.bath_temperature, report.cooled_target_temperature
-        )
+        cooled = one_cycle(sweep_two_stroke(tce, [mhz(430.0)], [1]))["cooled_target_temperature"]
+        low, high = positive_work_window(tce.omega("C1"), tce.bath_temperature, cooled)
         assert low / TWO_PI / 1e6 == pytest.approx(125.77, rel=1e-9)
         assert high / TWO_PI / 1e6 == pytest.approx(750.0, abs=1.0)
 
@@ -367,26 +371,22 @@ def one_round_fine_table(tce):
 
 class TestTwoStrokeSweep:
     def test_positive_work_iff_inside_window(self, one_round_fine_table):
-        table = one_round_fine_table
-        for report in table.reports:
-            if report.in_window:
-                assert report.net_work > 0
-            else:
-                assert report.net_work <= 1e-12
+        columns = one_round_fine_table.columns
+        inside = columns["in_window"]
+        assert inside.any() and not inside.all()
+        assert (columns["net_work"][inside] > 0).all()
+        assert (columns["net_work"][~inside] <= 1e-12).all()
 
     def test_window_edges_at_one_mhz_resolution(self, one_round_fine_table, tce):
         # expected edges for n=1: (125.77, ~750.2) MHz
-        inside = [
-            r.omega_s / TWO_PI / 1e6
-            for r in one_round_fine_table.reports
-            if r.net_work > 0
-        ]
+        columns = one_round_fine_table.columns
+        inside = (columns["omega_s"] / TWO_PI / 1e6)[columns["net_work"] > 0].tolist()
         assert min(inside) == 126.0
         assert max(inside) == 750.0
 
     def test_concave_work_profile_with_interior_maximum(self, one_round_fine_table):
-        inside = [r for r in one_round_fine_table.reports if r.in_window]
-        work = np.array([r.net_work for r in inside])
+        columns = one_round_fine_table.columns
+        work = columns["net_work"][columns["in_window"]]
         second_difference = np.diff(work, n=2)
         assert np.all(second_difference < 0)
         peak = int(np.argmax(work))
@@ -396,15 +396,15 @@ class TestTwoStrokeSweep:
         grid = [mhz(w) for w in range(150, 1001, 2)]
         table = sweep_two_stroke(tce, grid, [1, 2, 3, 4, 5, 6, 7, 8])
         best = table.argmax_power()
-        assert best.n_rounds == 1
-        assert 420.0 <= best.omega_s / TWO_PI / 1e6 <= 450.0
-        assert best.power == pytest.approx(1.47e-7, rel=5e-2)
+        assert table.columns["n_rounds"][best] == 1
+        assert 420.0 <= table.columns["omega_s"][best] / TWO_PI / 1e6 <= 450.0
+        assert table.columns["power"][best] == pytest.approx(1.47e-7, rel=5e-2)
 
     def test_row_order_and_axes(self, tce):
         grid = [mhz(w) for w in (200.0, 430.0)]
         table = sweep_two_stroke(tce, grid, [1, 2])
-        assert [r.n_rounds for r in table.reports] == [1, 1, 2, 2]
-        assert [r.omega_s for r in table.reports] == [grid[0], grid[1], grid[0], grid[1]]
+        assert table.columns["n_rounds"].tolist() == [1, 1, 2, 2]
+        assert table.columns["omega_s"].tolist() == [grid[0], grid[1], grid[0], grid[1]]
         assert table.axes == {"n_rounds": (1, 2), "omega_s": tuple(grid)}
 
     def test_rows_match_single_cycles(self, tce):
@@ -412,8 +412,11 @@ class TestTwoStrokeSweep:
         grid = [mhz(w) for w in (200.0, 430.0, 900.0)]
         n_values = [0, 1, 5]
         table = sweep_two_stroke(tce, grid, n_values)
-        expected = [sweep_two_stroke(tce, [w], [n])[0] for n in n_values for w in grid]
-        assert list(table.reports) == expected
+        singles = [sweep_two_stroke(tce, [w], [n]).columns for n in n_values for w in grid]
+        assert set(table.columns) == set(singles[0])
+        for name, column in table.columns.items():
+            expected = np.concatenate([single[name] for single in singles])
+            assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes(), name
 
     def test_matches_dense_reference_cycle(self, tce):
         # every 7th point of the CLI default grid, points within 1e-6 relative
@@ -480,9 +483,10 @@ class TestTwoStrokeSweep:
 
     def test_efficiency_identity_inside_window(self, one_round_fine_table):
         # the frequency-ratio efficiency must coincide with W / Q_in
-        for report in one_round_fine_table.reports:
-            if report.in_window:
-                assert abs(report.net_work / report.q_in - report.efficiency) <= 1e-9
+        columns = one_round_fine_table.columns
+        inside = columns["in_window"]
+        eta = columns["net_work"][inside] / columns["q_in"][inside]
+        assert (abs(eta - columns["efficiency"][inside]) <= 1e-9).all()
 
 
 def dense_two_stroke_cycle(sys, omega_s, n_rounds, cooled_target, cooled_temperature):
@@ -511,48 +515,36 @@ def dense_two_stroke_cycle(sys, omega_s, n_rounds, cooled_target, cooled_tempera
     }
 
 
+def one_point_table(engine_kind=FOUR_STROKE_HBAC, **cells):
+    """A one-point table at ``n_rounds=1`` from one cell per column."""
+    return SweepTable({"n_rounds": (1,)}, engine_kind, {name: [value] for name, value in cells.items()})
+
+
 class TestReportValidation:
     def test_rejects_first_law_violation(self):
-        with pytest.raises(ValueError, match="first-law"):
-            CycleReport(
-                engine_kind=FOUR_STROKE_HBAC,
-                n_rounds=1,
-                w1=1.0,
-                w2=1.0,
-                q_in=5.0,
-                q_out=1.0,
-                net_work=4.0,
-                efficiency=0.5,
-                power=1.0,
-                cycle_time=1.0,
-                cooled_target_temperature=50.0,
-            )
+        # q_in - q_out closes; the stroke works do not
+        with pytest.raises(ValueError, match=r"first-law violation: net_work != w1 \+ w2"):
+            one_point_table(w1=1.0, w2=1.0, q_in=5.0, q_out=1.0, net_work=4.0, efficiency=0.5)
+
+    def test_rejects_work_other_than_the_heat_difference(self):
+        # w1 + w2 closes; q_in - q_out does not
+        with pytest.raises(ValueError, match=r"first-law violation: net_work != q_in - q_out"):
+            one_point_table(w1=1.0, w2=2.0, q_in=5.0, q_out=1.0, net_work=3.0, efficiency=0.5)
 
     def test_rejects_bad_efficiency(self):
-        with pytest.raises(ValueError, match="efficiency"):
-            CycleReport(
-                engine_kind=TWO_STROKE_HBAC,
-                n_rounds=1,
-                w1=None,
-                w2=None,
-                q_in=5.0,
-                q_out=1.0,
-                net_work=4.0,
-                efficiency=1.5,
-                power=1.0,
-                cycle_time=1.0,
-                cooled_target_temperature=50.0,
-            )
+        # no stroke works, as in a two-stroke table
+        with pytest.raises(ValueError, match=r"efficiency 1\.5 outside \(0, 1\) at positive work"):
+            one_point_table(TWO_STROKE_HBAC, q_in=5.0, q_out=1.0, net_work=4.0, efficiency=1.5)
 
     def test_sweep_table_rejects_unsorted_axes(self):
         with pytest.raises(ValueError, match="increasing"):
             SweepTable(axes={"n_rounds": (2, 1)}, engine_kind=FOUR_STROKE_HBAC, columns={})
 
     def test_sweep_table_rejects_incomplete_rows(self, tce):
-        report = sweep_four_stroke(tce, [0])[0]
+        table = sweep_four_stroke(tce, [0])
         with pytest.raises(ValueError, match="incomplete"):
             SweepTable(
                 {"n_rounds": (0, 1)},
-                report.engine_kind,
-                {name: [getattr(report, name)] for name in ("q_in", "q_out", "net_work", "efficiency")},
+                table.engine_kind,
+                {name: table.columns[name] for name in ("q_in", "q_out", "net_work", "efficiency")},
             )

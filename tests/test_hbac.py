@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +20,7 @@ from dense import (
     thermal_state,
 )
 from spinotto import hbac
-from spinotto.hbac import PpaTrace, ppa_round, run_ppa, shannon_bound
+from spinotto.hbac import PpaTrace, run_ppa, shannon_bound
 from spinotto.spinsys import (
     ConfigError,
     Role,
@@ -127,22 +127,25 @@ class TestInitialStage:
 class TestPpaRound:
     def test_recurrence_single_step(self, tce, eps_bath_half):
         # one dense round from a product state whatever its compression and
-        # reset qubits hold, against the map and the oracle's recurrence
+        # reset qubits hold, against the one-round map; the run's first round
+        # against the oracle's recurrence
         for eps_in in (2.0e-5, 3.0e-5, 4.0e-5, 0.3):
             rho = tce_product(eps_in, 1e-5, 7e-6)
             state = dense.ppa_round(rho, dense.schedule(rho, tce, 0.5))
-            eps = ppa_round(eps_in, eps_bath_half)
+            eps = oracles.eps_after_one_round(eps_in, eps_bath_half)
             assert abs(dense.polarization_of(state, "C1") - eps) <= DENSE_POLARIZATION_RTOL * eps
         expected = oracles.eps_by_recurrence(eps_bath_half, 1)
-        assert ppa_round(eps_bath_half, eps_bath_half) == pytest.approx(expected, rel=EXACT_MAP_RTOL, abs=0)
+        first = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 1).target_polarization[1]
+        assert first == pytest.approx(expected, rel=EXACT_MAP_RTOL, abs=0)
         assert expected == pytest.approx(3.0e-5, rel=1e-3)
 
     def test_fixed_point_at_twice_bath(self, eps_bath_half):
         # the exact fixed point is the limit 2 eps_b/(1 + eps_b**2); twice the
         # bath misses it by the cubic term, about 1e-14 here
         limit = 2 * eps_bath_half / (1 + eps_bath_half**2)
-        assert ppa_round(limit, eps_bath_half) == pytest.approx(limit, rel=EXACT_MAP_RTOL, abs=0)
-        assert ppa_round(2 * eps_bath_half, eps_bath_half) == pytest.approx(2 * eps_bath_half, abs=1e-13)
+        one_round = oracles.eps_after_one_round
+        assert one_round(limit, eps_bath_half) == pytest.approx(limit, rel=EXACT_MAP_RTOL, abs=0)
+        assert one_round(2 * eps_bath_half, eps_bath_half) == pytest.approx(2 * eps_bath_half, abs=1e-13)
 
     def test_compression_and_reset_carry_half_the_old_target(self, tce, eps_bath_half):
         # COMP moves the same population out of both auxiliary qubits: after a
@@ -151,7 +154,7 @@ class TestPpaRound:
         eps_in = 3.0e-5
         rho = tce_product(eps_in, 1e-5, 1e-5)
         state = dense.ppa_round(rho, dense.schedule(rho, tce, 0.5))
-        left = eps_bath_half - (ppa_round(eps_in, eps_bath_half) - eps_in)
+        left = eps_bath_half - (oracles.eps_after_one_round(eps_in, eps_bath_half) - eps_in)
         assert left == pytest.approx(eps_in / 2, abs=1e-12)
         for label in ("C2", "H"):
             assert dense.polarization_of(state, label) == pytest.approx(left, rel=DENSE_POLARIZATION_RTOL, abs=0)
@@ -436,7 +439,11 @@ class TestTelemetry:
         # the trace is read-only columns whose rows are the dense rounds
         trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 3)
         states = dense.cooling_states(tce_thermal_half, tce, 0.5, 3)
-        assert (trace.qubits, trace.target) == (TCE_ORDER, "C1")
+        assert [field.name for field in fields(trace)] == [
+            "target_polarization",
+            "reset_polarization",
+            "target_effective_temperature",
+        ]
         columns = (trace.target_polarization, trace.reset_polarization, trace.target_effective_temperature)
         assert [c.shape for c in columns] == [(4,)] * 3
         for column in columns:
@@ -457,6 +464,6 @@ class TestTelemetry:
         assert isinstance(trace, PpaTrace)
         for populations in dense.trace_rows(trace, tce_thermal_half, tce, shannon_bound(tce, 0.5)):
             # construction enforces unit trace, Hermiticity and the eigenvalue floor
-            m = dense.diagonal_state(populations, trace.qubits).matrix
+            m = dense.diagonal_state(populations, TCE_ORDER).matrix
             assert abs(np.trace(m) - 1) <= 1e-12
             assert np.min(np.linalg.eigvalsh(m)) >= -1e-10
