@@ -3,7 +3,8 @@
 Subcommands: ``ppa``, ``four-stroke``, ``two-stroke``.  Frequencies are
 accepted in MHz (units of omega/2pi) and converted to rad/s once here;
 all physics below this layer is SI.  Exit status: 0 on success, 2 on
-configuration errors, 3 on numerical-invariant violations.
+configuration errors, 3 on numerical-invariant violations.  A run builds
+only its subcommand's parser; help and top-level errors come from the full one.
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ def _parse_rounds(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
-def _rad_s(grid_mhz: Iterable[float]) -> list[float]:
+def _rad_s(grid_mhz: tuple[float, ...] | np.ndarray) -> np.ndarray:
     """Angular frequencies (rad/s) of frequencies omega/2pi given in MHz."""
-    return [TWO_PI * 1e6 * w for w in grid_mhz]
+    return (TWO_PI * 1e6) * np.asarray(grid_mhz, dtype=float)
 
 
 def _parse_omega_grid(text: str) -> tuple[float, ...]:
@@ -108,16 +109,18 @@ def _parse_omega_grid(text: str) -> tuple[float, ...]:
     # floor(count) + 1 points; an infinite count fails this too
     if not count < MAX_VALUES:
         raise argparse.ArgumentTypeError(f"omega grid has more than {MAX_VALUES} points: {text!r}")
-    grid = tuple(start + i * step for i in range(int(math.floor(count)) + 1))
-    # the sweep runs in rad/s, where the points must stay finite and distinct too
-    rad_s = _rad_s(grid)
+    # an overflow shows as an infinite last point in rad/s
+    with np.errstate(over="ignore"):
+        grid = start + np.arange(int(count) + 1) * step
+        # the sweep runs in rad/s, where the points must stay finite and distinct too
+        rad_s = _rad_s(grid)
     if not math.isfinite(rad_s[-1]):
         raise argparse.ArgumentTypeError(f"omega grid overflows in rad/s: {text!r}")
-    if any(b <= a for a, b in zip(rad_s, rad_s[1:])):
+    if (rad_s[1:] <= rad_s[:-1]).any():
         raise argparse.ArgumentTypeError(
             f"omega grid repeats a point in rad/s (step below float resolution): {text!r}"
         )
-    return grid
+    return tuple(grid.tolist())
 
 
 def _parse_positive(text: str) -> float:
@@ -130,59 +133,91 @@ def _parse_positive(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spinotto",
-        description="Quantum Otto engines with heat-bath algorithmic cooling",
+def _add_common(p: argparse.ArgumentParser, default_out: str) -> None:
+    p.add_argument(
+        "--system",
+        default="tce",
+        help="preset name (tce) or path to an INI system definition",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument("--out", type=Path, default=Path(default_out), help="CSV output path")
+    p.add_argument(
+        "--format",
+        choices=("csv", "summary"),
+        default="csv",
+        dest="output_format",
+        help="csv writes a file and prints a summary; summary prints only",
+    )
 
-    def add_common(p: argparse.ArgumentParser, default_out: str) -> None:
-        p.add_argument(
-            "--system",
-            default="tce",
-            help="preset name (tce) or path to an INI system definition",
-        )
-        p.add_argument("--out", type=Path, default=Path(default_out), help="CSV output path")
-        p.add_argument(
-            "--format",
-            choices=("csv", "summary"),
-            default="csv",
-            dest="output_format",
-            help="csv writes a file and prints a summary; summary prints only",
-        )
 
-    p_ppa = sub.add_parser("ppa", help="run the cooling algorithm and trace per-round telemetry")
-    p_ppa.add_argument("--rounds", "-n", type=_parse_rounds, default=(7,))
-    p_ppa.add_argument(
+def _add_ppa(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rounds", "-n", type=_parse_rounds, default=(7,))
+    p.add_argument(
         "--field-scale",
         type=_parse_positive,
         default=COMPRESSED_FIELD_SCALE,
         help="static-field scale during cooling (0.5 = compressed field)",
     )
-    add_common(p_ppa, "ppa_trace.csv")
+    _add_common(p, "ppa_trace.csv")
 
-    p_four = sub.add_parser("four-stroke", help="sweep the four-stroke engine over round counts")
-    p_four.add_argument("--rounds", "-n", type=_parse_rounds, default=tuple(range(11)))
-    p_four.add_argument(
+
+def _add_four_stroke(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rounds", "-n", type=_parse_rounds, default=tuple(range(11)))
+    p.add_argument(
         "--tau",
         type=_parse_positive,
         default=DEFAULT_TAU,
         help="drive period in seconds; changes no number, is recorded in the config hash only and kept for the benchmark",
     )
-    add_common(p_four, "four_stroke_sweep.csv")
+    _add_common(p, "four_stroke_sweep.csv")
 
-    p_two = sub.add_parser("two-stroke", help="sweep the two-stroke engine over partner frequencies")
-    p_two.add_argument("--rounds", "-n", type=_parse_rounds, default=tuple(range(1, 9)))
-    p_two.add_argument(
+
+def _add_two_stroke(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rounds", "-n", type=_parse_rounds, default=tuple(range(1, 9)))
+    p.add_argument(
         "--omega-s",
         type=_parse_omega_grid,
         default="150:1000:1",
         help="partner frequency grid start:stop:step in MHz (default %(default)s)",
     )
-    add_common(p_two, "two_stroke_sweep.csv")
+    _add_common(p, "two_stroke_sweep.csv")
 
+
+# each subcommand's help text and the function that adds its arguments: the only place they are defined
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "ppa": ("run the cooling algorithm and trace per-round telemetry", _add_ppa),
+    "four-stroke": ("sweep the four-stroke engine over round counts", _add_four_stroke),
+    "two-stroke": ("sweep the two-stroke engine over partner frequencies", _add_two_stroke),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: top level and every subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="spinotto",
+        description="Quantum Otto engines with heat-bath algorithmic cooling",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the invoked subcommand's parser.
+
+    The full parser hands a subcommand's arguments to that same parser; any
+    other argv, or one it leaves arguments over from, goes to the full parser.
+    """
+    if argv is None:
+        argv = _sys.argv[1:]
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"spinotto {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _emit(config: RunConfig, render: Callable[[], Iterable[bytes]], summary: str) -> None:
@@ -279,7 +314,7 @@ def _cmd_two_stroke(config: RunConfig, system: SpinSystem) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     config = RunConfig(
         command=args.command,
         system_source=args.system,

@@ -103,8 +103,8 @@ class SweepTable:
     def __post_init__(self):
         expected = 1
         for values in self.axes.values():
-            seq = tuple(values)
-            if any(b <= a for a, b in zip(seq, seq[1:])):
+            seq = np.asarray(values)
+            if (seq[1:] <= seq[:-1]).any():
                 raise ValueError("sweep axes must be strictly increasing")
             expected *= len(seq)
         columns = {name: np.array(values) for name, values in self.columns.items()}

@@ -44,7 +44,7 @@ from .spinsys import (
     Role,
     SpinSystem,
     StateInvariantError,
-    effective_temperature,
+    _effective_temperature,
     thermal_polarization,
 )
 
@@ -121,9 +121,11 @@ def run_ppa(
             f"outside (0, 1) at bath temperature {sys.bath_temperature:g} K"
         )
     # the target's polarization only rises, so its spin temperature is
-    # largest at row 0, where an overflow to inf shows first
+    # largest at row 0, where an overflow to inf shows first; the check
+    # above is the only one the column needs (row 0 is the reset qubit's
+    # polarization at the same field scale, so a field scale <= 0 fails it)
     with np.errstate(divide="ignore", over="ignore"):
-        temperature = effective_temperature(columns[0], sys.omega(target, field_scale), constants)
+        temperature = _effective_temperature(columns[0], sys.omega(target, field_scale), constants)
     if not np.isfinite(temperature[0]):
         raise StateInvariantError(
             f"round 0: target polarization {float(columns[0, 0])} has no finite spin temperature "

@@ -18,7 +18,6 @@ an INI-style configuration file (see ``from_config_file``).
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -278,6 +277,11 @@ def effective_temperature(epsilon, omega: float, constants: PhysicalConstants = 
         raise ValueError(f"polarization {epsilon[outside].flat[0]} outside (0, 1)")
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
+    return _effective_temperature(epsilon, omega, constants)
+
+
+def _effective_temperature(epsilon: np.ndarray, omega: float, constants: PhysicalConstants) -> np.ndarray:
+    """:func:`effective_temperature` of polarizations the caller has checked to lie in (0, 1)."""
     return constants.hbar * omega / (2.0 * constants.k_boltzmann * np.arctanh(epsilon))
 
 
@@ -305,6 +309,8 @@ C1-C2 = 103.0                # Hz
 
 def from_config_text(text: str, origin: str = "<config>") -> SpinSystem:
     """Parse a spin-system definition from INI-formatted text."""
+    import configparser  # only INI files need it, not the presets
+
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";")
     )

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import re
@@ -515,6 +516,96 @@ def test_default_grid_is_recorded(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
 
 
+# argvs the subcommand-only parse must treat exactly as the full parser does
+PARSE_CASES = {
+    "help": ["-h"],
+    "ppa-help": ["ppa", "-h"],
+    "four-stroke-help": ["four-stroke", "-h"],
+    "two-stroke-help": ["two-stroke", "-h"],
+    "empty": [],
+    "unknown-subcommand": ["bogus"],
+    "ppa-defaults": ["ppa"],
+    "four-stroke-defaults": ["four-stroke"],
+    "two-stroke-defaults": ["two-stroke"],
+    "ppa-every-option": [
+        "ppa", "--rounds", "3", "--field-scale", "1", "--system", "tce", "--out", "p.csv", "--format", "summary",
+    ],
+    "four-stroke-every-option": [
+        "four-stroke", "-n", "0..4", "--tau", "0.2", "--system", "x.cfg", "--out", "f.csv", "--format", "csv",
+    ],
+    "two-stroke-every-option": [
+        "two-stroke", "--rounds", "1..2", "--omega-s=150:200:50", "--system", "tce", "--out", "t.csv",
+        "--format", "summary",
+    ],
+    "abbreviation": ["two-stroke", "--rou", "1..3"],
+    "repeated-n": ["ppa", "-n", "3", "-n", "5"],
+    "tau-nan": ["four-stroke", "--tau", "nan"],
+    "tau-no-value": ["four-stroke", "--tau"],
+    "dt-removed": ["four-stroke", "--dt", "1"],
+    "stray-positional": ["ppa", "stray"],
+    "bad-format": ["ppa", "--format", "xml"],
+    "bad-rounds": ["four-stroke", "--rounds", "5..1"],
+    "double-dash": ["ppa", "--", "x"],
+    "omega-repeats": ["two-stroke", "--omega-s", "1:1.000000000000002:0.0000000000000002"],
+    "omega-overflows": ["two-stroke", "--omega-s", "1e308:1.7e308:1e308"],
+}
+
+
+def parse_outcome(parse, argv, capsys):
+    """Exit status (None if ``parse(argv)`` returns), stdout, stderr and parsed values."""
+    try:
+        values, status = vars(parse(argv)), None
+    except SystemExit as exc:
+        values, status = None, exc.code
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err, values
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES.keys())
+def test_subcommand_parse_matches_the_full_parser(argv, tmp_path, monkeypatch, capsys):
+    # help and usage lines wrap at the terminal width, so pin it for both
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    expected = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+    assert parse_outcome(cli._parse_args, argv, capsys) == expected
+    status, out, err, _ = expected
+    if status is not None:
+        # a run that stops in the parser prints the same and exits the same way
+        assert parse_outcome(cli.run, argv, capsys) == (status, out, err, None)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unrecognized_arguments_are_a_top_level_error(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.run(["four-stroke", "--dt", "1"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage: spinotto [-h] {ppa,four-stroke,two-stroke} ...",
+        "spinotto: error: unrecognized arguments: --dt 1",
+    ]
+
+
+def test_argv_none_reads_the_command_line(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["spinotto", "four-stroke", "-n", "2"])
+    args = cli._parse_args(None)
+    assert (args.command, args.rounds) == ("four-stroke", (2,))
+
+
+@pytest.mark.parametrize("args", SUBCOMMANDS, ids=["ppa", "four-stroke", "two-stroke"])
+def test_a_run_builds_one_parser(args, tmp_path, monkeypatch, capsys):
+    built = []
+    honest = argparse.ArgumentParser.__init__
+
+    def counted(self, *a, **kw):
+        built.append(kw.get("prog"))
+        honest(self, *a, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli([*args, "--format", "summary"], tmp_path, monkeypatch) == 0
+    assert built == [f"spinotto {args[0]}"]
+
+
 def child_env():
     """The environment of a child ``python -m spinotto`` that imports this suite's package.
 
@@ -542,6 +633,18 @@ def test_module_entry_point(tmp_path):
     # --format summary prints only: no file is written and nothing crashed.
     assert list(tmp_path.iterdir()) == []
     assert "Traceback" not in result.stderr
+
+
+def test_preset_run_leaves_configparser_unimported(tmp_path):
+    # only an INI system definition needs configparser
+    code = (
+        "import sys, spinotto.cli; spinotto.cli.load_system('tce'); "
+        "print('configparser' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=child_env(), capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
 
 def test_closed_stdout_exits_0(tmp_path):

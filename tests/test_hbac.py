@@ -244,16 +244,17 @@ class TestDenseReference:
 
     def test_validations_do_not_grow_with_rounds(self, tce, monkeypatch):
         # a run is columns of polarizations and builds no state to validate:
-        # its spin temperatures, range check included, are one pass over the
-        # whole target column, once per run whatever its length
+        # its spin temperatures are one pass over the whole target column,
+        # once per run whatever its length, with no second range check
         calls = []
-        honest = hbac.effective_temperature
+        honest = hbac._effective_temperature
 
         def counted(*args):
             calls.append(len(args[0]))
             return honest(*args)
 
-        monkeypatch.setattr(hbac, "effective_temperature", counted)
+        monkeypatch.setattr(hbac, "_effective_temperature", counted)
+        assert not hasattr(hbac, "effective_temperature")
         for n_max in (1, 50):
             run_ppa(thermal_target(tce, 0.5), tce, 0.5, n_max)
         assert calls == [2, 51]
