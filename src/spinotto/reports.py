@@ -12,7 +12,6 @@ import errno
 import hashlib
 import math
 import os
-import tempfile
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -70,9 +69,13 @@ def metadata_lines(
     return lines
 
 
-# Tables render in blocks of rows, each column as word-major arrays: a cell is five
-# uint32 words of NUL-padded ASCII (two for a bool), and NUL never occurs in a CSV.
-# A block of 2048 rows keeps each pass's arrays within a 1-2 MiB L2 cache.
+# Tables render in blocks of rows, each column as word-major arrays: a cell is up to five
+# uint32 words of NUL-padded ASCII (two for a bool), and NUL never occurs in a CSV.  Every
+# array a block makes lives only for that block, and each page the allocator has to fetch
+# anew costs a minor fault, about 3 us on a 2-vCPU VM.  So a block works out its digits in
+# place and copies its words once, row-major, for bytes.translate to drop the padding: a
+# 2048-row block of the paper's two-stroke table peaks near 0.55 MiB.  Smaller blocks
+# cost long tables more in per-call overhead than they save.
 _BLOCK_ROWS = 1 << 11
 # ASCII digit j of each k < 10**4 in row j, then with NUL for leading zeros but the last
 _DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1) + np.uint8(ord("0"))
@@ -83,18 +86,19 @@ _WORDS = np.concatenate([
     np.array([b"\0%s%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10)]).view(np.uint32),
     np.array([b"e%+03d" % e for e in range(-100, 101)], "S4").view(np.uint32),
 ])
-_FLOAT_OFFSETS = np.array([2 * 10**4, 10**4, 10**4, 10**4, 2 * 10**4 + 20])[:, None, None]
+_PADDED, _LEADS, _EXPONENTS = _WORDS[10**4 :], _WORDS[2 * 10**4 :], _WORDS[2 * 10**4 + 20 :]
 # by exponent + 100: 10**(12 - exponent) correctly rounded for exponents -100..99, then NaN
 _POW10 = np.array([*(float("1e%d" % (12 - e)) for e in range(-100, 100)), math.nan])
-_PLACES = np.array([1e12, 1e8, 1e4, 1.0])[:, None, None]
 _BOOL_WORDS = np.array([b"false", b"true"], "S8").view(np.uint32).reshape(2, 2).T.copy()
 _COMMA, _NEWLINE = np.array([b",", b"\n"], "S4").view(np.uint32)
 
 
 def _exact(cells, fast, x, spec: bytes):
     """Overwrite the cells of ``x`` that ``fast`` leaves out with Python's ``spec % value``."""
-    if not fast.all():
-        cells[:, ~fast] = np.array([spec % v for v in x[~fast].tolist()], "S20").view("u4").reshape(-1, 5).T
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        values = x.reshape(-1)[slow].tolist()
+        cells.reshape(5, -1)[:, slow] = np.array([spec % v for v in values], "S20").view("u4").reshape(-1, 5).T
     return cells
 
 
@@ -113,9 +117,11 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     values.
     """
     a = np.abs(x)
-    k = (np.log10(a) + (100 - 1e-12)).astype(np.intp)
+    s = np.log10(a)
+    s += 100 - 1e-12
+    k = s.astype(np.intp)
     m = a * _POW10.take(k, mode="clip")
-    r = np.rint(m)
+    r = np.rint(m, out=a)
     fast = np.abs(m - r) < 0.495
     carry = r == 1e13
     r[carry] = 1e12
@@ -123,37 +129,48 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     # two-digit exponents only, and no m of more than 1e13
     fast &= (k >= 1) & (k <= 199) & (r < 1e13)
     r += 1e13 * (x < 0)  # a 14th digit: the lead word of a negative value
-    # r // 1e12, r // 1e8, r // 1e4 and r, exact below 2**53, to four-digit groups
-    prefixes = np.floor(r / _PLACES)
-    prefixes[1:] -= 1e4 * prefixes[:-1]
-    index = np.empty((5,) + x.shape, np.intp)
-    index[:4], index[4] = prefixes, k
-    index += _FLOAT_OFFSETS
-    return _exact(_WORDS.take(index, mode="clip"), fast, x, b"%.12e")
+    cells = np.empty((5,) + x.shape, np.uint32)
+    _EXPONENTS.take(k, out=cells[4], mode="clip")
+    # four-digit groups from the last, as integers in k, then in s and m reused
+    digits, quotient, scratch = k, s.view(np.intp), m.view(np.intp)
+    np.copyto(digits, r, casting="unsafe")
+    for group in (3, 2, 1):
+        np.floor_divide(digits, 10**4, out=quotient)
+        digits -= np.multiply(quotient, 10**4, out=scratch)
+        _PADDED.take(digits, out=cells[group], mode="clip")
+        digits, quotient = quotient, digits
+    _LEADS.take(digits, out=cells[0], mode="clip")
+    return _exact(cells, fast, x, b"%.12e")
 
 
 def _int_cells(v: np.ndarray) -> np.ndarray:
-    """``b"%d" % v`` of each integer as five words; the exact path takes v outside [0, 1e8)."""
+    """``b"%d" % v`` of each integer as up to five words; the exact path takes v outside [0, 1e8)."""
     high, low = np.divmod(v, 10**4)
     cells = np.zeros((5,) + v.shape, np.uint32)
     # no high word below 1e4; after one, the low word keeps its leading zeros
     np.multiply(_WORDS.take(high, mode="clip"), high > 0, out=cells[3])
     _WORDS.take(np.minimum(v, low + 10**4), out=cells[4], mode="clip")
-    return _exact(cells, v.astype(np.uint64) < 10**8, v, b"%d")
+    cells = _exact(cells, v.astype(np.uint64) < 10**8, v, b"%d")
+    # less the leading words that are NUL in every row
+    return cells[cells.any(axis=1).argmax() :]
+
+
+def _words(block: Sequence[np.ndarray]) -> np.ndarray:
+    """A block's lines as word-major rows: each column's cells, then a comma or, last, a newline."""
+    floats = np.array([c for c in block if c.dtype.kind == "f"], float).reshape(-1, len(block[0]))
+    floats = iter(_float_cells(floats).swapaxes(0, 1))
+    words = [np.full((1, len(block[0])), _COMMA)] * (2 * len(block))
+    words[::2] = [next(floats) if c.dtype.kind == "f" else _BOOL_WORDS.take(c.astype(np.intp), axis=1)
+                  if c.dtype.kind == "b" else _int_cells(c) for c in block]
+    words[-1] = np.full_like(words[-1], _NEWLINE)
+    return np.concatenate(words)
 
 
 def _rows(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
     """Lines of ``columns`` as bytes, a block of rows at a time: ``%.12e``, ``%d`` and true/false cells."""
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [c[start : start + _BLOCK_ROWS] for c in columns]
-        floats = np.array([c for c in block if c.dtype.kind == "f"], float).reshape(-1, len(block[0]))
-        floats = iter(_float_cells(floats).swapaxes(0, 1))
-        words = [np.full((1, len(block[0])), _COMMA)] * (2 * len(block))
-        words[::2] = [next(floats) if c.dtype.kind == "f" else _BOOL_WORDS.take(c.astype(np.intp), axis=1)
-                      if c.dtype.kind == "b" else _int_cells(c) for c in block]
-        words[-1] = np.full_like(words[-1], _NEWLINE)
-        flat = np.concatenate(words).T.ravel().view(np.uint8)
-        yield flat[flat != 0].tobytes()
+        # the cell arrays are freed as _words returns; then one row-major copy, less its NUL padding
+        yield _words([c[start : start + _BLOCK_ROWS] for c in columns]).T.tobytes().translate(None, b"\0")
 
 
 def fmt_floats(values: Sequence[float]) -> str:
@@ -215,14 +232,23 @@ def render_two_stroke_csv(
 
 
 def write_atomic(path: str | Path, blocks: Iterable[bytes]) -> None:
-    """Write ``blocks`` to a sibling temp file, then rename: no reader sees partial or failed output."""
+    """Write ``blocks`` to a sibling temp file, then rename: no reader sees partial or failed output.
+
+    The temp file is created as ``open`` creates a file, mode 0o666 less the umask.
+    """
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except FileExistsError:
         # mkdir's reason for a regular file in place of the parent is "File exists"
         raise NotADirectoryError(errno.ENOTDIR, f"{path.parent} is not a directory") from None
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    while True:
+        tmp_name = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+        try:
+            fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(blocks)

@@ -136,6 +136,49 @@ def test_rows_span_several_blocks(monkeypatch):
     assert list(reports._rows([np.arange(50), values])) == want
 
 
+def test_exact_cells_in_every_column_and_block(monkeypatch):
+    """Exact-path cells are patched in by flat index: every float and int column of every block has some."""
+    monkeypatch.setattr(reports, "_BLOCK_ROWS", 6)
+    rows = 21  # blocks of 6, 6, 6 and 3 rows
+    special_floats = [
+        float("1.2345678901235e7"), float("-1.0000000000005e-7"),  # decimal ties in the 13th digit
+        5e-324, -2.5e-310,  # subnormal
+        1.5e100, -1e-150, 9.99999999999995e99,  # three-digit exponents, the last one by a carry
+        0.0, -0.0, math.nan, math.inf, -math.inf,
+    ]
+    special_ints = [10**8, -1, 2**63 - 1, -(2**63), 123456789, -10**4]
+    rng = np.random.default_rng(7)
+
+    def column(position, specials, ordinary):
+        slots = [row for row in range(rows) if (row + position) % 3 == 0]
+        ordinary[slots] = [specials[(position + i) % len(specials)] for i in range(len(slots))]
+        return ordinary
+
+    columns = [
+        column(position, special_floats, rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows))
+        if kind == "f" else column(position, special_ints, rng.integers(0, 10**6, rows))
+        if kind == "i" else rng.random(rows) < 0.5
+        for position, kind in enumerate("fibfif")
+    ]
+    slow = []
+
+    def counting(cells, fast, values, spec):
+        slow.append((spec, (~fast).any(axis=-1).tolist()))
+        return original(cells, fast, values, spec)
+
+    original = reports._exact
+    monkeypatch.setattr(reports, "_exact", counting)
+    lines = [
+        b",".join(b"%.12e" % v if isinstance(v, float) else (b"true" if v else b"false")
+                  if isinstance(v, bool) else b"%d" % v for v in row) + b"\n"
+        for row in zip(*(c.tolist() for c in columns))
+    ]
+    want = [b"".join(lines[start : start + 6]) for start in range(0, rows, 6)]
+    assert list(reports._rows(columns)) == want
+    # per block: one call for the three float columns, then one per int column
+    assert slow == [(b"%.12e", [True] * 3), (b"%d", True), (b"%d", True)] * 4
+
+
 def test_renders_without_numpy_string_api(monkeypatch, tmp_path, capsys):
     """numpy before 2.0 has neither ``np.strings`` nor ``StringDType``; no table may need them."""
     monkeypatch.chdir(tmp_path)
