@@ -15,9 +15,7 @@ from .engines import (
 )
 from .hbac import PpaTrace, run_ppa, shannon_bound
 from .spinsys import (
-    CODATA2018,
     ConfigError,
-    PhysicalConstants,
     QubitSpec,
     Role,
     SpinSystem,

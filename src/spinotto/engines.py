@@ -24,6 +24,7 @@ the only entry points; one cycle is a one-point sweep.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import reduce
@@ -32,9 +33,9 @@ import numpy as np
 
 from .hbac import run_ppa
 from .spinsys import (
-    CODATA2018,
+    AVOGADRO,
+    HBAR,
     ConfigError,
-    PhysicalConstants,
     Role,
     SpinSystem,
     StateInvariantError,
@@ -43,7 +44,6 @@ from .spinsys import (
 )
 
 FOUR_STROKE_HBAC = "four_stroke_hbac"
-FOUR_STROKE_ISOCHORIC_REF = "four_stroke_isochoric_ref"
 TWO_STROKE_HBAC = "two_stroke_hbac"
 
 # The compressed field is half the reference field throughout.
@@ -90,15 +90,13 @@ class SweepTable:
 
     Each column holds one value per grid point in deterministic grid
     order (energies J/mol, power W/mol, times s, temperatures K,
-    ``omega_s`` rad/s).  A four-stroke sweep carries its isochoric
-    reference cycles as a second table over the same grid.  A non-finite
-    float cell is a ``NonFiniteCell`` naming its grid point.
+    ``omega_s`` rad/s).  A non-finite float cell is a ``NonFiniteCell``
+    naming its grid point.
     """
 
     axes: dict[str, tuple]
     engine_kind: str
     columns: dict[str, np.ndarray]
-    reference_reports: SweepTable | None = None
 
     def __post_init__(self):
         expected = 1
@@ -123,8 +121,6 @@ class SweepTable:
                     f"{self.engine_kind}: {name} is {column[first]} at {where or 'the only point'}", point
                 )
         _check_energetics(columns)
-        if self.reference_reports is not None and len(self.reference_reports) != expected:
-            raise ValueError("reference table must align with the primary table")
         object.__setattr__(self, "columns", columns)
 
     def __len__(self) -> int:
@@ -140,7 +136,7 @@ class SweepTable:
         return int(np.argmax(self.columns["power"]))
 
 
-def _otto(omega_in, omega_out, gain, cycle_time, constants: PhysicalConstants) -> dict[str, np.ndarray]:
+def _otto(omega_in, omega_out, gain, cycle_time) -> dict[str, np.ndarray]:
     """Columns of Otto cycles whose target polarization swings by ``gain``; arrays broadcast.
 
     The working qubit takes ``(hbar omega_in / 2) gain`` per mole from
@@ -148,7 +144,7 @@ def _otto(omega_in, omega_out, gain, cycle_time, constants: PhysicalConstants) -
     side, both reported as positive magnitudes, so the work is their
     difference and the efficiency ``1 - omega_out / omega_in``.
     """
-    half = constants.hbar / 2.0 * constants.avogadro
+    half = HBAR / 2.0 * AVOGADRO
     q_in = half * omega_in * gain
     q_out = half * omega_out * gain
     net = q_in - q_out
@@ -170,22 +166,19 @@ def positive_work_window(
 
     It is None when the target is not below the bath temperature.
     """
-    if cooled_t <= 0 or bath_t <= 0:
-        raise ValueError(f"temperatures must be positive, got bath {bath_t} and cooled {cooled_t}")
-    if omega_t <= 0:
-        raise ValueError(f"omega_t must be positive, got {omega_t}")
+    # each chain is false for NaN, as for zero, negative and infinite values
+    if not (0 < cooled_t < math.inf and 0 < bath_t < math.inf):
+        raise ValueError(f"temperatures must be positive and finite, got bath {bath_t} and cooled {cooled_t}")
+    if not 0 < omega_t < math.inf:
+        raise ValueError(f"omega_t must be positive and finite, got {omega_t}")
     if cooled_t >= bath_t:
         return None
     return omega_t, omega_t * bath_t / cooled_t
 
 
 @np.errstate(all="ignore")  # an overflow shows as a non-finite column, which SweepTable rejects
-def sweep_four_stroke(
-    sys: SpinSystem,
-    n_values: int | Iterable[int],
-    constants: PhysicalConstants = CODATA2018,
-) -> SweepTable:
-    """Four-stroke cycles for each round count, with isochoric references.
+def sweep_four_stroke(sys: SpinSystem, n_values: int | Iterable[int]) -> SweepTable:
+    """Four-stroke cycles for each round count, with the power of isochoric references.
 
     An integer argument means the inclusive range ``0..n_values``.  The
     target heats at full field, the compression stroke halves the field,
@@ -194,12 +187,13 @@ def sweep_four_stroke(
     the polarization, so the compressed target is still at the hot
     polarization: it is the cooling run's input.  The stroke works are
     ``w1`` and ``w2``.  Every reference cycle is cooled to the matching
-    cycle's effective temperature, so the pair differs only in timing:
-    ``tau_T + tau_R (2n + 1)`` against ``2 tau_T``.  One cooling run to
-    the largest round count serves every row, and both engines share one
-    hot target polarization.  A round whose target ends above the bath
-    temperature has no cold bath for its reference, which is a
-    ``ConfigError``.
+    cycle's effective temperature, so the pair does the same work and
+    differs only in timing: ``tau_T + tau_R (2n + 1)`` against
+    ``2 tau_T``.  The reference enters the table as its power alone,
+    ``power_isochoric``.  One cooling run to the largest round count
+    serves every row, and both engines share one hot target
+    polarization.  A round whose target ends above the bath temperature
+    has no cold bath for its reference, which is a ``ConfigError``.
     """
     if isinstance(n_values, int):
         n_values = range(n_values + 1)
@@ -211,23 +205,9 @@ def sweep_four_stroke(
     target = sys.label_for_role(Role.TARGET)
     t1_target = sys.qubit(target).t1
     omega0, omega1 = sys.omega(target, 1.0), sys.omega(target, COMPRESSED_FIELD_SCALE)
-    eps_hot = thermal_marginal_polarization(sys, target, 1.0, constants)
-    half = constants.hbar / 2.0 * constants.avogadro
-
-    def cycles(eps_cold, cycle_time, temperature) -> dict[str, np.ndarray]:
-        return {
-            "w1": np.broadcast_to(half * (omega1 - omega0) * eps_hot, len(eps_cold)),
-            "w2": half * (omega0 - omega1) * eps_cold,
-            **_otto(omega0, omega1, eps_cold - eps_hot, cycle_time, constants),
-            "cooled_target_temperature": temperature,
-        }
-
-    trace = run_ppa(eps_hot, sys, COMPRESSED_FIELD_SCALE, max(n_list), constants)
-    n_rounds = np.array(n_list)
+    eps_hot = thermal_marginal_polarization(sys, target, 1.0)
+    trace = run_ppa(eps_hot, sys, COMPRESSED_FIELD_SCALE, max(n_list))
     cold = trace.target_effective_temperature[n_list]
-    t1_reset = sys.qubit(sys.label_for_role(Role.RESET)).t1
-    columns = cycles(trace.target_polarization[n_list], t1_target + t1_reset * (2 * n_rounds + 1), cold)
-    columns["n_rounds"] = n_rounds
     above = np.flatnonzero(cold > sys.bath_temperature)
     if above.size:
         i = above[0]
@@ -236,7 +216,7 @@ def sweep_four_stroke(
             f"bath temperature {sys.bath_temperature:g} K, so the isochoric reference "
             f"has no cold bath"
         )
-    eps_bath = thermal_polarization(omega1, cold, constants)
+    eps_bath = thermal_polarization(omega1, cold)
     # past 1 a polarization gives the upper level a negative population; NaN fails too
     bad = np.flatnonzero(~(abs(eps_bath) <= 1.0))
     if bad.size:
@@ -244,18 +224,23 @@ def sweep_four_stroke(
         raise StateInvariantError(
             f"isochoric reference at {cold[i]:g} K: target polarization {eps_bath[i]} outside [-1, 1]"
         )
-    axes = {"n_rounds": tuple(n_list)}
-    reference = SweepTable(axes, FOUR_STROKE_ISOCHORIC_REF, cycles(eps_bath, 2.0 * t1_target, cold))
-    return SweepTable(axes, FOUR_STROKE_HBAC, columns, reference)
+    n_rounds = np.array(n_list)
+    eps_cold = trace.target_polarization[n_list]
+    t1_reset = sys.qubit(sys.label_for_role(Role.RESET)).t1
+    half = HBAR / 2.0 * AVOGADRO
+    columns = {
+        "w1": np.broadcast_to(half * (omega1 - omega0) * eps_hot, len(n_list)),
+        "w2": half * (omega0 - omega1) * eps_cold,
+        **_otto(omega0, omega1, eps_cold - eps_hot, t1_target + t1_reset * (2 * n_rounds + 1)),
+        "cooled_target_temperature": cold,
+        "n_rounds": n_rounds,
+        "power_isochoric": _otto(omega0, omega1, eps_bath - eps_hot, 2.0 * t1_target)["power"],
+    }
+    return SweepTable({"n_rounds": tuple(n_list)}, FOUR_STROKE_HBAC, columns)
 
 
 @np.errstate(all="ignore")  # an overflow shows as a non-finite column, which SweepTable rejects
-def sweep_two_stroke(
-    sys: SpinSystem,
-    omega_s_grid: Sequence[float],
-    n_values: Iterable[int],
-    constants: PhysicalConstants = CODATA2018,
-) -> SweepTable:
+def sweep_two_stroke(sys: SpinSystem, omega_s_grid: Sequence[float], n_values: Iterable[int]) -> SweepTable:
     """Two-stroke cycles over a partner-frequency grid (rad/s) per round count.
 
     Rows are ordered round-count-major, frequency-minor.  Cooling runs at
@@ -278,14 +263,14 @@ def sweep_two_stroke(
         raise ValueError(f"omega_s must be positive, got {grid.min()}")
     if min(n_list) < 0:
         raise ValueError(f"n_rounds must be >= 0, got {min(n_list)}")
-    eps_in = thermal_marginal_polarization(sys, sys.label_for_role(Role.TARGET), 1.0, constants)
-    trace = run_ppa(eps_in, sys, 1.0, max(n_list), constants)
+    eps_in = thermal_marginal_polarization(sys, sys.label_for_role(Role.TARGET), 1.0)
+    trace = run_ppa(eps_in, sys, 1.0, max(n_list))
     omega_t = sys.omega(sys.label_for_role(Role.TARGET), 1.0)
     n_rounds = np.array(n_list)[:, None]
     cooled = trace.target_effective_temperature[n_list]
 
     # one row per round count, broadcast against the grid axis
-    gain = trace.target_polarization[n_list][:, None] - thermal_polarization(grid, sys.bath_temperature, constants)
+    gain = trace.target_polarization[n_list][:, None] - thermal_polarization(grid, sys.bath_temperature)
     cycle_time = sys.qubit(sys.label_for_role(Role.RESET)).t1 * (2 * n_rounds + 1)
     # one window per round count; the empty (inf, inf) stands in for none
     windows = [positive_work_window(omega_t, sys.bath_temperature, t) for t in cooled.tolist()]
@@ -293,7 +278,7 @@ def sweep_two_stroke(
     shape = gain.shape
     columns = {
         "n_rounds": np.broadcast_to(n_rounds, shape),
-        **_otto(grid, omega_t, gain, cycle_time, constants),
+        **_otto(grid, omega_t, gain, cycle_time),
         "cooled_target_temperature": np.broadcast_to(cooled[:, None], shape),
         "omega_s": np.broadcast_to(grid, shape),
         "in_window": (bounds[:, :1] < grid) & (grid < bounds[:, 1:]),
@@ -307,7 +292,7 @@ def sweep_two_stroke(
 
 def isochoric_crossover(table: SweepTable) -> int | None:
     """First round count where the reference engine out-powers cooling."""
-    if table.reference_reports is None:
-        raise ValueError("table carries no reference reports")
-    later = np.flatnonzero(table.reference_reports.columns["power"] > table.columns["power"])
+    if "power_isochoric" not in table.columns:
+        raise ValueError("table carries no isochoric reference")
+    later = np.flatnonzero(table.columns["power_isochoric"] > table.columns["power"])
     return int(table.columns["n_rounds"][later[0]]) if later.size else None

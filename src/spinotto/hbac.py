@@ -38,15 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinsys import (
-    CODATA2018,
-    PhysicalConstants,
-    Role,
-    SpinSystem,
-    StateInvariantError,
-    _effective_temperature,
-    thermal_polarization,
-)
+from .spinsys import Role, SpinSystem, StateInvariantError, _effective_temperature, thermal_polarization
 
 
 @dataclass(frozen=True)
@@ -84,13 +76,7 @@ def cooling_polarizations(eps_b: float, eps_reset0: float, n_rounds: int) -> np.
     return columns
 
 
-def run_ppa(
-    eps_in: float,
-    sys: SpinSystem,
-    field_scale: float,
-    n_rounds: int,
-    constants: PhysicalConstants = CODATA2018,
-) -> PpaTrace:
+def run_ppa(eps_in: float, sys: SpinSystem, field_scale: float, n_rounds: int) -> PpaTrace:
     """Run the initial stage plus ``n_rounds`` cooling rounds from the target's polarization ``eps_in``.
 
     The initial stage hands ``eps_in`` to the reset qubit (row 0); a
@@ -110,7 +96,7 @@ def run_ppa(
     if n_rounds < 0:
         raise ValueError(f"n_rounds must be >= 0, got {n_rounds}")
     target = sys.label_for_role(Role.TARGET)
-    columns = cooling_polarizations(shannon_bound(sys, field_scale, constants), float(eps_in), n_rounds)
+    columns = cooling_polarizations(shannon_bound(sys, field_scale), float(eps_in), n_rounds)
     inside = (0.0 < columns) & (columns < 1.0)
     if not inside.all():
         # the first bad round, and within it the target before the reset qubit
@@ -125,7 +111,7 @@ def run_ppa(
     # above is the only one the column needs (row 0 is the reset qubit's
     # polarization at the same field scale, so a field scale <= 0 fails it)
     with np.errstate(divide="ignore", over="ignore"):
-        temperature = _effective_temperature(columns[0], sys.omega(target, field_scale), constants)
+        temperature = _effective_temperature(columns[0], sys.omega(target, field_scale))
     if not np.isfinite(temperature[0]):
         raise StateInvariantError(
             f"round 0: target polarization {float(columns[0, 0])} has no finite spin temperature "
@@ -136,9 +122,7 @@ def run_ppa(
     return PpaTrace(*columns, temperature)
 
 
-def shannon_bound(
-    sys: SpinSystem, field_scale: float, constants: PhysicalConstants = CODATA2018
-) -> float:
+def shannon_bound(sys: SpinSystem, field_scale: float) -> float:
     """Reset-qubit thermal polarization: the closed-system cooling ceiling."""
     label = sys.label_for_role(Role.RESET)
-    return thermal_polarization(sys.omega(label, field_scale), sys.bath_temperature, constants)
+    return thermal_polarization(sys.omega(label, field_scale), sys.bath_temperature)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .engines import SweepTable
 from .hbac import PpaTrace, shannon_bound
-from .spinsys import CODATA2018, TWO_PI, PhysicalConstants, SpinSystem
+from .spinsys import AVOGADRO, HBAR, K_BOLTZMANN, TWO_PI, SpinSystem
 
 
 def fmt(value) -> str:
@@ -52,18 +52,13 @@ def system_lines(sys: SpinSystem) -> list[str]:
     return lines
 
 
-def metadata_lines(
-    title: str,
-    config_lines: Sequence[str],
-    sys: SpinSystem,
-    constants: PhysicalConstants = CODATA2018,
-) -> list[str]:
+def metadata_lines(title: str, config_lines: Sequence[str], sys: SpinSystem) -> list[str]:
     lines = [f"# {title}", f"# config_hash={config_hash(config_lines)}"]
     lines += [f"# config: {line}" for line in config_lines]
     lines.append(
-        f"# constants: hbar={fmt(constants.hbar)} J*s "
-        f"k_boltzmann={fmt(constants.k_boltzmann)} J/K "
-        f"avogadro={fmt(constants.avogadro)} 1/mol"
+        f"# constants: hbar={fmt(HBAR)} J*s "
+        f"k_boltzmann={fmt(K_BOLTZMANN)} J/K "
+        f"avogadro={fmt(AVOGADRO)} 1/mol"
     )
     lines += [f"# {line}" for line in system_lines(sys)]
     return lines
@@ -184,47 +179,32 @@ def _csv(metadata: list[str], header: Sequence[str], columns: Sequence[np.ndarra
 
 
 def render_ppa_csv(
-    trace: PpaTrace,
-    sys: SpinSystem,
-    field_scale: float,
-    config_lines: Sequence[str],
-    constants: PhysicalConstants = CODATA2018,
+    trace: PpaTrace, sys: SpinSystem, field_scale: float, config_lines: Sequence[str]
 ) -> Iterator[bytes]:
-    bound = np.broadcast_to(shannon_bound(sys, field_scale, constants), len(trace.target_polarization))
+    bound = np.broadcast_to(shannon_bound(sys, field_scale), len(trace.target_polarization))
     return _csv(
-        metadata_lines("algorithmic cooling trace", config_lines, sys, constants),
+        metadata_lines("algorithmic cooling trace", config_lines, sys),
         ("round", "eps_target", "eps_reset", "T_eff_K", "shannon_bound_eps"),
         (np.arange(len(bound)), trace.target_polarization, trace.reset_polarization,
          trace.target_effective_temperature, bound),
     )
 
 
-def render_four_stroke_csv(
-    table: SweepTable,
-    config_lines: Sequence[str],
-    sys: SpinSystem,
-    constants: PhysicalConstants = CODATA2018,
-) -> Iterator[bytes]:
-    assert table.reference_reports is not None
-    cols, ref = table.columns, table.reference_reports.columns
+def render_four_stroke_csv(table: SweepTable, config_lines: Sequence[str], sys: SpinSystem) -> Iterator[bytes]:
+    cols = table.columns
     return _csv(
-        metadata_lines("four-stroke cycle sweep", config_lines, sys, constants),
+        metadata_lines("four-stroke cycle sweep", config_lines, sys),
         ("n", "Qin_J_per_mol", "Qout_J_per_mol", "W_J_per_mol", "P_W_per_mol", "P_iso_W_per_mol",
          "T_cold_K", "iso_dominates"),
-        (*(cols[name] for name in ("n_rounds", "q_in", "q_out", "net_work", "power")),
-         ref["power"], cols["cooled_target_temperature"], ref["power"] > cols["power"]),
+        (*(cols[name] for name in ("n_rounds", "q_in", "q_out", "net_work", "power", "power_isochoric")),
+         cols["cooled_target_temperature"], cols["power_isochoric"] > cols["power"]),
     )
 
 
-def render_two_stroke_csv(
-    table: SweepTable,
-    config_lines: Sequence[str],
-    sys: SpinSystem,
-    constants: PhysicalConstants = CODATA2018,
-) -> Iterator[bytes]:
+def render_two_stroke_csv(table: SweepTable, config_lines: Sequence[str], sys: SpinSystem) -> Iterator[bytes]:
     cols = table.columns
     return _csv(
-        metadata_lines("two-stroke cycle sweep", config_lines, sys, constants),
+        metadata_lines("two-stroke cycle sweep", config_lines, sys),
         ("omega_s_MHz", "n", "W_J_per_mol", "P_W_per_mol", "eta", "in_window"),
         (cols["omega_s"] / TWO_PI / 1e6,
          *(cols[name] for name in ("n_rounds", "net_work", "power", "efficiency", "in_window"))),

@@ -40,20 +40,11 @@ def _positive_finite(value: float) -> bool:
     return math.isfinite(value) and value > 0
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA-2018 values; override only by constructing a new instance.
-
-    ``hbar`` is derived from the exact SI Planck constant rather than
-    written as a truncated decimal.
-    """
-
-    hbar: float = 6.626_070_15e-34 / (2.0 * math.pi)  # J*s
-    k_boltzmann: float = 1.380_649e-23  # J/K
-    avogadro: float = 6.022_140_76e23  # 1/mol
-
-
-CODATA2018 = PhysicalConstants()
+# CODATA-2018 values.  ``HBAR`` is derived from the exact SI Planck
+# constant rather than written as a truncated decimal.
+HBAR = 6.626_070_15e-34 / (2.0 * math.pi)  # J*s
+K_BOLTZMANN = 1.380_649e-23  # J/K
+AVOGADRO = 6.022_140_76e23  # 1/mol
 
 
 class Role(str, Enum):
@@ -195,11 +186,7 @@ PRESETS = {"tce": tce_system}
 # ---------------------------------------------------------------------------
 
 
-def register_levels(
-    sys: SpinSystem,
-    field_scale: float = 1.0,
-    constants: PhysicalConstants = CODATA2018,
-) -> np.ndarray:
+def register_levels(sys: SpinSystem, field_scale: float = 1.0) -> np.ndarray:
     """Level energies of the lab-frame register Hamiltonian at a scaled static field.
 
     ``H = -hbar * sum_i (field_scale * w_i) Iz_i
@@ -219,12 +206,11 @@ def register_levels(
         for j in range(i + 1, k)
         if sys.j_coupling(labels[i], labels[j]) != 0.0
     ]
-    hbar = constants.hbar
     levels = np.zeros(2**k)
     for idx in range(2**k):
         sz = [0.5 if ((idx >> (k - 1 - i)) & 1) == 0 else -0.5 for i in range(k)]
-        energy = -hbar * sum(w * s for w, s in zip(omegas, sz))
-        energy += hbar * sum(jw * sz[i] * sz[j] for i, j, jw in pairs)
+        energy = -HBAR * sum(w * s for w, s in zip(omegas, sz))
+        energy += HBAR * sum(jw * sz[i] * sz[j] for i, j, jw in pairs)
         levels[idx] = energy
     return levels
 
@@ -234,17 +220,12 @@ def register_levels(
 # ---------------------------------------------------------------------------
 
 
-def thermal_polarization(omega, temperature, constants: PhysicalConstants = CODATA2018):
+def thermal_polarization(omega, temperature):
     """Equilibrium polarization ``tanh(hbar*omega / 2 k_B T)``; arrays broadcast."""
-    return np.tanh(constants.hbar * omega / (2.0 * constants.k_boltzmann * temperature))
+    return np.tanh(HBAR * omega / (2.0 * K_BOLTZMANN * temperature))
 
 
-def thermal_marginal_polarization(
-    sys: SpinSystem,
-    label: str,
-    field_scale: float = 1.0,
-    constants: PhysicalConstants = CODATA2018,
-) -> float:
+def thermal_marginal_polarization(sys: SpinSystem, label: str, field_scale: float = 1.0) -> float:
     """Polarization of one qubit of the register's Gibbs state at the bath temperature.
 
     The J couplings make the marginal differ from ``thermal_polarization``
@@ -256,9 +237,9 @@ def thermal_marginal_polarization(
     d``.  The weights are taken in log space, so no splitting overflows
     them, and no polarization is a difference of two populations near 1/2.
     """
-    levels = register_levels(sys, field_scale, constants).reshape((2,) * len(sys.labels))
+    levels = register_levels(sys, field_scale).reshape((2,) * len(sys.labels))
     lower, upper = np.moveaxis(levels, sys.labels.index(label), 0)
-    kt = constants.k_boltzmann * sys.bath_temperature
+    kt = K_BOLTZMANN * sys.bath_temperature
     half_splitting = (upper - lower) / (2.0 * kt)
     # log of e^(-m) cosh d, less log 2
     log_weights = np.logaddexp(half_splitting, -half_splitting) - (lower + upper) / (2.0 * kt)
@@ -266,7 +247,7 @@ def thermal_marginal_polarization(
     return float((weights * np.tanh(half_splitting)).sum() / weights.sum())
 
 
-def effective_temperature(epsilon, omega: float, constants: PhysicalConstants = CODATA2018):
+def effective_temperature(epsilon, omega: float):
     """Spin temperature whose thermal polarization at ``omega`` is ``epsilon``; arrays map elementwise.
 
     Exact inverse of :func:`thermal_polarization`.
@@ -275,14 +256,14 @@ def effective_temperature(epsilon, omega: float, constants: PhysicalConstants = 
     outside = ~((0.0 < epsilon) & (epsilon < 1.0))
     if outside.any():
         raise ValueError(f"polarization {epsilon[outside].flat[0]} outside (0, 1)")
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    return _effective_temperature(epsilon, omega, constants)
+    if not _positive_finite(omega):
+        raise ValueError(f"omega must be positive and finite, got {omega}")
+    return _effective_temperature(epsilon, omega)
 
 
-def _effective_temperature(epsilon: np.ndarray, omega: float, constants: PhysicalConstants) -> np.ndarray:
+def _effective_temperature(epsilon: np.ndarray, omega: float) -> np.ndarray:
     """:func:`effective_temperature` of polarizations the caller has checked to lie in (0, 1)."""
-    return constants.hbar * omega / (2.0 * constants.k_boltzmann * np.arctanh(epsilon))
+    return HBAR * omega / (2.0 * K_BOLTZMANN * np.arctanh(epsilon))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import numpy as np
 
 from spinotto.hbac import shannon_bound
 from spinotto.reports import TWO_PI, fmt, metadata_lines
-from spinotto.spinsys import CODATA2018
 
 
 def _table(header, rows):
@@ -31,31 +30,30 @@ def canonical_omega_line(omega_s_mhz):
     return "omega_s_mhz=" + ",".join(fmt(w) for w in omega_s_mhz)
 
 
-def render_ppa_csv(trace, sys, field_scale, config_lines, constants=CODATA2018):
+def render_ppa_csv(trace, sys, field_scale, config_lines):
     n = len(trace.target_polarization)
     rows = _column_rows(
         np.arange(n),
         trace.target_polarization,
         trace.reset_polarization,
         trace.target_effective_temperature,
-        np.full(n, shannon_bound(sys, field_scale, constants)),
+        np.full(n, shannon_bound(sys, field_scale)),
     )
-    lines = metadata_lines("algorithmic cooling trace", config_lines, sys, constants)
+    lines = metadata_lines("algorithmic cooling trace", config_lines, sys)
     lines += _table(
         ("round", "eps_target", "eps_reset", "T_eff_K", "shannon_bound_eps"), rows
     )
     return "\n".join(lines) + "\n"
 
 
-def render_four_stroke_csv(table, config_lines, sys, constants=CODATA2018):
-    cols, ref = table.columns, table.reference_reports.columns
+def render_four_stroke_csv(table, config_lines, sys):
+    cols = table.columns
     rows = _column_rows(
-        *(cols[name] for name in ("n_rounds", "q_in", "q_out", "net_work", "power")),
-        ref["power"],
+        *(cols[name] for name in ("n_rounds", "q_in", "q_out", "net_work", "power", "power_isochoric")),
         cols["cooled_target_temperature"],
-        ref["power"] > cols["power"],
+        cols["power_isochoric"] > cols["power"],
     )
-    lines = metadata_lines("four-stroke cycle sweep", config_lines, sys, constants)
+    lines = metadata_lines("four-stroke cycle sweep", config_lines, sys)
     lines += _table(
         (
             "n",
@@ -72,13 +70,13 @@ def render_four_stroke_csv(table, config_lines, sys, constants=CODATA2018):
     return "\n".join(lines) + "\n"
 
 
-def render_two_stroke_csv(table, config_lines, sys, constants=CODATA2018):
+def render_two_stroke_csv(table, config_lines, sys):
     cols = table.columns
     rows = _column_rows(
         cols["omega_s"] / TWO_PI / 1e6,
         *(cols[name] for name in ("n_rounds", "net_work", "power", "efficiency", "in_window")),
     )
-    lines = metadata_lines("two-stroke cycle sweep", config_lines, sys, constants)
+    lines = metadata_lines("two-stroke cycle sweep", config_lines, sys)
     lines += _table(
         ("omega_s_MHz", "n", "W_J_per_mol", "P_W_per_mol", "eta", "in_window"), rows
     )

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 import oracles
-from spinotto.spinsys import CODATA2018, Role, StateInvariantError, register_levels
+from spinotto.spinsys import HBAR, K_BOLTZMANN, Role, StateInvariantError, register_levels
 
 # ---------------------------------------------------------------------------
 # Density matrices
@@ -281,14 +281,14 @@ def reset_channel(
 # ---------------------------------------------------------------------------
 
 
-def thermal_populations(energies, temperature, constants=CODATA2018) -> np.ndarray:
+def thermal_populations(energies, temperature) -> np.ndarray:
     """Boltzmann populations ``exp(-E/kT) / Z`` over the last axis of ``energies``.
 
     Temperatures broadcast against the leading axes, one distribution
     per energy row and temperature.
     """
     energies = np.asarray(energies, dtype=float)
-    beta = (1.0 / (constants.k_boltzmann * np.asarray(temperature, dtype=float)))[..., None]
+    beta = (1.0 / (K_BOLTZMANN * np.asarray(temperature, dtype=float)))[..., None]
     weights = np.exp(-beta * (energies - energies.min(axis=-1, keepdims=True)))
     return weights / weights.sum(axis=-1, keepdims=True)
 
@@ -362,7 +362,7 @@ def zeeman_levels(omega):
 
     ``omega`` broadcasts: an array of frequencies gives one row of levels each.
     """
-    return np.stack([-CODATA2018.hbar * omega / 2, +CODATA2018.hbar * omega / 2], axis=-1)
+    return np.stack([-HBAR * omega / 2, +HBAR * omega / 2], axis=-1)
 
 
 def local_levels(sys, label, field_scale=1.0):

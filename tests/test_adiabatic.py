@@ -23,10 +23,9 @@ from dense import (
     thermal_state,
 )
 from spinotto import cli
-from spinotto.spinsys import CODATA2018, register_levels
+from spinotto.spinsys import HBAR, register_levels
 from test_qmath import random_density
 
-HBAR = CODATA2018.hbar
 TAU = 0.1
 
 

@@ -48,14 +48,14 @@ def test_every_tracer_target_resolves():
     assert load_tracer().Tracer().absent == RETIRED
 
 
-def test_tracer_counts_the_cycles_of_both_tables(tce):
-    # the tracer counts engines.cycles as len(table.reports) plus
-    # len(table.reference_reports): a four-stroke sweep's 11 rows and their
-    # 11 references, and the paper's two-stroke grid, 8 round counts x 851
-    # frequencies with no reference table
+def test_tracer_counts_the_cycles_of_one_table(tce):
+    # the tracer counts engines.cycles as len(table.reports) of each sweep:
+    # a four-stroke sweep's 11 rows, whose isochoric references are one
+    # column of the same table, and the paper's two-stroke grid, 8 round
+    # counts x 851 frequencies
     tracer = load_tracer().Tracer()
     tracer._observe_sweep({}, sweep_four_stroke(tce, 10))
-    assert tracer.cycles == 22
+    assert tracer.cycles == 11
     tracer.begin_op(1)
     grid = cli._rad_s(cli._parse_omega_grid("150:1000:1"))
     tracer._observe_sweep({}, sweep_two_stroke(tce, grid, cli._parse_rounds("1..8")))

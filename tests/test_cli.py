@@ -824,7 +824,7 @@ def test_unwritable_out_exits_2(block, out, reason, tmp_path, monkeypatch, capsy
             ["four-stroke", "--rounds", "0..2"],
             "t1_seconds = 43.0",
             "t1_seconds = 1e-320",
-            "four_stroke_isochoric_ref: power is inf at n_rounds=0",
+            "four_stroke_hbac: power_isochoric is inf at n_rounds=0",
         ),
         (
             ["two-stroke", "--rounds", "1..1", "--omega-s", "1e-320:1e-320:1"],

@@ -22,7 +22,6 @@ from oracles import mhz
 from spinotto import cli, engines
 from spinotto.engines import (
     FOUR_STROKE_HBAC,
-    FOUR_STROKE_ISOCHORIC_REF,
     TWO_STROKE_HBAC,
     SweepTable,
     isochoric_crossover,
@@ -32,7 +31,7 @@ from spinotto.engines import (
 )
 from spinotto.hbac import run_ppa
 from spinotto.spinsys import (
-    CODATA2018,
+    AVOGADRO,
     ConfigError,
     StateInvariantError,
     effective_temperature,
@@ -46,7 +45,7 @@ TWO_PI = 2.0 * math.pi
 # Normwise error of a column against the dense cycles: the largest deviation
 # over the largest dense magnitude.  The dense cycles form each polarization
 # as a difference of two populations near 1/2, which cancels about 4.5
-# digits; measured worst 1.5e-11 (four-stroke reference net work), bound at
+# digits; measured worst 1.5e-11 (four-stroke reference power), bound at
 # twice that.  Columns that need no such difference stay bit-for-bit.
 DENSE_RTOL = 3e-11
 EXACT_COLUMNS = {"n_rounds", "cycle_time", "efficiency", "in_window"}
@@ -120,12 +119,9 @@ class TestFourStroke:
 
 class TestIsochoricReference:
     def test_matched_cold_bath_reproduces_work(self, tce, four_stroke_table):
-        reference = four_stroke_table.reference_reports
-        assert reference.engine_kind == FOUR_STROKE_ISOCHORIC_REF
-        work = reference.columns["net_work"]
-        assert work == pytest.approx(four_stroke_table.columns["net_work"], rel=1e-6)
-        assert (reference.columns["cycle_time"] == 2 * 43.0).all()
-        assert reference.columns["power"] == pytest.approx(work / 86.0, rel=1e-12)
+        # cooled to the same temperature, the reference does the same work in 2 tau_T
+        columns = four_stroke_table.columns
+        assert columns["power_isochoric"] == pytest.approx(columns["net_work"] / 86.0, rel=1e-12)
 
     def test_zero_work_when_cold_bath_matches_compressed_frequency(self, tce):
         # the frozen post-compression polarization equals the half-field
@@ -137,10 +133,14 @@ class TestIsochoricReference:
         # lowers the polarization below its frozen value: net work is negative
         assert reference_work(tce, tce.bath_temperature) < 0
 
+    def test_crossover_needs_a_four_stroke_table(self, tce):
+        with pytest.raises(ValueError, match="no isochoric reference"):
+            isochoric_crossover(sweep_two_stroke(tce, [mhz(430.0)], [1, 2]))
+
     def test_crossover_at_six_rounds(self, four_stroke_table):
         assert isochoric_crossover(four_stroke_table) == 6
         power = four_stroke_table.columns["power"]
-        reference = four_stroke_table.reference_reports.columns["power"]
+        reference = four_stroke_table.columns["power_isochoric"]
         early = four_stroke_table.columns["n_rounds"] <= 5
         assert (power[early] > reference[early]).all()
         assert (reference[~early] > power[~early]).all()
@@ -172,11 +172,11 @@ class TestFourStrokeSweep:
         # the dense cycles propagate their strokes at the drive period tau,
         # which no number of the package depends on
         system = request.getfixturevalue(system)
-        table = sweep_four_stroke(system, n_values)
+        columns = dict(sweep_four_stroke(system, n_values).columns)
         cycles, references = dense_four_stroke_cycles(system, n_values, tau)
-        for got, rows in ((table, cycles), (table.reference_reports, references)):
-            assert set(got.columns) == set(rows[0])
-            assert_matches_dense(got.columns, rows)
+        assert_matches_dense({"power": columns.pop("power_isochoric")}, references)
+        assert set(columns) == set(cycles[0])
+        assert_matches_dense(columns, cycles)
 
     def test_validations_do_not_grow_with_the_round_count(self, tce):
         # the package forms no state to validate: one hot Gibbs marginal and
@@ -221,7 +221,7 @@ def reference_work(sys, cold_temperature):
     """Net work of the isochoric reference cycle with its cold bath at ``cold_temperature``."""
     omega0, omega1 = sys.omega("C1", 1.0), sys.omega("C1", 0.5)
     gain = thermal_polarization(omega1, cold_temperature) - thermal_marginal_polarization(sys, "C1", 1.0)
-    return engines._otto(omega0, omega1, gain, 2 * sys.qubit("C1").t1, CODATA2018)["net_work"]
+    return engines._otto(omega0, omega1, gain, 2 * sys.qubit("C1").t1)["net_work"]
 
 
 def state_work(sweep, *args):
@@ -259,7 +259,7 @@ def dense_four_stroke_cycles(sys, n_values, tau):
     rho0_t = partial_trace(rho_hot, {"C1"})
     rho1_t = partial_trace(rho_compressed, {"C1"})
     states = dense.cooling_states(rho_compressed, sys, 0.5, max(n_values))
-    mole = CODATA2018.avogadro
+    mole = AVOGADRO
     t1_target, t1_reset = sys.qubit("C1").t1, sys.qubit("H").t1
 
     def cycle(rho_cooled, rho2_t, cycle_time, cold):
@@ -361,6 +361,21 @@ class TestPositiveWorkWindow:
             positive_work_window(1.0, 0.0, 150.0)
         with pytest.raises(ValueError):
             positive_work_window(0.0, 300.0, 150.0)
+
+    @pytest.mark.parametrize(
+        "omega_t,bath_t,cooled_t",
+        [
+            (1.0, math.nan, 150.0),
+            (1.0, math.inf, 150.0),
+            (1.0, 300.0, math.nan),
+            (1.0, 300.0, math.inf),
+            (math.nan, 300.0, 150.0),
+            (math.inf, 300.0, 150.0),
+        ],
+    )
+    def test_rejects_non_finite_arguments(self, omega_t, bath_t, cooled_t):
+        with pytest.raises(ValueError, match="positive and finite"):
+            positive_work_window(omega_t, bath_t, cooled_t)
 
 
 @pytest.fixture(scope="module")
@@ -503,7 +518,7 @@ def dense_two_stroke_cycle(sys, omega_s, n_rounds, cooled_target, cooled_tempera
     rho1_t = partial_trace(swapped, {"C1"})
     q_in = energy(h_s, rho0_s) - energy(h_s, rho1_s)
     q_out = energy(h_t, rho1_t) - energy(h_t, rho0_t)
-    mole = CODATA2018.avogadro
+    mole = AVOGADRO
     net = (q_in - q_out) * mole
     omega_t = sys.omega("C1", 1.0)
     window = positive_work_window(omega_t, sys.bath_temperature, cooled_temperature)

@@ -15,7 +15,7 @@ from dense import (
     zeeman_levels,
 )
 from spinotto.spinsys import (
-    CODATA2018,
+    HBAR,
     ConfigError,
     QubitSpec,
     Role,
@@ -30,7 +30,6 @@ from spinotto.spinsys import (
 )
 
 TWO_PI = 2.0 * math.pi
-HBAR = CODATA2018.hbar
 
 
 def single_spin(omega_mhz: float, role=Role.TARGET) -> SpinSystem:
@@ -253,7 +252,7 @@ class TestPolarization:
 
 def test_hbar_is_derived_from_the_exact_planck_constant():
     # h is exact in the SI since 2019; scipy derives hbar the same way
-    assert CODATA2018.hbar == 6.62607015e-34 / (2 * math.pi) == oracles.HBAR
+    assert HBAR == 6.62607015e-34 / (2 * math.pi) == oracles.HBAR
 
 
 class TestThermalMarginalPolarization:
@@ -324,6 +323,11 @@ class TestEffectiveTemperature:
     def test_rejects_out_of_range(self, eps):
         with pytest.raises(ValueError):
             effective_temperature(eps, TWO_PI * 1e6)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf])
+    def test_rejects_non_finite_frequency(self, omega):
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            effective_temperature(0.5, omega)
 
 
 def test_marginal_polarization_matches_tanh_everywhere(tce):
