@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -53,7 +53,7 @@ _CLOSURE_RTOL = 1e-9
 
 
 def _check_energetics(columns: dict[str, np.ndarray]) -> None:
-    """First-law closure and the efficiency range over a table's columns; ``w1``/``w2`` are optional."""
+    """First-law closure and the efficiency range over a table's columns, broadcast; ``w1``/``w2`` are optional."""
     q_in, q_out, net_work, efficiency = (columns[name] for name in ("q_in", "q_out", "net_work", "efficiency"))
     w1, w2 = columns.get("w1"), columns.get("w2")
     # scale for the relative closure checks; the stroke works enter
@@ -69,7 +69,7 @@ def _check_energetics(columns: dict[str, np.ndarray]) -> None:
     # degenerate frequency boundary net_work is a round-off residue
     bad = (net_work > tolerance) & ~((0.0 < efficiency) & (efficiency < 1.0))
     if bad.any():
-        value = efficiency[bad][0]
+        value = np.broadcast_to(efficiency, bad.shape)[bad][0]
         raise StateInvariantError(f"efficiency {value} outside (0, 1) at positive work")
 
 
@@ -88,56 +88,82 @@ class NonFiniteCell(StateInvariantError):
 class SweepTable:
     """Cycles of one engine kind over a parameter grid, stored as named read-only columns.
 
-    Each column holds one value per grid point in deterministic grid
-    order (energies J/mol, power W/mol, times s, temperatures K,
-    ``omega_s`` rad/s).  A non-finite float cell is a ``NonFiniteCell``
-    naming its grid point.
+    A table has one row per grid point, in row-major order over its
+    axes, and ``shape`` holds the axis lengths.  Each column is stored at
+    the shape it has: an array that spans at least one axis and
+    broadcasts to ``shape`` along the others, so a value that depends on
+    one axis only is held once per point of that axis (energies J/mol,
+    power W/mol, times s, temperatures K, ``omega_s`` rad/s).  ``column``
+    gives a column in row order and ``cell`` one row's value.  The table
+    takes the arrays it is given and marks them read-only.  A non-finite
+    float cell is a ``NonFiniteCell`` naming its grid point, the first in
+    row order.  ``windows`` holds a two-stroke table's positive-work
+    window (rad/s) per round count, None where there is none.
     """
 
     axes: dict[str, tuple]
     engine_kind: str
     columns: dict[str, np.ndarray]
+    windows: tuple[tuple[float, float] | None, ...] = ()
 
     def __post_init__(self):
-        expected = 1
         for values in self.axes.values():
             seq = np.asarray(values)
             if (seq[1:] <= seq[:-1]).any():
                 raise ValueError("sweep axes must be strictly increasing")
-            expected *= len(seq)
-        columns = {name: np.array(values) for name, values in self.columns.items()}
-        if any(len(column) != expected for column in columns.values()):
-            raise ValueError(f"incomplete sweep: columns do not hold {expected} grid points")
-        for name, column in columns.items():
+        shape = self.shape
+        object.__setattr__(self, "columns", {name: np.asarray(values) for name, values in self.columns.items()})
+        for name, column in self.columns.items():
+            if column.shape != shape:
+                # each column spans at least one axis and broadcasts along the others
+                dims = (1,) * (len(shape) - column.ndim) + column.shape
+                fits = len(dims) == len(shape) and all(d in (1, n) for d, n in zip(dims, shape))
+                if not (fits and any(d == n for d, n in zip(dims, shape))):
+                    raise ValueError(f"incomplete sweep: column {name} of shape {column.shape} does not fit {shape}")
             column.setflags(write=False)
             if column.dtype.kind == "f" and not np.isfinite(column).all():
-                first = int(np.argmin(np.isfinite(column)))
-                index = np.unravel_index(first, [len(values) for values in self.axes.values()])
-                point = dict(zip(self.axes, map(int, index)))
+                first = int(np.argmin(np.isfinite(self._spread(name))))
+                point = dict(zip(self.axes, map(int, np.unravel_index(first, shape))))
                 where = ", ".join(
                     f"{axis}={self.axes[axis][i]:.6g}{_AXIS_UNITS.get(axis, '')}" for axis, i in point.items()
                 )
                 raise NonFiniteCell(
-                    f"{self.engine_kind}: {name} is {column[first]} at {where or 'the only point'}", point
+                    f"{self.engine_kind}: {name} is {self.cell(name, first)} at {where or 'the only point'}", point
                 )
-        _check_energetics(columns)
-        object.__setattr__(self, "columns", columns)
+        _check_energetics(self.columns)
+
+    @cached_property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(len(values) for values in self.axes.values())
 
     def __len__(self) -> int:
-        return len(self.columns["net_work"])
+        return math.prod(self.shape)
 
     @property
     def reports(self) -> SweepTable:
         # only perfbench/tracer.py reads this, to count cycles; it goes with that tracer
         return self
 
+    def _spread(self, name: str) -> np.ndarray:
+        """Column ``name`` as a read-only view of the table's shape."""
+        column = self.columns[name]
+        return column.reshape(self.shape) if column.size == len(self) else np.broadcast_to(column, self.shape)
+
+    def column(self, name: str) -> np.ndarray:
+        """Column ``name`` with one value per row, in row order."""
+        return self._spread(name).reshape(-1)
+
+    def cell(self, name: str, row: int):
+        """The value of column ``name`` at ``row``, as a Python scalar."""
+        return self._spread(name).item(row)
+
     def argmax_power(self) -> int:
         """Row index of the largest power, the first of equal maxima."""
-        return int(np.argmax(self.columns["power"]))
+        return int(np.argmax(self.column("power")))
 
 
 def _otto(omega_in, omega_out, gain, cycle_time) -> dict[str, np.ndarray]:
-    """Columns of Otto cycles whose target polarization swings by ``gain``; arrays broadcast.
+    """Columns of Otto cycles whose target polarization swings by ``gain``, each at its broadcast shape.
 
     The working qubit takes ``(hbar omega_in / 2) gain`` per mole from
     the hot side and gives ``(hbar omega_out / 2) gain`` back to the cold
@@ -148,14 +174,13 @@ def _otto(omega_in, omega_out, gain, cycle_time) -> dict[str, np.ndarray]:
     q_in = half * omega_in * gain
     q_out = half * omega_out * gain
     net = q_in - q_out
-    shape = np.shape(net)
     return {
         "q_in": q_in,
         "q_out": q_out,
         "net_work": net,
-        "efficiency": np.broadcast_to(1.0 - omega_out / omega_in, shape),
+        "efficiency": 1.0 - omega_out / omega_in,
         "power": net / cycle_time,
-        "cycle_time": np.broadcast_to(cycle_time, shape),
+        "cycle_time": cycle_time,
     }
 
 
@@ -228,10 +253,13 @@ def sweep_four_stroke(sys: SpinSystem, n_values: int | Iterable[int]) -> SweepTa
     eps_cold = trace.target_polarization[n_list]
     t1_reset = sys.qubit(sys.label_for_role(Role.RESET)).t1
     half = HBAR / 2.0 * AVOGADRO
+    cycles = _otto(omega0, omega1, eps_cold - eps_hot, t1_target + t1_reset * (2 * n_rounds + 1))
+    # every column spans the round-count axis, the two constants too
     columns = {
         "w1": np.broadcast_to(half * (omega1 - omega0) * eps_hot, len(n_list)),
         "w2": half * (omega0 - omega1) * eps_cold,
-        **_otto(omega0, omega1, eps_cold - eps_hot, t1_target + t1_reset * (2 * n_rounds + 1)),
+        **cycles,
+        "efficiency": np.broadcast_to(cycles["efficiency"], len(n_list)),
         "cooled_target_temperature": cold,
         "n_rounds": n_rounds,
         "power_isochoric": _otto(omega0, omega1, eps_bath - eps_hot, 2.0 * t1_target)["power"],
@@ -251,9 +279,12 @@ def sweep_two_stroke(sys: SpinSystem, omega_s_grid: Sequence[float], n_values: I
     qubits, so the SWAP only exchanges their polarizations: the partner
     absorbs ``(hbar omega_S / 2)`` times the difference, and the target
     gives back ``(hbar omega_T / 2)`` times it.  The sweep is one array
-    pass over (round count, frequency).  A partner frequency outside the
-    positive-work window is reported with ``in_window=False``, not an
-    error.
+    pass over (round count, frequency): ``omega_s`` and the efficiency
+    have one value per frequency, shape ``(G,)``; the round count, cycle
+    time and cooled temperature one per round count, shape ``(R, 1)``;
+    the heats, work, power and ``in_window`` shape ``(R, G)``.  A partner
+    frequency outside the positive-work window is reported with
+    ``in_window=False``, not an error.
     """
     grid = np.array(omega_s_grid, dtype=float)
     n_list = [int(n) for n in n_values]
@@ -273,20 +304,20 @@ def sweep_two_stroke(sys: SpinSystem, omega_s_grid: Sequence[float], n_values: I
     gain = trace.target_polarization[n_list][:, None] - thermal_polarization(grid, sys.bath_temperature)
     cycle_time = sys.qubit(sys.label_for_role(Role.RESET)).t1 * (2 * n_rounds + 1)
     # one window per round count; the empty (inf, inf) stands in for none
-    windows = [positive_work_window(omega_t, sys.bath_temperature, t) for t in cooled.tolist()]
+    windows = tuple(positive_work_window(omega_t, sys.bath_temperature, t) for t in cooled.tolist())
     bounds = np.array([w or (np.inf, np.inf) for w in windows])
-    shape = gain.shape
     columns = {
-        "n_rounds": np.broadcast_to(n_rounds, shape),
+        "n_rounds": n_rounds,
         **_otto(grid, omega_t, gain, cycle_time),
-        "cooled_target_temperature": np.broadcast_to(cooled[:, None], shape),
-        "omega_s": np.broadcast_to(grid, shape),
+        "cooled_target_temperature": cooled[:, None],
+        "omega_s": grid,
         "in_window": (bounds[:, :1] < grid) & (grid < bounds[:, 1:]),
     }
     return SweepTable(
         axes={"n_rounds": tuple(n_list), "omega_s": tuple(grid.tolist())},
         engine_kind=TWO_STROKE_HBAC,
-        columns={name: column.ravel() for name, column in columns.items()},
+        columns=columns,
+        windows=windows,
     )
 
 
@@ -295,4 +326,4 @@ def isochoric_crossover(table: SweepTable) -> int | None:
     if "power_isochoric" not in table.columns:
         raise ValueError("table carries no isochoric reference")
     later = np.flatnonzero(table.columns["power_isochoric"] > table.columns["power"])
-    return int(table.columns["n_rounds"][later[0]]) if later.size else None
+    return table.cell("n_rounds", later[0]) if later.size else None

@@ -82,8 +82,10 @@ _WORDS = np.concatenate([
     np.array([b"e%+03d" % e for e in range(-100, 101)], "S4").view(np.uint32),
 ])
 _PADDED, _LEADS, _EXPONENTS = _WORDS[10**4 :], _WORDS[2 * 10**4 :], _WORDS[2 * 10**4 + 20 :]
-# by exponent + 100: 10**(12 - exponent) correctly rounded for exponents -100..99, then NaN
+# by exponent + 100: 10**(12 - exponent) correctly rounded for exponents -100..99, then NaN;
+# and how far from a half the digit fraction must lie for the fast path (see _float_cells)
 _POW10 = np.array([*(float("1e%d" % (12 - e)) for e in range(-100, 100)), math.nan])
+_MARGINS = np.array([0.499 if 0 <= 12 - e <= 22 else 0.495 for e in range(-100, 101)])
 _BOOL_WORDS = np.array([b"false", b"true"], "S8").view(np.uint32).reshape(2, 2).T.copy()
 _COMMA, _NEWLINE = np.array([b",", b"\n"], "S4").view(np.uint32)
 
@@ -102,10 +104,15 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     """``b"%.12e" % v`` of each value of a 2-D float64 array as five words: shape ``(5,) + x.shape``.
 
     The digits are ``m = |x| * 10**(12 - e)`` rounded, ``e`` from ``log10`` less 1e-12
-    (never above the exponent, so ``m >= 1e12``).  Two roundings of 2**-53 leave
-    ``m`` within 2.2e-3 of exact, so only a fraction within that of one half
-    could round wrongly; a window of 0.005 keeps twice that margin.  Cells in the
-    window take the exact path.  A rounded ``m`` of exactly 1e13, from ``e`` one
+    (never above the exponent, so ``m >= 1e12``).  A cell whose fraction ``m - rint(m)``
+    lies within a window of one half could round wrongly, and takes the exact path.
+    For ``0 <= 12 - e <= 22`` the scale ``10**(12 - e)`` is exact in binary64 (5**22 <
+    2**53), so ``m`` carries one rounding, at most half an ulp: 2**-10 for ``m < 2**44``,
+    which holds below the 1e13 the fast path allows.  A fraction more than 0.001 from
+    one half then lies on the same side of it as the exact product, and the window
+    is 0.001 (``_MARGINS``).  For other exponents the scale is rounded too; two
+    roundings of 2**-53 leave ``m`` within 2.2e-3 of exact, and a window of 0.005
+    keeps twice that margin.  A rounded ``m`` of exactly 1e13, from ``e`` one
     too small (an exact power of ten) or from a carry, is 1e12 at ``e + 1``; one
     above 1e13 takes the exact path, as do, through the exponent range check and
     the NaN ends of ``_POW10``, zero, subnormal, non-finite and three-digit-exponent
@@ -117,7 +124,7 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     k = s.astype(np.intp)
     m = a * _POW10.take(k, mode="clip")
     r = np.rint(m, out=a)
-    fast = np.abs(m - r) < 0.495
+    fast = np.abs(m - r) < _MARGINS.take(k, mode="clip")
     carry = r == 1e13
     r[carry] = 1e12
     k += carry
@@ -150,22 +157,75 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
     return cells[cells.any(axis=1).argmax() :]
 
 
-def _words(block: Sequence[np.ndarray]) -> np.ndarray:
-    """A block's lines as word-major rows: each column's cells, then a comma or, last, a newline."""
-    floats = np.array([c for c in block if c.dtype.kind == "f"], float).reshape(-1, len(block[0]))
-    floats = iter(_float_cells(floats).swapaxes(0, 1))
-    words = [np.full((1, len(block[0])), _COMMA)] * (2 * len(block))
-    words[::2] = [next(floats) if c.dtype.kind == "f" else _BOOL_WORDS.take(c.astype(np.intp), axis=1)
-                  if c.dtype.kind == "b" else _int_cells(c) for c in block]
+def _cells(column: np.ndarray) -> np.ndarray:
+    """The cells of a 1-D int or bool column as word-major rows: shape ``(words, len(column))``."""
+    if column.dtype.kind == "b":
+        return _BOOL_WORDS.take(column.astype(np.intp), axis=1)
+    return _int_cells(column)
+
+
+def _words(flat: Sequence[np.ndarray], small: dict, shape: tuple, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` as word-major rows: each column's cells, then a comma or, last, a newline.
+
+    ``flat`` holds each column in row order.  ``small`` holds, for a column smaller than
+    the table, its cells (None for a float column until the first block formats it) and
+    its element step along each axis of the table, 0 where it is broadcast.  The block
+    picks those cells by its rows' axis indices.
+    """
+    rows = stop - start
+    full = np.array([c[start:stop] for k, c in enumerate(flat) if c.dtype.kind == "f" and k not in small], float)
+    full = full.reshape(-1, rows)
+    # the first block formats each smaller float column too, in the same _float_cells call
+    fresh = [k for k, (cells, _) in small.items() if cells is None]
+    if fresh:
+        cells = _float_cells(np.concatenate([full.reshape(-1), *(flat[k] for k in fresh)])[None])[:, 0]
+        end = full.size
+        for k in fresh:
+            # a copy, so that the block's cells are freed with the block
+            small[k][0] = cells[:, end : end + len(flat[k])].copy()
+            end += len(flat[k])
+        cells = cells[:, : full.size].reshape(-1, *full.shape)
+    else:
+        cells = _float_cells(full)
+    floats = iter(cells.swapaxes(0, 1))
+    picked = {}
+    if small:
+        axis_index = np.unravel_index(np.arange(start, stop), shape)
+        for k, (column_cells, steps) in small.items():
+            # a cell's flat index: each axis index times the column's step along it
+            terms = [i if step == 1 else i * step for i, step in zip(axis_index, steps) if step]
+            picked[k] = column_cells.take(sum(terms[1:], terms[0]) if terms else np.zeros(rows, np.intp), axis=1)
+    words = [np.full((1, rows), _COMMA)] * (2 * len(flat))
+    words[::2] = [
+        picked[k] if k in small else next(floats) if c.dtype.kind == "f" else _cells(c[start:stop])
+        for k, c in enumerate(flat)
+    ]
     words[-1] = np.full_like(words[-1], _NEWLINE)
     return np.concatenate(words)
 
 
 def _rows(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
-    """Lines of ``columns`` as bytes, a block of rows at a time: ``%.12e``, ``%d`` and true/false cells."""
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+    """Lines of ``columns`` as bytes, a block of rows at a time: ``%.12e``, ``%d`` and true/false cells.
+
+    The columns broadcast to the table's shape, whose rows run in row-major order.  A
+    full-size column is sliced per block.  A smaller column, such as one value per
+    frequency or one per round count, is formatted once: an int or bool column before
+    the first block, a float column with the first block's floats.  Each block makes
+    one ``_float_cells`` call.
+    """
+    shape = np.broadcast(*columns).shape
+    size = math.prod(shape)
+    flat = [c.reshape(-1) for c in columns]
+    small = {}
+    for k, c in enumerate(flat):
+        if c.size < size:
+            dims = (1,) * (len(shape) - np.ndim(columns[k])) + np.shape(columns[k])
+            # int8 elements make the strides the element steps
+            steps = [step if n > 1 else 0 for n, step in zip(dims, np.empty(dims, np.int8).strides)]
+            small[k] = [None if c.dtype.kind == "f" else _cells(c), steps]
+    for start in range(0, size, _BLOCK_ROWS):
         # the cell arrays are freed as _words returns; then one row-major copy, less its NUL padding
-        yield _words([c[start : start + _BLOCK_ROWS] for c in columns]).T.tobytes().translate(None, b"\0")
+        yield _words(flat, small, shape, start, min(start + _BLOCK_ROWS, size)).T.tobytes().translate(None, b"\0")
 
 
 def fmt_floats(values: Sequence[float]) -> str:
@@ -181,12 +241,11 @@ def _csv(metadata: list[str], header: Sequence[str], columns: Sequence[np.ndarra
 def render_ppa_csv(
     trace: PpaTrace, sys: SpinSystem, field_scale: float, config_lines: Sequence[str]
 ) -> Iterator[bytes]:
-    bound = np.broadcast_to(shannon_bound(sys, field_scale), len(trace.target_polarization))
     return _csv(
         metadata_lines("algorithmic cooling trace", config_lines, sys),
         ("round", "eps_target", "eps_reset", "T_eff_K", "shannon_bound_eps"),
-        (np.arange(len(bound)), trace.target_polarization, trace.reset_polarization,
-         trace.target_effective_temperature, bound),
+        (np.arange(len(trace.target_polarization)), trace.target_polarization, trace.reset_polarization,
+         trace.target_effective_temperature, np.float64(shannon_bound(sys, field_scale))),
     )
 
 

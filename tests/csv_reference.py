@@ -47,11 +47,11 @@ def render_ppa_csv(trace, sys, field_scale, config_lines):
 
 
 def render_four_stroke_csv(table, config_lines, sys):
-    cols = table.columns
+    column = table.column
     rows = _column_rows(
-        *(cols[name] for name in ("n_rounds", "q_in", "q_out", "net_work", "power", "power_isochoric")),
-        cols["cooled_target_temperature"],
-        cols["power_isochoric"] > cols["power"],
+        *(column(name) for name in ("n_rounds", "q_in", "q_out", "net_work", "power", "power_isochoric")),
+        column("cooled_target_temperature"),
+        column("power_isochoric") > column("power"),
     )
     lines = metadata_lines("four-stroke cycle sweep", config_lines, sys)
     lines += _table(
@@ -71,10 +71,10 @@ def render_four_stroke_csv(table, config_lines, sys):
 
 
 def render_two_stroke_csv(table, config_lines, sys):
-    cols = table.columns
+    column = table.column
     rows = _column_rows(
-        cols["omega_s"] / TWO_PI / 1e6,
-        *(cols[name] for name in ("n_rounds", "net_work", "power", "efficiency", "in_window")),
+        column("omega_s") / TWO_PI / 1e6,
+        *(column(name) for name in ("n_rounds", "net_work", "power", "efficiency", "in_window")),
     )
     lines = metadata_lines("two-stroke cycle sweep", config_lines, sys)
     lines += _table(

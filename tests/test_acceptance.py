@@ -57,12 +57,12 @@ FOUR_STROKE_ORACLE_RTOL = 1e-11
 TWO_STROKE_ORACLE_RTOL = 3e-15
 
 
-def worst_relative_error(columns, expected):
+def worst_relative_error(column, expected):
     """Largest relative error of the heat, work and power columns against per-row oracle dicts."""
     worst = 0.0
     for key, name in (("q_in", "q_in"), ("q_out", "q_out"), ("work", "net_work"), ("power", "power")):
         want = np.array([row[key] for row in expected])
-        worst = max(worst, float(np.max(abs(columns[name] - want) / abs(want))))
+        worst = max(worst, float(np.max(abs(column(name) - want) / abs(want))))
     return worst
 
 
@@ -94,9 +94,9 @@ class TestCriterion1:
 
 class TestCriterion2:
     def test_four_stroke_heats_and_work(self, default_four_stroke_table):
-        columns = default_four_stroke_table.columns
-        q_in, q_out, work = columns["q_in"][1], columns["q_out"][1], columns["net_work"][1]
-        plateau = columns["net_work"][-1]
+        column = default_four_stroke_table.column
+        q_in, q_out, work = column("q_in")[1], column("q_out")[1], column("net_work")[1]
+        plateau = column("net_work")[-1]
         check(
             "2 (four-stroke heats and work)",
             [
@@ -104,7 +104,7 @@ class TestCriterion2:
                 (f"Q_out(1) {q_out:.3e} = 2.5e-7 +-5%", within(q_out, 2.5e-7, 0.05)),
                 (f"W(1) {work:.3e} = 2.5e-7 +-5%", within(work, 2.5e-7, 0.05)),
                 (f"work plateau {plateau:.3e} = 3.7e-7 +-5%", within(plateau, 3.7e-7, 0.05)),
-                ("efficiency exactly 0.5", bool((columns["efficiency"] == 0.5).all())),
+                ("efficiency exactly 0.5", bool((column("efficiency") == 0.5).all())),
             ],
         )
 
@@ -113,7 +113,7 @@ class TestCriterion3:
     def test_four_stroke_power_optimum(self, default_four_stroke_table):
         table = default_four_stroke_table
         best = table.argmax_power()
-        n, power = table.columns["n_rounds"][best], table.columns["power"][best]
+        n, power = table.column("n_rounds")[best], table.column("power")[best]
         crossover = isochoric_crossover(table)
         check(
             "3 (four-stroke power optimum)",
@@ -127,9 +127,9 @@ class TestCriterion3:
 
 class TestCriterion4:
     def test_two_stroke_optima(self, tce):
-        fast = sweep_two_stroke(tce, [mhz(430.0)], [1]).columns
-        work, power, eta = fast["net_work"][0], fast["power"][0], fast["efficiency"][0]
-        big = sweep_two_stroke(tce, [mhz(580.0)], [5]).columns["net_work"][0]
+        fast = sweep_two_stroke(tce, [mhz(430.0)], [1]).column
+        work, power, eta = fast("net_work")[0], fast("power")[0], fast("efficiency")[0]
+        big = sweep_two_stroke(tce, [mhz(580.0)], [5]).column("net_work")[0]
         check(
             "4 (two-stroke optima)",
             [
@@ -144,9 +144,9 @@ class TestCriterion4:
 class TestCriterion5:
     def test_oracle_equivalence(self, tce, default_four_stroke_table):
         conditions = []
-        columns = default_four_stroke_table.columns
-        expected = [oracles.four_stroke_closed_form(n) for n in columns["n_rounds"].tolist()]
-        worst = worst_relative_error(columns, expected)
+        column = default_four_stroke_table.column
+        expected = [oracles.four_stroke_closed_form(n) for n in column("n_rounds").tolist()]
+        worst = worst_relative_error(column, expected)
         conditions.append(
             (
                 f"four-stroke worst relative error {worst:.2e} <= {FOUR_STROKE_ORACLE_RTOL:g}",
@@ -155,9 +155,9 @@ class TestCriterion5:
         )
 
         grid = [mhz(w) for w in (200.0, 430.0, 580.0, 900.0)]
-        columns = sweep_two_stroke(tce, grid, range(11)).columns
-        cells = zip((columns["omega_s"] / TWO_PI / 1e6).tolist(), columns["n_rounds"].tolist())
-        worst2 = worst_relative_error(columns, [oracles.two_stroke_closed_form(w, n) for w, n in cells])
+        column = sweep_two_stroke(tce, grid, range(11)).column
+        cells = zip((column("omega_s") / TWO_PI / 1e6).tolist(), column("n_rounds").tolist())
+        worst2 = worst_relative_error(column, [oracles.two_stroke_closed_form(w, n) for w, n in cells])
         conditions.append(
             (
                 f"two-stroke worst relative error {worst2:.2e} <= {TWO_STROKE_ORACLE_RTOL:g}",
@@ -186,8 +186,8 @@ class TestCriterion6:
         conditions.append(("(a) trace/Hermiticity/PSD at every stage", all(state_checks)))
 
         # (b) first-law closure on every four-stroke cycle
-        c = default_four_stroke_table.columns
-        closure = np.max(abs(c["net_work"] - (c["w1"] + c["w2"])) / np.maximum(abs(c["q_in"]), abs(c["q_out"])))
+        c = default_four_stroke_table.column
+        closure = np.max(abs(c("net_work") - (c("w1") + c("w2"))) / np.maximum(abs(c("q_in")), abs(c("q_out"))))
         conditions.append((f"(b) first-law closure {closure:.2e} <= 1e-9", closure <= 1e-9))
 
         # (c) strokes freeze diagonal populations to 1e-12
@@ -215,12 +215,12 @@ class TestCriterion6:
         conditions.append((f"(d) COMP law error {law_error:.2e} <= 1e-9", law_error <= 1e-9))
 
         # (e) positive work strictly inside and only inside the window
-        cooled_n1 = sweep_two_stroke(tce, [mhz(430.0)], [1]).columns["cooled_target_temperature"][0]
+        cooled_n1 = sweep_two_stroke(tce, [mhz(430.0)], [1]).column("cooled_target_temperature")[0]
         low, high = positive_work_window(tce.omega("C1"), tce.bath_temperature, cooled_n1)
         grid = [mhz(w) for w in range(120, 1001)]
-        sweep = sweep_two_stroke(tce, grid, [1]).columns
-        omega_s = sweep["omega_s"]
-        window_ok = bool(((sweep["net_work"] > 0) == ((low < omega_s) & (omega_s < high))).all())
+        sweep = sweep_two_stroke(tce, grid, [1]).column
+        omega_s = sweep("omega_s")
+        window_ok = bool(((sweep("net_work") > 0) == ((low < omega_s) & (omega_s < high))).all())
         conditions.append(("(e) positive work iff inside the window (1 MHz sweep)", window_ok))
 
         # (f) product-state fidelity of the register thermal state

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import spinotto
-from spinotto import cli
+from spinotto import cli, engines
 from spinotto.spinsys import StateInvariantError
 
 from test_spinsys import TCE_CONFIG, huge_coupling_config
@@ -181,6 +181,21 @@ class TestTwoStrokeCommand:
             "positive-work window n=16: (125.77, 1000.25) MHz",
             "positive-work window n=17..1000: (125.77, 1000.26) MHz",
         ]
+
+    def test_each_window_is_computed_once(self, tmp_path, monkeypatch, capsys):
+        """80 round counts on 18 frequencies: the sweep's windows serve the summary too."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return window(*args)
+
+        window = engines.positive_work_window
+        monkeypatch.setattr(engines, "positive_work_window", counting)
+        rc = run_cli(["two-stroke", "--rounds", "1..80", "--omega-s", "150:1000:50"], tmp_path, monkeypatch)
+        assert rc == 0
+        assert len(calls) == 80
+        assert capsys.readouterr().out.splitlines()[2] == "positive-work window n=1: (125.77, 750.20) MHz"
 
     def test_bad_grid_exits_2(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csv_reference
-from spinotto import cli, reports
+from spinotto import cli, engines, reports
 
 # a fixed, small example budget keeps the whole file at about a second
 SETTINGS = settings(derandomize=True, database=None, max_examples=120, deadline=None)
@@ -52,7 +52,23 @@ def edge_values():
     # the largest 13-digit mantissa, where rounding carries into the exponent
     carries = [v for k in range(-300, 300) for v in ulps_around(float("9.9999999999995e%d" % k), 3)]
     specials = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324]
-    return np.array(near_powers + ties + scaled_ties + decimal_ties + carries + specials)
+    # fractions on both sides of both exact-path windows, 0.001 and 0.005, in both exponent classes
+    windows = [d for w in (0.001, 0.005) for d in (w - 2e-4, w, w + 2e-4)]
+    return np.array(near_powers + ties + scaled_ties + decimal_ties + carries + specials
+                    + near_ties(range(-40, 41), windows, count=12))
+
+
+def near_ties(exponents, distances, count):
+    """Values whose 13-digit mantissa lies ``distance`` from a rounding tie, above and below.
+
+    Decimal strings, so the tie is exact before the float rounds it.
+    """
+    rng = np.random.default_rng(11)
+    mantissas = rng.integers(10**12, 10**13, count).tolist()
+    return [
+        float("%d.%de%d" % (n, 5000000 + sign * round(d * 1e7), e - 12))
+        for e in exponents for d in distances for sign in (-1, 1) for n in mantissas
+    ]
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
@@ -101,8 +117,50 @@ def test_most_cells_take_the_vectorised_path(monkeypatch):
     rng = np.random.default_rng(0)
     values = rng.standard_normal(10**4) * 10.0 ** rng.integers(-40, 40, 10**4)
     assert_same_text(reports._rows([values]), expected(values))
-    # a fraction within 0.005 of one half: about 1% of cells (112 of these 10^4)
+    # a fraction within 0.005 of one half, or 0.001 for exponents -10..12: 78 of these 10^4 cells
     assert 0 < sum(exact) <= 0.015 * values.size
+
+
+def test_near_ties_take_the_path_their_exponent_allows(monkeypatch):
+    """Where ``10**(12 - e)`` is exact the window is 0.001, elsewhere 0.005.
+
+    The float's own rounding moves a decimal fraction by up to 0.0011, and the
+    product by up to 0.001 or 0.0022 more.  So a fraction 0.004 from one half
+    takes the vectorised path for exponents -10..12, and one 0.0005 from one
+    half takes the exact path for the others.
+    """
+    exact = []
+
+    def counting(cells, fast, values, spec):
+        exact.extend(values.reshape(-1)[~fast.reshape(-1)].tolist())
+        return original(cells, fast, values, spec)
+
+    original = reports._exact
+    monkeypatch.setattr(reports, "_exact", counting)
+    scale_exact, scale_rounded = range(-10, 13), [*range(-99, -10), *range(13, 100)]
+    wide = near_ties(scale_exact, [0.004], count=20)
+    narrow = near_ties(scale_rounded, [0.0005], count=4)
+    values = np.array(wide + narrow)
+    assert_same_text(reports._rows([values]), expected(values))
+    assert sorted(exact) == sorted(narrow)
+
+
+def test_paper_table_sends_few_cells_to_the_exact_path(tce, monkeypatch):
+    """The paper's two-stroke table, 851 frequencies x 8 round counts, as the CLI renders it."""
+    exact = []
+
+    def counting(cells, fast, values, spec):
+        exact.append(int(fast.size - fast.sum()))
+        return original(cells, fast, values, spec)
+
+    original = reports._exact
+    monkeypatch.setattr(reports, "_exact", counting)
+    table = engines.sweep_two_stroke(tce, 2 * math.pi * 1e6 * np.arange(150.0, 1001.0), range(1, 9))
+    for _ in reports.render_two_stroke_csv(table, ["command=two-stroke"], tce):
+        pass
+    # measured: 32 cells, against 205 when the frequency and efficiency cells
+    # were formatted once per row and every exponent had the 0.005 window
+    assert sum(exact) <= 40
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
