@@ -15,7 +15,6 @@ import math
 import os
 import sys as _sys
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,33 +38,20 @@ MAX_VALUES = 10**6
 DEFAULT_TAU = 0.1
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved parameters of one CLI invocation."""
-
-    command: str
-    system_source: str
-    rounds: tuple[int, ...]
-    field_scale: float | None = None
-    omega_s_mhz: tuple[float, ...] | None = None
-    tau: float | None = None
-    out: Path | None = None
-    output_format: str = "csv"
-
-    def canonical_lines(self) -> list[str]:
-        """Deterministic description of the run, used for the config hash."""
-        lines = [
-            f"command={self.command}",
-            f"system={self.system_source}",
-            f"rounds={','.join(str(n) for n in self.rounds)}",
-        ]
-        if self.field_scale is not None:
-            lines.append(f"field_scale={reports.fmt(self.field_scale)}")
-        if self.omega_s_mhz is not None:
-            lines.append(f"omega_s_mhz={reports.fmt_floats(self.omega_s_mhz)}")
-        if self.tau is not None:
-            lines.append(f"tau={reports.fmt(self.tau)}")
-        return lines
+def canonical_lines(args: argparse.Namespace) -> list[str]:
+    """Deterministic description of a parsed run, used for the config hash."""
+    lines = [
+        f"command={args.command}",
+        f"system={args.system}",
+        f"rounds={','.join(str(n) for n in args.rounds)}",
+    ]
+    if hasattr(args, "field_scale"):
+        lines.append(f"field_scale={reports.fmt(args.field_scale)}")
+    if hasattr(args, "omega_s"):
+        lines.append(f"omega_s_mhz={reports.fmt_floats(args.omega_s)}")
+    if hasattr(args, "tau"):
+        lines.append(f"tau={reports.fmt(args.tau)}")
+    return lines
 
 
 def _parse_rounds(text: str) -> tuple[int, ...]:
@@ -184,14 +170,6 @@ def _add_two_stroke(p: argparse.ArgumentParser) -> None:
     _add_common(p, "two_stroke_sweep.csv")
 
 
-# each subcommand's help text and the function that adds its arguments: the only place they are defined
-_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
-    "ppa": ("run the cooling algorithm and trace per-round telemetry", _add_ppa),
-    "four-stroke": ("sweep the four-stroke engine over round counts", _add_four_stroke),
-    "two-stroke": ("sweep the two-stroke engine over partner frequencies", _add_two_stroke),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The full parser: top level and every subcommand."""
     parser = argparse.ArgumentParser(
@@ -199,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum Otto engines with heat-bath algorithmic cooling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
@@ -222,26 +200,15 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _emit(config: RunConfig, render: Callable[[], Iterable[bytes]], summary: str) -> None:
-    """Write the CSV blocks ``render()`` yields, in csv format only, then print the summary.
-
-    An output path that cannot be written is a ``ConfigError``.
-    """
-    if config.output_format == "csv":
-        assert config.out is not None
-        try:
-            reports.write_atomic(config.out, render())
-        except OSError as exc:
-            raise ConfigError(f"cannot write {config.out}: {exc.strerror or exc}") from None
-        print(f"wrote {config.out}")
-    print(summary)
+# what a subcommand hands back to ``run``: its CSV blocks, rendered on demand, and its summary
+Outcome = tuple[Callable[[], Iterable[bytes]], str]
 
 
-def _cmd_ppa(config: RunConfig, system: SpinSystem) -> int:
-    if len(config.rounds) != 1:
+def _cmd_ppa(args: argparse.Namespace, system: SpinSystem) -> Outcome:
+    if len(args.rounds) != 1:
         raise ConfigError("ppa takes a single round count, not a range")
-    n_rounds = config.rounds[0]
-    field_scale = config.field_scale
+    n_rounds = args.rounds[0]
+    field_scale = args.field_scale
     eps_in = thermal_marginal_polarization(system, system.label_for_role(Role.TARGET), field_scale)
     trace = hbac.run_ppa(eps_in, system, field_scale, n_rounds)
 
@@ -253,16 +220,11 @@ def _cmd_ppa(config: RunConfig, system: SpinSystem) -> int:
         f"T_eff={trace.target_effective_temperature[-1]:.3f} K "
         f"shannon_crossing_round={crossing[0] if crossing.size else '-'}"
     )
-    _emit(
-        config,
-        lambda: reports.render_ppa_csv(trace, system, field_scale, config.canonical_lines()),
-        summary,
-    )
-    return EXIT_OK
+    return lambda: reports.render_ppa_csv(trace, system, field_scale, canonical_lines(args)), summary
 
 
-def _cmd_four_stroke(config: RunConfig, system: SpinSystem) -> int:
-    table = engines.sweep_four_stroke(system, config.rounds)
+def _cmd_four_stroke(args: argparse.Namespace, system: SpinSystem) -> Outcome:
+    table = engines.sweep_four_stroke(system, args.rounds)
     best = table.argmax_power()
     n, power, work, eta = (table.cell(k, best) for k in ("n_rounds", "power", "net_work", "efficiency"))
     crossover = engines.isochoric_crossover(table)
@@ -272,24 +234,18 @@ def _cmd_four_stroke(config: RunConfig, system: SpinSystem) -> int:
         f"isochoric reference dominates from "
         f"{'-' if crossover is None else 'n=%d' % crossover}"
     )
-    _emit(
-        config,
-        lambda: reports.render_four_stroke_csv(table, config.canonical_lines(), system),
-        summary,
-    )
-    return EXIT_OK
+    return lambda: reports.render_four_stroke_csv(table, canonical_lines(args), system), summary
 
 
-def _cmd_two_stroke(config: RunConfig, system: SpinSystem) -> int:
-    rows = len(config.rounds) * len(config.omega_s_mhz)
+def _cmd_two_stroke(args: argparse.Namespace, system: SpinSystem) -> Outcome:
+    rows = len(args.rounds) * len(args.omega_s)
     if rows > MAX_VALUES:
         raise ConfigError(f"two-stroke table would have {rows} rows, more than {MAX_VALUES}")
-    grid = _rad_s(config.omega_s_mhz)
     try:
-        table = engines.sweep_two_stroke(system, grid, config.rounds)
+        table = engines.sweep_two_stroke(system, _rad_s(args.omega_s), args.rounds)
     except engines.NonFiniteCell as exc:
         # the sweep runs in rad/s; name the point as it was passed, in MHz
-        raise StateInvariantError(f"{exc} ({config.omega_s_mhz[exc.point['omega_s']]!r} MHz)") from None
+        raise StateInvariantError(f"{exc} ({args.omega_s[exc.point['omega_s']]!r} MHz)") from None
     best = table.argmax_power()
     omega_s, n, power, work, eta = (
         table.cell(k, best) for k in ("omega_s", "n_rounds", "power", "net_work", "efficiency")
@@ -302,36 +258,37 @@ def _cmd_two_stroke(config: RunConfig, system: SpinSystem) -> int:
         "none" if w is None else "(%.2f, %.2f) MHz" % (w[0] / TWO_PI / 1e6, w[1] / TWO_PI / 1e6) for w in table.windows
     ]
     # one line per run of consecutive round counts whose window prints the same
-    for text, run in itertools.groupby(zip(table.axes["n_rounds"], shown), key=lambda pair: pair[1]):
+    rounds = table.columns["n_rounds"].ravel().tolist()
+    for text, run in itertools.groupby(zip(rounds, shown), key=lambda pair: pair[1]):
         first, *rest = (n for n, _ in run)
         lines.append(f"positive-work window n={first}{'..%d' % rest[-1] if rest else ''}: {text}")
-    _emit(
-        config,
-        lambda: reports.render_two_stroke_csv(table, config.canonical_lines(), system),
-        "\n".join(lines),
-    )
-    return EXIT_OK
+    return lambda: reports.render_two_stroke_csv(table, canonical_lines(args), system), "\n".join(lines)
+
+
+# each subcommand's help text, the function that adds its arguments and the one that runs it:
+# the only place a subcommand is defined
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None], Callable[..., Outcome]]] = {
+    "ppa": ("run the cooling algorithm and trace per-round telemetry", _add_ppa, _cmd_ppa),
+    "four-stroke": ("sweep the four-stroke engine over round counts", _add_four_stroke, _cmd_four_stroke),
+    "two-stroke": ("sweep the two-stroke engine over partner frequencies", _add_two_stroke, _cmd_two_stroke),
+}
 
 
 def run(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        system_source=args.system,
-        rounds=args.rounds,
-        field_scale=getattr(args, "field_scale", None),
-        omega_s_mhz=getattr(args, "omega_s", None),
-        tau=getattr(args, "tau", None),
-        out=args.out,
-        output_format=args.output_format,
-    )
     try:
-        system = load_system(config.system_source)
-        if config.command == "ppa":
-            return _cmd_ppa(config, system)
-        if config.command == "four-stroke":
-            return _cmd_four_stroke(config, system)
-        return _cmd_two_stroke(config, system)
+        if args.output_format == "csv" and os.path.exists(args.out) and not os.path.isfile(args.out):
+            # renaming the CSV over a FIFO or device would replace it
+            raise ConfigError(f"cannot write {args.out}: not a regular file")
+        render, summary = _COMMANDS[args.command][2](args, load_system(args.system))
+        if args.output_format == "csv":
+            try:
+                reports.write_atomic(args.out, render())
+            except OSError as exc:
+                raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from None
+            print(f"wrote {args.out}")
+        print(summary)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG

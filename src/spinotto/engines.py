@@ -51,6 +51,8 @@ COMPRESSED_FIELD_SCALE = 0.5
 
 _CLOSURE_RTOL = 1e-9
 
+_HALF_HBAR_MOLAR = HBAR / 2.0 * AVOGADRO
+
 
 def _check_energetics(columns: dict[str, np.ndarray]) -> None:
     """First-law closure and the efficiency range over a table's columns, broadcast; ``w1``/``w2`` are optional."""
@@ -77,7 +79,7 @@ _AXIS_UNITS = {"omega_s": " rad/s"}
 
 
 class NonFiniteCell(StateInvariantError):
-    """A non-finite sweep cell; ``point`` maps each axis to the cell's index on it."""
+    """A non-finite sweep cell; ``point`` maps each axis name to the cell's index on it."""
 
     def __init__(self, message: str, point: dict[str, int]):
         super().__init__(message)
@@ -88,9 +90,11 @@ class NonFiniteCell(StateInvariantError):
 class SweepTable:
     """Cycles of one engine kind over a parameter grid, stored as named read-only columns.
 
-    A table has one row per grid point, in row-major order over its
-    axes, and ``shape`` holds the axis lengths.  Each column is stored at
-    the shape it has: an array that spans at least one axis and
+    ``axes`` names the columns that are the grid's axes, such as
+    ``("n_rounds", "omega_s")``: each strictly increases and lies along
+    its own axis, and ``shape`` holds their lengths.  A table has one row
+    per grid point, in row-major order over its axes.  Each column is
+    stored at the shape it has: an array that spans at least one axis and
     broadcasts to ``shape`` along the others, so a value that depends on
     one axis only is held once per point of that axis (energies J/mol,
     power W/mol, times s, temperatures K, ``omega_s`` rad/s).  ``column``
@@ -101,18 +105,22 @@ class SweepTable:
     window (rad/s) per round count, None where there is none.
     """
 
-    axes: dict[str, tuple]
+    axes: tuple[str, ...]
     engine_kind: str
     columns: dict[str, np.ndarray]
     windows: tuple[tuple[float, float] | None, ...] = ()
 
     def __post_init__(self):
-        for values in self.axes.values():
-            seq = np.asarray(values)
+        object.__setattr__(self, "columns", {name: np.asarray(values) for name, values in self.columns.items()})
+        for k, axis in enumerate(self.axes):
+            column = self.columns[axis]
+            dims = (1,) * (len(self.axes) - column.ndim) + column.shape
+            if len(dims) != len(self.axes) or math.prod(dims) != dims[k]:
+                raise ValueError(f"axis column {axis} of shape {column.shape} does not lie along axis {k}")
+            seq = column.reshape(-1)
             if (seq[1:] <= seq[:-1]).any():
                 raise ValueError("sweep axes must be strictly increasing")
         shape = self.shape
-        object.__setattr__(self, "columns", {name: np.asarray(values) for name, values in self.columns.items()})
         for name, column in self.columns.items():
             if column.shape != shape:
                 # each column spans at least one axis and broadcasts along the others
@@ -125,7 +133,7 @@ class SweepTable:
                 first = int(np.argmin(np.isfinite(self._spread(name))))
                 point = dict(zip(self.axes, map(int, np.unravel_index(first, shape))))
                 where = ", ".join(
-                    f"{axis}={self.axes[axis][i]:.6g}{_AXIS_UNITS.get(axis, '')}" for axis, i in point.items()
+                    f"{axis}={self.columns[axis].item(i):.6g}{_AXIS_UNITS.get(axis, '')}" for axis, i in point.items()
                 )
                 raise NonFiniteCell(
                     f"{self.engine_kind}: {name} is {self.cell(name, first)} at {where or 'the only point'}", point
@@ -134,7 +142,7 @@ class SweepTable:
 
     @cached_property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(values) for values in self.axes.values())
+        return tuple(self.columns[axis].size for axis in self.axes)
 
     def __len__(self) -> int:
         return math.prod(self.shape)
@@ -145,7 +153,7 @@ class SweepTable:
         return self
 
     def _spread(self, name: str) -> np.ndarray:
-        """Column ``name`` as a read-only view of the table's shape."""
+        """Column ``name`` as a read-only view of the table's shape; reshaping a full column is 15x cheaper than broadcasting."""
         column = self.columns[name]
         return column.reshape(self.shape) if column.size == len(self) else np.broadcast_to(column, self.shape)
 
@@ -170,9 +178,8 @@ def _otto(omega_in, omega_out, gain, cycle_time) -> dict[str, np.ndarray]:
     side, both reported as positive magnitudes, so the work is their
     difference and the efficiency ``1 - omega_out / omega_in``.
     """
-    half = HBAR / 2.0 * AVOGADRO
-    q_in = half * omega_in * gain
-    q_out = half * omega_out * gain
+    q_in = _HALF_HBAR_MOLAR * omega_in * gain
+    q_out = _HALF_HBAR_MOLAR * omega_out * gain
     net = q_in - q_out
     return {
         "q_in": q_in,
@@ -201,12 +208,27 @@ def positive_work_window(
     return omega_t, omega_t * bath_t / cooled_t
 
 
+def _cooled_target(sys: SpinSystem, field_scale: float, n_values: Iterable[int]):
+    """One cooling run at ``field_scale`` to the deepest of the round counts ``n_values``.
+
+    Returns the round counts as an array, the target's Gibbs polarization at full field (the run's
+    input) and the target's polarization and effective temperature after each count.
+    """
+    n_rounds = np.array([int(n) for n in n_values])
+    if not n_rounds.size:
+        raise ValueError("empty round-count grid")
+    if n_rounds.min() < 0:
+        raise ValueError(f"n_rounds must be >= 0, got {n_rounds.min()}")
+    eps_hot = thermal_marginal_polarization(sys, sys.label_for_role(Role.TARGET), 1.0)
+    trace = run_ppa(eps_hot, sys, field_scale, int(n_rounds.max()))
+    return n_rounds, eps_hot, trace.target_polarization[n_rounds], trace.target_effective_temperature[n_rounds]
+
+
 @np.errstate(all="ignore")  # an overflow shows as a non-finite column, which SweepTable rejects
-def sweep_four_stroke(sys: SpinSystem, n_values: int | Iterable[int]) -> SweepTable:
+def sweep_four_stroke(sys: SpinSystem, n_values: Iterable[int]) -> SweepTable:
     """Four-stroke cycles for each round count, with the power of isochoric references.
 
-    An integer argument means the inclusive range ``0..n_values``.  The
-    target heats at full field, the compression stroke halves the field,
+    The target heats at full field, the compression stroke halves the field,
     the target cools, by ``n`` PPA rounds or, in the reference, in a cold
     bath, and the expansion stroke restores the field.  The ramps keep
     the polarization, so the compressed target is still at the hot
@@ -220,24 +242,15 @@ def sweep_four_stroke(sys: SpinSystem, n_values: int | Iterable[int]) -> SweepTa
     polarization.  A round whose target ends above the bath temperature
     has no cold bath for its reference, which is a ``ConfigError``.
     """
-    if isinstance(n_values, int):
-        n_values = range(n_values + 1)
-    n_list = [int(n) for n in n_values]
-    if not n_list:
-        raise ValueError("empty round-count grid")
-    if min(n_list) < 0:
-        raise ValueError(f"n_rounds must be >= 0, got {min(n_list)}")
+    n_rounds, eps_hot, eps_cold, cold = _cooled_target(sys, COMPRESSED_FIELD_SCALE, n_values)
     target = sys.label_for_role(Role.TARGET)
     t1_target = sys.qubit(target).t1
     omega0, omega1 = sys.omega(target, 1.0), sys.omega(target, COMPRESSED_FIELD_SCALE)
-    eps_hot = thermal_marginal_polarization(sys, target, 1.0)
-    trace = run_ppa(eps_hot, sys, COMPRESSED_FIELD_SCALE, max(n_list))
-    cold = trace.target_effective_temperature[n_list]
     above = np.flatnonzero(cold > sys.bath_temperature)
     if above.size:
         i = above[0]
         raise ConfigError(
-            f"round {n_list[i]}: cooling leaves the target at {cold[i]:.6g} K, above the "
+            f"round {n_rounds[i]}: cooling leaves the target at {cold[i]:.6g} K, above the "
             f"bath temperature {sys.bath_temperature:g} K, so the isochoric reference "
             f"has no cold bath"
         )
@@ -249,22 +262,19 @@ def sweep_four_stroke(sys: SpinSystem, n_values: int | Iterable[int]) -> SweepTa
         raise StateInvariantError(
             f"isochoric reference at {cold[i]:g} K: target polarization {eps_bath[i]} outside [-1, 1]"
         )
-    n_rounds = np.array(n_list)
-    eps_cold = trace.target_polarization[n_list]
     t1_reset = sys.qubit(sys.label_for_role(Role.RESET)).t1
-    half = HBAR / 2.0 * AVOGADRO
     cycles = _otto(omega0, omega1, eps_cold - eps_hot, t1_target + t1_reset * (2 * n_rounds + 1))
     # every column spans the round-count axis, the two constants too
     columns = {
-        "w1": np.broadcast_to(half * (omega1 - omega0) * eps_hot, len(n_list)),
-        "w2": half * (omega0 - omega1) * eps_cold,
+        "w1": np.broadcast_to(_HALF_HBAR_MOLAR * (omega1 - omega0) * eps_hot, n_rounds.shape),
+        "w2": _HALF_HBAR_MOLAR * (omega0 - omega1) * eps_cold,
         **cycles,
-        "efficiency": np.broadcast_to(cycles["efficiency"], len(n_list)),
+        "efficiency": np.broadcast_to(cycles["efficiency"], n_rounds.shape),
         "cooled_target_temperature": cold,
         "n_rounds": n_rounds,
         "power_isochoric": _otto(omega0, omega1, eps_bath - eps_hot, 2.0 * t1_target)["power"],
     }
-    return SweepTable({"n_rounds": tuple(n_list)}, FOUR_STROKE_HBAC, columns)
+    return SweepTable(("n_rounds",), FOUR_STROKE_HBAC, columns)
 
 
 @np.errstate(all="ignore")  # an overflow shows as a non-finite column, which SweepTable rejects
@@ -287,21 +297,16 @@ def sweep_two_stroke(sys: SpinSystem, omega_s_grid: Sequence[float], n_values: I
     ``in_window=False``, not an error.
     """
     grid = np.array(omega_s_grid, dtype=float)
-    n_list = [int(n) for n in n_values]
-    if not grid.size or not n_list:
+    if not grid.size:
         raise ValueError("empty sweep grid")
     if not grid.min() > 0:
         raise ValueError(f"omega_s must be positive, got {grid.min()}")
-    if min(n_list) < 0:
-        raise ValueError(f"n_rounds must be >= 0, got {min(n_list)}")
-    eps_in = thermal_marginal_polarization(sys, sys.label_for_role(Role.TARGET), 1.0)
-    trace = run_ppa(eps_in, sys, 1.0, max(n_list))
+    n_rounds, _, eps_cooled, cooled = _cooled_target(sys, 1.0, n_values)
     omega_t = sys.omega(sys.label_for_role(Role.TARGET), 1.0)
-    n_rounds = np.array(n_list)[:, None]
-    cooled = trace.target_effective_temperature[n_list]
+    n_rounds = n_rounds[:, None]
 
     # one row per round count, broadcast against the grid axis
-    gain = trace.target_polarization[n_list][:, None] - thermal_polarization(grid, sys.bath_temperature)
+    gain = eps_cooled[:, None] - thermal_polarization(grid, sys.bath_temperature)
     cycle_time = sys.qubit(sys.label_for_role(Role.RESET)).t1 * (2 * n_rounds + 1)
     # one window per round count; the empty (inf, inf) stands in for none
     windows = tuple(positive_work_window(omega_t, sys.bath_temperature, t) for t in cooled.tolist())
@@ -313,12 +318,7 @@ def sweep_two_stroke(sys: SpinSystem, omega_s_grid: Sequence[float], n_values: I
         "omega_s": grid,
         "in_window": (bounds[:, :1] < grid) & (grid < bounds[:, 1:]),
     }
-    return SweepTable(
-        axes={"n_rounds": tuple(n_list), "omega_s": tuple(grid.tolist())},
-        engine_kind=TWO_STROKE_HBAC,
-        columns=columns,
-        windows=windows,
-    )
+    return SweepTable(("n_rounds", "omega_s"), TWO_STROKE_HBAC, columns, windows)
 
 
 def isochoric_crossover(table: SweepTable) -> int | None:

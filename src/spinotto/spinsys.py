@@ -201,10 +201,10 @@ def register_levels(sys: SpinSystem, field_scale: float = 1.0) -> np.ndarray:
     k = len(labels)
     omegas = [sys.omega(q, field_scale) for q in labels]
     pairs = [
-        (i, j, TWO_PI * sys.j_coupling(labels[i], labels[j]))
+        (i, j, TWO_PI * j_hz)
         for i in range(k)
         for j in range(i + 1, k)
-        if sys.j_coupling(labels[i], labels[j]) != 0.0
+        if (j_hz := sys.j_coupling(labels[i], labels[j])) != 0.0
     ]
     levels = np.zeros(2**k)
     for idx in range(2**k):

@@ -26,7 +26,7 @@ def _column_rows(*columns):
 
 
 def canonical_omega_line(omega_s_mhz):
-    """The config line of a partner-frequency grid, as ``RunConfig`` writes it."""
+    """The config line of a partner-frequency grid, as ``cli.canonical_lines`` writes it."""
     return "omega_s_mhz=" + ",".join(fmt(w) for w in omega_s_mhz)
 
 

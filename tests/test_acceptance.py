@@ -68,7 +68,7 @@ def worst_relative_error(column, expected):
 
 @pytest.fixture(scope="module")
 def default_four_stroke_table(tce):
-    return sweep_four_stroke(tce, 10)
+    return sweep_four_stroke(tce, range(11))
 
 
 class TestCriterion1:

@@ -10,6 +10,8 @@ are absent, and that its cycle counter still reads the sweep tables.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from spinotto import cli
 from spinotto.engines import sweep_four_stroke, sweep_two_stroke
 
@@ -54,9 +56,36 @@ def test_tracer_counts_the_cycles_of_one_table(tce):
     # column of the same table, and the paper's two-stroke grid, 8 round
     # counts x 851 frequencies
     tracer = load_tracer().Tracer()
-    tracer._observe_sweep({}, sweep_four_stroke(tce, 10))
+    tracer._observe_sweep({}, sweep_four_stroke(tce, range(11)))
     assert tracer.cycles == 11
     tracer.begin_op(1)
     grid = cli._rad_s(cli._parse_omega_grid("150:1000:1"))
     tracer._observe_sweep({}, sweep_two_stroke(tce, grid, cli._parse_rounds("1..8")))
     assert tracer.cycles == 6808
+
+
+@pytest.mark.parametrize(
+    "argv,sweep",
+    [
+        (["ppa", "--rounds", "3"], None),
+        (["four-stroke", "--rounds", "0..2", "--tau", "0.1"], "engines.sweep_four_stroke"),
+        (["two-stroke", "--rounds", "1..2", "--omega-s", "150:1000:425"], "engines.sweep_two_stroke"),
+    ],
+    ids=["ppa", "four-stroke", "two-stroke"],
+)
+def test_tracer_sees_each_layer_of_a_cli_run(argv, sweep, tmp_path, capsys):
+    # the benchmark's per-layer counts come from rebinding these names; a run
+    # that calls a layer through a name the tracer does not rebind counts 0
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert cli.run([*argv, "--system", "tce", "--out", str(tmp_path / "out.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    calls = {layer: totals["calls"] for layer, totals in tracer.layer_totals().items()}
+    once = ["cli.run", "spinsys.load_system", "hbac.run_ppa", "reports.render", "reports.write_atomic"]
+    sweeps = ["engines.sweep_four_stroke", "engines.sweep_two_stroke"]
+    assert {layer: calls[layer] for layer in once + sweeps} == {
+        **dict.fromkeys(once, 1), **{layer: int(layer == sweep) for layer in sweeps}
+    }
+    assert (tmp_path / "out.csv").exists() and capsys.readouterr().out.startswith("wrote ")

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -814,22 +815,37 @@ def test_non_utf8_config_exits_2(args, content, tmp_path, monkeypatch, capsys):
     [
         (Path.mkdir, "taken", None),
         (lambda path: path.write_text("keep\n"), "taken/ppa.csv", "taken is not a directory"),
+        (os.mkfifo, "taken", "not a regular file"),
+        (Path.touch, "", "not a regular file"),
     ],
-    ids=["directory", "file-parent"],
+    ids=["directory", "file-parent", "fifo", "empty"],
 )
 def test_unwritable_out_exits_2(block, out, reason, tmp_path, monkeypatch, capsys):
-    # a directory in place of the file, or a regular file in place of its parent
+    # a directory or a FIFO in place of the file, a regular file in place of
+    # its parent, or an empty path, which names the working directory
     block(tmp_path / "taken")
+    kind = stat.S_IFMT(os.lstat(tmp_path / "taken").st_mode)
     rc = run_cli(["ppa", "--out", out], tmp_path, monkeypatch)
     assert rc == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.startswith(f"error: cannot write {Path(out)}: ")
     if reason is not None:
-        assert captured.err == f"error: cannot write {out}: {reason}\n"
+        assert captured.err == f"error: cannot write {Path(out)}: {reason}\n"
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
-    # no temp file is left behind
+    # no temp file is left behind, and a FIFO is still a FIFO
     assert list(tmp_path.rglob("*")) == [tmp_path / "taken"]
+    assert stat.S_IFMT(os.lstat(tmp_path / "taken").st_mode) == kind
+
+
+def test_out_through_a_symlink_to_a_regular_file(tmp_path, monkeypatch, capsys):
+    # the rename replaces the link with the CSV and leaves the file it named alone
+    (tmp_path / "old.csv").write_text("keep\n")
+    (tmp_path / "link.csv").symlink_to("old.csv")
+    assert run_cli(["ppa", "--out", "link.csv"], tmp_path, monkeypatch) == 0
+    assert capsys.readouterr().out.startswith("wrote link.csv\n")
+    assert not (tmp_path / "link.csv").is_symlink() and (tmp_path / "link.csv").read_text().startswith("#")
+    assert (tmp_path / "old.csv").read_text() == "keep\n"
 
 
 @pytest.mark.parametrize(

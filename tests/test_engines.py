@@ -63,7 +63,7 @@ def assert_matches_dense(columns, rows):
 
 @pytest.fixture(scope="module")
 def four_stroke_table(tce):
-    return sweep_four_stroke(tce, 10)
+    return sweep_four_stroke(tce, range(11))
 
 
 class TestFourStroke:
@@ -184,7 +184,7 @@ class TestFourStrokeSweep:
         # the package forms no state to validate: one hot Gibbs marginal and
         # one cooling run, whose rows are checked as one column, serve every
         # round count of both engines
-        assert [state_work(sweep_four_stroke, tce, n_max) for n_max in (1, 60)] == [(1, 1)] * 2
+        assert [state_work(sweep_four_stroke, tce, range(n_max + 1)) for n_max in (1, 60)] == [(1, 1)] * 2
 
     def test_rejects_negative_round_count_before_cooling(self, tce, monkeypatch):
         def no_cooling(*args, **kwargs):
@@ -198,7 +198,7 @@ class TestFourStrokeSweep:
         # the cold bath's polarization must describe a state: within [-1, 1]
         # (past 1 the upper level's population is negative), and not NaN;
         # the report names the first bad cold temperature, round 2's here
-        cold = sweep_four_stroke(tce, 3).column("cooled_target_temperature")
+        cold = sweep_four_stroke(tce, range(4)).column("cooled_target_temperature")
         honest = engines.thermal_polarization
         for corrupt, value in (
             (lambda eps: np.where(eps > 3.5e-5, np.nan, eps), "nan"),
@@ -207,14 +207,14 @@ class TestFourStrokeSweep:
             monkeypatch.setattr(engines, "thermal_polarization", lambda *args: corrupt(honest(*args)))
             message = rf"isochoric reference at {cold[2]:g} K: target polarization {value} outside \[-1, 1\]"
             with pytest.raises(StateInvariantError, match=message):
-                sweep_four_stroke(tce, 3)
+                sweep_four_stroke(tce, range(4))
 
     def test_heated_target_has_no_reference(self, tce):
         # a reset qubit slower than the target leaves it hotter than the bath
         # after the initial stage: the reference has no cold bath for round 0
         slow_reset = heated_target_system(tce)
         with pytest.raises(ConfigError, match=r"round 0: .* 377\.31 K, above the bath temperature 300 K"):
-            sweep_four_stroke(slow_reset, 3)
+            sweep_four_stroke(slow_reset, range(4))
         table = sweep_four_stroke(slow_reset, [1, 2, 3])
         assert (table.column("cooled_target_temperature") < slow_reset.bath_temperature).all()
 
@@ -442,7 +442,7 @@ class TestTwoStrokeSweep:
         }
         assert table.column("n_rounds").tolist() == [1, 1, 2, 2]
         assert table.column("omega_s").tolist() == [grid[0], grid[1], grid[0], grid[1]]
-        assert table.axes == {"n_rounds": (1, 2), "omega_s": tuple(grid)}
+        assert table.axes == ("n_rounds", "omega_s")
 
     def test_rows_match_single_cycles(self, tce):
         # one shared cooling run must give each row its own n-round cycle
@@ -555,7 +555,11 @@ def dense_two_stroke_cycle(sys, omega_s, n_rounds, cooled_target, cooled_tempera
 
 def one_point_table(engine_kind=FOUR_STROKE_HBAC, **cells):
     """A one-point table at ``n_rounds=1`` from one cell per column."""
-    return SweepTable({"n_rounds": (1,)}, engine_kind, {name: [value] for name, value in cells.items()})
+    return SweepTable(("n_rounds",), engine_kind, {"n_rounds": [1], **{name: [value] for name, value in cells.items()}})
+
+
+# the axis columns of a 2x3 two-stroke grid: round counts down axis 0, frequencies along axis 1
+GRID_2X3 = {"n_rounds": np.array([[1], [2]]), "omega_s": np.array([1.0, 2.0, 3.0])}
 
 
 class TestReportValidation:
@@ -576,30 +580,38 @@ class TestReportValidation:
 
     def test_sweep_table_rejects_unsorted_axes(self):
         with pytest.raises(ValueError, match="increasing"):
-            SweepTable(axes={"n_rounds": (2, 1)}, engine_kind=FOUR_STROKE_HBAC, columns={})
+            SweepTable(axes=("n_rounds",), engine_kind=FOUR_STROKE_HBAC, columns={"n_rounds": np.array([2, 1])})
+
+    def test_sweep_table_rejects_an_axis_column_along_another_axis(self):
+        # a 2x2 table whose round counts vary along the frequency axis
+        with pytest.raises(ValueError, match="axis column n_rounds of shape \\(2,\\) does not lie along axis 0"):
+            SweepTable(("n_rounds", "omega_s"), TWO_STROKE_HBAC,
+                       {"n_rounds": np.array([1, 2]), "omega_s": np.array([1.0, 2.0])})
 
     def test_sweep_table_rejects_incomplete_rows(self, tce):
         table = sweep_four_stroke(tce, [0])
         with pytest.raises(ValueError, match="incomplete"):
             SweepTable(
-                {"n_rounds": (0, 1)},
+                ("n_rounds",),
                 table.engine_kind,
-                {name: table.column(name) for name in ("q_in", "q_out", "net_work", "efficiency")},
+                {"n_rounds": np.array([0, 1]), **{
+                    name: table.column(name) for name in ("q_in", "q_out", "net_work", "efficiency")
+                }},
             )
 
     @pytest.mark.parametrize(
         "shape", [(2,), (2, 2), (1, 3, 1), (1, 1)], ids=["wrong-length", "wrong-axis", "extra-axis", "no-axis"]
     )
     def test_sweep_table_rejects_a_column_that_does_not_fit(self, shape):
-        cells = {"q_in": np.full((2, 3), 5.0), "q_out": np.ones((2, 3)), "net_work": np.full((2, 3), 4.0)}
+        cells = {"q_in": np.full((2, 3), 5.0), "q_out": np.ones((2, 3)), "net_work": np.full((2, 3), 4.0), **GRID_2X3}
         with pytest.raises(ValueError, match="incomplete"):
-            SweepTable({"n_rounds": (1, 2), "omega_s": (1.0, 2.0, 3.0)}, TWO_STROKE_HBAC,
+            SweepTable(("n_rounds", "omega_s"), TWO_STROKE_HBAC,
                        {**cells, "efficiency": np.full(shape, 0.8)})
 
     def test_sweep_table_takes_its_arrays_read_only(self):
-        cells = {"q_in": np.full((2, 3), 5.0), "q_out": np.ones((2, 3)), "net_work": np.full((2, 3), 4.0)}
+        cells = {"q_in": np.full((2, 3), 5.0), "q_out": np.ones((2, 3)), "net_work": np.full((2, 3), 4.0), **GRID_2X3}
         per_frequency = np.array([0.7, 0.8, 0.9])
-        table = SweepTable({"n_rounds": (1, 2), "omega_s": (1.0, 2.0, 3.0)}, TWO_STROKE_HBAC,
+        table = SweepTable(("n_rounds", "omega_s"), TWO_STROKE_HBAC,
                            {**cells, "efficiency": per_frequency})
         assert table.columns["efficiency"] is per_frequency and not per_frequency.flags.writeable
         assert table.column("efficiency").tolist() == [0.7, 0.8, 0.9] * 2

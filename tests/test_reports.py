@@ -1,5 +1,6 @@
 """The row renderers against the per-cell reference renderer, byte for byte."""
 
+import argparse
 import math
 import os
 import stat
@@ -160,8 +161,8 @@ def test_two_stroke_awkward_cells_match_reference(tiled, tce):
 def test_config_grid_line_matches_reference():
     grid = cli._parse_omega_grid("150:1000:1") + cli._parse_omega_grid("0.1:3:0.1")
     grid += (5e-324, 1.0000000000005, 9.9999999999995, 123456789012.5)
-    config = cli.RunConfig(command="two-stroke", system_source="tce", rounds=(1,), omega_s_mhz=grid)
-    assert config.canonical_lines()[-1] == csv_reference.canonical_omega_line(grid)
+    args = argparse.Namespace(command="two-stroke", system="tce", rounds=(1,), omega_s=grid)
+    assert cli.canonical_lines(args)[-1] == csv_reference.canonical_omega_line(grid)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["block-less-one", "one-block", "block-plus-one"])

@@ -184,6 +184,14 @@ class TestStaticHamiltonian:
             # the oracle's hbar is scipy's unrounded value, 6e-10 off CODATA's 10 digits
             assert np.allclose(np.diag(h), levels, rtol=1e-9, atol=0.0)
 
+    def test_looks_up_each_coupling_once(self, tce, monkeypatch):
+        # one lookup per pair, in register-index order, so the J terms sum as they always have
+        seen = []
+        lookup = SpinSystem.j_coupling
+        monkeypatch.setattr(SpinSystem, "j_coupling", lambda self, a, b: seen.append((a, b)) or lookup(self, a, b))
+        register_levels(tce, 1.0)
+        assert seen == [("C1", "C2"), ("C1", "H"), ("C2", "H")]
+
     def test_rejects_nonpositive_scale(self, tce):
         with pytest.raises(ValueError):
             register_levels(tce, 0.0)
