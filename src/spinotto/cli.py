@@ -29,9 +29,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 # the most values one flag may list, the largest round count and the most rows of a two-stroke
-# table; a cooling run keeps 24 B per round.  Measured as subprocesses (min of 3, Python 3.11,
-# numpy 2.4, 2 vCPUs): `ppa --rounds 1000000` peaks at 86 MiB RSS, and the 851,000-row
-# `two-stroke --rounds 1..1000 --omega-s 150:1000:1` at 100 MiB, against 34 MiB for `ppa --rounds 1`
+# table; a cooling run keeps 24 B per round.  Measured as subprocesses (3 runs each, Python 3.11,
+# numpy 2.4, 2 vCPUs): `ppa --rounds 1000000` peaks at 67 MiB RSS, `four-stroke --rounds 1..1000000`
+# at 165 MiB and the 851,000-row `two-stroke --rounds 1..1000 --omega-s 150:1000:1` at 100 MiB,
+# against 34 MiB for `ppa --rounds 1`
 MAX_VALUES = 10**6
 
 # drive period of the field ramps (s); they freeze populations, so --tau only enters the config hash
@@ -43,18 +44,18 @@ def canonical_lines(args: argparse.Namespace) -> list[str]:
     lines = [
         f"command={args.command}",
         f"system={args.system}",
-        f"rounds={','.join(str(n) for n in args.rounds)}",
+        f"rounds={reports.fmt_values(args.rounds)}",
     ]
     if hasattr(args, "field_scale"):
         lines.append(f"field_scale={reports.fmt(args.field_scale)}")
     if hasattr(args, "omega_s"):
-        lines.append(f"omega_s_mhz={reports.fmt_floats(args.omega_s)}")
+        lines.append(f"omega_s_mhz={reports.fmt_values(args.omega_s)}")
     if hasattr(args, "tau"):
         lines.append(f"tau={reports.fmt(args.tau)}")
     return lines
 
 
-def _parse_rounds(text: str) -> tuple[int, ...]:
+def _parse_rounds(text: str) -> range:
     try:
         first, dots, last = text.partition("..")
         lo = int(first)
@@ -69,7 +70,7 @@ def _parse_rounds(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("round counts must be >= 0")
     if hi > MAX_VALUES or hi - lo >= MAX_VALUES:
         raise argparse.ArgumentTypeError(f"at most {MAX_VALUES} round counts up to {MAX_VALUES}: {text!r}")
-    return tuple(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _rad_s(grid_mhz: tuple[float, ...] | np.ndarray) -> np.ndarray:
@@ -138,7 +139,7 @@ def _add_common(p: argparse.ArgumentParser, default_out: str) -> None:
 
 
 def _add_ppa(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rounds", "-n", type=_parse_rounds, default=(7,))
+    p.add_argument("--rounds", "-n", type=_parse_rounds, default=range(7, 8))
     p.add_argument(
         "--field-scale",
         type=_parse_positive,
@@ -149,7 +150,7 @@ def _add_ppa(p: argparse.ArgumentParser) -> None:
 
 
 def _add_four_stroke(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rounds", "-n", type=_parse_rounds, default=tuple(range(11)))
+    p.add_argument("--rounds", "-n", type=_parse_rounds, default=range(11))
     p.add_argument(
         "--tau",
         type=_parse_positive,
@@ -160,7 +161,7 @@ def _add_four_stroke(p: argparse.ArgumentParser) -> None:
 
 
 def _add_two_stroke(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rounds", "-n", type=_parse_rounds, default=tuple(range(1, 9)))
+    p.add_argument("--rounds", "-n", type=_parse_rounds, default=range(1, 9))
     p.add_argument(
         "--omega-s",
         type=_parse_omega_grid,
@@ -254,12 +255,12 @@ def _cmd_two_stroke(args: argparse.Namespace, system: SpinSystem) -> Outcome:
         f"two-stroke max power at omega_s={omega_s / TWO_PI / 1e6:.2f} MHz, "
         f"n={n}: P={power:.6e} W/mol (W={work:.6e} J/mol, eta={eta:.4f})"
     ]
-    shown = [
-        "none" if w is None else "(%.2f, %.2f) MHz" % (w[0] / TWO_PI / 1e6, w[1] / TWO_PI / 1e6) for w in table.windows
-    ]
+    omega_t = system.omega(system.label_for_role(Role.TARGET), 1.0)
+    cooled = table.columns["cooled_target_temperature"].ravel().tolist()
+    windows = (engines.positive_work_window(omega_t, system.bath_temperature, t) for t in cooled)
+    shown = ["none" if w is None else "(%.2f, %.2f) MHz" % (w[0] / TWO_PI / 1e6, w[1] / TWO_PI / 1e6) for w in windows]
     # one line per run of consecutive round counts whose window prints the same
-    rounds = table.columns["n_rounds"].ravel().tolist()
-    for text, run in itertools.groupby(zip(rounds, shown), key=lambda pair: pair[1]):
+    for text, run in itertools.groupby(zip(args.rounds, shown), key=lambda pair: pair[1]):
         first, *rest = (n for n, _ in run)
         lines.append(f"positive-work window n={first}{'..%d' % rest[-1] if rest else ''}: {text}")
     return lambda: reports.render_two_stroke_csv(table, canonical_lines(args), system), "\n".join(lines)

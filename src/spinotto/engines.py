@@ -14,12 +14,15 @@ frequency ``omega`` its energy is ``-(hbar omega / 2) eps``.  Each
 engine is therefore one Otto cycle between two frequencies across which
 the target's polarization swings by some gain, and one kernel,
 ``_otto``, turns those into the heat, work, efficiency and power
-columns, per mole.  The cooled target comes from the closed-form
-cooling run, the hot target from the J-coupled register's Gibbs
-marginal and a cold bath from ``tanh``; none is a difference of two
-populations near 1/2.  Cycle times count only the relaxation stages:
-gate applications and field ramps are treated as fast.  The sweeps are
-the only entry points; one cycle is a one-point sweep.
+columns, per mole.  The isochoric reference is cooled to the effective
+temperature the cooling run reached, so it swings by the same gain and
+does the same work; only its cycle time differs.  The cooled target
+comes from the closed-form cooling run, the hot target from the
+J-coupled register's Gibbs marginal and the two-stroke's bath partner
+from ``tanh``; none is a difference of two populations near 1/2.
+Cycle times count only the relaxation stages: gate applications and
+field ramps are treated as fast.  The sweeps are the only entry points;
+one cycle is a one-point sweep.
 """
 
 from __future__ import annotations
@@ -101,14 +104,12 @@ class SweepTable:
     gives a column in row order and ``cell`` one row's value.  The table
     takes the arrays it is given and marks them read-only.  A non-finite
     float cell is a ``NonFiniteCell`` naming its grid point, the first in
-    row order.  ``windows`` holds a two-stroke table's positive-work
-    window (rad/s) per round count, None where there is none.
+    row order.
     """
 
     axes: tuple[str, ...]
     engine_kind: str
     columns: dict[str, np.ndarray]
-    windows: tuple[tuple[float, float] | None, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "columns", {name: np.asarray(values) for name, values in self.columns.items()})
@@ -214,7 +215,7 @@ def _cooled_target(sys: SpinSystem, field_scale: float, n_values: Iterable[int])
     Returns the round counts as an array, the target's Gibbs polarization at full field (the run's
     input) and the target's polarization and effective temperature after each count.
     """
-    n_rounds = np.array([int(n) for n in n_values])
+    n_rounds = np.fromiter(n_values, np.intp)
     if not n_rounds.size:
         raise ValueError("empty round-count grid")
     if n_rounds.min() < 0:
@@ -238,9 +239,9 @@ def sweep_four_stroke(sys: SpinSystem, n_values: Iterable[int]) -> SweepTable:
     differs only in timing: ``tau_T + tau_R (2n + 1)`` against
     ``2 tau_T``.  The reference enters the table as its power alone,
     ``power_isochoric``.  One cooling run to the largest round count
-    serves every row, and both engines share one hot target
-    polarization.  A round whose target ends above the bath temperature
-    has no cold bath for its reference, which is a ``ConfigError``.
+    serves every row.  A round whose target ends above the bath
+    temperature has no cold bath for its reference, which is a
+    ``ConfigError``.
     """
     n_rounds, eps_hot, eps_cold, cold = _cooled_target(sys, COMPRESSED_FIELD_SCALE, n_values)
     target = sys.label_for_role(Role.TARGET)
@@ -254,14 +255,6 @@ def sweep_four_stroke(sys: SpinSystem, n_values: Iterable[int]) -> SweepTable:
             f"bath temperature {sys.bath_temperature:g} K, so the isochoric reference "
             f"has no cold bath"
         )
-    eps_bath = thermal_polarization(omega1, cold)
-    # past 1 a polarization gives the upper level a negative population; NaN fails too
-    bad = np.flatnonzero(~(abs(eps_bath) <= 1.0))
-    if bad.size:
-        i = bad[0]
-        raise StateInvariantError(
-            f"isochoric reference at {cold[i]:g} K: target polarization {eps_bath[i]} outside [-1, 1]"
-        )
     t1_reset = sys.qubit(sys.label_for_role(Role.RESET)).t1
     cycles = _otto(omega0, omega1, eps_cold - eps_hot, t1_target + t1_reset * (2 * n_rounds + 1))
     # every column spans the round-count axis, the two constants too
@@ -272,7 +265,7 @@ def sweep_four_stroke(sys: SpinSystem, n_values: Iterable[int]) -> SweepTable:
         "efficiency": np.broadcast_to(cycles["efficiency"], n_rounds.shape),
         "cooled_target_temperature": cold,
         "n_rounds": n_rounds,
-        "power_isochoric": _otto(omega0, omega1, eps_bath - eps_hot, 2.0 * t1_target)["power"],
+        "power_isochoric": cycles["net_work"] / (2.0 * t1_target),
     }
     return SweepTable(("n_rounds",), FOUR_STROKE_HBAC, columns)
 
@@ -292,9 +285,10 @@ def sweep_two_stroke(sys: SpinSystem, omega_s_grid: Sequence[float], n_values: I
     pass over (round count, frequency): ``omega_s`` and the efficiency
     have one value per frequency, shape ``(G,)``; the round count, cycle
     time and cooled temperature one per round count, shape ``(R, 1)``;
-    the heats, work, power and ``in_window`` shape ``(R, G)``.  A partner
-    frequency outside the positive-work window is reported with
-    ``in_window=False``, not an error.
+    the heats, work, power and ``in_window`` shape ``(R, G)``.
+    ``in_window`` is the sign of the work, ``net_work > 0``: it marks the
+    partners inside ``positive_work_window``, and a partner outside it is
+    not an error.
     """
     grid = np.array(omega_s_grid, dtype=float)
     if not grid.size:
@@ -308,17 +302,14 @@ def sweep_two_stroke(sys: SpinSystem, omega_s_grid: Sequence[float], n_values: I
     # one row per round count, broadcast against the grid axis
     gain = eps_cooled[:, None] - thermal_polarization(grid, sys.bath_temperature)
     cycle_time = sys.qubit(sys.label_for_role(Role.RESET)).t1 * (2 * n_rounds + 1)
-    # one window per round count; the empty (inf, inf) stands in for none
-    windows = tuple(positive_work_window(omega_t, sys.bath_temperature, t) for t in cooled.tolist())
-    bounds = np.array([w or (np.inf, np.inf) for w in windows])
     columns = {
         "n_rounds": n_rounds,
         **_otto(grid, omega_t, gain, cycle_time),
         "cooled_target_temperature": cooled[:, None],
         "omega_s": grid,
-        "in_window": (bounds[:, :1] < grid) & (grid < bounds[:, 1:]),
     }
-    return SweepTable(("n_rounds", "omega_s"), TWO_STROKE_HBAC, columns, windows)
+    columns["in_window"] = columns["net_work"] > 0
+    return SweepTable(("n_rounds", "omega_s"), TWO_STROKE_HBAC, columns)
 
 
 def isochoric_crossover(table: SweepTable) -> int | None:

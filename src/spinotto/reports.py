@@ -69,7 +69,7 @@ def metadata_lines(title: str, config_lines: Sequence[str], sys: SpinSystem) -> 
 # array a block makes lives only for that block, and each page the allocator has to fetch
 # anew costs a minor fault, about 3 us on a 2-vCPU VM.  So a block works out its digits in
 # place and copies its words once, row-major, for bytes.translate to drop the padding: a
-# 2048-row block of the paper's two-stroke table peaks near 0.55 MiB.  Smaller blocks
+# 2048-row block of the paper's two-stroke table peaks near 0.56 MiB.  Smaller blocks
 # cost long tables more in per-call overhead than they save.
 _BLOCK_ROWS = 1 << 11
 # ASCII digit j of each k < 10**4 in row j, then with NUL for leading zeros but the last
@@ -186,7 +186,8 @@ def _words(flat: Sequence[np.ndarray], small: dict, shape: tuple, start: int, st
             end += len(flat[k])
         cells = cells[:, : full.size].reshape(-1, *full.shape)
     else:
-        cells = _float_cells(full)
+        # an int column alone, such as the rounds config line, has no float cells to format
+        cells = _float_cells(full) if full.size else full[None]
     floats = iter(cells.swapaxes(0, 1))
     picked = {}
     if small:
@@ -228,9 +229,9 @@ def _rows(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
         yield _words(flat, small, shape, start, min(start + _BLOCK_ROWS, size)).T.tobytes().translate(None, b"\0")
 
 
-def fmt_floats(values: Sequence[float]) -> str:
-    """``",".join("%.12e" % v for v in values)``, through the table renderer."""
-    return b"".join(_rows([np.asarray(values, dtype=float)]))[:-1].replace(b"\n", b",").decode()
+def fmt_values(values: Sequence[float] | Sequence[int]) -> str:
+    """``",".join(fmt(v) for v in values)`` of floats or of ints, through the table renderer."""
+    return b"".join(_rows([np.asarray(values)]))[:-1].replace(b"\n", b",").decode()
 
 
 def _csv(metadata: list[str], header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[bytes]:

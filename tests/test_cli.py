@@ -184,7 +184,7 @@ class TestTwoStrokeCommand:
         ]
 
     def test_each_window_is_computed_once(self, tmp_path, monkeypatch, capsys):
-        """80 round counts on 18 frequencies: the sweep's windows serve the summary too."""
+        """80 round counts on 18 frequencies: the summary computes one window per round count, the sweep none."""
         calls = []
 
         def counting(*args):
@@ -605,7 +605,7 @@ def test_unrecognized_arguments_are_a_top_level_error(monkeypatch, capsys):
 def test_argv_none_reads_the_command_line(monkeypatch):
     monkeypatch.setattr(sys, "argv", ["spinotto", "four-stroke", "-n", "2"])
     args = cli._parse_args(None)
-    assert (args.command, args.rounds) == ("four-stroke", (2,))
+    assert (args.command, args.rounds) == ("four-stroke", range(2, 3))
 
 
 @pytest.mark.parametrize("args", SUBCOMMANDS, ids=["ppa", "four-stroke", "two-stroke"])

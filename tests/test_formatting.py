@@ -258,4 +258,10 @@ def test_renders_without_numpy_string_api(monkeypatch, tmp_path, capsys):
 
 def test_omega_line_matches_python():
     grid = cli._parse_omega_grid("0.1:3:0.1") + (5e-324, 1e100, -2.5, 9.9999999999995)
-    assert reports.fmt_floats(grid) == csv_reference.canonical_omega_line(grid).removeprefix("omega_s_mhz=")
+    assert reports.fmt_values(grid) == csv_reference.canonical_omega_line(grid).removeprefix("omega_s_mhz=")
+
+
+def test_rounds_line_matches_python():
+    # the CLI's round counts, and integers past the digit tables' 10**8
+    for rounds in (cli._parse_rounds("0..20000"), (2,), (0, 9999, 10**4, 10**8 - 1, 10**8, 2**40, -7)):
+        assert reports.fmt_values(rounds) == ",".join(str(n) for n in rounds)
