@@ -3,8 +3,9 @@
 Subcommands: ``ppa``, ``four-stroke``, ``two-stroke``.  Frequencies are
 accepted in MHz (units of omega/2pi) and converted to rad/s once here;
 all physics below this layer is SI.  Exit status: 0 on success, 2 on
-configuration errors, 3 on numerical-invariant violations.  A run builds
-only its subcommand's parser; help and top-level errors come from the full one.
+configuration errors, 3 on numerical-invariant violations.  Every option is
+one entry of a subcommand's table; an argv of exact flags is parsed from that
+table without argparse, and help, usage and errors come from the full parser.
 """
 
 from __future__ import annotations
@@ -122,53 +123,19 @@ def _parse_positive(text: str) -> float:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, default_out: str) -> None:
-    p.add_argument(
-        "--system",
-        default="tce",
-        help="preset name (tce) or path to an INI system definition",
+# one option of a subcommand: its flags, the attribute it sets, the function that converts its
+# value (None keeps the string), its default, the values it allows (None for any) and its help
+Option = tuple[tuple[str, ...], str, Callable[[str], object] | None, object, tuple[str, ...] | None, str | None]
+
+
+def _common(default_out: str) -> tuple[Option, ...]:
+    """The options every subcommand has, writing its CSV to ``default_out`` by default."""
+    return (
+        (("--system",), "system", None, "tce", None, "preset name (tce) or path to an INI system definition"),
+        (("--out",), "out", Path, Path(default_out), None, "CSV output path"),
+        (("--format",), "output_format", None, "csv", ("csv", "summary"),
+         "csv writes a file and prints a summary; summary prints only"),
     )
-    p.add_argument("--out", type=Path, default=Path(default_out), help="CSV output path")
-    p.add_argument(
-        "--format",
-        choices=("csv", "summary"),
-        default="csv",
-        dest="output_format",
-        help="csv writes a file and prints a summary; summary prints only",
-    )
-
-
-def _add_ppa(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rounds", "-n", type=_parse_rounds, default=range(7, 8))
-    p.add_argument(
-        "--field-scale",
-        type=_parse_positive,
-        default=COMPRESSED_FIELD_SCALE,
-        help="static-field scale during cooling (0.5 = compressed field)",
-    )
-    _add_common(p, "ppa_trace.csv")
-
-
-def _add_four_stroke(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rounds", "-n", type=_parse_rounds, default=range(11))
-    p.add_argument(
-        "--tau",
-        type=_parse_positive,
-        default=DEFAULT_TAU,
-        help="drive period in seconds; changes no number, is recorded in the config hash only and kept for the benchmark",
-    )
-    _add_common(p, "four_stroke_sweep.csv")
-
-
-def _add_two_stroke(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rounds", "-n", type=_parse_rounds, default=range(1, 9))
-    p.add_argument(
-        "--omega-s",
-        type=_parse_omega_grid,
-        default="150:1000:1",
-        help="partner frequency grid start:stop:step in MHz (default %(default)s)",
-    )
-    _add_common(p, "two_stroke_sweep.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,27 +145,58 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum Otto engines with heat-bath algorithmic cooling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, _) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, options, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, dest, convert, default, choices, text in options:
+            p.add_argument(*flags, dest=dest, type=convert, default=default, choices=choices, help=text)
     return parser
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the invoked subcommand's parser.
+    """``build_parser().parse_args(argv)``, building no parser for a subcommand with exact flags.
 
-    The full parser hands a subcommand's arguments to that same parser; any
-    other argv, or one it leaves arguments over from, goes to the full parser.
+    A subcommand followed only by ``flag value`` and ``flag=value`` pairs, each flag
+    exactly one of its options and each value not starting with "-", is parsed here
+    when every value converts and is one of its flag's choices.  Any other argv goes to
+    the full parser, which prints the help, usage and errors.
     """
     if argv is None:
         argv = _sys.argv[1:]
     if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"spinotto {argv[0]}")
-        _COMMANDS[argv[0]][1](parser)
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
+        args = _parse_exact(argv[0], argv[1:])
+        if args is not None:
             return args
     return build_parser().parse_args(argv)
+
+
+def _parse_exact(command: str, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace the full parser gives ``[command, *tokens]``, or None if argparse must decide."""
+    options = _COMMANDS[command][1]
+    by_flag = {flag: option for option in options for flag in option[0]}
+    values = {}
+    pending = iter(tokens)
+    for token in pending:
+        # argparse reads "-n=3" as "-n 3" too
+        flag, eq, value = token.partition("=")
+        if not eq:
+            # a missing value goes to argparse, as one starting with "-" does
+            value = next(pending, "-")
+        if flag not in by_flag or value.startswith("-"):
+            return None
+        _, dest, convert, _, choices, _ = by_flag[flag]
+        if convert is not None:
+            try:
+                value = convert(value)
+            except argparse.ArgumentTypeError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    for _, dest, convert, default, _, _ in options:
+        if dest not in values:
+            # argparse converts a string default, and only a string one
+            values[dest] = convert(default) if convert is not None and isinstance(default, str) else default
+    return argparse.Namespace(command=command, **values)
 
 
 # what a subcommand hands back to ``run``: its CSV blocks, rendered on demand, and its summary
@@ -266,12 +264,39 @@ def _cmd_two_stroke(args: argparse.Namespace, system: SpinSystem) -> Outcome:
     return lambda: reports.render_two_stroke_csv(table, canonical_lines(args), system), "\n".join(lines)
 
 
-# each subcommand's help text, the function that adds its arguments and the one that runs it:
+# each subcommand's help text, its options in help order and the function that runs it:
 # the only place a subcommand is defined
-_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None], Callable[..., Outcome]]] = {
-    "ppa": ("run the cooling algorithm and trace per-round telemetry", _add_ppa, _cmd_ppa),
-    "four-stroke": ("sweep the four-stroke engine over round counts", _add_four_stroke, _cmd_four_stroke),
-    "two-stroke": ("sweep the two-stroke engine over partner frequencies", _add_two_stroke, _cmd_two_stroke),
+_COMMANDS: dict[str, tuple[str, tuple[Option, ...], Callable[..., Outcome]]] = {
+    "ppa": (
+        "run the cooling algorithm and trace per-round telemetry",
+        (
+            (("--rounds", "-n"), "rounds", _parse_rounds, range(7, 8), None, None),
+            (("--field-scale",), "field_scale", _parse_positive, COMPRESSED_FIELD_SCALE, None,
+             "static-field scale during cooling (0.5 = compressed field)"),
+            *_common("ppa_trace.csv"),
+        ),
+        _cmd_ppa,
+    ),
+    "four-stroke": (
+        "sweep the four-stroke engine over round counts",
+        (
+            (("--rounds", "-n"), "rounds", _parse_rounds, range(11), None, None),
+            (("--tau",), "tau", _parse_positive, DEFAULT_TAU, None,
+             "drive period in seconds; changes no number, is recorded in the config hash only and kept for the benchmark"),
+            *_common("four_stroke_sweep.csv"),
+        ),
+        _cmd_four_stroke,
+    ),
+    "two-stroke": (
+        "sweep the two-stroke engine over partner frequencies",
+        (
+            (("--rounds", "-n"), "rounds", _parse_rounds, range(1, 9), None, None),
+            (("--omega-s",), "omega_s", _parse_omega_grid, "150:1000:1", None,
+             "partner frequency grid start:stop:step in MHz (default %(default)s)"),
+            *_common("two_stroke_sweep.csv"),
+        ),
+        _cmd_two_stroke,
+    ),
 }
 
 

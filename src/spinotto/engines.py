@@ -215,7 +215,11 @@ def _cooled_target(sys: SpinSystem, field_scale: float, n_values: Iterable[int])
     Returns the round counts as an array, the target's Gibbs polarization at full field (the run's
     input) and the target's polarization and effective temperature after each count.
     """
-    n_rounds = np.fromiter(n_values, np.intp)
+    if isinstance(n_values, range):
+        # np.fromiter walks a range item by item; np.arange builds the same ints at once
+        n_rounds = np.arange(n_values.start, n_values.stop, n_values.step)
+    else:
+        n_rounds = np.fromiter(n_values, np.intp)
     if not n_rounds.size:
         raise ValueError("empty round-count grid")
     if n_rounds.min() < 0:

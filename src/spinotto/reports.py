@@ -231,7 +231,9 @@ def _rows(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
 
 def fmt_values(values: Sequence[float] | Sequence[int]) -> str:
     """``",".join(fmt(v) for v in values)`` of floats or of ints, through the table renderer."""
-    return b"".join(_rows([np.asarray(values)]))[:-1].replace(b"\n", b",").decode()
+    # np.asarray walks a range item by item; np.arange builds the same ints at once
+    column = np.arange(values.start, values.stop, values.step) if isinstance(values, range) else np.asarray(values)
+    return b"".join(_rows([column]))[:-1].replace(b"\n", b",").decode()
 
 
 def _csv(metadata: list[str], header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[bytes]:

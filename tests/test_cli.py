@@ -9,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import spinotto
 from spinotto import cli, engines
@@ -532,7 +534,122 @@ def test_default_grid_is_recorded(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
 
 
-# argvs the subcommand-only parse must treat exactly as the full parser does
+# the help each parse prints at COLUMNS=80; both parses read one option table, so the
+# equivalence test below cannot catch a wrong entry in it, and these pins can
+HELP_TEXTS = {
+    "top": (
+        [],
+        """\
+usage: spinotto [-h] {ppa,four-stroke,two-stroke} ...
+
+Quantum Otto engines with heat-bath algorithmic cooling
+
+positional arguments:
+  {ppa,four-stroke,two-stroke}
+    ppa                 run the cooling algorithm and trace per-round
+                        telemetry
+    four-stroke         sweep the four-stroke engine over round counts
+    two-stroke          sweep the two-stroke engine over partner frequencies
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ),
+    "ppa": (
+        ["ppa"],
+        """\
+usage: spinotto ppa [-h] [--rounds ROUNDS] [--field-scale FIELD_SCALE]
+                    [--system SYSTEM] [--out OUT] [--format {csv,summary}]
+
+options:
+  -h, --help            show this help message and exit
+  --rounds ROUNDS, -n ROUNDS
+  --field-scale FIELD_SCALE
+                        static-field scale during cooling (0.5 = compressed
+                        field)
+  --system SYSTEM       preset name (tce) or path to an INI system definition
+  --out OUT             CSV output path
+  --format {csv,summary}
+                        csv writes a file and prints a summary; summary prints
+                        only
+""",
+    ),
+    "four-stroke": (
+        ["four-stroke"],
+        """\
+usage: spinotto four-stroke [-h] [--rounds ROUNDS] [--tau TAU]
+                            [--system SYSTEM] [--out OUT]
+                            [--format {csv,summary}]
+
+options:
+  -h, --help            show this help message and exit
+  --rounds ROUNDS, -n ROUNDS
+  --tau TAU             drive period in seconds; changes no number, is
+                        recorded in the config hash only and kept for the
+                        benchmark
+  --system SYSTEM       preset name (tce) or path to an INI system definition
+  --out OUT             CSV output path
+  --format {csv,summary}
+                        csv writes a file and prints a summary; summary prints
+                        only
+""",
+    ),
+    "two-stroke": (
+        ["two-stroke"],
+        """\
+usage: spinotto two-stroke [-h] [--rounds ROUNDS] [--omega-s OMEGA_S]
+                           [--system SYSTEM] [--out OUT]
+                           [--format {csv,summary}]
+
+options:
+  -h, --help            show this help message and exit
+  --rounds ROUNDS, -n ROUNDS
+  --omega-s OMEGA_S     partner frequency grid start:stop:step in MHz (default
+                        150:1000:1)
+  --system SYSTEM       preset name (tce) or path to an INI system definition
+  --out OUT             CSV output path
+  --format {csv,summary}
+                        csv writes a file and prints a summary; summary prints
+                        only
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("command,text", HELP_TEXTS.values(), ids=HELP_TEXTS.keys())
+def test_help_texts(command, text, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.run([*command, "-h"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr() == (text, "")
+
+
+DEFAULT_ARGS = {
+    "ppa": {
+        "command": "ppa", "rounds": range(7, 8), "field_scale": 0.5, "system": "tce",
+        "out": Path("ppa_trace.csv"), "output_format": "csv",
+    },
+    "four-stroke": {
+        "command": "four-stroke", "rounds": range(0, 11), "tau": 0.1, "system": "tce",
+        "out": Path("four_stroke_sweep.csv"), "output_format": "csv",
+    },
+    "two-stroke": {
+        "command": "two-stroke", "rounds": range(1, 9), "omega_s": tuple(map(float, range(150, 1001))),
+        "system": "tce", "out": Path("two_stroke_sweep.csv"), "output_format": "csv",
+    },
+}
+
+
+@pytest.mark.parametrize("command", DEFAULT_ARGS)
+def test_default_args(command):
+    for parse in (cli._parse_args, lambda argv: cli.build_parser().parse_args(argv)):
+        values = vars(parse([command]))
+        assert values == DEFAULT_ARGS[command]
+        assert {k: type(v) for k, v in values.items()} == {k: type(v) for k, v in DEFAULT_ARGS[command].items()}
+
+
+# argvs that `_parse_args` must treat exactly as the full parser does
 PARSE_CASES = {
     "help": ["-h"],
     "ppa-help": ["ppa", "-h"],
@@ -557,6 +674,8 @@ PARSE_CASES = {
     "repeated-n": ["ppa", "-n", "3", "-n", "5"],
     "tau-nan": ["four-stroke", "--tau", "nan"],
     "tau-no-value": ["four-stroke", "--tau"],
+    "out-no-value": ["ppa", "--out"],
+    "flag-as-value": ["ppa", "--out", "--system"],
     "dt-removed": ["four-stroke", "--dt", "1"],
     "stray-positional": ["ppa", "stray"],
     "bad-format": ["ppa", "--format", "xml"],
@@ -564,6 +683,14 @@ PARSE_CASES = {
     "double-dash": ["ppa", "--", "x"],
     "omega-repeats": ["two-stroke", "--omega-s", "1:1.000000000000002:0.0000000000000002"],
     "omega-overflows": ["two-stroke", "--omega-s", "1e308:1.7e308:1e308"],
+    "out-empty": ["ppa", "--out="],
+    "out-dash": ["ppa", "--out", "-"],
+    "n-attached": ["four-stroke", "-n3"],
+    "n-equals": ["four-stroke", "-n=3"],
+    "rounds-negative": ["four-stroke", "--rounds", "-1"],
+    "format-equals": ["ppa", "--format=summary"],
+    "bad-then-good-n": ["four-stroke", "-n", "5..1", "-n", "3"],
+    "repeated-omega": ["two-stroke", "--omega-s", "150:200:50", "--omega-s", "300:300:1"],
 }
 
 
@@ -591,6 +718,44 @@ def test_subcommand_parse_matches_the_full_parser(argv, tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == []
 
 
+# the token shapes of an argv: a flag, exact or abbreviated or unknown, with its value apart,
+# after "=" or attached, and lone tokens; values fit their flag, or are any value, rejected ones included
+FITS = {
+    "--rounds": ["3", "0..2"], "-n": ["2", "1..3"], "--field-scale": ["0.2"], "--tau": ["0.2"],
+    "--omega-s": ["150:200:50", "300:300:1"], "--system": ["tce", "x.cfg"], "--out": ["", "p.csv", "a b"],
+    "--format": ["csv", "summary"], "--rou": ["1..3"], "--dt": ["1"],
+}
+VALUES = ["", "-", "-1", "3", "5..1", "1e400", "nan", "1:1:0", "summary", "xml", "--out", "a=b"]
+
+
+@st.composite
+def argvs(draw):
+    argv = [draw(st.sampled_from(["ppa", "four-stroke", "two-stroke", "bogus"]))]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(list(FITS)))
+        # two values in three fit their flag
+        value = draw(st.sampled_from(FITS[flag] if draw(st.integers(0, 2)) else VALUES))
+        shape = draw(st.sampled_from(["apart", "apart", "apart", "equals", "equals", "attached", "lone"]))
+        if shape == "apart":
+            argv += [flag, value]
+        elif shape == "equals":
+            argv.append(f"{flag}={value}")
+        elif shape == "attached":
+            argv.append(f"-n{value}")
+        else:
+            argv.append(draw(st.sampled_from(["-h", "--", "stray", flag])))
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+def test_exact_parse_matches_the_full_parser_on_drawn_argvs(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+    assert parse_outcome(cli._parse_args, argv, capsys) == expected
+
+
 def test_unrecognized_arguments_are_a_top_level_error(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as excinfo:
@@ -608,8 +773,22 @@ def test_argv_none_reads_the_command_line(monkeypatch):
     assert (args.command, args.rounds) == ("four-stroke", range(2, 3))
 
 
-@pytest.mark.parametrize("args", SUBCOMMANDS, ids=["ppa", "four-stroke", "two-stroke"])
-def test_a_run_builds_one_parser(args, tmp_path, monkeypatch, capsys):
+# the README's three commands
+README_ARGVS = {
+    "ppa": ["ppa", "--system", "tce", "--rounds", "7", "--field-scale", "0.5"],
+    "four-stroke": ["four-stroke", "--rounds", "0..10", "--tau", "0.1"],
+    "two-stroke": ["two-stroke", "--rounds", "1..8", "--omega-s", "150:1000:1"],
+}
+FULL_PARSER = ["spinotto", "spinotto ppa", "spinotto four-stroke", "spinotto two-stroke"]
+
+
+@pytest.mark.parametrize(
+    "args,parsers",
+    [*((argv, []) for argv in README_ARGVS.values()), (["-h"], FULL_PARSER), (["two-stroke", "--rou", "1..3"], FULL_PARSER)],
+    ids=[*README_ARGVS, "help", "abbreviation"],
+)
+def test_a_run_builds_one_parser(args, parsers, tmp_path, monkeypatch, capsys):
+    # a README command parses without argparse; help and an abbreviation need the full parser
     built = []
     honest = argparse.ArgumentParser.__init__
 
@@ -618,8 +797,11 @@ def test_a_run_builds_one_parser(args, tmp_path, monkeypatch, capsys):
         honest(self, *a, **kw)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert run_cli([*args, "--format", "summary"], tmp_path, monkeypatch) == 0
-    assert built == [f"spinotto {args[0]}"]
+    try:
+        status = run_cli([*args, "--format", "summary"], tmp_path, monkeypatch)
+    except SystemExit as exc:
+        status = exc.code
+    assert (status, built) == (0, parsers)
 
 
 def child_env():
@@ -663,6 +845,18 @@ def test_preset_run_leaves_configparser_unimported(tmp_path):
     assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
 
+def test_preset_run_leaves_locale_unimported(tmp_path):
+    # argparse's messages go through gettext, which imports locale; a run parsed without argparse does not
+    code = (
+        "import sys, spinotto.cli; status = spinotto.cli.run(['four-stroke', '--format', 'summary']); "
+        "print(status, 'locale' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=child_env(), capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout.splitlines()[-1], result.stderr) == (0, "0 False", "")
+
+
 def test_closed_stdout_exits_0(tmp_path):
     # as `spinotto two-stroke --format summary | head -1`: the reader
     # closes the pipe after the first summary line, the rest of it has
@@ -687,7 +881,7 @@ def test_closed_stdout_exits_0(tmp_path):
     "args,name,digest,summary",
     [
         (
-            ["ppa", "--system", "tce", "--rounds", "7", "--field-scale", "0.5"],
+            README_ARGVS["ppa"],
             "ppa_trace.csv",
             # row 0's eps_reset is the closed-form Gibbs marginal, 5.030006677740e-06 as the
             # decimal oracle gives it, not a difference of populations (...773e-06)
@@ -695,7 +889,7 @@ def test_closed_stdout_exits_0(tmp_path):
             ["ppa rounds=7 field_scale=0.5: final eps_target=3.984782e-05 T_eff=37.869 K shannon_crossing_round=1"],
         ),
         (
-            ["four-stroke", "--rounds", "0..10", "--tau", "0.1"],
+            README_ARGVS["four-stroke"],
             "four_stroke_sweep.csv",
             "da8f61eba3c1afd92f2d6251fc7f8fac3c3c757e624fd4565d4b0932c953c4c3",
             [
@@ -704,7 +898,7 @@ def test_closed_stdout_exits_0(tmp_path):
             ],
         ),
         (
-            ["two-stroke", "--rounds", "1..8", "--omega-s", "150:1000:1"],
+            README_ARGVS["two-stroke"],
             "two_stroke_sweep.csv",
             "d40f00529cc5c26c8f0d5e167ec5161d20b54f31a699ea0760c0d46f168b3298",
             [
