@@ -13,7 +13,7 @@ from .engines import (
     sweep_four_stroke,
     sweep_two_stroke,
 )
-from .hbac import PpaTrace, run_ppa, shannon_bound
+from .hbac import run_ppa, shannon_bound
 from .spinsys import (
     ConfigError,
     QubitSpec,

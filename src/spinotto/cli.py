@@ -15,7 +15,7 @@ import itertools
 import math
 import os
 import sys as _sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +30,11 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 # the most values one flag may list, the largest round count and the most rows of a two-stroke
-# table; a cooling run keeps 24 B per round.  Measured as subprocesses (3 runs each, Python 3.11,
-# numpy 2.4, 2 vCPUs): `ppa --rounds 1000000` peaks at 67 MiB RSS, `four-stroke --rounds 1..1000000`
-# at 165 MiB and the 851,000-row `two-stroke --rounds 1..1000 --omega-s 150:1000:1` at 100 MiB,
-# against 34 MiB for `ppa --rounds 1`
+# table; a cooling run keeps 32 B per round (its round count, two polarizations, a temperature).
+# Measured as subprocesses (min of 3 runs each, Python 3.11, numpy 2.4, 2 vCPUs): `ppa --rounds
+# 1000000` peaks at 67.2 MiB RSS, `four-stroke --rounds 1..1000000` at 165.4 MiB and the
+# 851,000-row `two-stroke --rounds 1..1000 --omega-s 150:1000:1` at 99.7 MiB, against 33.6 MiB
+# for `ppa --rounds 1`
 MAX_VALUES = 10**6
 
 # drive period of the field ramps (s); they freeze populations, so --tau only enters the config hash
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum Otto engines with heat-bath algorithmic cooling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, options, _) in _COMMANDS.items():
+    for name, (help_text, options, *_) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flags, dest, convert, default, choices, text in options:
             p.add_argument(*flags, dest=dest, type=convert, default=default, choices=choices, help=text)
@@ -199,8 +200,11 @@ def _parse_exact(command: str, tokens: list[str]) -> argparse.Namespace | None:
     return argparse.Namespace(command=command, **values)
 
 
-# what a subcommand hands back to ``run``: its CSV blocks, rendered on demand, and its summary
-Outcome = tuple[Callable[[], Iterable[bytes]], str]
+# what a subcommand hands back to ``run``: its table and its summary
+Outcome = tuple[engines.SweepTable, str]
+
+# a CSV column: its header and the table column it shows, or a function of the columns, system and args
+Column = tuple[str, str | Callable[[dict[str, np.ndarray], SpinSystem, argparse.Namespace], np.ndarray]]
 
 
 def _cmd_ppa(args: argparse.Namespace, system: SpinSystem) -> Outcome:
@@ -209,17 +213,16 @@ def _cmd_ppa(args: argparse.Namespace, system: SpinSystem) -> Outcome:
     n_rounds = args.rounds[0]
     field_scale = args.field_scale
     eps_in = thermal_marginal_polarization(system, system.label_for_role(Role.TARGET), field_scale)
-    trace = hbac.run_ppa(eps_in, system, field_scale, n_rounds)
-
-    bound = hbac.shannon_bound(system, field_scale)
-    crossing = np.flatnonzero(trace.target_polarization > bound * (1.0 + 1e-6))
+    table = hbac.run_ppa(eps_in, system, field_scale, n_rounds)
+    eps, t_eff = table.columns["eps_target"], table.columns["T_eff"]
+    # the first round past the bound, found without listing every later one
+    above = eps > hbac.shannon_bound(system, field_scale) * (1.0 + 1e-6)
     summary = (
         f"ppa rounds={n_rounds} field_scale={field_scale:g}: "
-        f"final eps_target={trace.target_polarization[-1]:.6e} "
-        f"T_eff={trace.target_effective_temperature[-1]:.3f} K "
-        f"shannon_crossing_round={crossing[0] if crossing.size else '-'}"
+        f"final eps_target={eps[-1]:.6e} T_eff={t_eff[-1]:.3f} K "
+        f"shannon_crossing_round={np.argmax(above) if above.any() else '-'}"
     )
-    return lambda: reports.render_ppa_csv(trace, system, field_scale, canonical_lines(args)), summary
+    return table, summary
 
 
 def _cmd_four_stroke(args: argparse.Namespace, system: SpinSystem) -> Outcome:
@@ -233,7 +236,7 @@ def _cmd_four_stroke(args: argparse.Namespace, system: SpinSystem) -> Outcome:
         f"isochoric reference dominates from "
         f"{'-' if crossover is None else 'n=%d' % crossover}"
     )
-    return lambda: reports.render_four_stroke_csv(table, canonical_lines(args), system), summary
+    return table, summary
 
 
 def _cmd_two_stroke(args: argparse.Namespace, system: SpinSystem) -> Outcome:
@@ -261,12 +264,12 @@ def _cmd_two_stroke(args: argparse.Namespace, system: SpinSystem) -> Outcome:
     for text, run in itertools.groupby(zip(args.rounds, shown), key=lambda pair: pair[1]):
         first, *rest = (n for n, _ in run)
         lines.append(f"positive-work window n={first}{'..%d' % rest[-1] if rest else ''}: {text}")
-    return lambda: reports.render_two_stroke_csv(table, canonical_lines(args), system), "\n".join(lines)
+    return table, "\n".join(lines)
 
 
-# each subcommand's help text, its options in help order and the function that runs it:
-# the only place a subcommand is defined
-_COMMANDS: dict[str, tuple[str, tuple[Option, ...], Callable[..., Outcome]]] = {
+# each subcommand's help text, its options in help order, the function that runs it, and its CSV's
+# title and columns: the only place a subcommand is defined
+_COMMANDS: dict[str, tuple[str, tuple[Option, ...], Callable[..., Outcome], str, tuple[Column, ...]]] = {
     "ppa": (
         "run the cooling algorithm and trace per-round telemetry",
         (
@@ -276,6 +279,10 @@ _COMMANDS: dict[str, tuple[str, tuple[Option, ...], Callable[..., Outcome]]] = {
             *_common("ppa_trace.csv"),
         ),
         _cmd_ppa,
+        "algorithmic cooling trace",
+        (("round", "n_rounds"), ("eps_target", "eps_target"), ("eps_reset", "eps_reset"), ("T_eff_K", "T_eff"),
+         # one 0-d cell, formatted once and repeated on every row
+         ("shannon_bound_eps", lambda columns, system, args: np.float64(hbac.shannon_bound(system, args.field_scale)))),
     ),
     "four-stroke": (
         "sweep the four-stroke engine over round counts",
@@ -286,6 +293,10 @@ _COMMANDS: dict[str, tuple[str, tuple[Option, ...], Callable[..., Outcome]]] = {
             *_common("four_stroke_sweep.csv"),
         ),
         _cmd_four_stroke,
+        "four-stroke cycle sweep",
+        (("n", "n_rounds"), ("Qin_J_per_mol", "q_in"), ("Qout_J_per_mol", "q_out"), ("W_J_per_mol", "net_work"),
+         ("P_W_per_mol", "power"), ("P_iso_W_per_mol", "power_isochoric"), ("T_cold_K", "cooled_target_temperature"),
+         ("iso_dominates", "iso_dominates")),
     ),
     "two-stroke": (
         "sweep the two-stroke engine over partner frequencies",
@@ -296,6 +307,9 @@ _COMMANDS: dict[str, tuple[str, tuple[Option, ...], Callable[..., Outcome]]] = {
             *_common("two_stroke_sweep.csv"),
         ),
         _cmd_two_stroke,
+        "two-stroke cycle sweep",
+        (("omega_s_MHz", lambda columns, system, args: columns["omega_s"] / TWO_PI / 1e6), ("n", "n_rounds"),
+         ("W_J_per_mol", "net_work"), ("P_W_per_mol", "power"), ("eta", "efficiency"), ("in_window", "in_window")),
     ),
 }
 
@@ -306,10 +320,13 @@ def run(argv: list[str] | None = None) -> int:
         if args.output_format == "csv" and os.path.exists(args.out) and not os.path.isfile(args.out):
             # renaming the CSV over a FIFO or device would replace it
             raise ConfigError(f"cannot write {args.out}: not a regular file")
-        render, summary = _COMMANDS[args.command][2](args, load_system(args.system))
+        _, _, command, title, schema = _COMMANDS[args.command]
+        system = load_system(args.system)
+        table, summary = command(args, system)
         if args.output_format == "csv":
+            columns = [(h, table.columns[c] if isinstance(c, str) else c(table.columns, system, args)) for h, c in schema]
             try:
-                reports.write_atomic(args.out, render())
+                reports.write_atomic(args.out, reports.render_csv(title, columns, canonical_lines(args), system))
             except OSError as exc:
                 raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from None
             print(f"wrote {args.out}")

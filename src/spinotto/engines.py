@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
-from .hbac import run_ppa
+# spinotto.engines exports the sweeps' table type and its error too
+from .hbac import NonFiniteCell, SweepTable, run_ppa
 from .spinsys import (
     AVOGADRO,
     HBAR,
@@ -57,8 +57,9 @@ _CLOSURE_RTOL = 1e-9
 _HALF_HBAR_MOLAR = HBAR / 2.0 * AVOGADRO
 
 
-def _check_energetics(columns: dict[str, np.ndarray]) -> None:
-    """First-law closure and the efficiency range over a table's columns, broadcast; ``w1``/``w2`` are optional."""
+def _check_energetics(table: SweepTable) -> SweepTable:
+    """``table`` once its first-law closure and efficiency range hold, broadcast; ``w1``/``w2`` are optional."""
+    columns = table.columns
     q_in, q_out, net_work, efficiency = (columns[name] for name in ("q_in", "q_out", "net_work", "efficiency"))
     w1, w2 = columns.get("w1"), columns.get("w2")
     # scale for the relative closure checks; the stroke works enter
@@ -76,99 +77,7 @@ def _check_energetics(columns: dict[str, np.ndarray]) -> None:
     if bad.any():
         value = np.broadcast_to(efficiency, bad.shape)[bad][0]
         raise StateInvariantError(f"efficiency {value} outside (0, 1) at positive work")
-
-
-_AXIS_UNITS = {"omega_s": " rad/s"}
-
-
-class NonFiniteCell(StateInvariantError):
-    """A non-finite sweep cell; ``point`` maps each axis name to the cell's index on it."""
-
-    def __init__(self, message: str, point: dict[str, int]):
-        super().__init__(message)
-        self.point = point
-
-
-@dataclass(frozen=True, eq=False)
-class SweepTable:
-    """Cycles of one engine kind over a parameter grid, stored as named read-only columns.
-
-    ``axes`` names the columns that are the grid's axes, such as
-    ``("n_rounds", "omega_s")``: each strictly increases and lies along
-    its own axis, and ``shape`` holds their lengths.  A table has one row
-    per grid point, in row-major order over its axes.  Each column is
-    stored at the shape it has: an array that spans at least one axis and
-    broadcasts to ``shape`` along the others, so a value that depends on
-    one axis only is held once per point of that axis (energies J/mol,
-    power W/mol, times s, temperatures K, ``omega_s`` rad/s).  ``column``
-    gives a column in row order and ``cell`` one row's value.  The table
-    takes the arrays it is given and marks them read-only.  A non-finite
-    float cell is a ``NonFiniteCell`` naming its grid point, the first in
-    row order.
-    """
-
-    axes: tuple[str, ...]
-    engine_kind: str
-    columns: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        object.__setattr__(self, "columns", {name: np.asarray(values) for name, values in self.columns.items()})
-        for k, axis in enumerate(self.axes):
-            column = self.columns[axis]
-            dims = (1,) * (len(self.axes) - column.ndim) + column.shape
-            if len(dims) != len(self.axes) or math.prod(dims) != dims[k]:
-                raise ValueError(f"axis column {axis} of shape {column.shape} does not lie along axis {k}")
-            seq = column.reshape(-1)
-            if (seq[1:] <= seq[:-1]).any():
-                raise ValueError("sweep axes must be strictly increasing")
-        shape = self.shape
-        for name, column in self.columns.items():
-            if column.shape != shape:
-                # each column spans at least one axis and broadcasts along the others
-                dims = (1,) * (len(shape) - column.ndim) + column.shape
-                fits = len(dims) == len(shape) and all(d in (1, n) for d, n in zip(dims, shape))
-                if not (fits and any(d == n for d, n in zip(dims, shape))):
-                    raise ValueError(f"incomplete sweep: column {name} of shape {column.shape} does not fit {shape}")
-            column.setflags(write=False)
-            if column.dtype.kind == "f" and not np.isfinite(column).all():
-                first = int(np.argmin(np.isfinite(self._spread(name))))
-                point = dict(zip(self.axes, map(int, np.unravel_index(first, shape))))
-                where = ", ".join(
-                    f"{axis}={self.columns[axis].item(i):.6g}{_AXIS_UNITS.get(axis, '')}" for axis, i in point.items()
-                )
-                raise NonFiniteCell(
-                    f"{self.engine_kind}: {name} is {self.cell(name, first)} at {where or 'the only point'}", point
-                )
-        _check_energetics(self.columns)
-
-    @cached_property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(self.columns[axis].size for axis in self.axes)
-
-    def __len__(self) -> int:
-        return math.prod(self.shape)
-
-    @property
-    def reports(self) -> SweepTable:
-        # only perfbench/tracer.py reads this, to count cycles; it goes with that tracer
-        return self
-
-    def _spread(self, name: str) -> np.ndarray:
-        """Column ``name`` as a read-only view of the table's shape; reshaping a full column is 15x cheaper than broadcasting."""
-        column = self.columns[name]
-        return column.reshape(self.shape) if column.size == len(self) else np.broadcast_to(column, self.shape)
-
-    def column(self, name: str) -> np.ndarray:
-        """Column ``name`` with one value per row, in row order."""
-        return self._spread(name).reshape(-1)
-
-    def cell(self, name: str, row: int):
-        """The value of column ``name`` at ``row``, as a Python scalar."""
-        return self._spread(name).item(row)
-
-    def argmax_power(self) -> int:
-        """Row index of the largest power, the first of equal maxima."""
-        return int(np.argmax(self.column("power")))
+    return table
 
 
 def _otto(omega_in, omega_out, gain, cycle_time) -> dict[str, np.ndarray]:
@@ -225,8 +134,8 @@ def _cooled_target(sys: SpinSystem, field_scale: float, n_values: Iterable[int])
     if n_rounds.min() < 0:
         raise ValueError(f"n_rounds must be >= 0, got {n_rounds.min()}")
     eps_hot = thermal_marginal_polarization(sys, sys.label_for_role(Role.TARGET), 1.0)
-    trace = run_ppa(eps_hot, sys, field_scale, int(n_rounds.max()))
-    return n_rounds, eps_hot, trace.target_polarization[n_rounds], trace.target_effective_temperature[n_rounds]
+    run = run_ppa(eps_hot, sys, field_scale, int(n_rounds.max())).columns
+    return n_rounds, eps_hot, run["eps_target"][n_rounds], run["T_eff"][n_rounds]
 
 
 @np.errstate(all="ignore")  # an overflow shows as a non-finite column, which SweepTable rejects
@@ -271,7 +180,8 @@ def sweep_four_stroke(sys: SpinSystem, n_values: Iterable[int]) -> SweepTable:
         "n_rounds": n_rounds,
         "power_isochoric": cycles["net_work"] / (2.0 * t1_target),
     }
-    return SweepTable(("n_rounds",), FOUR_STROKE_HBAC, columns)
+    columns["iso_dominates"] = columns["power_isochoric"] > columns["power"]
+    return _check_energetics(SweepTable(("n_rounds",), FOUR_STROKE_HBAC, columns))
 
 
 @np.errstate(all="ignore")  # an overflow shows as a non-finite column, which SweepTable rejects
@@ -313,12 +223,12 @@ def sweep_two_stroke(sys: SpinSystem, omega_s_grid: Sequence[float], n_values: I
         "omega_s": grid,
     }
     columns["in_window"] = columns["net_work"] > 0
-    return SweepTable(("n_rounds", "omega_s"), TWO_STROKE_HBAC, columns)
+    return _check_energetics(SweepTable(("n_rounds", "omega_s"), TWO_STROKE_HBAC, columns))
 
 
 def isochoric_crossover(table: SweepTable) -> int | None:
     """First round count where the reference engine out-powers cooling."""
-    if "power_isochoric" not in table.columns:
+    if "iso_dominates" not in table.columns:
         raise ValueError("table carries no isochoric reference")
-    later = np.flatnonzero(table.columns["power_isochoric"] > table.columns["power"])
+    later = np.flatnonzero(table.columns["iso_dominates"])
     return table.cell("n_rounds", later[0]) if later.size else None

@@ -29,29 +29,111 @@ as the difference of two populations near 1/2, which would cancel about
 4.5 digits at NMR polarizations.  Of the input register a run reads only
 the target's polarization, which the initial stage's SWAP hands to the
 reset qubit (row 0), so that polarization is all ``run_ppa`` takes.
-``PpaTrace`` holds three columns, 24 B a round, and no populations.
+A run is a ``SweepTable`` on the axis ``n_rounds``, the table type the
+engines' sweeps return too, with three float columns and no populations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .spinsys import Role, SpinSystem, StateInvariantError, _effective_temperature, thermal_polarization
 
 
-@dataclass(frozen=True)
-class PpaTrace:
-    """A cooling run as read-only columns: row 0 after the initial stage, row ``n`` after round ``n``.
+_AXIS_UNITS = {"omega_s": " rad/s"}
 
-    Each column has shape ``(n+1,)``; the temperature is in kelvin at the
-    scaled target frequency.
+
+class NonFiniteCell(StateInvariantError):
+    """A non-finite table cell; ``point`` maps each axis name to the cell's index on it."""
+
+    def __init__(self, message: str, point: dict[str, int]):
+        super().__init__(message)
+        self.point = point
+
+
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """A cooling run or cycles of one engine kind over a parameter grid, stored as named read-only columns.
+
+    ``axes`` names the columns that are the grid's axes, such as
+    ``("n_rounds", "omega_s")``: each strictly increases and lies along
+    its own axis, and ``shape`` holds their lengths.  A table has one row
+    per grid point, in row-major order over its axes.  Each column is
+    stored at the shape it has: an array that spans at least one axis and
+    broadcasts to ``shape`` along the others, so a value that depends on
+    one axis only is held once per point of that axis (energies J/mol,
+    power W/mol, times s, temperatures K, ``omega_s`` rad/s).  ``column``
+    gives a column in row order and ``cell`` one row's value.  The table
+    takes the arrays it is given and marks them read-only.  A non-finite
+    float cell is a ``NonFiniteCell`` naming its grid point, the first in
+    row order.
     """
 
-    target_polarization: np.ndarray
-    reset_polarization: np.ndarray
-    target_effective_temperature: np.ndarray
+    axes: tuple[str, ...]
+    engine_kind: str
+    columns: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", {name: np.asarray(values) for name, values in self.columns.items()})
+        for k, axis in enumerate(self.axes):
+            column = self.columns[axis]
+            dims = (1,) * (len(self.axes) - column.ndim) + column.shape
+            if len(dims) != len(self.axes) or math.prod(dims) != dims[k]:
+                raise ValueError(f"axis column {axis} of shape {column.shape} does not lie along axis {k}")
+            seq = column.reshape(-1)
+            if (seq[1:] <= seq[:-1]).any():
+                raise ValueError("sweep axes must be strictly increasing")
+        shape = self.shape
+        for name, column in self.columns.items():
+            if column.shape != shape:
+                # each column spans at least one axis and broadcasts along the others
+                dims = (1,) * (len(shape) - column.ndim) + column.shape
+                fits = len(dims) == len(shape) and all(d in (1, n) for d, n in zip(dims, shape))
+                if not (fits and any(d == n for d, n in zip(dims, shape))):
+                    raise ValueError(f"incomplete sweep: column {name} of shape {column.shape} does not fit {shape}")
+            column.setflags(write=False)
+            if column.dtype.kind == "f" and not np.isfinite(column).all():
+                first = int(np.argmin(np.isfinite(self._spread(name))))
+                point = dict(zip(self.axes, map(int, np.unravel_index(first, shape))))
+                where = ", ".join(
+                    f"{axis}={self.columns[axis].item(i):.6g}{_AXIS_UNITS.get(axis, '')}" for axis, i in point.items()
+                )
+                raise NonFiniteCell(
+                    f"{self.engine_kind}: {name} is {self.cell(name, first)} at {where or 'the only point'}", point
+                )
+
+    @cached_property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(self.columns[axis].size for axis in self.axes)
+
+    def __len__(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def reports(self) -> SweepTable:
+        # only perfbench/tracer.py reads this, to count cycles; it goes with that tracer
+        return self
+
+    def _spread(self, name: str) -> np.ndarray:
+        """Column ``name`` as a read-only view of the table's shape; reshaping a full column is 15x cheaper than broadcasting."""
+        column = self.columns[name]
+        return column.reshape(self.shape) if column.size == len(self) else np.broadcast_to(column, self.shape)
+
+    def column(self, name: str) -> np.ndarray:
+        """Column ``name`` with one value per row, in row order."""
+        return self._spread(name).reshape(-1)
+
+    def cell(self, name: str, row: int):
+        """The value of column ``name`` at ``row``, as a Python scalar."""
+        return self._spread(name).item(row)
+
+    def argmax_power(self) -> int:
+        """Row index of the largest power, the first of equal maxima."""
+        return int(np.argmax(self.column("power")))
 
 
 def cooling_polarizations(eps_b: float, eps_reset0: float, n_rounds: int) -> np.ndarray:
@@ -76,22 +158,23 @@ def cooling_polarizations(eps_b: float, eps_reset0: float, n_rounds: int) -> np.
     return columns
 
 
-def run_ppa(eps_in: float, sys: SpinSystem, field_scale: float, n_rounds: int) -> PpaTrace:
+def run_ppa(eps_in: float, sys: SpinSystem, field_scale: float, n_rounds: int) -> SweepTable:
     """Run the initial stage plus ``n_rounds`` cooling rounds from the target's polarization ``eps_in``.
 
     The initial stage hands ``eps_in`` to the reset qubit (row 0); a
     thermal input is ``thermal_marginal_polarization(sys, target,
-    field_scale)``.  The trace holds both polarizations and the target's
-    effective spin temperature (evaluated at ``field_scale * omega_T``)
-    after every round, with the initial stage as row 0.  The run stops at
-    the first round whose target or reset polarization leaves (0, 1),
-    ``eps_in`` included: such a polarization has no spin temperature,
-    and past 1 (or NaN) it is no state.  A target so weakly polarized
-    (by a very hot bath) that its spin temperature overflows stops the
-    run at round 0 too.  After round 0 every register is COMP applied to
-    the product of the previous target polarization and two qubits at
-    ``eps_b`` (row 0's target), so this also keeps every population of
-    the run positive.
+    field_scale)``.  The table has one row per round, the initial stage
+    as row 0, on the axis ``n_rounds``: the target and reset
+    polarizations ``eps_target`` and ``eps_reset``, and the target's
+    effective spin temperature ``T_eff`` in kelvin, evaluated at
+    ``field_scale * omega_T``.  The run stops at the first round whose
+    target or reset polarization leaves (0, 1), ``eps_in`` included: such
+    a polarization has no spin temperature, and past 1 (or NaN) it is no
+    state.  A target so weakly polarized (by a very hot bath) that its
+    spin temperature overflows stops the run at round 0 too.  After
+    round 0 every register is COMP applied to the product of the previous
+    target polarization and two qubits at ``eps_b`` (row 0's target), so
+    this also keeps every population of the run positive.
     """
     if n_rounds < 0:
         raise ValueError(f"n_rounds must be >= 0, got {n_rounds}")
@@ -117,9 +200,9 @@ def run_ppa(eps_in: float, sys: SpinSystem, field_scale: float, n_rounds: int) -
             f"round 0: target polarization {float(columns[0, 0])} has no finite spin temperature "
             f"at bath temperature {sys.bath_temperature:g} K"
         )
-    columns.setflags(write=False)
-    temperature.setflags(write=False)
-    return PpaTrace(*columns, temperature)
+    eps_target, eps_reset = columns
+    rows = {"n_rounds": np.arange(n_rounds + 1), "eps_target": eps_target, "eps_reset": eps_reset, "T_eff": temperature}
+    return SweepTable(("n_rounds",), "ppa", rows)
 
 
 def shannon_bound(sys: SpinSystem, field_scale: float) -> float:

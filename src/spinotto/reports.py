@@ -17,9 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .engines import SweepTable
-from .hbac import PpaTrace, shannon_bound
-from .spinsys import AVOGADRO, HBAR, K_BOLTZMANN, TWO_PI, SpinSystem
+from .spinsys import AVOGADRO, HBAR, K_BOLTZMANN, SpinSystem
 
 
 def fmt(value) -> str:
@@ -236,41 +234,13 @@ def fmt_values(values: Sequence[float] | Sequence[int]) -> str:
     return b"".join(_rows([column]))[:-1].replace(b"\n", b",").decode()
 
 
-def _csv(metadata: list[str], header: Sequence[str], columns: Sequence[np.ndarray]) -> Iterator[bytes]:
-    yield "\n".join([*metadata, ",".join(header), ""]).encode()
-    yield from _rows(columns)
-
-
-def render_ppa_csv(
-    trace: PpaTrace, sys: SpinSystem, field_scale: float, config_lines: Sequence[str]
+def render_csv(
+    title: str, columns: Sequence[tuple[str, np.ndarray]], config_lines: Sequence[str], sys: SpinSystem
 ) -> Iterator[bytes]:
-    return _csv(
-        metadata_lines("algorithmic cooling trace", config_lines, sys),
-        ("round", "eps_target", "eps_reset", "T_eff_K", "shannon_bound_eps"),
-        (np.arange(len(trace.target_polarization)), trace.target_polarization, trace.reset_polarization,
-         trace.target_effective_temperature, np.float64(shannon_bound(sys, field_scale))),
-    )
-
-
-def render_four_stroke_csv(table: SweepTable, config_lines: Sequence[str], sys: SpinSystem) -> Iterator[bytes]:
-    cols = table.columns
-    return _csv(
-        metadata_lines("four-stroke cycle sweep", config_lines, sys),
-        ("n", "Qin_J_per_mol", "Qout_J_per_mol", "W_J_per_mol", "P_W_per_mol", "P_iso_W_per_mol",
-         "T_cold_K", "iso_dominates"),
-        (*(cols[name] for name in ("n_rounds", "q_in", "q_out", "net_work", "power", "power_isochoric")),
-         cols["cooled_target_temperature"], cols["power_isochoric"] > cols["power"]),
-    )
-
-
-def render_two_stroke_csv(table: SweepTable, config_lines: Sequence[str], sys: SpinSystem) -> Iterator[bytes]:
-    cols = table.columns
-    return _csv(
-        metadata_lines("two-stroke cycle sweep", config_lines, sys),
-        ("omega_s_MHz", "n", "W_J_per_mol", "P_W_per_mol", "eta", "in_window"),
-        (cols["omega_s"] / TWO_PI / 1e6,
-         *(cols[name] for name in ("n_rounds", "net_work", "power", "efficiency", "in_window"))),
-    )
+    """The CSV blocks of ``(header, values)`` pairs whose values broadcast to one table: metadata, header, rows."""
+    headers, values = zip(*columns)
+    yield "\n".join([*metadata_lines(title, config_lines, sys), ",".join(headers), ""]).encode()
+    yield from _rows(values)
 
 
 def write_atomic(path: str | Path, blocks: Iterable[bytes]) -> None:

@@ -11,7 +11,8 @@ match.  The metadata lines are shared with the package.
 import numpy as np
 
 from spinotto.hbac import shannon_bound
-from spinotto.reports import TWO_PI, fmt, metadata_lines
+from spinotto.reports import fmt, metadata_lines
+from spinotto.spinsys import TWO_PI
 
 
 def _table(header, rows):
@@ -30,13 +31,14 @@ def canonical_omega_line(omega_s_mhz):
     return "omega_s_mhz=" + ",".join(fmt(w) for w in omega_s_mhz)
 
 
-def render_ppa_csv(trace, sys, field_scale, config_lines):
-    n = len(trace.target_polarization)
+def render_ppa_csv(table, sys, field_scale, config_lines):
+    column = table.column
+    n = len(column("n_rounds"))
     rows = _column_rows(
-        np.arange(n),
-        trace.target_polarization,
-        trace.reset_polarization,
-        trace.target_effective_temperature,
+        column("n_rounds"),
+        column("eps_target"),
+        column("eps_reset"),
+        column("T_eff"),
         np.full(n, shannon_bound(sys, field_scale)),
     )
     lines = metadata_lines("algorithmic cooling trace", config_lines, sys)

@@ -455,9 +455,9 @@ def trace_rows(trace, rho, sys, eps_b):
             out = np.kron(out, _qubit(by_label[q]))
         return out
 
-    first = {target: eps_b, compression: polarization_of(rho, compression), reset: trace.reset_polarization[0]}
+    first = {target: eps_b, compression: polarization_of(rho, compression), reset: trace.columns["eps_reset"][0]}
     rows = [product(first)]
-    for eps in trace.target_polarization[:-1].tolist():
+    for eps in trace.columns["eps_target"][:-1].tolist():
         rows.append(product({target: eps, compression: eps_b, reset: eps_b})[comp])
     return np.array(rows)
 

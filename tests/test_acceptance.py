@@ -75,11 +75,11 @@ class TestCriterion1:
     def test_ppa_cooling_curve(self, tce):
         trace = run_ppa(thermal_marginal_polarization(tce, "C1", 0.5), tce, 0.5, 7)
         bound = shannon_bound(tce, 0.5)
-        eps0 = trace.target_polarization[0]
-        t1 = trace.target_effective_temperature[1]
-        eps7 = trace.target_polarization[7]
-        t7 = trace.target_effective_temperature[7]
-        exceeded = bool((trace.target_polarization[1:] > bound).all())
+        eps0 = trace.columns["eps_target"][0]
+        t1 = trace.columns["T_eff"][1]
+        eps7 = trace.columns["eps_target"][7]
+        t7 = trace.columns["T_eff"][7]
+        exceeded = bool((trace.columns["eps_target"][1:] > bound).all())
         check(
             "1 (PPA cooling curve)",
             [

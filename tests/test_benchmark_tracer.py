@@ -22,8 +22,9 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # code moved to the tests' reference (tests/dense.py), and a stroke is the
 # frozen polarization in engines.  Nor does it keep one-cycle engine entry
 # points (a single cycle is a one-point sweep) or a one-round cooling map (a
-# run is the closed form).  The tracer still names these targets, which count
-# 0 calls until the benchmark's layers are renamed with them.
+# run is the closed form), nor one renderer per subcommand (one render_csv
+# serves all three).  The tracer still names these targets, which count 0
+# calls until the benchmark's layers are renamed with them.
 RETIRED = [
     "spinotto.qmath.DensityMatrix.__post_init__",
     "spinotto.qmath.partial_trace",
@@ -36,6 +37,9 @@ RETIRED = [
     "spinotto.adiabatic.evolve_stroke",
     "spinotto.engines.run_four_stroke",
     "spinotto.engines.run_isochoric_reference",
+    "spinotto.reports.render_ppa_csv",
+    "spinotto.reports.render_four_stroke_csv",
+    "spinotto.reports.render_two_stroke_csv",
 ]
 
 
@@ -83,9 +87,12 @@ def test_tracer_sees_each_layer_of_a_cli_run(argv, sweep, tmp_path, capsys):
     finally:
         tracer.uninstall()
     calls = {layer: totals["calls"] for layer, totals in tracer.layer_totals().items()}
-    once = ["cli.run", "spinsys.load_system", "hbac.run_ppa", "reports.render", "reports.write_atomic"]
+    once = ["cli.run", "spinsys.load_system", "hbac.run_ppa", "reports.write_atomic"]
     sweeps = ["engines.sweep_four_stroke", "engines.sweep_two_stroke"]
     assert {layer: calls[layer] for layer in once + sweeps} == {
         **dict.fromkeys(once, 1), **{layer: int(layer == sweep) for layer in sweeps}
     }
+    # the reports.render layer names only the retired per-subcommand renderers,
+    # so it counts 0; render_csv runs, uncounted, inside the write_atomic span
+    assert calls["reports.render"] == 0
     assert (tmp_path / "out.csv").exists() and capsys.readouterr().out.startswith("wrote ")

@@ -263,7 +263,7 @@ class TestOutputContract:
         def refuse(*args, **kwargs):
             raise AssertionError("a CSV was rendered under --format summary")
 
-        for name in ("render_ppa_csv", "render_four_stroke_csv", "render_two_stroke_csv"):
+        for name in ("render_csv", "write_atomic"):
             monkeypatch.setattr(cli.reports, name, refuse)
         assert run_cli([*args, "--format", "summary"], tmp_path, monkeypatch) == 0
         assert capsys.readouterr() == expected
@@ -924,6 +924,15 @@ def test_readme_commands_keep_their_bytes(args, name, digest, summary, tmp_path,
     assert rc == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
     assert capsys.readouterr().out.splitlines() == [f"wrote {name}", *summary]
+
+
+def test_readme_column_lists_match_the_schema():
+    # the README's Columns: bullets name each subcommand's CSV headers, in order
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.partition("Columns:")[2].partition("\n## ")[0]
+    listed = dict(re.findall(r"^- `([a-z-]+)`: `([^`]+)`", section, flags=re.MULTILINE))
+    schema = {command: ", ".join(header for header, _ in entry[4]) for command, entry in cli._COMMANDS.items()}
+    assert {command: " ".join(text.split()) for command, text in listed.items()} == schema
 
 
 def test_readme_python_example_runs(capsys):

@@ -175,6 +175,8 @@ class TestFourStrokeSweep:
         table = sweep_four_stroke(system, n_values)
         columns = {name: table.column(name) for name in table.columns}
         cycles, references = dense_four_stroke_cycles(system, n_values, tau)
+        # the one comparison that marks where the reference out-powers the cycle
+        assert np.array_equal(columns.pop("iso_dominates"), columns["power_isochoric"] > columns["power"])
         assert_matches_dense({"power": columns.pop("power_isochoric")}, references)
         assert set(columns) == set(cycles[0])
         assert_matches_dense(columns, cycles)
@@ -458,7 +460,7 @@ class TestTwoStrokeSweep:
         trace = run_ppa(thermal_marginal_polarization(tce, "C1", 1.0), tce, 1.0, max(n_values))
         omega_t = tce.omega("C1")
         edges = [omega_t] + [
-            omega_t * tce.bath_temperature / trace.target_effective_temperature[n]
+            omega_t * tce.bath_temperature / trace.columns["T_eff"][n]
             for n in n_values
         ]
         grid = {mhz(w) for w in cli._parse_omega_grid("150:1000:1")[::7]}
@@ -474,7 +476,7 @@ class TestTwoStrokeSweep:
                 w,
                 n,
                 partial_trace(states[n], {"C1"}),
-                trace.target_effective_temperature[n],
+                trace.columns["T_eff"][n],
             )
             for n in n_values
             for w in grid
@@ -549,8 +551,9 @@ def dense_two_stroke_cycle(sys, omega_s, n_rounds, cooled_target, cooled_tempera
 
 
 def one_point_table(engine_kind=FOUR_STROKE_HBAC, **cells):
-    """A one-point table at ``n_rounds=1`` from one cell per column."""
-    return SweepTable(("n_rounds",), engine_kind, {"n_rounds": [1], **{name: [value] for name, value in cells.items()}})
+    """A one-point table at ``n_rounds=1`` from one cell per column, checked as a sweep checks its table."""
+    table = SweepTable(("n_rounds",), engine_kind, {"n_rounds": [1], **{name: [value] for name, value in cells.items()}})
+    return engines._check_energetics(table)
 
 
 # the axis columns of a 2x3 two-stroke grid: round counts down axis 0, frequencies along axis 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import csv_reference
 from spinotto import cli, engines, reports
+from test_reports import render
 
 # a fixed, small example budget keeps the whole file at about a second
 SETTINGS = settings(derandomize=True, database=None, max_examples=120, deadline=None)
@@ -156,7 +157,7 @@ def test_paper_table_sends_few_cells_to_the_exact_path(tce, monkeypatch):
     original = reports._exact
     monkeypatch.setattr(reports, "_exact", counting)
     table = engines.sweep_two_stroke(tce, 2 * math.pi * 1e6 * np.arange(150.0, 1001.0), range(1, 9))
-    for _ in reports.render_two_stroke_csv(table, ["command=two-stroke"], tce):
+    for _ in render("two-stroke", table, tce, ["command=two-stroke"]):
         pass
     # measured: 32 cells, against 205 when the frequency and efficiency cells
     # were formatted once per row and every exponent had the 0.005 window

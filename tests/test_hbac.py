@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +20,7 @@ from dense import (
     thermal_state,
 )
 from spinotto import hbac
-from spinotto.hbac import PpaTrace, run_ppa, shannon_bound
+from spinotto.hbac import SweepTable, run_ppa, shannon_bound
 from spinotto.spinsys import (
     ConfigError,
     Role,
@@ -88,13 +88,13 @@ def eps_bath_half(tce):
 class TestInitialStage:
     def test_thermal_half_field_reaches_bath_polarization(self, tce, eps_bath_half):
         trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 0)
-        assert trace.target_polarization[0] == eps_bath_half
-        assert trace.target_polarization[0] == pytest.approx(2.000e-5, rel=2e-2)
+        assert trace.columns["eps_target"][0] == eps_bath_half
+        assert trace.columns["eps_target"][0] == pytest.approx(2.000e-5, rel=2e-2)
 
     def test_target_already_at_reset_polarization(self, tce, eps_bath_half):
         trace = run_ppa(eps_bath_half, tce, 0.5, 0)
-        assert trace.target_polarization[0] == eps_bath_half
-        assert trace.reset_polarization[0] == pytest.approx(eps_bath_half, rel=DENSE_POLARIZATION_RTOL, abs=0)
+        assert trace.columns["eps_target"][0] == eps_bath_half
+        assert trace.columns["eps_reset"][0] == pytest.approx(eps_bath_half, rel=DENSE_POLARIZATION_RTOL, abs=0)
 
     def test_reset_takes_the_input_target_marginal(self, tce, tce_thermal_half):
         # the dense initial stage's SWAP hands the reset qubit the target's
@@ -106,7 +106,7 @@ class TestInitialStage:
             trace = run_ppa(eps_in, tce, 0.5, 2)
             state = dense.initial_stage(rho, dense.schedule(rho, tce, 0.5))
             want = dense.polarization_of(state, "H")
-            assert abs(trace.reset_polarization[0] - want) <= DENSE_POLARIZATION_RTOL * want
+            assert abs(trace.columns["eps_reset"][0] - want) <= DENSE_POLARIZATION_RTOL * want
 
     def test_compression_marginal_untouched(self, tce, eps_bath_half):
         # the trace's row 0 takes the compression qubit's input marginal as it
@@ -135,7 +135,7 @@ class TestPpaRound:
             eps = oracles.eps_after_one_round(eps_in, eps_bath_half)
             assert abs(dense.polarization_of(state, "C1") - eps) <= DENSE_POLARIZATION_RTOL * eps
         expected = oracles.eps_by_recurrence(eps_bath_half, 1)
-        first = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 1).target_polarization[1]
+        first = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 1).columns["eps_target"][1]
         assert first == pytest.approx(expected, rel=EXACT_MAP_RTOL, abs=0)
         assert expected == pytest.approx(3.0e-5, rel=1e-3)
 
@@ -174,11 +174,11 @@ class TestDenseReference:
         rho = thermal_state(system, field_scale)
         trace = run_ppa(thermal_target(system, field_scale), system, field_scale, 200)
         states = dense.cooling_states(rho, system, field_scale, 200)
-        assert len(trace.target_polarization) == len(states) == 201
+        assert len(trace.columns["eps_target"]) == len(states) == 201
         rows = dense.trace_rows(trace, rho, system, shannon_bound(system, field_scale))
         expected = np.array([state.populations for state in states])
         assert rel_err(rows, expected) <= POPULATION_RTOL
-        columns = (("C1", trace.target_polarization), ("H", trace.reset_polarization))
+        columns = (("C1", trace.columns["eps_target"]), ("H", trace.columns["eps_reset"]))
         for n, state in enumerate(states):
             described = dense.diagonal_state(rows[n], rho.qubits)
             assert np.allclose(described.matrix, state.matrix, rtol=POPULATION_RTOL, atol=0)
@@ -202,7 +202,7 @@ class TestDenseReference:
         assert expected.shape == (2001, 8)
         rows = dense.trace_rows(trace, rho, system, shannon_bound(system, field_scale))
         assert rel_err(rows, expected) <= POPULATION_RTOL
-        for label, column in (("C1", trace.target_polarization), ("H", trace.reset_polarization)):
+        for label, column in (("C1", trace.columns["eps_target"]), ("H", trace.columns["eps_reset"])):
             assert rel_err(column, dense_polarizations(expected, rho.qubits, label)) <= DENSE_POLARIZATION_RTOL
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
@@ -220,7 +220,7 @@ class TestDenseReference:
         # relative to each row's largest population: near-saturated registers
         # hold populations many orders below it
         assert np.max(np.abs(rows - expected) / expected.max(axis=1, keepdims=True)) <= POPULATION_RTOL
-        eps = trace.target_polarization
+        eps = trace.columns["eps_target"]
         assert (eps[1:] >= eps[:-1]).all()
 
     def test_reset_matches_dense_channel(self):
@@ -265,7 +265,7 @@ class TestExactMap:
     def test_target_matches_rational_map_over_300_rounds(self, tce, field_scale):
         trace = run_ppa(thermal_target(tce, field_scale), tce, field_scale, 300)
         exact = exact_map(shannon_bound(tce, field_scale), 300)
-        worst = max(abs(Fraction(float(got)) - want) / want for got, want in zip(trace.target_polarization, exact))
+        worst = max(abs(Fraction(float(got)) - want) / want for got, want in zip(trace.columns["eps_target"], exact))
         assert worst <= EXACT_MAP_RTOL
 
     def test_limit_at_the_largest_round_count(self, tce):
@@ -275,29 +275,29 @@ class TestExactMap:
         ulp = Fraction(math.ulp(float(limit)))
         # measured: the last row, the largest, lies 0.72 ulp above the rational
         # limit (0.86 ulp at field scale 1); allow one ulp either way
-        assert abs(Fraction(float(trace.target_polarization[-1])) - limit) <= ulp
-        assert Fraction(float(trace.target_polarization.max())) <= limit + ulp
+        assert abs(Fraction(float(trace.columns["eps_target"][-1])) - limit) <= ulp
+        assert Fraction(float(trace.columns["eps_target"].max())) <= limit + ulp
 
 
 class TestRunPpa:
     def test_seven_rounds_half_field(self, tce, eps_bath_half):
         trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 7)
         expected = oracles.eps_after_rounds(eps_bath_half, 7)
-        assert trace.target_polarization[-1] == pytest.approx(expected, rel=EXACT_MAP_RTOL, abs=0)
-        assert trace.target_polarization[-1] == pytest.approx(4.0e-5, rel=2e-2)
-        assert trace.target_effective_temperature[-1] == pytest.approx(37.9, abs=0.1)
+        assert trace.columns["eps_target"][-1] == pytest.approx(expected, rel=EXACT_MAP_RTOL, abs=0)
+        assert trace.columns["eps_target"][-1] == pytest.approx(4.0e-5, rel=2e-2)
+        assert trace.columns["T_eff"][-1] == pytest.approx(37.9, abs=0.1)
 
     def test_zero_rounds_trace(self, tce, eps_bath_half):
         trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 0)
-        assert [len(c) for c in (trace.target_polarization, trace.reset_polarization)] == [1, 1]
-        assert trace.target_polarization[0] == eps_bath_half
-        assert trace.target_effective_temperature[0] == pytest.approx(75.4, abs=0.1)
+        assert [len(c) for c in (trace.columns["eps_target"], trace.columns["eps_reset"])] == [1, 1]
+        assert trace.columns["eps_target"][0] == eps_bath_half
+        assert trace.columns["T_eff"][0] == pytest.approx(75.4, abs=0.1)
 
     def test_shannon_bound_exceeded_from_round_one(self, tce):
         bound = shannon_bound(tce, 0.5)
         trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 7)
-        assert (trace.target_polarization[1:] > bound).all()
-        assert trace.target_polarization[0] <= bound * (1 + 1e-9)
+        assert (trace.columns["eps_target"][1:] > bound).all()
+        assert trace.columns["eps_target"][0] <= bound * (1 + 1e-9)
 
     def test_rejects_negative_rounds(self, tce):
         with pytest.raises(ValueError):
@@ -360,9 +360,9 @@ class TestRunPpa:
             run_ppa(thermal_target(cold, 1.0), cold, 1.0, 2)
 
     def test_memory_per_round_is_bounded(self, tce):
-        # a round keeps two polarizations and a temperature, 8 B each, and
-        # allocates nothing more that outlives it; the difference of two runs
-        # cancels what does not grow with n
+        # a round keeps its round count, two polarizations and a temperature,
+        # 8 B each, and allocates nothing more that outlives it; the difference
+        # of two runs cancels what does not grow with n
         def traced(n_rounds):
             tracemalloc.start()
             try:
@@ -374,7 +374,7 @@ class TestRunPpa:
         traced(0)
         n_rounds = 20_000
         (retained0, peak0), (retained, peak) = traced(0), traced(n_rounds)
-        assert retained - retained0 <= 24 * n_rounds + 1024
+        assert retained - retained0 <= 32 * n_rounds + 1024
         # measured: the round indices of the power and the temperature's
         # temporaries peak at 35 B a round
         assert peak - peak0 <= 48 * n_rounds + 1024
@@ -383,16 +383,16 @@ class TestRunPpa:
         # the two-stroke engine cools at the unscaled field
         eps_bath = thermal_polarization(tce.omega("H", 1.0), tce.bath_temperature)
         trace = run_ppa(thermal_target(tce, 1.0), tce, 1.0, 1)
-        assert trace.target_polarization[-1] == pytest.approx(
+        assert trace.columns["eps_target"][-1] == pytest.approx(
             oracles.eps_after_rounds(eps_bath, 1), rel=EXACT_MAP_RTOL
         )
-        assert trace.target_effective_temperature[-1] == pytest.approx(50.3, abs=0.1)
+        assert trace.columns["T_eff"][-1] == pytest.approx(50.3, abs=0.1)
 
 
 class TestClosedFormEquivalence:
     def test_matches_recurrence_up_to_twenty_rounds(self, tce, eps_bath_half):
         trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 20)
-        for n, eps in enumerate(trace.target_polarization):
+        for n, eps in enumerate(trace.columns["eps_target"]):
             expected = oracles.eps_after_rounds(eps_bath_half, n)
             assert eps == pytest.approx(expected, rel=EXACT_MAP_RTOL, abs=0)
             # the two scalar oracle forms agree with each other too
@@ -401,7 +401,7 @@ class TestClosedFormEquivalence:
     def test_monotone_convergence_with_ratio_half(self, tce, eps_bath_half):
         trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 30)
         limit = 2 * eps_bath_half / (1 + eps_bath_half**2)
-        eps = trace.target_polarization
+        eps = trace.columns["eps_target"]
         assert (eps[1:] > eps[:-1]).all()
         # each round closes the gap to the limit by a = (1 - eps_b**2)/2, until
         # the gap nears the limit's own round-off
@@ -412,7 +412,7 @@ class TestClosedFormEquivalence:
     def test_reset_polarization_never_exceeds_bound(self, tce):
         bound = shannon_bound(tce, 0.5)
         trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 12)
-        assert (trace.reset_polarization[1:] < bound).all()
+        assert (trace.columns["eps_reset"][1:] < bound).all()
 
     def test_diagonality_preserved(self, tce, tce_thermal_half):
         # the dense rounds stay diagonal, so the trace's polarizations describe
@@ -426,7 +426,7 @@ class TestClosedFormEquivalence:
 
     def test_target_polarization_nondecreasing(self, tce):
         trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 10_000)
-        eps = trace.target_polarization
+        eps = trace.columns["eps_target"]
         assert (eps[1:] >= eps[:-1]).all()
 
 
@@ -437,32 +437,30 @@ class TestTelemetry:
         assert fresh[0] - fresh[1] == pytest.approx(eps_bath_half, abs=1e-15)
 
     def test_trace_rows_schema(self, tce, tce_thermal_half, eps_bath_half):
-        # the trace is read-only columns whose rows are the dense rounds
+        # the trace is a table of read-only columns on the round axis whose rows are the dense rounds
         trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 3)
         states = dense.cooling_states(tce_thermal_half, tce, 0.5, 3)
-        assert [field.name for field in fields(trace)] == [
-            "target_polarization",
-            "reset_polarization",
-            "target_effective_temperature",
-        ]
-        columns = (trace.target_polarization, trace.reset_polarization, trace.target_effective_temperature)
-        assert [c.shape for c in columns] == [(4,)] * 3
+        assert (trace.axes, list(trace.columns)) == (("n_rounds",), ["n_rounds", "eps_target", "eps_reset", "T_eff"])
+        assert trace.columns["n_rounds"].tolist() == [0, 1, 2, 3]
+        columns = tuple(trace.columns.values())
+        assert [c.shape for c in columns] == [(4,)] * 4
         for column in columns:
             assert not column.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0.0
         for n, state in enumerate(states):
             target = dense.polarization_of(state, "C1")
-            assert trace.target_polarization[n] == pytest.approx(target, rel=DENSE_POLARIZATION_RTOL, abs=0)
-            assert trace.reset_polarization[n] == pytest.approx(dense.polarization_of(state, "H"), rel=DENSE_POLARIZATION_RTOL, abs=0)
-            assert trace.target_effective_temperature[n] == effective_temperature(
-                trace.target_polarization[n], tce.omega("C1", 0.5)
+            assert trace.columns["eps_target"][n] == pytest.approx(target, rel=DENSE_POLARIZATION_RTOL, abs=0)
+            reset = dense.polarization_of(state, "H")
+            assert trace.columns["eps_reset"][n] == pytest.approx(reset, rel=DENSE_POLARIZATION_RTOL, abs=0)
+            assert trace.columns["T_eff"][n] == effective_temperature(
+                trace.columns["eps_target"][n], tce.omega("C1", 0.5)
             )
         assert shannon_bound(tce, 0.5) == eps_bath_half
 
     def test_trace_holds_valid_states(self, tce, tce_thermal_half):
         trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 4)
-        assert isinstance(trace, PpaTrace)
+        assert isinstance(trace, SweepTable)
         for populations in dense.trace_rows(trace, tce_thermal_half, tce, shannon_bound(tce, 0.5)):
             # construction enforces unit trace, Hermiticity and the eigenvalue floor
             m = dense.diagonal_state(populations, TCE_ORDER).matrix

@@ -13,7 +13,14 @@ import pytest
 import csv_reference
 from spinotto import cli, engines, hbac, reports, thermal_marginal_polarization
 
-RENDERERS = ("render_ppa_csv", "render_four_stroke_csv", "render_two_stroke_csv")
+# the reference rendering of each subcommand's table, from the arguments and system it ran with
+REFERENCES = {
+    "ppa": lambda args, sys, table: csv_reference.render_ppa_csv(
+        table, sys, args.field_scale, cli.canonical_lines(args)
+    ),
+    "four-stroke": lambda args, sys, table: csv_reference.render_four_stroke_csv(table, cli.canonical_lines(args), sys),
+    "two-stroke": lambda args, sys, table: csv_reference.render_two_stroke_csv(table, cli.canonical_lines(args), sys),
+}
 
 # signed zeros, the smallest subnormal, the largest float, non-finite
 # values, and values whose 13th significant digit is a 5
@@ -41,19 +48,29 @@ def text(blocks):
     return b"".join(blocks).decode()
 
 
+def render(command, table, sys, config_lines, **args):
+    """The CSV blocks of ``table`` through the ``command`` columns of ``cli._COMMANDS``, as ``cli.run`` renders them.
+
+    ``args`` are the parsed arguments a derived column reads, such as ``field_scale``.
+    """
+    *_, title, schema = cli._COMMANDS[command]
+    args = argparse.Namespace(**args)
+    columns = [(h, table.columns[c] if isinstance(c, str) else c(table.columns, sys, args)) for h, c in schema]
+    return reports.render_csv(title, columns, config_lines, sys)
+
+
 @pytest.fixture
 def checked_renders(monkeypatch):
-    """Render every CSV the CLI writes through the reference as well; keep the texts."""
+    """The reference CSV text of every table the CLI computes, for the test to compare with the file it wrote."""
     texts = []
-    for name in RENDERERS:
+    for command, (help_text, options, run, title, schema) in list(cli._COMMANDS.items()):
 
-        def both(*args, _new=getattr(reports, name), _reference=getattr(csv_reference, name)):
-            rendered = text(_new(*args))
-            assert rendered == _reference(*args)
-            texts.append(rendered)
-            return [rendered.encode()]
+        def recorded(args, system, _run=run, _reference=REFERENCES[command]):
+            table, summary = _run(args, system)
+            texts.append(_reference(args, system, table))
+            return table, summary
 
-        monkeypatch.setattr(reports, name, both)
+        monkeypatch.setitem(cli._COMMANDS, command, (help_text, options, recorded, title, schema))
     return texts
 
 
@@ -98,6 +115,7 @@ def test_h_first_register_matches_reference(
     monkeypatch.chdir(tmp_path)
     assert cli.run([*args, "--system", str(config), "--out", "out.csv"]) == 0
     assert len(checked_renders) == 1
+    assert (tmp_path / "out.csv").read_bytes() == checked_renders[0].encode()
 
 
 def awkward_column(shift, length):
@@ -111,13 +129,15 @@ def unchecked_table(shape, columns):
 
 def test_ppa_awkward_cells_match_reference(tce):
     length = 3 * len(AWKWARD)
-    trace = SimpleNamespace(
-        target_polarization=awkward_column(0, length),
-        reset_polarization=awkward_column(-5, length),
-        target_effective_temperature=awkward_column(-9, length),
-    )
-    args = (trace, tce, 0.5, ["command=ppa"])
-    assert text(reports.render_ppa_csv(*args)) == csv_reference.render_ppa_csv(*args)
+    columns = {
+        "n_rounds": np.arange(length),
+        "eps_target": awkward_column(0, length),
+        "eps_reset": awkward_column(-5, length),
+        "T_eff": awkward_column(-9, length),
+    }
+    trace = unchecked_table((length,), columns)
+    rendered = text(render("ppa", trace, tce, ["command=ppa"], field_scale=0.5))
+    assert rendered == csv_reference.render_ppa_csv(trace, tce, 0.5, ["command=ppa"])
 
 
 def test_four_stroke_awkward_cells_match_reference(tce):
@@ -126,8 +146,10 @@ def test_four_stroke_awkward_cells_match_reference(tce):
     columns = {name: awkward_column(k, length) for k, name in enumerate(names)}
     columns["n_rounds"] = np.resize(np.array(LARGE_N), length)
     columns["power_isochoric"] = awkward_column(7, length)
-    args = (unchecked_table((length,), columns), ["command=four-stroke"], tce)
-    assert text(reports.render_four_stroke_csv(*args)) == csv_reference.render_four_stroke_csv(*args)
+    columns["iso_dominates"] = columns["power_isochoric"] > columns["power"]
+    table = unchecked_table((length,), columns)
+    rendered = text(render("four-stroke", table, tce, ["command=four-stroke"]))
+    assert rendered == csv_reference.render_four_stroke_csv(table, ["command=four-stroke"], tce)
 
 
 @pytest.mark.parametrize("tiled", [True, False], ids=["tiled-eta", "signed-zero-eta"])
@@ -154,8 +176,9 @@ def test_two_stroke_awkward_cells_match_reference(tiled, tce):
         "efficiency": efficiency,
         "in_window": np.resize([True, False, False], shape),
     }
-    args = (unchecked_table(shape, columns), ["command=two-stroke"], tce)
-    assert text(reports.render_two_stroke_csv(*args)) == csv_reference.render_two_stroke_csv(*args)
+    table = unchecked_table(shape, columns)
+    rendered = text(render("two-stroke", table, tce, ["command=two-stroke"]))
+    assert rendered == csv_reference.render_two_stroke_csv(table, ["command=two-stroke"], tce)
 
 
 def test_config_grid_line_matches_reference():
@@ -172,14 +195,16 @@ def test_tables_at_the_block_size_match_reference(offset, tce):
     grid = np.linspace(2 * math.pi * 150e6, 2 * math.pi * 1000e6, rows)
     table = engines.sweep_two_stroke(tce, grid, [3])
     renders = [
-        (reports.render_ppa_csv, csv_reference.render_ppa_csv, (trace, tce, 0.5, ["command=ppa"])),
-        (reports.render_two_stroke_csv, csv_reference.render_two_stroke_csv, (table, ["command=two-stroke"], tce)),
+        (render("ppa", trace, tce, ["command=ppa"], field_scale=0.5),
+         csv_reference.render_ppa_csv(trace, tce, 0.5, ["command=ppa"])),
+        (render("two-stroke", table, tce, ["command=two-stroke"]),
+         csv_reference.render_two_stroke_csv(table, ["command=two-stroke"], tce)),
     ]
-    for render, reference, args in renders:
-        blocks = list(render(*args))
+    for rendered, reference in renders:
+        blocks = list(rendered)
         # the header, then one block per _BLOCK_ROWS rows
         assert len(blocks) == 1 + (2 if offset > 0 else 1)
-        assert text(blocks) == reference(*args)
+        assert text(blocks) == reference
 
 
 def failing_blocks():
@@ -204,20 +229,18 @@ def test_writing_a_long_table_holds_one_block_at_a_time(tce, tmp_path):
     rounds = 10**5
     run = hbac.run_ppa(thermal_marginal_polarization(tce, "C1", 0.5), tce, 0.5, 1000)
     # a 10^5-round trace, tiled from a real run to keep the test fast
-    trace = SimpleNamespace(**{
-        name: np.resize(getattr(run, name), rounds + 1)
-        for name in ("target_polarization", "reset_polarization", "target_effective_temperature")
-    })
+    columns = {name: np.resize(run.columns[name], rounds + 1) for name in ("eps_target", "eps_reset", "T_eff")}
+    trace = hbac.SweepTable(("n_rounds",), "ppa", {"n_rounds": np.arange(rounds + 1), **columns})
     target = tmp_path / "ppa.csv"
     tracemalloc.start()
     try:
-        reports.write_atomic(target, reports.render_ppa_csv(trace, tce, 0.5, ["command=ppa"]))
+        reports.write_atomic(target, render("ppa", trace, tce, ["command=ppa"], field_scale=0.5))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     size = target.stat().st_size
-    # measured: a peak of 2.3 MB, 0.29 of the 8.2 MB text (the round column is
-    # 0.8 MB of it); a renderer that held the whole text would peak above its size
+    # measured: a peak of 0.52 MB, 0.063 of the 8.2 MB text; a renderer that
+    # held the whole text would peak above its size
     assert peak < 0.4 * size
     lines = target.read_bytes().splitlines()
     assert len([line for line in lines if not line.startswith(b"#")]) == 1 + rounds + 1
@@ -229,7 +252,7 @@ def test_rendering_a_block_touches_little_fresh_memory(tce):
     table = engines.sweep_two_stroke(tce, 2 * math.pi * 1e6 * np.arange(150.0, 1001.0), range(1, 9))
     tracemalloc.start()
     try:
-        for block in reports.render_two_stroke_csv(table, ["command=two-stroke"], tce):
+        for block in render("two-stroke", table, tce, ["command=two-stroke"]):
             del block
         _, peak = tracemalloc.get_traced_memory()
     finally:
