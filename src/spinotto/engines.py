@@ -160,9 +160,8 @@ def sweep_four_stroke(sys: SpinSystem, n_values: Iterable[int]) -> SweepTable:
     target = sys.label_for_role(Role.TARGET)
     t1_target = sys.qubit(target).t1
     omega0, omega1 = sys.omega(target, 1.0), sys.omega(target, COMPRESSED_FIELD_SCALE)
-    above = np.flatnonzero(cold > sys.bath_temperature)
-    if above.size:
-        i = above[0]
+    if (above := cold > sys.bath_temperature).any():
+        i = int(np.argmax(above))
         raise ConfigError(
             f"round {n_rounds[i]}: cooling leaves the target at {cold[i]:.6g} K, above the "
             f"bath temperature {sys.bath_temperature:g} K, so the isochoric reference "

@@ -77,6 +77,7 @@ class SweepTable:
     engine_kind: str
     columns: dict[str, np.ndarray]
 
+    @np.errstate(over="ignore", invalid="ignore")  # a column's sum may overflow or meet inf - inf
     def __post_init__(self):
         object.__setattr__(self, "columns", {name: np.asarray(values) for name, values in self.columns.items()})
         for k, axis in enumerate(self.axes):
@@ -96,7 +97,8 @@ class SweepTable:
                 if not (fits and any(d == n for d, n in zip(dims, shape))):
                     raise ValueError(f"incomplete sweep: column {name} of shape {column.shape} does not fit {shape}")
             column.setflags(write=False)
-            if column.dtype.kind == "f" and not np.isfinite(column).all():
+            # a float column whose sum is finite has only finite cells; any other is searched cell by cell
+            if column.dtype.kind == "f" and not math.isfinite(column.sum()) and not np.isfinite(column).all():
                 first = int(np.argmin(np.isfinite(self._spread(name))))
                 point = dict(zip(self.axes, map(int, np.unravel_index(first, shape))))
                 where = ", ".join(
@@ -128,8 +130,9 @@ class SweepTable:
         return self._spread(name).reshape(-1)
 
     def cell(self, name: str, row: int):
-        """The value of column ``name`` at ``row``, as a Python scalar."""
-        return self._spread(name).item(row)
+        """The value of column ``name`` at ``row``, as a Python scalar; a full column is read in place."""
+        column = self.columns[name]
+        return column.item(row) if column.size == len(self) else self._spread(name).item(row)
 
     def argmax_power(self) -> int:
         """Row index of the largest power, the first of equal maxima."""

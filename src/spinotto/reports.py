@@ -90,8 +90,8 @@ _COMMA, _NEWLINE = np.array([b",", b"\n"], "S4").view(np.uint32)
 
 def _exact(cells, fast, x, spec: bytes):
     """Overwrite the cells of ``x`` that ``fast`` leaves out with Python's ``spec % value``."""
-    slow = np.flatnonzero(~fast)
-    if slow.size:
+    if not fast.all():
+        slow = np.flatnonzero(~fast)
         values = x.reshape(-1)[slow].tolist()
         cells.reshape(5, -1)[:, slow] = np.array([spec % v for v in values], "S20").view("u4").reshape(-1, 5).T
     return cells
@@ -248,14 +248,15 @@ def write_atomic(path: str | Path, blocks: Iterable[bytes]) -> None:
 
     The temp file is created as ``open`` creates a file, mode 0o666 less the umask.
     """
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except FileExistsError:
-        # mkdir's reason for a regular file in place of the parent is "File exists"
-        raise NotADirectoryError(errno.ENOTDIR, f"{path.parent} is not a directory") from None
+    path = os.fspath(Path(path))  # spelled as Path spells it: no "." parts, no trailing slash
+    parent, name = os.path.split(path)
+    if parent and not os.path.isdir(parent):
+        try:
+            os.makedirs(parent, exist_ok=True)
+        except FileExistsError:  # makedirs' reason for a regular file in place of the parent
+            raise NotADirectoryError(errno.ENOTDIR, f"{parent} is not a directory") from None
     while True:
-        tmp_name = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+        tmp_name = os.path.join(parent, f".{name}.{os.urandom(6).hex()}.tmp")
         try:
             fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             break

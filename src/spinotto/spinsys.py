@@ -18,6 +18,7 @@ an INI-style configuration file (see ``from_config_file``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -113,6 +114,9 @@ class SpinSystem:
         object.__setattr__(self, "qubits", tuple(self.qubits))
         for label in labels:
             self.omega(label)
+        # role -> label, resolved once; None when the roles are not one per role
+        roles = [q.role for q in self.qubits]
+        object.__setattr__(self, "_role_labels", dict(zip(roles, labels)) if sorted(roles) == sorted(Role) else None)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -148,13 +152,12 @@ class SpinSystem:
 
     def label_for_role(self, role: Role) -> str:
         """Label of the qubit with ``role``; the register must hold one qubit per role."""
-        roles = [q.role for q in self.qubits]
-        if sorted(roles) != sorted(Role):
+        if self._role_labels is None:
             raise ConfigError(
-                f"register {self.labels} has roles {[r.value for r in roles]}; cooling "
+                f"register {self.labels} has roles {[q.role.value for q in self.qubits]}; cooling "
                 f"needs exactly one target, one compression and one reset qubit"
             )
-        return self.labels[roles.index(role)]
+        return self._role_labels[role]
 
 
 def tce_system() -> SpinSystem:
@@ -200,19 +203,18 @@ def register_levels(sys: SpinSystem, field_scale: float = 1.0) -> np.ndarray:
     labels = sys.labels
     k = len(labels)
     omegas = [sys.omega(q, field_scale) for q in labels]
-    pairs = [
-        (i, j, TWO_PI * j_hz)
-        for i in range(k)
-        for j in range(i + 1, k)
-        if (j_hz := sys.j_coupling(labels[i], labels[j])) != 0.0
-    ]
-    levels = np.zeros(2**k)
-    for idx in range(2**k):
-        sz = [0.5 if ((idx >> (k - 1 - i)) & 1) == 0 else -0.5 for i in range(k)]
-        energy = -HBAR * sum(w * s for w, s in zip(omegas, sz))
-        energy += HBAR * sum(jw * sz[i] * sz[j] for i, j, jw in pairs)
-        levels[idx] = energy
-    return levels
+    pairs = [(i, j, TWO_PI * j_hz) for i, j in itertools.combinations(range(k), 2)
+             if (j_hz := sys.j_coupling(labels[i], labels[j])) != 0.0]
+    levels = []
+    # basis order: the first qubit's Iz turns slowest; each sum adds its terms to 0 left to right, uncompensated, which fixes every level's bits
+    for sz in itertools.product((0.5, -0.5), repeat=k):
+        zeeman = coupling = 0
+        for w, s in zip(omegas, sz):
+            zeeman += w * s
+        for i, j, jw in pairs:
+            coupling += jw * sz[i] * sz[j]
+        levels.append(-HBAR * zeeman + HBAR * coupling)
+    return np.array(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +239,8 @@ def thermal_marginal_polarization(sys: SpinSystem, label: str, field_scale: floa
     d``.  The weights are taken in log space, so no splitting overflows
     them, and no polarization is a difference of two populations near 1/2.
     """
-    levels = register_levels(sys, field_scale).reshape((2,) * len(sys.labels))
-    lower, upper = np.moveaxis(levels, sys.labels.index(label), 0)
+    k, axis = len(sys.labels), sys.labels.index(label)  # ordered as np.moveaxis orders, without its checks
+    lower, upper = register_levels(sys, field_scale).reshape((2,) * k).transpose(axis, *range(axis), *range(axis + 1, k))
     kt = K_BOLTZMANN * sys.bath_temperature
     half_splitting = (upper - lower) / (2.0 * kt)
     # log of e^(-m) cosh d, less log 2

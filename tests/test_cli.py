@@ -477,27 +477,32 @@ def test_overflowing_field_scale_exits_2(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+NEEDS_ONE_PER_ROLE = "; cooling needs exactly one target, one compression and one reset qubit\n"
+
+
 @pytest.mark.parametrize(
-    "old,new",
+    "old,new,err",
     [
-        ("C2-H = 200.8\n", "C2-H = 200.8\n\n[qubit.S]\nrole = swap-partner\ngamma_mhz_per_tesla = 10.0\nt1_seconds = 1.0\n"),
-        ("C2-H = 200.8\n", "C2-H = 200.8\n\n[qubit.S]\nrole = reset\ngamma_mhz_per_tesla = 10.0\nt1_seconds = 1.0\n"),
-        ("role = target", "role = compression"),
+        ("C2-H = 200.8\n", "C2-H = 200.8\n\n[qubit.S]\nrole = swap-partner\ngamma_mhz_per_tesla = 10.0\nt1_seconds = 1.0\n",
+         "error: {config}: [qubit.S]: role must be one of ['target', 'compression', 'reset'], got 'swap-partner'\n"),
+        ("C2-H = 200.8\n", "C2-H = 200.8\n\n[qubit.S]\nrole = reset\ngamma_mhz_per_tesla = 10.0\nt1_seconds = 1.0\n",
+         "error: register ('C1', 'C2', 'H', 'S') has roles ['target', 'compression', 'reset', 'reset']" + NEEDS_ONE_PER_ROLE),
+        ("role = target", "role = compression",
+         "error: register ('C1', 'C2', 'H') has roles ['compression', 'compression', 'reset']" + NEEDS_ONE_PER_ROLE),
     ],
     ids=["swap-partner", "fourth-qubit", "second-compression"],
 )
 @pytest.mark.parametrize("args", SUBCOMMANDS, ids=["ppa", "four-stroke", "two-stroke"])
-def test_register_without_one_qubit_per_role_exits_2(args, old, new, tmp_path, monkeypatch, capsys):
+def test_register_without_one_qubit_per_role_exits_2(args, old, new, err, tmp_path, monkeypatch, capsys):
+    # an unknown role fails the INI; a register without one qubit per role loads,
+    # and the first role lookup names its roles
     config = tmp_path / "roles.cfg"
     text = TCE_CONFIG.replace(old, new)
     assert text != TCE_CONFIG
     config.write_text(text)
     rc = run_cli([*args, "--system", str(config)], tmp_path, monkeypatch)
     assert rc == 2
-    captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
-    assert captured.err.startswith("error: ")
-    assert captured.out == ""
+    assert capsys.readouterr() == ("", err.format(config=config))
     assert list(tmp_path.iterdir()) == [config]
 
 

@@ -1,7 +1,9 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +280,21 @@ class TestExactMap:
         assert abs(Fraction(float(trace.columns["eps_target"][-1])) - limit) <= ulp
         assert Fraction(float(trace.columns["eps_target"].max())) <= limit + ulp
 
+    def test_readme_paper_map_gap(self):
+        # the README: at TCE's polarizations the paper's map eps_n = eps_(n-1)/2 + eps_b
+        # "is off by 1.6e-9 relative"; its ceiling 2 eps_b lies 1 + eps_b**2 above the
+        # exact limit, so the gap grows to eps_b**2 (measured 1.60033e-9 at full field)
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        assert "that form is off by 1.6e-9 relative" in " ".join(readme.split())
+        eps_b = oracles.eps_thermal(oracles.mhz(oracles.OMEGA_H_MHZ))
+        paper = exact = eps_b
+        worst = 0.0
+        for _ in range(300):
+            paper, exact = paper / 2 + eps_b, oracles.eps_after_one_round(exact, eps_b)
+            worst = max(worst, abs(paper - exact) / exact)
+        assert f"{worst:.1e}" == "1.6e-09"
+        assert worst == pytest.approx(eps_b**2, rel=1e-6, abs=0)
+
 
 class TestRunPpa:
     def test_seven_rounds_half_field(self, tce, eps_bath_half):
@@ -466,3 +483,41 @@ class TestTelemetry:
             m = dense.diagonal_state(populations, TCE_ORDER).matrix
             assert abs(np.trace(m) - 1) <= 1e-12
             assert np.min(np.linalg.eigvalsh(m)) >= -1e-10
+
+
+class TestSweepTableFiniteness:
+    """One sum proves a float column finite; only a column whose sum is not finite is searched cell by cell."""
+
+    def test_an_overflowing_sum_of_finite_cells_builds_and_warns_nothing(self):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="raise"):
+            warnings.simplefilter("always")
+            table = SweepTable(("n_rounds",), "ppa", {"n_rounds": np.arange(2), "x": np.array([1e308, 1e308])})
+        assert caught == []
+        assert table.column("x").tolist() == [1e308, 1e308]
+
+    @pytest.mark.parametrize(
+        "cells,message,row",
+        [
+            ([1.0, math.inf, -math.inf, 2.0], "ppa: x is inf at n_rounds=1", 1),
+            ([1.0, 2.0, math.nan, 3.0], "ppa: x is nan at n_rounds=2", 2),
+            ([1.0, 2.0, 3.0, -math.inf], "ppa: x is -inf at n_rounds=3", 3),
+        ],
+        ids=["inf-and-minus-inf", "lone-nan", "lone-minus-inf"],
+    )
+    def test_a_non_finite_cell_is_named(self, cells, message, row):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(hbac.NonFiniteCell) as raised:
+                SweepTable(("n_rounds",), "ppa", {"n_rounds": np.arange(4), "x": np.array(cells)})
+        assert caught == []
+        assert str(raised.value) == message and raised.value.point == {"n_rounds": row}
+
+    def test_the_first_bad_cell_in_row_order_is_named(self):
+        # bad cells at (1, 0) and (0, 2) of a 2x3 grid: (0, 2) comes first in row order
+        x = np.ones((2, 3))
+        x[1, 0], x[0, 2] = math.nan, -math.inf
+        axes = {"n_rounds": np.array([[1], [2]]), "omega_s": np.array([1.0, 2.0, 3.0])}
+        with pytest.raises(hbac.NonFiniteCell) as raised:
+            SweepTable(("n_rounds", "omega_s"), "two_stroke_hbac", {**axes, "x": x})
+        assert str(raised.value) == "two_stroke_hbac: x is -inf at n_rounds=1, omega_s=3 rad/s"
+        assert raised.value.point == {"n_rounds": 0, "omega_s": 2}

@@ -5,6 +5,7 @@ import math
 import os
 import stat
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -273,6 +274,58 @@ def test_output_mode_follows_the_umask(umask, mode, tmp_path, monkeypatch, capsy
         os.umask(previous)
     assert stat.S_IMODE((tmp_path / "x.csv").stat().st_mode) == mode
     assert list(tmp_path.iterdir()) == [tmp_path / "x.csv"]
+
+
+BLOCKS = [b"a,b\n", b"1,2\n"]
+
+
+@pytest.mark.parametrize("kind", [str, Path], ids=["str", "Path"])
+@pytest.mark.parametrize(
+    "target,tree",
+    [
+        ("out.csv", ["out.csv"]),
+        ("new/deeper/out.csv", ["new", "new/deeper", "new/deeper/out.csv"]),
+        # spelled as Path spells it: no "." parts, no trailing slash
+        ("new/./out.csv/", ["new", "new/out.csv"]),
+    ],
+    ids=["bare-name", "new-parents", "dot-and-trailing-slash"],
+)
+def test_write_atomic_targets(kind, target, tree, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    reports.write_atomic(kind(target), BLOCKS)
+    assert (tmp_path / tree[-1]).read_bytes() == b"a,b\n1,2\n"
+    # the target and the directories made for it, and no temp file
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == tree
+
+
+@pytest.mark.parametrize("kind", [str, Path], ids=["str", "Path"])
+def test_write_atomic_under_a_regular_file(kind, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("keep\n")
+    with pytest.raises(NotADirectoryError) as raised:
+        reports.write_atomic(kind("taken/out.csv"), BLOCKS)
+    assert raised.value.strerror == "taken is not a directory"
+    assert list(tmp_path.iterdir()) == [tmp_path / "taken"]
+    assert (tmp_path / "taken").read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("kind", [str, Path], ids=["str", "Path"])
+def test_write_atomic_failure_leaves_no_temp_file(kind, tmp_path):
+    with pytest.raises(RuntimeError, match="rendering failed"):
+        reports.write_atomic(kind(tmp_path / "sub" / "out.csv"), failing_blocks())
+    # the parent was made; the temp file is gone
+    assert list(tmp_path.rglob("*")) == [tmp_path / "sub"]
+
+
+@pytest.mark.parametrize("kind", [str, Path], ids=["str", "Path"])
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_write_atomic_mode_follows_the_umask(kind, umask, mode, tmp_path):
+    previous = os.umask(umask)
+    try:
+        reports.write_atomic(kind(tmp_path / "out.csv"), BLOCKS)
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE((tmp_path / "out.csv").stat().st_mode) == mode
 
 
 def test_taken_temp_name_is_left_alone(tmp_path, monkeypatch):

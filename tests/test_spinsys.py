@@ -67,15 +67,23 @@ class TestTcePreset:
     def test_role_lookup(self, tce):
         assert tce.label_for_role(Role.TARGET) == "C1"
         assert tce.label_for_role(Role.RESET) == "H"
-        # a second compression qubit leaves the register without a target
+        # the roles resolve once, at construction; a register without one qubit
+        # per role still constructs, and every lookup names its roles: a second
+        # compression qubit leaves the register without a target, and so does
+        # a fourth qubit with any role
         qubits = tuple(replace(q, role=Role.COMPRESSION) if q.label == "C1" else q for q in tce.qubits)
         two_compression = replace(tce, qubits=qubits)
-        with pytest.raises(ConfigError, match=r"register \('C1', 'C2', 'H'\)"):
-            two_compression.label_for_role(Role.RESET)
-        # so does a fourth qubit with any role
         extra = replace(tce, qubits=(*tce.qubits, QubitSpec("X", Role.RESET, 10.0, 1.0)))
-        with pytest.raises(ConfigError, match="exactly one target, one compression and one reset"):
-            extra.label_for_role(Role.TARGET)
+        needs = "; cooling needs exactly one target, one compression and one reset qubit"
+        cases = [
+            (two_compression, "register ('C1', 'C2', 'H') has roles ['compression', 'compression', 'reset']" + needs),
+            (extra, "register ('C1', 'C2', 'H', 'X') has roles ['target', 'compression', 'reset', 'reset']" + needs),
+        ]
+        for sys, message in cases:
+            for role in Role:
+                with pytest.raises(ConfigError) as caught:
+                    sys.label_for_role(role)
+                assert str(caught.value) == message
 
 
 class TestSpinSystemValidation:
@@ -195,6 +203,31 @@ class TestStaticHamiltonian:
     def test_rejects_nonpositive_scale(self, tce):
         with pytest.raises(ValueError):
             register_levels(tce, 0.0)
+
+
+def bits(values) -> list[int]:
+    """The binary64 bit patterns of ``values``, so that -0.0 and 0.0 differ too."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestLevelBits:
+    """Level energies and Gibbs marginals keep the bits of plain left-to-right sums and of np.moveaxis pairing."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.3])
+    @pytest.mark.parametrize("register", ["tce", "target-last"])
+    def test_match_the_summed_reference_bit_for_bit(self, register, scale, tce):
+        if register == "tce":
+            sys, couplings = tce, {(0, 1): 103.0, (0, 2): 9.0, (1, 2): 200.8}
+        else:
+            # (H, C2, C1): the target is the last qubit, and C1-H is not coupled
+            sys, couplings = from_config_text(TARGET_LAST_CONFIG), {(0, 1): 200.8, (1, 2): 103.0}
+            assert sys.labels == ("H", "C2", "C1") and sys.label_for_role(Role.TARGET) == "C1"
+        pairs = [(i, j, TWO_PI * j_hz) for (i, j), j_hz in sorted(couplings.items())]
+        want = oracles.levels_by_sum([sys.omega(q, scale) for q in sys.labels], pairs)
+        assert bits(register_levels(sys, scale)) == bits(want)
+        for slot, label in enumerate(sys.labels):
+            marginal = oracles.marginal_by_moveaxis(want, slot, sys.bath_temperature)
+            assert bits(thermal_marginal_polarization(sys, label, scale)) == bits(marginal)
 
 
 class TestGibbsState:
@@ -381,6 +414,36 @@ omega_mhz = 500.13
 [j_coupling]
 C1-C2 = 103.0
 C1-H = 9.0
+C2-H = 200.8
+"""
+
+
+TARGET_LAST_CONFIG = """\
+[system]
+temperature_kelvin = 300.0
+reference_qubit = H
+reference_omega_mhz = 500.13
+
+[qubit.H]
+role = reset
+gamma_mhz_per_tesla = 42.477
+t1_seconds = 3.5
+omega_mhz = 500.13
+
+[qubit.C2]
+role = compression
+gamma_mhz_per_tesla = 10.7084
+t1_seconds = 20.0
+omega_mhz = 125.77
+
+[qubit.C1]
+role = target
+gamma_mhz_per_tesla = 10.7084
+t1_seconds = 43.0
+omega_mhz = 125.77
+
+[j_coupling]
+C1-C2 = 103.0
 C2-H = 200.8
 """
 
