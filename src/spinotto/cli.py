@@ -4,8 +4,8 @@ Subcommands: ``ppa``, ``four-stroke``, ``two-stroke``.  Frequencies are
 accepted in MHz (units of omega/2pi) and converted to rad/s once here;
 all physics below this layer is SI.  Exit status: 0 on success, 2 on
 configuration errors, 3 on numerical-invariant violations.  Every option is
-one entry of a subcommand's table; an argv of exact flags is parsed from that
-table without argparse, and help, usage and errors come from the full parser.
+one entry of a subcommand's table; an argv of ``--flag value`` pairs is parsed
+from that table without argparse, and help, usage and errors come from the full parser.
 """
 
 from __future__ import annotations
@@ -31,14 +31,8 @@ EXIT_NUMERICAL = 3
 
 # the most values one flag may list, the largest round count and the most rows of a two-stroke
 # table; a cooling run keeps 32 B per round (its round count, two polarizations, a temperature).
-# Measured as subprocesses (min of 3 runs each, Python 3.11, numpy 2.4, 2 vCPUs): `ppa --rounds
-# 1000000` peaks at 67.2 MiB RSS, `four-stroke --rounds 1..1000000` at 165.4 MiB and the
-# 851,000-row `two-stroke --rounds 1..1000 --omega-s 150:1000:1` at 99.7 MiB, against 33.6 MiB
-# for `ppa --rounds 1`
+# CHANGES.md records the peak RSS of a run at each limit, in the entry on one table type and one CSV schema
 MAX_VALUES = 10**6
-
-# drive period of the field ramps (s); they freeze populations, so --tau only enters the config hash
-DEFAULT_TAU = 0.1
 
 
 def canonical_lines(args: argparse.Namespace) -> list[str]:
@@ -125,16 +119,16 @@ def _parse_positive(text: str) -> float:
 
 
 # one option of a subcommand: its flags, the attribute it sets, the function that converts its
-# value (None keeps the string), its default, the values it allows (None for any) and its help
-Option = tuple[tuple[str, ...], str, Callable[[str], object] | None, object, tuple[str, ...] | None, str | None]
+# value, its default as a command-line string, the values it allows (None for any) and its help
+Option = tuple[tuple[str, ...], str, Callable[[str], object], str, tuple[str, ...] | None, str | None]
 
 
 def _common(default_out: str) -> tuple[Option, ...]:
     """The options every subcommand has, writing its CSV to ``default_out`` by default."""
     return (
-        (("--system",), "system", None, "tce", None, "preset name (tce) or path to an INI system definition"),
-        (("--out",), "out", Path, Path(default_out), None, "CSV output path"),
-        (("--format",), "output_format", None, "csv", ("csv", "summary"),
+        (("--system",), "system", str, "tce", None, "preset name (tce) or path to an INI system definition"),
+        (("--out",), "out", Path, default_out, None, "CSV output path"),
+        (("--format",), "output_format", str, "csv", ("csv", "summary"),
          "csv writes a file and prints a summary; summary prints only"),
     )
 
@@ -154,12 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building no parser for a subcommand with exact flags.
+    """``build_parser().parse_args(argv)``, building no parser for ``--flag value`` pairs.
 
-    A subcommand followed only by ``flag value`` and ``flag=value`` pairs, each flag
-    exactly one of its options and each value not starting with "-", is parsed here
-    when every value converts and is one of its flag's choices.  Any other argv goes to
-    the full parser, which prints the help, usage and errors.
+    A subcommand followed only by ``--flag value`` pairs, each flag exactly one of its
+    options and each value not starting with "-", is parsed here when every value
+    converts and is one of its flag's choices.  Any other argv goes to the full
+    parser, which prints the help, usage and errors.
     """
     if argv is None:
         argv = _sys.argv[1:]
@@ -172,31 +166,25 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 def _parse_exact(command: str, tokens: list[str]) -> argparse.Namespace | None:
     """The namespace the full parser gives ``[command, *tokens]``, or None if argparse must decide."""
+    if len(tokens) % 2:
+        return None
     options = _COMMANDS[command][1]
     by_flag = {flag: option for option in options for flag in option[0]}
     values = {}
-    pending = iter(tokens)
-    for token in pending:
-        # argparse reads "-n=3" as "-n 3" too
-        flag, eq, value = token.partition("=")
-        if not eq:
-            # a missing value goes to argparse, as one starting with "-" does
-            value = next(pending, "-")
+    for flag, value in zip(tokens[::2], tokens[1::2]):
         if flag not in by_flag or value.startswith("-"):
             return None
         _, dest, convert, _, choices, _ = by_flag[flag]
-        if convert is not None:
-            try:
-                value = convert(value)
-            except argparse.ArgumentTypeError:
-                return None
+        try:
+            value = convert(value)
+        except argparse.ArgumentTypeError:
+            return None
         if choices is not None and value not in choices:
             return None
         values[dest] = value
     for _, dest, convert, default, _, _ in options:
         if dest not in values:
-            # argparse converts a string default, and only a string one
-            values[dest] = convert(default) if convert is not None and isinstance(default, str) else default
+            values[dest] = convert(default)
     return argparse.Namespace(command=command, **values)
 
 
@@ -273,8 +261,8 @@ _COMMANDS: dict[str, tuple[str, tuple[Option, ...], Callable[..., Outcome], str,
     "ppa": (
         "run the cooling algorithm and trace per-round telemetry",
         (
-            (("--rounds", "-n"), "rounds", _parse_rounds, range(7, 8), None, None),
-            (("--field-scale",), "field_scale", _parse_positive, COMPRESSED_FIELD_SCALE, None,
+            (("--rounds", "-n"), "rounds", _parse_rounds, "7", None, None),
+            (("--field-scale",), "field_scale", _parse_positive, str(COMPRESSED_FIELD_SCALE), None,
              "static-field scale during cooling (0.5 = compressed field)"),
             *_common("ppa_trace.csv"),
         ),
@@ -287,8 +275,8 @@ _COMMANDS: dict[str, tuple[str, tuple[Option, ...], Callable[..., Outcome], str,
     "four-stroke": (
         "sweep the four-stroke engine over round counts",
         (
-            (("--rounds", "-n"), "rounds", _parse_rounds, range(11), None, None),
-            (("--tau",), "tau", _parse_positive, DEFAULT_TAU, None,
+            (("--rounds", "-n"), "rounds", _parse_rounds, "0..10", None, None),
+            (("--tau",), "tau", _parse_positive, "0.1", None,
              "drive period in seconds; changes no number, is recorded in the config hash only and kept for the benchmark"),
             *_common("four_stroke_sweep.csv"),
         ),
@@ -301,7 +289,7 @@ _COMMANDS: dict[str, tuple[str, tuple[Option, ...], Callable[..., Outcome], str,
     "two-stroke": (
         "sweep the two-stroke engine over partner frequencies",
         (
-            (("--rounds", "-n"), "rounds", _parse_rounds, range(1, 9), None, None),
+            (("--rounds", "-n"), "rounds", _parse_rounds, "1..8", None, None),
             (("--omega-s",), "omega_s", _parse_omega_grid, "150:1000:1", None,
              "partner frequency grid start:stop:step in MHz (default %(default)s)"),
             *_common("two_stroke_sweep.csv"),
@@ -317,6 +305,9 @@ _COMMANDS: dict[str, tuple[str, tuple[Option, ...], Callable[..., Outcome], str,
 def run(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     try:
+        if args.output_format == "csv" and "\0" in str(args.out):
+            # os.open would raise ValueError only after the run
+            raise ConfigError(f"cannot write {args.out}: embedded null byte")
         if args.output_format == "csv" and os.path.exists(args.out) and not os.path.isfile(args.out):
             # renaming the CSV over a FIFO or device would replace it
             raise ConfigError(f"cannot write {args.out}: not a regular file")

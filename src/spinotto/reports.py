@@ -26,28 +26,12 @@ def fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".12e")
-    if value is None:
-        return ""
     return str(value)
 
 
 def config_hash(lines: Iterable[str]) -> str:
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     return f"sha256:{digest[:16]}"
-
-
-def system_lines(sys: SpinSystem) -> list[str]:
-    lines = [
-        f"system: B={fmt(sys.b_field)} T, bath={fmt(sys.bath_temperature)} K"
-    ]
-    for q in sys.qubits:
-        lines.append(
-            f"qubit {q.label}: role={q.role.value} gamma={fmt(q.gamma_over_2pi)} MHz/T "
-            f"omega={fmt(sys.omega_mhz(q.label))} MHz t1={fmt(q.t1)} s"
-        )
-    for (a, b), j in sorted(sys.j_over_2pi.items()):
-        lines.append(f"J {a}-{b}: {fmt(j)} Hz")
-    return lines
 
 
 def metadata_lines(title: str, config_lines: Sequence[str], sys: SpinSystem) -> list[str]:
@@ -58,7 +42,14 @@ def metadata_lines(title: str, config_lines: Sequence[str], sys: SpinSystem) -> 
         f"k_boltzmann={fmt(K_BOLTZMANN)} J/K "
         f"avogadro={fmt(AVOGADRO)} 1/mol"
     )
-    lines += [f"# {line}" for line in system_lines(sys)]
+    lines.append(f"# system: B={fmt(sys.b_field)} T, bath={fmt(sys.bath_temperature)} K")
+    for q in sys.qubits:
+        lines.append(
+            f"# qubit {q.label}: role={q.role.value} gamma={fmt(q.gamma_over_2pi)} MHz/T "
+            f"omega={fmt(sys.omega_mhz(q.label))} MHz t1={fmt(q.t1)} s"
+        )
+    for (a, b), j in sorted(sys.j_over_2pi.items()):
+        lines.append(f"# J {a}-{b}: {fmt(j)} Hz")
     return lines
 
 

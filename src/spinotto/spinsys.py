@@ -289,6 +289,10 @@ omega_mhz = 125.77           # optional explicit Larmor frequency at full field
 C1-C2 = 103.0                # Hz
 """
 
+# the keys of [system] and of each [qubit.<LABEL>]; those of [j_coupling] are label pairs
+_SECTION_KEYS = {"system": {"temperature_kelvin", "b_field_tesla", "reference_qubit", "reference_omega_mhz"},
+                 "qubit": {"role", "gamma_mhz_per_tesla", "t1_seconds", "omega_mhz"}}
+
 
 def from_config_text(text: str, origin: str = "<config>") -> SpinSystem:
     """Parse a spin-system definition from INI-formatted text."""
@@ -305,6 +309,11 @@ def from_config_text(text: str, origin: str = "<config>") -> SpinSystem:
 
     if "system" not in parser:
         raise ConfigError(f"{origin}: missing [system] section\n{_CONFIG_DOC}")
+    for name in parser.sections():
+        # a misspelt section or key would otherwise be ignored; an empty section holds nothing to lose
+        unknown = set(parser[name]) - _SECTION_KEYS.get("qubit" if name.startswith("qubit.") else name, set())
+        if unknown and name != "j_coupling":
+            raise ConfigError(f"{origin}: [{name}]: unknown keys {sorted(unknown)}\n{_CONFIG_DOC}")
     system = parser["system"]
 
     def _positive(section, key: str, where: str) -> float:

@@ -789,11 +789,16 @@ FULL_PARSER = ["spinotto", "spinotto ppa", "spinotto four-stroke", "spinotto two
 
 @pytest.mark.parametrize(
     "args,parsers",
-    [*((argv, []) for argv in README_ARGVS.values()), (["-h"], FULL_PARSER), (["two-stroke", "--rou", "1..3"], FULL_PARSER)],
-    ids=[*README_ARGVS, "help", "abbreviation"],
+    [
+        *((argv, []) for argv in README_ARGVS.values()),
+        (["-h"], FULL_PARSER),
+        (["two-stroke", "--rou", "1..3"], FULL_PARSER),
+        (["four-stroke", "--rounds=0..10"], FULL_PARSER),
+    ],
+    ids=[*README_ARGVS, "help", "abbreviation", "equals"],
 )
 def test_a_run_builds_one_parser(args, parsers, tmp_path, monkeypatch, capsys):
-    # a README command parses without argparse; help and an abbreviation need the full parser
+    # a README command parses without argparse; help, an abbreviation and a flag=value token need the full parser
     built = []
     honest = argparse.ArgumentParser.__init__
 
@@ -1018,6 +1023,60 @@ def test_non_utf8_config_exits_2(args, content, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == [config]
 
 
+# the TCE INI text's lines, those of its couplings, and the values a mutation may set
+TCE_LINES = TCE_CONFIG.splitlines()
+COUPLING_LINES = TCE_LINES[TCE_LINES.index("[j_coupling]") + 1 :]
+MUTANT_VALUES = ["", "nan", "inf", "-1", "1e400", "x", "\0"]
+
+
+@st.composite
+def mutated_configs(draw):
+    """The TCE INI text with one line changed, and whether it still defines a valid system.
+
+    A line is dropped or repeated, a section header loses one character, or a value is
+    replaced.  The system stays valid only when a blank line is dropped or repeated, an
+    omega_mhz line is dropped (omega then follows from gamma and the field), or a
+    coupling is dropped or set to -1 Hz.
+    """
+    kind = draw(st.sampled_from(["drop", "repeat", "garble", "value"]))
+    lines = list(TCE_LINES)
+    if kind == "drop":
+        line = lines.pop(draw(st.integers(0, len(lines) - 1)))
+        valid = line == "" or line.startswith("omega_mhz") or line in COUPLING_LINES
+    elif kind == "repeat":
+        i = draw(st.integers(0, len(lines) - 1))
+        lines.insert(i, lines[i])
+        valid = lines[i] == ""
+    elif kind == "garble":
+        i = draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("[")]))
+        k = draw(st.integers(0, len(lines[i]) - 1))
+        lines[i] = lines[i][:k] + lines[i][k + 1 :]
+        valid = False
+    else:
+        i = draw(st.sampled_from([i for i, line in enumerate(lines) if " = " in line]))
+        value = draw(st.sampled_from(MUTANT_VALUES))
+        valid = lines[i] in COUPLING_LINES and value == "-1"
+        lines[i] = f"{lines[i].partition(' = ')[0]} = {value}"
+    return "\n".join(lines) + "\n", valid
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutated_configs())
+def test_malformed_config_text_exits_2(case, tmp_path, monkeypatch, capsys):
+    # invalid INI text exits 2 with one error; text that still defines a system runs
+    text, valid = case
+    config = tmp_path / "mutated.cfg"
+    config.write_text(text)
+    rc = run_cli(["ppa", "--rounds", "1", "--system", str(config), "--format", "summary"], tmp_path, monkeypatch)
+    captured = capsys.readouterr()
+    if valid:
+        assert rc in (0, 3)
+    else:
+        assert (rc, captured.out) == (2, "")
+        assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "block,out,reason",
     [
@@ -1044,6 +1103,15 @@ def test_unwritable_out_exits_2(block, out, reason, tmp_path, monkeypatch, capsy
     # no temp file is left behind, and a FIFO is still a FIFO
     assert list(tmp_path.rglob("*")) == [tmp_path / "taken"]
     assert stat.S_IFMT(os.lstat(tmp_path / "taken").st_mode) == kind
+
+
+def test_out_with_a_nul_byte_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
+    # only an in-process argv can hold NUL; os.open would refuse it after the whole run
+    monkeypatch.setattr(cli.hbac, "run_ppa", lambda *a: pytest.fail("the run started"))
+    assert run_cli(["ppa", "--rounds", "1", "--out", "a\0b.csv"], tmp_path, monkeypatch) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: cannot write a\0b.csv: embedded null byte\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_through_a_symlink_to_a_regular_file(tmp_path, monkeypatch, capsys):

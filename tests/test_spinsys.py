@@ -483,6 +483,9 @@ class TestConfig:
             (lambda t: t.replace("C1-C2", "C1-C9"), "unknown"),
             (lambda t: t.replace("reference_qubit = H", "reference_qubit = Z"), "reference_qubit"),
             (lambda t: t.replace("C1-C2 = 103.0", "C1C2 = 103.0"), "LABEL-LABEL"),
+            (lambda t: t.replace("omega_mhz = 125.77", "omega_mh = 125.77", 1), r"\[qubit.C1\]: unknown keys \['omega_mh'\]"),
+            (lambda t: t.replace("[j_coupling]", "[j_coupl]"), r"\[j_coupl\]: unknown keys \['C1-C2', 'C1-H', 'C2-H'\]"),
+            (lambda t: t.replace("[j_coupling]\n", ""), r"\[qubit.H\]: unknown keys \['C1-C2', 'C1-H', 'C2-H'\]"),
         ],
     )
     def test_rejects_bad_configs(self, mangle, message):
