@@ -35,17 +35,13 @@ EXIT_NUMERICAL = 3
 MAX_VALUES = 10**6
 
 
-def canonical_lines(args: argparse.Namespace) -> list[str]:
-    """Deterministic description of a parsed run, used for the config hash."""
-    lines = [
-        f"command={args.command}",
-        f"system={args.system}",
-        f"rounds={reports.fmt_values(args.rounds)}",
-    ]
+def canonical_lines(args: argparse.Namespace) -> list[str | tuple[str, range | np.ndarray]]:
+    """Deterministic description of a parsed run for the config hash; a number list is a ``(key, values)`` pair."""
+    lines = [f"command={args.command}", f"system={args.system}", ("rounds", args.rounds)]
     if hasattr(args, "field_scale"):
         lines.append(f"field_scale={reports.fmt(args.field_scale)}")
     if hasattr(args, "omega_s"):
-        lines.append(f"omega_s_mhz={reports.fmt_values(args.omega_s)}")
+        lines.append(("omega_s_mhz", args.omega_s))
     if hasattr(args, "tau"):
         lines.append(f"tau={reports.fmt(args.tau)}")
     return lines
@@ -69,12 +65,13 @@ def _parse_rounds(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _rad_s(grid_mhz: tuple[float, ...] | np.ndarray) -> np.ndarray:
+def _rad_s(grid_mhz: np.ndarray) -> np.ndarray:
     """Angular frequencies (rad/s) of frequencies omega/2pi given in MHz."""
-    return (TWO_PI * 1e6) * np.asarray(grid_mhz, dtype=float)
+    return (TWO_PI * 1e6) * grid_mhz
 
 
-def _parse_omega_grid(text: str) -> tuple[float, ...]:
+def _parse_omega_grid(text: str) -> np.ndarray:
+    """The grid points in MHz, as one read-only float64 array."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
@@ -94,18 +91,18 @@ def _parse_omega_grid(text: str) -> tuple[float, ...]:
     # floor(count) + 1 points; an infinite count fails this too
     if not count < MAX_VALUES:
         raise argparse.ArgumentTypeError(f"omega grid has more than {MAX_VALUES} points: {text!r}")
-    # an overflow shows as an infinite last point in rad/s
-    with np.errstate(over="ignore"):
-        grid = start + np.arange(int(count) + 1) * step
-        # the sweep runs in rad/s, where the points must stay finite and distinct too
-        rad_s = _rad_s(grid)
-    if not math.isfinite(rad_s[-1]):
+    # the sweep runs in rad/s, where the points must stay finite and distinct too; the last point,
+    # the largest, is checked first in Python floats, whose overflow raises no warning
+    if not math.isfinite((TWO_PI * 1e6) * (start + int(count) * step)):
         raise argparse.ArgumentTypeError(f"omega grid overflows in rad/s: {text!r}")
+    grid = start + np.arange(int(count) + 1) * step
+    rad_s = _rad_s(grid)
     if (rad_s[1:] <= rad_s[:-1]).any():
         raise argparse.ArgumentTypeError(
             f"omega grid repeats a point in rad/s (step below float resolution): {text!r}"
         )
-    return tuple(grid.tolist())
+    grid.setflags(write=False)
+    return grid
 
 
 def _parse_positive(text: str) -> float:
@@ -235,7 +232,7 @@ def _cmd_two_stroke(args: argparse.Namespace, system: SpinSystem) -> Outcome:
         table = engines.sweep_two_stroke(system, _rad_s(args.omega_s), args.rounds)
     except engines.NonFiniteCell as exc:
         # the sweep runs in rad/s; name the point as it was passed, in MHz
-        raise StateInvariantError(f"{exc} ({args.omega_s[exc.point['omega_s']]!r} MHz)") from None
+        raise StateInvariantError(f"{exc} ({args.omega_s[exc.point['omega_s']].item()!r} MHz)") from None
     best = table.argmax_power()
     omega_s, n, power, work, eta = (
         table.cell(k, best) for k in ("omega_s", "n_rounds", "power", "net_work", "efficiency")

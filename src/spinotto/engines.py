@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from functools import reduce
 
 import numpy as np
 
@@ -63,17 +62,22 @@ def _check_energetics(table: SweepTable) -> SweepTable:
     q_in, q_out, net_work, efficiency = (columns[name] for name in ("q_in", "q_out", "net_work", "efficiency"))
     w1, w2 = columns.get("w1"), columns.get("w2")
     # scale for the relative closure checks; the stroke works enter
-    # because w1 and w2 can cancel almost exactly
-    scale = reduce(np.maximum, [abs(x) for x in (q_in, q_out, net_work, w1, w2) if x is not None])
-    tolerance = _CLOSURE_RTOL * scale
-    if ((scale > 0) & (abs(net_work - (q_in - q_out)) > tolerance)).any():
-        raise StateInvariantError("first-law violation: net_work != q_in - q_out")
-    if w1 is not None and w2 is not None:
-        if ((scale > 0) & (abs(net_work - (w1 + w2)) > tolerance)).any():
-            raise StateInvariantError("first-law violation: net_work != w1 + w2")
+    # because w1 and w2 can cancel almost exactly.  Each full-size buffer is made once
+    terms = [x for x in (q_in, q_out, net_work, w1, w2) if x is not None]
+    scale = np.abs(terms[0], out=np.empty(np.broadcast(*terms).shape))
+    residual, bad = np.empty_like(scale), np.empty(scale.shape, bool)
+    for x in terms[1:]:
+        np.maximum(scale, np.abs(x, out=residual), out=scale)
+    positive = scale > 0
+    tolerance = np.multiply(_CLOSURE_RTOL, scale, out=scale)
+    for text, op, a, b in (("q_in - q_out", np.subtract, q_in, q_out), ("w1 + w2", np.add, w1, w2)):
+        if a is not None and b is not None:
+            np.abs(np.subtract(net_work, op(a, b, out=residual), out=residual), out=residual)
+            if np.logical_and(positive, np.greater(residual, tolerance, out=bad), out=bad).any():
+                raise StateInvariantError(f"first-law violation: net_work != {text}")
     # only meaningfully positive work constrains the efficiency; at the
     # degenerate frequency boundary net_work is a round-off residue
-    bad = (net_work > tolerance) & ~((0.0 < efficiency) & (efficiency < 1.0))
+    np.logical_and(np.greater(net_work, tolerance, out=bad), ~((0.0 < efficiency) & (efficiency < 1.0)), out=bad)
     if bad.any():
         value = np.broadcast_to(efficiency, bad.shape)[bad][0]
         raise StateInvariantError(f"efficiency {value} outside (0, 1) at positive work")

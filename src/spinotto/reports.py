@@ -146,39 +146,42 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
     return cells[cells.any(axis=1).argmax() :]
 
 
-def _cells(column: np.ndarray) -> np.ndarray:
-    """The cells of a 1-D int or bool column as word-major rows: shape ``(words, len(column))``."""
-    if column.dtype.kind == "b":
-        return _BOOL_WORDS.take(column.astype(np.intp), axis=1)
-    return _int_cells(column)
+def _format(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each 1-D array's cells as word-major rows, one kernel call per dtype: int64 and uint64 would join as float64."""
+    cells = [_BOOL_WORDS.take(a.astype(np.intp), axis=1) if a.dtype.kind == "b" else None for a in arrays]
+    for dtype in dict.fromkeys(a.dtype for a, c in zip(arrays, cells) if c is None):
+        picked = [k for k, a in enumerate(arrays) if a.dtype == dtype]
+        kernel, floats = (_float_cells, np.float64) if dtype.kind == "f" else (_int_cells, None)
+        joined, stop = kernel(np.concatenate([arrays[k] for k in picked], dtype=floats)), 0
+        for k in picked:
+            start, stop = stop, stop + len(arrays[k])
+            cells[k] = joined[:, start:stop]
+    return cells
 
 
-def _words(flat: Sequence[np.ndarray], small: dict, shape: tuple, start: int, stop: int) -> np.ndarray:
+def _joined(cells: np.ndarray) -> str:
+    """A list's cells, ``(words, n)``, joined by commas."""
+    return np.concatenate([cells, np.full((1, cells.shape[1]), _COMMA)]).T.tobytes().translate(None, b"\0")[:-1].decode()
+
+
+def _words(flat: Sequence[np.ndarray], small: dict, shape: tuple, start: int, stop: int, lists: Sequence[np.ndarray], texts: list) -> np.ndarray:
     """Rows ``start:stop`` as word-major rows: each column's cells, then a comma or, last, a newline.
 
     ``flat`` holds each column in row order.  ``small`` holds, for a column smaller than
-    the table, its cells (None for a float column until the first block formats it) and
-    its element step along each axis of the table, 0 where it is broadcast.  The block
-    picks those cells by its rows' axis indices.
+    the table, its cells (None until the first block formats them, with ``lists``, whose
+    joined cells go to ``texts``) and its element step along each axis of the table, 0
+    where it is broadcast.  The block picks those cells by its rows' axis indices.
     """
     rows = stop - start
-    full = np.array([c[start:stop] for k, c in enumerate(flat) if c.dtype.kind == "f" and k not in small], float)
-    full = full.reshape(-1, rows)
-    # the first block formats each smaller float column too, in the same _float_cells call
+    full = [k for k in range(len(flat)) if k not in small]
     fresh = [k for k, (cells, _) in small.items() if cells is None]
-    if fresh:
-        cells = _float_cells(np.concatenate([full.reshape(-1), *(flat[k] for k in fresh)])[None])[:, 0]
-        end = full.size
-        for k in fresh:
-            # a copy, so that the block's cells are freed with the block
-            small[k][0] = cells[:, end : end + len(flat[k])].copy()
-            end += len(flat[k])
-        cells = cells[:, : full.size].reshape(-1, *full.shape)
-    else:
-        # an int column alone, such as the rounds config line, has no float cells to format
-        cells = _float_cells(full) if full.size else full[None]
-    floats = iter(cells.swapaxes(0, 1))
-    picked = {}
+    cells = _format([*(flat[k][start:stop] for k in full), *(flat[k] for k in fresh), *lists])
+    for k, column_cells in zip(fresh, cells[len(full) :]):
+        # a copy, so that the block's cells are freed with the block
+        small[k][0] = column_cells.copy()
+    if lists:
+        texts += map(_joined, cells[len(full) + len(fresh) :])
+    picked = dict(zip(full, cells))
     if small:
         axis_index = np.unravel_index(np.arange(start, stop), shape)
         for k, (column_cells, steps) in small.items():
@@ -186,22 +189,20 @@ def _words(flat: Sequence[np.ndarray], small: dict, shape: tuple, start: int, st
             terms = [i if step == 1 else i * step for i, step in zip(axis_index, steps) if step]
             picked[k] = column_cells.take(sum(terms[1:], terms[0]) if terms else np.zeros(rows, np.intp), axis=1)
     words = [np.full((1, rows), _COMMA)] * (2 * len(flat))
-    words[::2] = [
-        picked[k] if k in small else next(floats) if c.dtype.kind == "f" else _cells(c[start:stop])
-        for k, c in enumerate(flat)
-    ]
+    words[::2] = [picked[k] for k in range(len(flat))]
     words[-1] = np.full_like(words[-1], _NEWLINE)
     return np.concatenate(words)
 
 
-def _rows(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
+def _rows(columns: Sequence[np.ndarray], lists: Sequence[np.ndarray] = (), texts: list | None = None) -> Iterator[bytes]:
     """Lines of ``columns`` as bytes, a block of rows at a time: ``%.12e``, ``%d`` and true/false cells.
 
     The columns broadcast to the table's shape, whose rows run in row-major order.  A
     full-size column is sliced per block.  A smaller column, such as one value per
-    frequency or one per round count, is formatted once: an int or bool column before
-    the first block, a float column with the first block's floats.  Each block makes
-    one ``_float_cells`` call.
+    frequency or one per round count, is formatted once, with the first block.  So are
+    ``lists``, number lists outside the table such as a run's config values, whose
+    comma-joined cells go to ``texts`` before the first block is yielded.  Each block
+    makes one kernel call per dtype of its cells: for the CLI's tables, one ``_float_cells`` and one ``_int_cells``.
     """
     shape = np.broadcast(*columns).shape
     size = math.prod(shape)
@@ -212,26 +213,40 @@ def _rows(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
             dims = (1,) * (len(shape) - np.ndim(columns[k])) + np.shape(columns[k])
             # int8 elements make the strides the element steps
             steps = [step if n > 1 else 0 for n, step in zip(dims, np.empty(dims, np.int8).strides)]
-            small[k] = [None if c.dtype.kind == "f" else _cells(c), steps]
+            small[k] = [None, steps]
     for start in range(0, size, _BLOCK_ROWS):
         # the cell arrays are freed as _words returns; then one row-major copy, less its NUL padding
-        yield _words(flat, small, shape, start, min(start + _BLOCK_ROWS, size)).T.tobytes().translate(None, b"\0")
+        yield _words(flat, small, shape, start, min(start + _BLOCK_ROWS, size), lists, texts).T.tobytes().translate(None, b"\0")
+        lists = ()
 
 
-def fmt_values(values: Sequence[float] | Sequence[int]) -> str:
-    """``",".join(fmt(v) for v in values)`` of floats or of ints, through the table renderer."""
-    # np.asarray walks a range item by item; np.arange builds the same ints at once
-    column = np.arange(values.start, values.stop, values.step) if isinstance(values, range) else np.asarray(values)
-    return b"".join(_rows([column]))[:-1].replace(b"\n", b",").decode()
+def _lists(config: Sequence) -> list[np.ndarray]:
+    """The number lists of ``cli.canonical_lines`` entries as arrays; ``np.arange`` builds a range at once, ``np.asarray`` walks it."""
+    lists = [line[1] for line in config if not isinstance(line, str)]
+    return [np.arange(v.start, v.stop, v.step) if isinstance(v, range) else np.asarray(v) for v in lists]
 
 
-def render_csv(
-    title: str, columns: Sequence[tuple[str, np.ndarray]], config_lines: Sequence[str], sys: SpinSystem
-) -> Iterator[bytes]:
-    """The CSV blocks of ``(header, values)`` pairs whose values broadcast to one table: metadata, header, rows."""
+def config_text(config: Sequence, texts: Sequence[str] | None = None) -> list[str]:
+    """The lines of ``cli.canonical_lines`` entries, a ``(key, values)`` pair as ``key=`` and its comma-joined cells.
+
+    The cells are formatted here unless ``render_csv`` passes the ``texts`` it formatted with its table."""
+    texts = iter(map(_joined, _format(_lists(config))) if texts is None else texts)
+    return [line if isinstance(line, str) else f"{line[0]}={next(texts)}" for line in config]
+
+
+def render_csv(title: str, columns: Sequence[tuple[str, np.ndarray]], config: Sequence, sys: SpinSystem) -> Iterator[bytes]:
+    """The CSV blocks of ``(header, values)`` pairs whose values broadcast to one table: metadata, header, rows.
+
+    The number lists of ``config``, ``cli.canonical_lines`` entries, are formatted with the first block.
+    """
     headers, values = zip(*columns)
-    yield "\n".join([*metadata_lines(title, config_lines, sys), ",".join(headers), ""]).encode()
-    yield from _rows(values)
+    texts = []
+    blocks = _rows(values, _lists(config), texts)
+    first = [next(blocks)]
+    yield "\n".join([*metadata_lines(title, config_text(config, texts), sys), ",".join(headers), ""]).encode()
+    # popped, so that no block stays alive while the next one renders
+    yield first.pop()
+    yield from blocks
 
 
 def write_atomic(path: str | Path, blocks: Iterable[bytes]) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -302,6 +303,8 @@ def from_config_text(text: str, origin: str = "<config>") -> SpinSystem:
         interpolation=None, inline_comment_prefixes=("#", ";")
     )
     parser.optionxform = str  # keep label case
+    # a header is the whole line less whitespace and an inline comment; configparser's pattern matches a prefix
+    parser.SECTCRE = re.compile(r"\[(?P<header>.+)\]\Z")
     try:
         parser.read_string(text, source=origin)
     except configparser.Error as exc:

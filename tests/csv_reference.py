@@ -8,6 +8,8 @@ Python's ``%``.  This per-cell renderer is the reference its bytes must
 match.  The metadata lines are shared with the package.
 """
 
+import hashlib
+
 import numpy as np
 
 from spinotto.hbac import shannon_bound
@@ -24,6 +26,16 @@ def _table(header, rows):
 def _column_rows(*columns):
     # tolist() yields Python floats, ints and bools, which fmt knows
     return zip(*(column.tolist() for column in columns))
+
+
+def config_lines(config):
+    """The text of ``cli.canonical_lines`` entries, each number of a ``(key, values)`` list through ``fmt``."""
+    return [line if isinstance(line, str) else f"{line[0]}=" + ",".join(fmt(v) for v in line[1]) for line in config]
+
+
+def config_hash(lines):
+    """The ``# config_hash=`` value of config lines: the first 16 hex digits of their sha256."""
+    return "sha256:" + hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
 def canonical_omega_line(omega_s_mhz):

@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -640,18 +641,36 @@ DEFAULT_ARGS = {
         "out": Path("four_stroke_sweep.csv"), "output_format": "csv",
     },
     "two-stroke": {
-        "command": "two-stroke", "rounds": range(1, 9), "omega_s": tuple(map(float, range(150, 1001))),
+        "command": "two-stroke", "rounds": range(1, 9), "omega_s": np.arange(150.0, 1001.0),
         "system": "tce", "out": Path("two_stroke_sweep.csv"), "output_format": "csv",
     },
 }
+
+
+class Parsed:
+    """A parsed value that equals another as ``==`` does, or, for arrays, as ``np.array_equal`` does."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        if isinstance(self.value, np.ndarray) or isinstance(other.value, np.ndarray):
+            return type(self.value) is type(other.value) and np.array_equal(self.value, other.value)
+        return self.value == other.value
+
+    def __repr__(self):
+        return repr(self.value)
 
 
 @pytest.mark.parametrize("command", DEFAULT_ARGS)
 def test_default_args(command):
     for parse in (cli._parse_args, lambda argv: cli.build_parser().parse_args(argv)):
         values = vars(parse([command]))
-        assert values == DEFAULT_ARGS[command]
+        assert {k: Parsed(v) for k, v in values.items()} == {k: Parsed(v) for k, v in DEFAULT_ARGS[command].items()}
         assert {k: type(v) for k, v in values.items()} == {k: type(v) for k, v in DEFAULT_ARGS[command].items()}
+        if command == "two-stroke":
+            # one float64 array in MHz, which no later layer can change
+            assert values["omega_s"].dtype == np.float64 and not values["omega_s"].flags.writeable
 
 
 # argvs that `_parse_args` must treat exactly as the full parser does
@@ -702,7 +721,7 @@ PARSE_CASES = {
 def parse_outcome(parse, argv, capsys):
     """Exit status (None if ``parse(argv)`` returns), stdout, stderr and parsed values."""
     try:
-        values, status = vars(parse(argv)), None
+        values, status = {k: Parsed(v) for k, v in vars(parse(argv)).items()}, None
     except SystemExit as exc:
         values, status = None, exc.code
     captured = capsys.readouterr()
@@ -776,6 +795,16 @@ def test_argv_none_reads_the_command_line(monkeypatch):
     monkeypatch.setattr(sys, "argv", ["spinotto", "four-stroke", "-n", "2"])
     args = cli._parse_args(None)
     assert (args.command, args.rounds) == ("four-stroke", range(2, 3))
+
+
+def test_config_line_shows_the_parsed_grid(tmp_path, monkeypatch, capsys):
+    # 2.0000000000015 MHz reads 2.000000000001e+00 after the round trip through rad/s, which
+    # the omega_s_MHz column shows; the config line shows the point as it was parsed
+    assert run_cli(["two-stroke", "--rounds", "1..1", "--omega-s", "2.0000000000015:2.0000000000015:1"],
+                   tmp_path, monkeypatch) == 0
+    lines = (tmp_path / "two_stroke_sweep.csv").read_text().splitlines()
+    assert "# config: omega_s_mhz=2.000000000002e+00" in lines
+    assert lines[-1].startswith("2.000000000001e+00,1,")
 
 
 # the README's three commands
@@ -1027,18 +1056,22 @@ def test_non_utf8_config_exits_2(args, content, tmp_path, monkeypatch, capsys):
 TCE_LINES = TCE_CONFIG.splitlines()
 COUPLING_LINES = TCE_LINES[TCE_LINES.index("[j_coupling]") + 1 :]
 MUTANT_VALUES = ["", "nan", "inf", "-1", "1e400", "x", "\0"]
+# text after a header's "]": only whitespace and an inline comment leave the header as it was
+HEADER_SUFFIXES = {"x": False, " extra": False, "]": False, "]x": False, "#c": False, "\tjunk": False,
+                   "  ": True, " # note": True, "\t; note": True}
 
 
 @st.composite
 def mutated_configs(draw):
     """The TCE INI text with one line changed, and whether it still defines a valid system.
 
-    A line is dropped or repeated, a section header loses one character, or a value is
-    replaced.  The system stays valid only when a blank line is dropped or repeated, an
-    omega_mhz line is dropped (omega then follows from gamma and the field), or a
-    coupling is dropped or set to -1 Hz.
+    A line is dropped or repeated, a section header loses one character or gains text
+    after its "]", or a value is replaced.  The system stays valid only when a blank line
+    is dropped or repeated, an omega_mhz line is dropped (omega then follows from gamma
+    and the field), a coupling is dropped or set to -1 Hz, or a header gains whitespace
+    or an inline comment.
     """
-    kind = draw(st.sampled_from(["drop", "repeat", "garble", "value"]))
+    kind = draw(st.sampled_from(["drop", "repeat", "garble", "append", "value"]))
     lines = list(TCE_LINES)
     if kind == "drop":
         line = lines.pop(draw(st.integers(0, len(lines) - 1)))
@@ -1052,6 +1085,11 @@ def mutated_configs(draw):
         k = draw(st.integers(0, len(lines[i]) - 1))
         lines[i] = lines[i][:k] + lines[i][k + 1 :]
         valid = False
+    elif kind == "append":
+        i = draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("[")]))
+        suffix = draw(st.sampled_from(list(HEADER_SUFFIXES)))
+        lines[i] += suffix
+        valid = HEADER_SUFFIXES[suffix]
     else:
         i = draw(st.sampled_from([i for i, line in enumerate(lines) if " = " in line]))
         value = draw(st.sampled_from(MUTANT_VALUES))
@@ -1060,7 +1098,7 @@ def mutated_configs(draw):
     return "\n".join(lines) + "\n", valid
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+@settings(derandomize=True, database=None, max_examples=190, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=mutated_configs())
 def test_malformed_config_text_exits_2(case, tmp_path, monkeypatch, capsys):

@@ -576,6 +576,16 @@ class TestReportValidation:
         with pytest.raises(ValueError, match=r"efficiency 1\.5 outside \(0, 1\) at positive work"):
             one_point_table(TWO_STROKE_HBAC, q_in=5.0, q_out=1.0, net_work=4.0, efficiency=1.5)
 
+    def test_closure_tolerance_scales_with_the_largest_term(self):
+        # a residual of 1.5e-9 is inside 1e-9 of q_out = 2 but not of q_in or net_work, whose size is 1
+        one_point_table(TWO_STROKE_HBAC, q_in=1.0, q_out=2.0, net_work=-1.0 - 1.5e-9, efficiency=0.5)
+        with pytest.raises(ValueError, match=r"first-law violation: net_work != q_in - q_out"):
+            one_point_table(TWO_STROKE_HBAC, q_in=1.0, q_out=2.0, net_work=-1.0 - 2.5e-9, efficiency=0.5)
+
+    def test_exact_closure_passes_when_the_tolerance_underflows(self):
+        # 1e-9 of a subnormal scale rounds to 0; a residual of 0 does not exceed it
+        one_point_table(w1=2e-323, w2=-1e-323, q_in=2e-323, q_out=1e-323, net_work=1e-323, efficiency=0.5)
+
     def test_sweep_table_rejects_unsorted_axes(self):
         with pytest.raises(ValueError, match="increasing"):
             SweepTable(axes=("n_rounds",), engine_kind=FOUR_STROKE_HBAC, columns={"n_rounds": np.array([2, 1])})

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csv_reference
-from spinotto import cli, engines, reports
+from spinotto import cli, engines, reports, tce_system
 from test_reports import render
 
 # a fixed, small example budget keeps the whole file at about a second
@@ -222,7 +222,8 @@ def test_exact_cells_in_every_column_and_block(monkeypatch):
     slow = []
 
     def counting(cells, fast, values, spec):
-        slow.append((spec, (~fast).any(axis=-1).tolist()))
+        # a block's columns of one kind go through one call, one after another
+        slow.append((spec, (~fast).reshape(3 if spec == b"%.12e" else 2, -1).any(axis=-1).tolist()))
         return original(cells, fast, values, spec)
 
     original = reports._exact
@@ -234,8 +235,8 @@ def test_exact_cells_in_every_column_and_block(monkeypatch):
     ]
     want = [b"".join(lines[start : start + 6]) for start in range(0, rows, 6)]
     assert list(reports._rows(columns)) == want
-    # per block: one call for the three float columns, then one per int column
-    assert slow == [(b"%.12e", [True] * 3), (b"%d", True), (b"%d", True)] * 4
+    # per block: one call for the three float columns, then one for the two int columns
+    assert slow == [(b"%.12e", [True] * 3), (b"%d", [True] * 2)] * 4
 
 
 def test_renders_without_numpy_string_api(monkeypatch, tmp_path, capsys):
@@ -258,11 +259,59 @@ def test_renders_without_numpy_string_api(monkeypatch, tmp_path, capsys):
 
 
 def test_omega_line_matches_python():
-    grid = cli._parse_omega_grid("0.1:3:0.1") + (5e-324, 1e100, -2.5, 9.9999999999995)
-    assert reports.fmt_values(grid) == csv_reference.canonical_omega_line(grid).removeprefix("omega_s_mhz=")
+    grid = (*cli._parse_omega_grid("0.1:3:0.1").tolist(), 5e-324, 1e100, -2.5, 9.9999999999995)
+    assert reports.config_text([("omega_s_mhz", grid)]) == [csv_reference.canonical_omega_line(grid)]
 
 
 def test_rounds_line_matches_python():
     # the CLI's round counts, and integers past the digit tables' 10**8
     for rounds in (cli._parse_rounds("0..20000"), (2,), (0, 9999, 10**4, 10**8 - 1, 10**8, 2**40, -7)):
-        assert reports.fmt_values(rounds) == ",".join(str(n) for n in rounds)
+        assert reports.config_text([("rounds", rounds)]) == ["rounds=" + ",".join(str(n) for n in rounds)]
+
+
+def config_of_csv(config, column):
+    """The config lines and hash line of the CSV ``render_csv`` writes for a table of ``column`` and its row numbers."""
+    columns = [("x", column), ("row", np.arange(len(column)))]
+    # the first block holds the metadata and the header
+    lines = next(reports.render_csv("config", columns, config, tce_system())).decode().splitlines()
+    return [line.removeprefix("# config: ") for line in lines if line.startswith("# config: ")], lines[1]
+
+
+# powers of ten, values that carry into the next exponent, 13th digits at a half, and any magnitude in 1e-320..1e308
+CONFIG_FLOATS = st.one_of(
+    st.integers(-320, 308).map(lambda k: float("1e%d" % k)),
+    st.integers(-300, 299).map(lambda k: float("9.9999999999995e%d" % k)),
+    st.tuples(st.integers(10**12, 10**13 - 1), st.integers(-290, 290)).map(lambda t: float("%d.5e%d" % t)),
+    st.floats(min_value=1e-320, max_value=1e308),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(grid=st.lists(CONFIG_FLOATS, min_size=1, max_size=30))
+def test_config_grid_text_is_formatted_with_the_table(grid):
+    config = ["command=two-stroke", ("omega_s_mhz", np.array(grid))]
+    want = "omega_s_mhz=" + ",".join("%.12e" % v for v in grid)
+    # the table's floats are the grid reversed, so a list cut from the wrong end of the shared call shows
+    lines, hash_line = config_of_csv(config, np.array(grid[::-1]))
+    assert lines == reports.config_text(config) == ["command=two-stroke", want]
+    assert hash_line == "# config_hash=" + csv_reference.config_hash(csv_reference.config_lines(config))
+
+
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(last=st.integers(0, 4).flatmap(lambda digits: st.integers(0, 10**digits)))
+@example(last=0)
+@example(last=10**6)  # the most round counts a run takes
+def test_config_rounds_text_is_formatted_with_the_table(last):
+    rounds = range(last + 1)
+    config = ["command=four-stroke", ("rounds", rounds), "tau=1.000000000000e-01"]
+    want = ["command=four-stroke", "rounds=" + ",".join(map(str, rounds)), "tau=1.000000000000e-01"]
+    lines, hash_line = config_of_csv(config, np.array([0.5, -3.0, 7e100]))
+    assert lines == reports.config_text(config) == want
+    assert hash_line == "# config_hash=" + csv_reference.config_hash(want)
+
+
+def test_columns_of_different_dtypes():
+    # int64 and uint64 cells would concatenate to float64, and float32 values print as Python prints them
+    columns = [np.array([1, -2]), np.array([2**64 - 1, 3], np.uint64), np.array([0.1, 2.5], np.float32), np.arange(2.0)]
+    want = "".join("%d,%d,%.12e,%.12e\n" % row for row in zip(*(c.tolist() for c in columns)))
+    assert_same_text(reports._rows(columns), want)

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,6 +468,14 @@ class TestConfig:
         path.write_text(TCE_CONFIG)
         assert load_system(path) == tce
 
+    def test_readme_ini_matches_preset(self, tce):
+        # its headers carry inline comments, and trailing whitespace leaves a header as it is too
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert "[qubit.C1]                     # one section per qubit" in text
+        assert from_config_text(text) == tce
+        assert from_config_text(text.replace("[system]", "[system] \t")) == tce
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_system("missing.cfg")
@@ -486,6 +495,9 @@ class TestConfig:
             (lambda t: t.replace("omega_mhz = 125.77", "omega_mh = 125.77", 1), r"\[qubit.C1\]: unknown keys \['omega_mh'\]"),
             (lambda t: t.replace("[j_coupling]", "[j_coupl]"), r"\[j_coupl\]: unknown keys \['C1-C2', 'C1-H', 'C2-H'\]"),
             (lambda t: t.replace("[j_coupling]\n", ""), r"\[qubit.H\]: unknown keys \['C1-C2', 'C1-H', 'C2-H'\]"),
+            # text after a header's "]" is not part of the header, and configparser names the line
+            (lambda t: t.replace("[system]", "[system]x"), r"line: 1\n'\[system\]x"),
+            (lambda t: t.replace("[j_coupling]", "[j_coupling] extra"), r"\[line 24\]: '\[j_coupling\] extra"),
         ],
     )
     def test_rejects_bad_configs(self, mangle, message):
