@@ -35,13 +35,19 @@ EXIT_NUMERICAL = 3
 MAX_VALUES = 10**6
 
 
-def canonical_lines(args: argparse.Namespace) -> list[str | tuple[str, range | np.ndarray]]:
-    """Deterministic description of a parsed run for the config hash; a number list is a ``(key, values)`` pair."""
-    lines = [f"command={args.command}", f"system={args.system}", ("rounds", args.rounds)]
+def canonical_lines(args: argparse.Namespace) -> list[str]:
+    """Deterministic description of a parsed run for the config hash.
+
+    The round counts and the partner grid are named by their ends, the grid with its point
+    count too; the CSV's ``n`` and ``omega_s_MHz`` columns hold every value.
+    """
+    first, last = args.rounds[0], args.rounds[-1]
+    lines = [f"command={args.command}", f"system={args.system}", f"rounds={first}" + (f"..{last}" if last != first else "")]
     if hasattr(args, "field_scale"):
         lines.append(f"field_scale={reports.fmt(args.field_scale)}")
     if hasattr(args, "omega_s"):
-        lines.append(("omega_s_mhz", args.omega_s))
+        grid = args.omega_s
+        lines += [f"omega_s_mhz={reports.fmt(grid[0])}..{reports.fmt(grid[-1])}", f"omega_s_points={len(grid)}"]
     if hasattr(args, "tau"):
         lines.append(f"tau={reports.fmt(args.tau)}")
     return lines
@@ -239,7 +245,7 @@ def _cmd_two_stroke(args: argparse.Namespace, system: SpinSystem) -> Outcome:
     )
     lines = [
         f"two-stroke max power at omega_s={omega_s / TWO_PI / 1e6:.2f} MHz, "
-        f"n={n}: P={power:.6e} W/mol (W={work:.6e} J/mol, eta={eta:.4f})"
+        f"n={n}: P={power:.6e} W/mol (W={work:.6e} J/mol, eta={eta:.4g})"
     ]
     omega_t = system.omega(system.label_for_role(Role.TARGET), 1.0)
     cooled = table.columns["cooled_target_temperature"].ravel().tolist()

@@ -159,28 +159,21 @@ def _format(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
     return cells
 
 
-def _joined(cells: np.ndarray) -> str:
-    """A list's cells, ``(words, n)``, joined by commas."""
-    return np.concatenate([cells, np.full((1, cells.shape[1]), _COMMA)]).T.tobytes().translate(None, b"\0")[:-1].decode()
-
-
-def _words(flat: Sequence[np.ndarray], small: dict, shape: tuple, start: int, stop: int, lists: Sequence[np.ndarray], texts: list) -> np.ndarray:
+def _words(flat: Sequence[np.ndarray], small: dict, shape: tuple, start: int, stop: int) -> np.ndarray:
     """Rows ``start:stop`` as word-major rows: each column's cells, then a comma or, last, a newline.
 
     ``flat`` holds each column in row order.  ``small`` holds, for a column smaller than
-    the table, its cells (None until the first block formats them, with ``lists``, whose
-    joined cells go to ``texts``) and its element step along each axis of the table, 0
-    where it is broadcast.  The block picks those cells by its rows' axis indices.
+    the table, its cells (None until the first block formats them) and its element step
+    along each axis of the table, 0 where it is broadcast.  The block picks those cells
+    by its rows' axis indices.
     """
     rows = stop - start
     full = [k for k in range(len(flat)) if k not in small]
     fresh = [k for k, (cells, _) in small.items() if cells is None]
-    cells = _format([*(flat[k][start:stop] for k in full), *(flat[k] for k in fresh), *lists])
+    cells = _format([*(flat[k][start:stop] for k in full), *(flat[k] for k in fresh)])
     for k, column_cells in zip(fresh, cells[len(full) :]):
         # a copy, so that the block's cells are freed with the block
         small[k][0] = column_cells.copy()
-    if lists:
-        texts += map(_joined, cells[len(full) + len(fresh) :])
     picked = dict(zip(full, cells))
     if small:
         axis_index = np.unravel_index(np.arange(start, stop), shape)
@@ -194,14 +187,12 @@ def _words(flat: Sequence[np.ndarray], small: dict, shape: tuple, start: int, st
     return np.concatenate(words)
 
 
-def _rows(columns: Sequence[np.ndarray], lists: Sequence[np.ndarray] = (), texts: list | None = None) -> Iterator[bytes]:
+def _rows(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
     """Lines of ``columns`` as bytes, a block of rows at a time: ``%.12e``, ``%d`` and true/false cells.
 
     The columns broadcast to the table's shape, whose rows run in row-major order.  A
     full-size column is sliced per block.  A smaller column, such as one value per
-    frequency or one per round count, is formatted once, with the first block.  So are
-    ``lists``, number lists outside the table such as a run's config values, whose
-    comma-joined cells go to ``texts`` before the first block is yielded.  Each block
+    frequency or one per round count, is formatted once, with the first block.  Each block
     makes one kernel call per dtype of its cells: for the CLI's tables, one ``_float_cells`` and one ``_int_cells``.
     """
     shape = np.broadcast(*columns).shape
@@ -216,37 +207,14 @@ def _rows(columns: Sequence[np.ndarray], lists: Sequence[np.ndarray] = (), texts
             small[k] = [None, steps]
     for start in range(0, size, _BLOCK_ROWS):
         # the cell arrays are freed as _words returns; then one row-major copy, less its NUL padding
-        yield _words(flat, small, shape, start, min(start + _BLOCK_ROWS, size), lists, texts).T.tobytes().translate(None, b"\0")
-        lists = ()
+        yield _words(flat, small, shape, start, min(start + _BLOCK_ROWS, size)).T.tobytes().translate(None, b"\0")
 
 
-def _lists(config: Sequence) -> list[np.ndarray]:
-    """The number lists of ``cli.canonical_lines`` entries as arrays; ``np.arange`` builds a range at once, ``np.asarray`` walks it."""
-    lists = [line[1] for line in config if not isinstance(line, str)]
-    return [np.arange(v.start, v.stop, v.step) if isinstance(v, range) else np.asarray(v) for v in lists]
-
-
-def config_text(config: Sequence, texts: Sequence[str] | None = None) -> list[str]:
-    """The lines of ``cli.canonical_lines`` entries, a ``(key, values)`` pair as ``key=`` and its comma-joined cells.
-
-    The cells are formatted here unless ``render_csv`` passes the ``texts`` it formatted with its table."""
-    texts = iter(map(_joined, _format(_lists(config))) if texts is None else texts)
-    return [line if isinstance(line, str) else f"{line[0]}={next(texts)}" for line in config]
-
-
-def render_csv(title: str, columns: Sequence[tuple[str, np.ndarray]], config: Sequence, sys: SpinSystem) -> Iterator[bytes]:
-    """The CSV blocks of ``(header, values)`` pairs whose values broadcast to one table: metadata, header, rows.
-
-    The number lists of ``config``, ``cli.canonical_lines`` entries, are formatted with the first block.
-    """
+def render_csv(title: str, columns: Sequence[tuple[str, np.ndarray]], config_lines: Sequence[str], sys: SpinSystem) -> Iterator[bytes]:
+    """The CSV blocks of ``(header, values)`` pairs whose values broadcast to one table: metadata and header, then rows."""
     headers, values = zip(*columns)
-    texts = []
-    blocks = _rows(values, _lists(config), texts)
-    first = [next(blocks)]
-    yield "\n".join([*metadata_lines(title, config_text(config, texts), sys), ",".join(headers), ""]).encode()
-    # popped, so that no block stays alive while the next one renders
-    yield first.pop()
-    yield from blocks
+    yield "\n".join([*metadata_lines(title, config_lines, sys), ",".join(headers), ""]).encode()
+    yield from _rows(values)
 
 
 def write_atomic(path: str | Path, blocks: Iterable[bytes]) -> None:

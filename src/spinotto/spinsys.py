@@ -379,16 +379,18 @@ def from_config_text(text: str, origin: str = "<config>") -> SpinSystem:
     couplings: dict[tuple[str, str], float] = {}
     if "j_coupling" in parser:
         for key, value in parser["j_coupling"].items():
-            parts = key.split("-")
-            if len(parts) != 2:
-                raise ConfigError(f"{origin}: [j_coupling] key {key!r} is not LABEL-LABEL")
+            # a label may hold "-" too: a key splits at the one "-" that leaves two defined labels
+            pairs = [(key[:i], key[i + 1 :]) for i, c in enumerate(key) if c == "-" and {key[:i], key[i + 1 :]} <= set(labels)]
+            if len(pairs) != 1:
+                why = f"ambiguous: {len(pairs)} of its '-' split it into defined labels" if pairs else "not LABEL-LABEL: unknown label or no '-'"
+                raise ConfigError(f"{origin}: [j_coupling] key {key!r} is {why}")
             try:
                 j = float(value)
             except ValueError:
                 raise ConfigError(f"{origin}: [j_coupling] {key}: not a number") from None
             if not math.isfinite(j):
                 raise ConfigError(f"{origin}: [j_coupling] {key}: must be finite")
-            couplings[(parts[0], parts[1])] = j
+            couplings[pairs[0]] = j
 
     try:
         return SpinSystem(

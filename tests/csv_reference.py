@@ -8,8 +8,6 @@ Python's ``%``.  This per-cell renderer is the reference its bytes must
 match.  The metadata lines are shared with the package.
 """
 
-import hashlib
-
 import numpy as np
 
 from spinotto.hbac import shannon_bound
@@ -28,19 +26,23 @@ def _column_rows(*columns):
     return zip(*(column.tolist() for column in columns))
 
 
-def config_lines(config):
-    """The text of ``cli.canonical_lines`` entries, each number of a ``(key, values)`` list through ``fmt``."""
-    return [line if isinstance(line, str) else f"{line[0]}=" + ",".join(fmt(v) for v in line[1]) for line in config]
+def config_lines(args):
+    """The config lines of a parsed run, built here rather than by ``cli.canonical_lines``.
 
-
-def config_hash(lines):
-    """The ``# config_hash=`` value of config lines: the first 16 hex digits of their sha256."""
-    return "sha256:" + hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
-
-
-def canonical_omega_line(omega_s_mhz):
-    """The config line of a partner-frequency grid, as ``cli.canonical_lines`` writes it."""
-    return "omega_s_mhz=" + ",".join(fmt(w) for w in omega_s_mhz)
+    Round counts and grid points are named by their first and last values, and the grid by its point count too.
+    """
+    rounds = args.rounds
+    lines = [f"command={args.command}", f"system={args.system}", f"rounds={rounds[0]}"]
+    if len(rounds) > 1:
+        lines[-1] += f"..{rounds[-1]}"
+    if args.command == "ppa":
+        lines.append("field_scale=" + fmt(float(args.field_scale)))
+    if args.command == "two-stroke":
+        grid = args.omega_s
+        lines += [f"omega_s_mhz={fmt(float(grid[0]))}..{fmt(float(grid[-1]))}", f"omega_s_points={len(grid)}"]
+    if args.command == "four-stroke":
+        lines.append("tau=" + fmt(float(args.tau)))
+    return lines
 
 
 def render_ppa_csv(table, sys, field_scale, config_lines):

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spinotto
-from spinotto import cli, engines
+from spinotto import cli, engines, reports
 from spinotto.spinsys import StateInvariantError
 
 from test_spinsys import TCE_CONFIG, huge_coupling_config
@@ -172,6 +172,14 @@ class TestTwoStrokeCommand:
             "positive-work window n=2: (125.77, 875.23) MHz",
             "positive-work window n=3: (125.77, 937.74) MHz",
         ]
+        # every cycle loses work, and the efficiency 1 - omega_T/omega_S is huge and negative
+        rc = run_cli(["two-stroke", "--rounds", "3", "--omega-s", "1e-300:1e-300:1", "--format", "summary"],
+                     tmp_path, monkeypatch)
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "two-stroke max power at omega_s=0.00 MHz, n=3: "
+            "P=-7.682341e-08 W/mol (W=-1.882174e-06 J/mol, eta=-1.258e+302)"
+        )
 
     def test_summary_joins_round_counts_with_the_same_window(self, tmp_path, monkeypatch, capsys):
         rc = run_cli(
@@ -803,8 +811,27 @@ def test_config_line_shows_the_parsed_grid(tmp_path, monkeypatch, capsys):
     assert run_cli(["two-stroke", "--rounds", "1..1", "--omega-s", "2.0000000000015:2.0000000000015:1"],
                    tmp_path, monkeypatch) == 0
     lines = (tmp_path / "two_stroke_sweep.csv").read_text().splitlines()
-    assert "# config: omega_s_mhz=2.000000000002e+00" in lines
+    assert "# config: omega_s_mhz=2.000000000002e+00..2.000000000002e+00" in lines
     assert lines[-1].startswith("2.000000000001e+00,1,")
+
+
+def config_text(argv):
+    """The config lines of a run, joined as the config hash reads them, from the parsed arguments alone."""
+    return "\n".join(cli.canonical_lines(cli._parse_args(argv)))
+
+
+def test_config_text_stays_small_at_the_limits():
+    # the CSV's n and omega_s_MHz columns list every value; the config names each list by its ends
+    for argv in (["four-stroke", "--rounds", "1..1000000"], ["two-stroke", "--rounds", "1", "--omega-s", "1:1000000:1"]):
+        assert len(config_text(argv)) < 200
+
+
+def test_config_hash_follows_the_parsed_grid():
+    grids = ("150:1000:1", "150.0:1000.5:1.0", "150:1000:0.5")
+    hashes = [reports.config_hash(cli.canonical_lines(cli._parse_args(["two-stroke", "--omega-s", g]))) for g in grids]
+    # the same 851 points spelled two ways hash the same; the same ends with twice the points do not
+    assert hashes[0] == hashes[1] != hashes[2]
+    assert config_text(["two-stroke", "--omega-s", grids[2]]).endswith("\nomega_s_points=1701")
 
 
 # the README's three commands
@@ -930,7 +957,7 @@ def test_closed_stdout_exits_0(tmp_path):
         (
             README_ARGVS["four-stroke"],
             "four_stroke_sweep.csv",
-            "da8f61eba3c1afd92f2d6251fc7f8fac3c3c757e624fd4565d4b0932c953c4c3",
+            "fd1caf8b90d9de0266b2c6af17963211a473efd2bb29320705fe8e7c19e49552",
             [
                 "four-stroke max power at n=2: P=5.172818e-09 W/mol (W=3.129555e-07 J/mol, eta=0.5); "
                 "isochoric reference dominates from n=6"
@@ -939,7 +966,7 @@ def test_closed_stdout_exits_0(tmp_path):
         (
             README_ARGVS["two-stroke"],
             "two_stroke_sweep.csv",
-            "d40f00529cc5c26c8f0d5e167ec5161d20b54f31a699ea0760c0d46f168b3298",
+            "7a50a34a3629390e43c64fb45dc5c85a7141273b45fa06b97b71c46793ea08f2",
             [
                 "two-stroke max power at omega_s=438.00 MHz, n=1: P=1.481527e-07 W/mol "
                 "(W=1.555604e-06 J/mol, eta=0.7129)",
@@ -972,6 +999,13 @@ def test_readme_column_lists_match_the_schema():
     listed = dict(re.findall(r"^- `([a-z-]+)`: `([^`]+)`", section, flags=re.MULTILINE))
     schema = {command: ", ".join(header for header, _ in entry[4]) for command, entry in cli._COMMANDS.items()}
     assert {command: " ".join(text.split()) for command, text in listed.items()} == schema
+
+
+def test_readme_shows_the_two_stroke_config_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = cli.canonical_lines(cli._parse_args(README_ARGVS["two-stroke"]))
+    shown = [f"# config_hash={reports.config_hash(lines)}", *(f"# config: {line}" for line in lines)]
+    assert "\n".join(shown) in readme
 
 
 def test_readme_python_example_runs(capsys):

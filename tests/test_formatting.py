@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import csv_reference
-from spinotto import cli, engines, reports, tce_system
+from spinotto import cli, engines, reports
 from test_reports import render
 
 # a fixed, small example budget keeps the whole file at about a second
@@ -78,17 +77,28 @@ def test_edge_values_match_python(sign):
     assert_same_text(reports._rows([values]), expected(values))
 
 
+# powers of ten, values that carry into the next exponent, 13th digits at a half, and any magnitude in 1e-320..1e308
+DECIMAL_FLOATS = st.one_of(
+    st.integers(-320, 308).map(lambda k: float("1e%d" % k)),
+    st.integers(-300, 299).map(lambda k: float("9.9999999999995e%d" % k)),
+    st.tuples(st.integers(10**12, 10**13 - 1), st.integers(-290, 290)).map(lambda t: float("%d.5e%d" % t)),
+    st.floats(min_value=1e-320, max_value=1e308),
+)
+
+
 @SETTINGS
-@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
-@example([0x7FF8000000000001, 0xFFF8000000000000, 0x8000000000000001])
-def test_any_bit_pattern_matches_python(bits):
-    values = as_floats(bits)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64), st.lists(DECIMAL_FLOATS, max_size=30))
+@example([0x7FF8000000000001, 0xFFF8000000000000, 0x8000000000000001], [])
+# a parsed grid, then the smallest subnormal, a three-digit exponent, a negative and a carry
+@example([0], [*cli._parse_omega_grid("0.1:3:0.1").tolist(), 5e-324, 1e100, -2.5, 9.9999999999995])
+def test_any_bit_pattern_matches_python(bits, floats):
+    values = np.concatenate([as_floats(bits), floats])
     assert_same_text(reports._rows([values]), expected(values))
 
 
 @SETTINGS
 @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
-@example([0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, -1, -(2**63)])
+@example([0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, -1, -7, 2**40, -(2**63)])
 def test_any_int64_matches_python(ints):
     values = np.array(ints, dtype=np.int64)
     assert_same_text(reports._rows([values]), "".join("%d\n" % n for n in ints))
@@ -256,58 +266,6 @@ def test_renders_without_numpy_string_api(monkeypatch, tmp_path, capsys):
     for name, args in commands.items():
         assert cli.run([*args, "--out", f"{name}.csv"]) == 0
         assert (tmp_path / f"{name}.csv").read_bytes() == before[name]
-
-
-def test_omega_line_matches_python():
-    grid = (*cli._parse_omega_grid("0.1:3:0.1").tolist(), 5e-324, 1e100, -2.5, 9.9999999999995)
-    assert reports.config_text([("omega_s_mhz", grid)]) == [csv_reference.canonical_omega_line(grid)]
-
-
-def test_rounds_line_matches_python():
-    # the CLI's round counts, and integers past the digit tables' 10**8
-    for rounds in (cli._parse_rounds("0..20000"), (2,), (0, 9999, 10**4, 10**8 - 1, 10**8, 2**40, -7)):
-        assert reports.config_text([("rounds", rounds)]) == ["rounds=" + ",".join(str(n) for n in rounds)]
-
-
-def config_of_csv(config, column):
-    """The config lines and hash line of the CSV ``render_csv`` writes for a table of ``column`` and its row numbers."""
-    columns = [("x", column), ("row", np.arange(len(column)))]
-    # the first block holds the metadata and the header
-    lines = next(reports.render_csv("config", columns, config, tce_system())).decode().splitlines()
-    return [line.removeprefix("# config: ") for line in lines if line.startswith("# config: ")], lines[1]
-
-
-# powers of ten, values that carry into the next exponent, 13th digits at a half, and any magnitude in 1e-320..1e308
-CONFIG_FLOATS = st.one_of(
-    st.integers(-320, 308).map(lambda k: float("1e%d" % k)),
-    st.integers(-300, 299).map(lambda k: float("9.9999999999995e%d" % k)),
-    st.tuples(st.integers(10**12, 10**13 - 1), st.integers(-290, 290)).map(lambda t: float("%d.5e%d" % t)),
-    st.floats(min_value=1e-320, max_value=1e308),
-)
-
-
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(grid=st.lists(CONFIG_FLOATS, min_size=1, max_size=30))
-def test_config_grid_text_is_formatted_with_the_table(grid):
-    config = ["command=two-stroke", ("omega_s_mhz", np.array(grid))]
-    want = "omega_s_mhz=" + ",".join("%.12e" % v for v in grid)
-    # the table's floats are the grid reversed, so a list cut from the wrong end of the shared call shows
-    lines, hash_line = config_of_csv(config, np.array(grid[::-1]))
-    assert lines == reports.config_text(config) == ["command=two-stroke", want]
-    assert hash_line == "# config_hash=" + csv_reference.config_hash(csv_reference.config_lines(config))
-
-
-@settings(derandomize=True, database=None, max_examples=8, deadline=None)
-@given(last=st.integers(0, 4).flatmap(lambda digits: st.integers(0, 10**digits)))
-@example(last=0)
-@example(last=10**6)  # the most round counts a run takes
-def test_config_rounds_text_is_formatted_with_the_table(last):
-    rounds = range(last + 1)
-    config = ["command=four-stroke", ("rounds", rounds), "tau=1.000000000000e-01"]
-    want = ["command=four-stroke", "rounds=" + ",".join(map(str, rounds)), "tau=1.000000000000e-01"]
-    lines, hash_line = config_of_csv(config, np.array([0.5, -3.0, 7e100]))
-    assert lines == reports.config_text(config) == want
-    assert hash_line == "# config_hash=" + csv_reference.config_hash(want)
 
 
 def test_columns_of_different_dtypes():

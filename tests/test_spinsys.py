@@ -504,6 +504,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             from_config_text(mangle(TCE_CONFIG))
 
+    def test_hyphenated_labels_can_be_coupled(self, tce):
+        sys = from_config_text(TCE_CONFIG.replace("C1", "C-1"))
+        assert [q.label for q in sys.qubits] == ["C-1", "C2", "H"]
+        assert (sys.j_coupling("C-1", "C2"), sys.j_coupling("C-1", "H")) == (103.0, 9.0)
+        assert sys.omega_mhz("C-1") == tce.omega_mhz("C1")
+
+    def test_ambiguous_coupling_key_exits_2(self, tmp_path, monkeypatch, capsys):
+        from spinotto import cli
+
+        # with labels H-C and C-H, the key H-C-H reads as H + C-H and as H-C + H
+        text = TCE_CONFIG.replace("C1", "H-C").replace("C2", "C-H")
+        assert "H-C-H = 9.0" in text
+        (tmp_path / "ambiguous.cfg").write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert cli.run(["ppa", "--system", "ambiguous.cfg", "--format", "summary"]) == 2
+        assert capsys.readouterr().err == (
+            "error: ambiguous.cfg: [j_coupling] key 'H-C-H' is ambiguous: 2 of its '-' split it into defined labels\n"
+        )
+
     def test_missing_field_definition(self):
         text = TCE_CONFIG.replace(
             "reference_qubit = H\nreference_omega_mhz = 500.13\n", ""
