@@ -28,6 +28,7 @@ one cycle is a one-point sweep.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -122,6 +123,14 @@ def positive_work_window(
     return omega_t, omega_t * bath_t / cooled_t
 
 
+def _round_count(n) -> int:
+    """``n`` as an int, if it is one: np.fromiter would truncate 2.5 to 2."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"n_rounds must be integers, got {n!r}") from None
+
+
 def _cooled_target(sys: SpinSystem, field_scale: float, n_values: Iterable[int]):
     """One cooling run at ``field_scale`` to the deepest of the round counts ``n_values``.
 
@@ -132,7 +141,7 @@ def _cooled_target(sys: SpinSystem, field_scale: float, n_values: Iterable[int])
         # np.fromiter walks a range item by item; np.arange builds the same ints at once
         n_rounds = np.arange(n_values.start, n_values.stop, n_values.step)
     else:
-        n_rounds = np.fromiter(n_values, np.intp)
+        n_rounds = np.fromiter(map(_round_count, n_values), np.intp)
     if not n_rounds.size:
         raise ValueError("empty round-count grid")
     if n_rounds.min() < 0:

@@ -12,6 +12,8 @@ import errno
 import hashlib
 import math
 import os
+from itertools import accumulate
+from operator import add, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -53,21 +55,25 @@ def metadata_lines(title: str, config_lines: Sequence[str], sys: SpinSystem) -> 
     return lines
 
 
-# Tables render in blocks of rows, each column as word-major arrays: a cell is up to five
-# uint32 words of NUL-padded ASCII (two for a bool), and NUL never occurs in a CSV.  Every
-# array a block makes lives only for that block, and each page the allocator has to fetch
-# anew costs a minor fault, about 3 us on a 2-vCPU VM.  So a block works out its digits in
-# place and copies its words once, row-major, for bytes.translate to drop the padding: a
-# 2048-row block of the paper's two-stroke table peaks near 0.56 MiB.  Smaller blocks
-# cost long tables more in per-call overhead than they save.
+# Tables render in blocks of rows.  A cell is up to five uint32 words of NUL-padded ASCII (two
+# for a bool; a sixth for a float whose exact text needs it), and NUL never occurs in a CSV.
+# A float or bool cell carries the comma before it in a spare byte of its own words, so a row
+# of the paper's two-stroke table is 24 words, not 29.  A block lays its words out
+# word-major, then copies them row-major into a text buffer that every block of the table
+# reuses, and bytearray.translate drops the padding.  Measured on that table (6808 rows, 4
+# blocks): the render peaks at 0.59 MB under tracemalloc, and a loop of in-process runs
+# takes 80-105 minor page faults per run (the count moves with the heap's layout), each
+# about 3 us on a 2-vCPU VM.  Only the text buffer is kept: keeping the word-major array
+# too would hold three block-sized arrays at once.
+# Smaller blocks cost long tables more in per-call overhead than they save.
 _BLOCK_ROWS = 1 << 11
 # ASCII digit j of each k < 10**4 in row j, then with NUL for leading zeros but the last
 _DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1) + np.uint8(ord("0"))
 _TRIMMED = np.where(np.arange(10**4) < np.array([[1000], [100], [10], [0]]), 0, _DIGITS)
-# words: k < 10**4 trimmed, then zero-padded, then a float's lead word (NUL, sign, digit, "."), then "e+07"
+# words: k < 10**4 trimmed, then zero-padded, then a float's lead word (",", sign, digit, "."), then "e+07"
 _WORDS = np.concatenate([
     np.concatenate([_TRIMMED.T, _DIGITS.T]).copy().view(np.uint32).ravel(),
-    np.array([b"\0%s%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10)]).view(np.uint32),
+    np.array([b",%s%d." % (sign, d) for sign in (b"\0", b"-") for d in range(10)]).view(np.uint32),
     np.array([b"e%+03d" % e for e in range(-100, 101)], "S4").view(np.uint32),
 ])
 _PADDED, _LEADS, _EXPONENTS = _WORDS[10**4 :], _WORDS[2 * 10**4 :], _WORDS[2 * 10**4 + 20 :]
@@ -75,22 +81,39 @@ _PADDED, _LEADS, _EXPONENTS = _WORDS[10**4 :], _WORDS[2 * 10**4 :], _WORDS[2 * 1
 # and how far from a half the digit fraction must lie for the fast path (see _float_cells)
 _POW10 = np.array([*(float("1e%d" % (12 - e)) for e in range(-100, 100)), math.nan])
 _MARGINS = np.array([0.499 if 0 <= 12 - e <= 22 else 0.495 for e in range(-100, 101)])
-_BOOL_WORDS = np.array([b"false", b"true"], "S8").view(np.uint32).reshape(2, 2).T.copy()
+# false and true as two words each, by (comma before, newline after)
+_BOOL_WORDS = {
+    (comma, newline): np.array([b"," * comma + text + b"\n" * newline for text in (b"false", b"true")], "S8")
+    .view(np.uint32).reshape(2, 2).T.copy()
+    for comma in (False, True) for newline in (False, True)
+}
 _COMMA, _NEWLINE = np.array([b",", b"\n"], "S4").view(np.uint32)
+# ANDed into a float's first word, drops its comma
+_UNLED = np.array([b"\0\xff\xff\xff"]).view(np.uint32)
 
 
 def _exact(cells, fast, x, spec: bytes):
-    """Overwrite the cells of ``x`` that ``fast`` leaves out with Python's ``spec % value``."""
+    """Overwrite the cells of ``x`` that ``fast`` leaves out with Python's ``spec % value``.
+
+    A text longer than the cells' words, such as ``",-1.000000000000e-100"`` in five,
+    widens every cell by NUL words.
+    """
     if not fast.all():
         slow = np.flatnonzero(~fast)
-        values = x.reshape(-1)[slow].tolist()
-        cells.reshape(5, -1)[:, slow] = np.array([spec % v for v in values], "S20").view("u4").reshape(-1, 5).T
+        texts = [spec % v for v in x.reshape(-1)[slow].tolist()]
+        words = max(len(cells), -(-max(map(len, texts)) // 4))
+        if words > len(cells):
+            cells = np.concatenate([cells, np.zeros((words - len(cells),) + cells.shape[1:], np.uint32)])
+        cells.reshape(words, -1)[:, slow] = np.array(texts, f"S{4 * words}").view("u4").reshape(-1, words).T
     return cells
 
 
 @np.errstate(all="ignore")
 def _float_cells(x: np.ndarray) -> np.ndarray:
-    """``b"%.12e" % v`` of each value of a 2-D float64 array as five words: shape ``(5,) + x.shape``.
+    """``b",%.12e" % v`` of each value of a float64 array as five words: shape ``(5,) + x.shape``.
+
+    The comma is the first byte of the first word; ``_UNLED`` drops it.  A negative
+    value with a three-digit exponent takes 21 bytes, and a sixth word (see ``_exact``).
 
     The digits are ``m = |x| * 10**(12 - e)`` rounded, ``e`` from ``log10`` less 1e-12
     (never above the exponent, so ``m >= 1e12``).  A cell whose fraction ``m - rint(m)``
@@ -107,13 +130,15 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     the NaN ends of ``_POW10``, zero, subnormal, non-finite and three-digit-exponent
     values.
     """
+    # four arrays of x's size, each reused: a holds r, s holds m, then |m - r|
     a = np.abs(x)
     s = np.log10(a)
     s += 100 - 1e-12
     k = s.astype(np.intp)
-    m = a * _POW10.take(k, mode="clip")
+    m = np.multiply(a, _POW10.take(k, out=s, mode="clip"), out=s)
     r = np.rint(m, out=a)
-    fast = np.abs(m - r) < _MARGINS.take(k, mode="clip")
+    m -= r
+    fast = np.abs(m, out=m) < _MARGINS.take(k, mode="clip")
     carry = r == 1e13
     r[carry] = 1e12
     k += carry
@@ -122,8 +147,8 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     r += 1e13 * (x < 0)  # a 14th digit: the lead word of a negative value
     cells = np.empty((5,) + x.shape, np.uint32)
     _EXPONENTS.take(k, out=cells[4], mode="clip")
-    # four-digit groups from the last, as integers in k, then in s and m reused
-    digits, quotient, scratch = k, s.view(np.intp), m.view(np.intp)
+    # four-digit groups from the last, as integers in k, then in m and r reused
+    digits, quotient, scratch = k, m.view(np.intp), r.view(np.intp)
     np.copyto(digits, r, casting="unsafe")
     for group in (3, 2, 1):
         np.floor_divide(digits, 10**4, out=quotient)
@@ -131,7 +156,7 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
         _PADDED.take(digits, out=cells[group], mode="clip")
         digits, quotient = quotient, digits
     _LEADS.take(digits, out=cells[0], mode="clip")
-    return _exact(cells, fast, x, b"%.12e")
+    return _exact(cells, fast, x, b",%.12e")
 
 
 def _int_cells(v: np.ndarray) -> np.ndarray:
@@ -146,71 +171,153 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
     return cells[cells.any(axis=1).argmax() :]
 
 
-def _format(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Each 1-D array's cells as word-major rows, one kernel call per dtype: int64 and uint64 would join as float64."""
-    cells = [_BOOL_WORDS.take(a.astype(np.intp), axis=1) if a.dtype.kind == "b" else None for a in arrays]
-    for dtype in dict.fromkeys(a.dtype for a, c in zip(arrays, cells) if c is None):
-        picked = [k for k, a in enumerate(arrays) if a.dtype == dtype]
-        kernel, floats = (_float_cells, np.float64) if dtype.kind == "f" else (_int_cells, None)
-        joined, stop = kernel(np.concatenate([arrays[k] for k in picked], dtype=floats)), 0
-        for k in picked:
-            start, stop = stop, stop + len(arrays[k])
-            cells[k] = joined[:, start:stop]
+def _format(flat: Sequence[np.ndarray], calls: list, small: dict, start: int, stop: int) -> list:
+    """The cells of rows ``start:stop`` from each of ``calls``, one kernel call per dtype of int and float columns.
+
+    Each call names its dtype's full columns and, formatted only in the first block,
+    its columns smaller than the table, in order; int64 and uint64 would join as
+    float64.  A call's cells hold its full columns' rows side by side, or it is None
+    after the first block if it has no full column.  ``small`` gets each small
+    column's cells: a copy, so that the block's cells are freed with the block.  A
+    float column 0 loses its comma.
+    """
+    rows, cells = stop - start, []
+    for part, smaller in calls:
+        fresh = smaller if start == 0 else []
+        arrays = [flat[k][start:stop] for k in part] + [flat[k] for k in fresh]
+        if not arrays:
+            cells.append(None)
+            continue
+        floats = arrays[0].dtype.kind == "f"
+        joined = (_float_cells if floats else _int_cells)(np.concatenate(arrays, dtype=np.float64 if floats else None))
+        # the row's first cell has no comma before it
+        if floats and part and part[0] == 0:
+            joined[0, :rows] &= _UNLED
+        if fresh:
+            offsets = list(accumulate((len(flat[k]) for k in fresh), initial=len(part) * rows))
+            for k, offset, end in zip(fresh, offsets, offsets[1:]):
+                if floats and k == 0:
+                    joined[0, offset:end] &= _UNLED
+                small[k][0] = joined[:, offset:end].copy()
+        cells.append(joined if part else None)
     return cells
 
 
-def _words(flat: Sequence[np.ndarray], small: dict, shape: tuple, start: int, stop: int) -> np.ndarray:
-    """Rows ``start:stop`` as word-major rows: each column's cells, then a comma or, last, a newline.
+def _fill(block: np.ndarray, cells: list, runs: list, small: dict, starts: list, axis_index: list) -> None:
+    """Write the cells of the full int and float columns, and of the small columns, into their words of ``block``.
 
-    ``flat`` holds each column in row order.  ``small`` holds, for a column smaller than
-    the table, its cells (None until the first block formats them) and its element step
-    along each axis of the table, 0 where it is broadcast.  The block picks those cells
-    by its rows' axis indices.
+    ``block`` is word-major, ``(words, rows)``, and ``starts`` holds each column's first
+    word.  Each of ``runs`` is a full column, how many adjacent full columns of its
+    kernel call it starts (no word lies between them), the call, and the column's place
+    among the call's full columns: one copy a run.  A small column picks its cells by
+    the rows' ``axis_index``.
     """
-    rows = stop - start
-    full = [k for k in range(len(flat)) if k not in small]
-    fresh = [k for k, (cells, _) in small.items() if cells is None]
-    cells = _format([*(flat[k][start:stop] for k in full), *(flat[k] for k in fresh)])
-    for k, column_cells in zip(fresh, cells[len(full) :]):
-        # a copy, so that the block's cells are freed with the block
-        small[k][0] = column_cells.copy()
-    picked = dict(zip(full, cells))
-    if small:
-        axis_index = np.unravel_index(np.arange(start, stop), shape)
-        for k, (column_cells, steps) in small.items():
-            # a cell's flat index: each axis index times the column's step along it
-            terms = [i if step == 1 else i * step for i, step in zip(axis_index, steps) if step]
-            picked[k] = column_cells.take(sum(terms[1:], terms[0]) if terms else np.zeros(rows, np.intp), axis=1)
-    words = [np.full((1, rows), _COMMA)] * (2 * len(flat))
-    words[::2] = [picked[k] for k in range(len(flat))]
-    words[-1] = np.full_like(words[-1], _NEWLINE)
-    return np.concatenate(words)
+    rows = block.shape[1]
+    for k, run, call, place in runs:
+        joined = cells[call]
+        width = len(joined)
+        block[starts[k] : starts[k] + run * width].reshape(run, width, rows)[...] = (
+            joined[:, place * rows : (place + run) * rows].reshape(width, run, rows).transpose(1, 0, 2)
+        )
+    for k, (column_cells, steps) in small.items():
+        at = starts[k]
+        if not any(steps):
+            block[at : at + len(column_cells)] = column_cells
+            continue
+        # a cell's flat index: each axis index times the column's step along it
+        terms = [i if step == 1 else i * step for i, step in zip(axis_index, steps) if step]
+        # every index is in range: "wrap" skips the bounds check, which also copies through a buffer
+        column_cells.take(sum(terms[1:], terms[0]), axis=1, out=block[at : at + len(column_cells)], mode="wrap")
 
 
-def _rows(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
+def _rows(columns: Sequence[np.ndarray]) -> Iterator[bytearray]:
     """Lines of ``columns`` as bytes, a block of rows at a time: ``%.12e``, ``%d`` and true/false cells.
 
     The columns broadcast to the table's shape, whose rows run in row-major order.  A
     full-size column is sliced per block.  A smaller column, such as one value per
-    frequency or one per round count, is formatted once, with the first block.  Each block
-    makes one kernel call per dtype of its cells: for the CLI's tables, one ``_float_cells`` and one ``_int_cells``.
+    frequency or one per round count, is formatted once, with the first block, and each
+    block picks its cells by its rows' axis indices.  Each block makes one kernel call
+    per dtype of its cells: for the CLI's tables, one ``_float_cells`` and one ``_int_cells``.
+
+    A float or bool cell carries the comma before it, and a bool the newline after it
+    when it ends the row; an int cell has a comma word before it, and a row that does
+    not end in a bool a newline word.  A block's words are laid out word-major, then
+    copied row-major into a buffer that every block of the table reuses, for
+    ``bytearray.translate`` to drop the NUL padding.
     """
     shape = np.broadcast(*columns).shape
     size = math.prod(shape)
     flat = [c.reshape(-1) for c in columns]
-    small = {}
+    kinds = [c.dtype.kind for c in flat]
+    last = len(flat) - 1
+    small, bools, calls = {}, {}, {}
     for k, c in enumerate(flat):
         if c.size < size:
             dims = (1,) * (len(shape) - np.ndim(columns[k])) + np.shape(columns[k])
             # int8 elements make the strides the element steps
             steps = [step if n > 1 else 0 for n, step in zip(dims, np.empty(dims, np.int8).strides)]
             small[k] = [None, steps]
+        if kinds[k] == "b":
+            bools[k] = _BOOL_WORDS[k > 0, k == last]
+            if k in small:
+                small[k][0] = bools[k].take(c, axis=1)
+        else:
+            calls.setdefault(c.dtype, ([], []))[k in small].append(k)
+    calls = list(calls.values())
+    # a run of floats of one call with no word between them; an int has a comma word before it
+    runs = []
+    for call, (part, _) in enumerate(calls):
+        for place, k in enumerate(part):
+            if place and kinds[k] == "f" and part[place - 1] == k - 1:
+                runs[-1][1] += 1
+            else:
+                runs.append([k, 1, call, place])
+    call_of = {k: call for call, (part, _) in enumerate(calls) for k in part}
+    # a comma word before each int cell but column 0's, and a newline word unless a bool ends the row
+    separated = [k > 0 and kind in "iu" for k, kind in enumerate(kinds)] + [last not in bools]
+    separators = [_COMMA] * sum(separated[:-1]) + [_NEWLINE] * separated[-1]
+    separators = np.array(separators, np.uint32)[:, None] if separators else None
+    # the axes along which a small column moves
+    axes = sorted({a for _, steps in small.values() for a, step in enumerate(steps) if step})
+    call_widths = None
     for start in range(0, size, _BLOCK_ROWS):
-        # the cell arrays are freed as _words returns; then one row-major copy, less its NUL padding
-        yield _words(flat, small, shape, start, min(start + _BLOCK_ROWS, size)).T.tobytes().translate(None, b"\0")
+        stop = min(start + _BLOCK_ROWS, size)
+        cells = _format(flat, calls, small, start, stop)
+        if [c is not None and len(c) for c in cells] != call_widths:
+            # the first block, or a cell width changed, as an int column's does at 10**4
+            call_widths = [c is not None and len(c) for c in cells]
+            widths = [call_widths[call_of[k]] if k in call_of else 2 if k in bools else len(small[k][0]) for k in range(len(flat))]
+            ends = list(accumulate(map(add, separated, widths)))
+            starts = list(map(sub, ends, widths))
+            width = ends[-1] + separated[-1]
+            at_separators = [at - 1 for at, gap in zip(starts, separated) if gap] + [width - 1] * separated[-1]
+            buffer = None
+        rows = stop - start
+        block = np.empty((width, rows), np.uint32)
+        if separators is not None:
+            block[at_separators] = separators
+        for k, words in bools.items():
+            if k not in small:
+                words.take(flat[k][start:stop], axis=1, out=block[starts[k] : starts[k] + 2], mode="wrap")
+        axis_index = [None] * len(shape)
+        row = np.arange(start, stop) if axes else None
+        for a in axes:
+            # the rows' index along axis a, as np.unravel_index gives it, for the axes in use only
+            along = row // math.prod(shape[a + 1 :]) if a < len(shape) - 1 else row
+            axis_index[a] = along % shape[a] if a else along
+        _fill(block, cells, runs, small, starts, axis_index)
+        del cells
+        if buffer is None:
+            # made once the block's cells are freed: the text of every block with these widths
+            buffer = bytearray(4 * width * min(size, _BLOCK_ROWS))
+        np.ndarray((rows, width), np.uint32, buffer)[...] = block.T
+        del block
+        n = 4 * width * rows
+        # the block's text: its words less their NUL padding
+        yield (buffer if n == len(buffer) else buffer[:n]).translate(None, b"\0")
 
 
-def render_csv(title: str, columns: Sequence[tuple[str, np.ndarray]], config_lines: Sequence[str], sys: SpinSystem) -> Iterator[bytes]:
+def render_csv(title: str, columns: Sequence[tuple[str, np.ndarray]], config_lines: Sequence[str], sys: SpinSystem) -> Iterator[bytes | bytearray]:
     """The CSV blocks of ``(header, values)`` pairs whose values broadcast to one table: metadata and header, then rows."""
     headers, values = zip(*columns)
     yield "\n".join([*metadata_lines(title, config_lines, sys), ",".join(headers), ""]).encode()

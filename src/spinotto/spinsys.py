@@ -135,10 +135,12 @@ class SpinSystem:
         return q.omega_over_2pi if q.omega_over_2pi is not None else q.gamma_over_2pi * self.b_field
 
     def omega(self, label: str, field_scale: float = 1.0) -> float:
-        """Larmor angular frequency in rad/s at the scaled field; a ``ConfigError`` if it overflows."""
+        """Larmor angular frequency in rad/s at the scaled field; a ``ConfigError`` if it is not finite."""
         mhz = self.omega_mhz(label)
         omega = TWO_PI * 1e6 * mhz * field_scale
         if not math.isfinite(omega):
+            if not math.isfinite(field_scale):
+                raise ConfigError(f"qubit {label}: field scale {field_scale:g} is not finite")
             raise ConfigError(
                 f"qubit {label}: Larmor frequency {mhz:g} MHz at field scale {field_scale:g} overflows in rad/s"
             )

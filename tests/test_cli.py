@@ -215,6 +215,24 @@ class TestTwoStrokeCommand:
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize(
+        "grid,error",
+        [
+            ("150:1000", "omega grid must be start:stop:step in MHz, got '150:1000'"),
+            ("150:1000:1:2", "omega grid must be start:stop:step in MHz, got '150:1000:1:2'"),
+            ("150:abc:1", "omega grid values must be numbers: '150:abc:1'"),
+        ],
+        ids=["two-parts", "four-parts", "not-a-number"],
+    )
+    def test_malformed_grid_exits_2(self, grid, error, tmp_path, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["two-stroke", "--rounds", "1", "--omega-s", grid], tmp_path, monkeypatch)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"spinotto two-stroke: error: argument --omega-s: {error}"
+        ]
+
+    @pytest.mark.parametrize(
         "grid,reason",
         [
             ("1:inf:1", "values must be finite"),

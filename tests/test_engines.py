@@ -116,6 +116,15 @@ class TestFourStroke:
         with pytest.raises(ValueError):
             sweep_four_stroke(tce, [-1])
 
+    def test_rejects_non_integer_rounds(self, tce):
+        # np.fromiter would run 2.5 as n = 2
+        with pytest.raises(ValueError, match=r"^n_rounds must be integers, got 2\.5$"):
+            sweep_four_stroke(tce, [1, 2.5])
+
+    def test_rejects_an_empty_round_grid(self, tce):
+        with pytest.raises(ValueError, match="^empty round-count grid$"):
+            sweep_four_stroke(tce, [])
+
 
 class TestIsochoricReference:
     def test_matched_cold_bath_reproduces_work(self, tce, four_stroke_table):
@@ -325,6 +334,19 @@ class TestTwoStroke:
             sweep_two_stroke(tce, [-1.0], [1])
         with pytest.raises(ValueError):
             sweep_two_stroke(tce, [mhz(430.0)], [-1])
+
+    def test_rejects_non_integer_rounds(self, tce):
+        with pytest.raises(ValueError, match=r"^n_rounds must be integers, got 1\.5$"):
+            sweep_two_stroke(tce, [mhz(430.0)], [1.5])
+        # numpy integers are round counts too
+        table = sweep_two_stroke(tce, [mhz(430.0)], np.array([1, 2]))
+        assert table.columns["n_rounds"].ravel().tolist() == [1, 2]
+
+    def test_rejects_empty_grids(self, tce):
+        with pytest.raises(ValueError, match="^empty sweep grid$"):
+            sweep_two_stroke(tce, [], [1])
+        with pytest.raises(ValueError, match="^empty round-count grid$"):
+            sweep_two_stroke(tce, [mhz(430.0)], [])
 
 
 class TestPositiveWorkWindow:

@@ -205,6 +205,44 @@ def test_rows_span_several_blocks(monkeypatch):
     assert list(reports._rows([np.arange(50), values])) == want
 
 
+@pytest.mark.parametrize("first", ["float", "int", "bool"])
+def test_cell_widths_change_between_blocks(first, monkeypatch):
+    """Blocks share one text buffer, laid out again when a cell width changes.
+
+    A negative value with a three-digit exponent and the comma before it take 21
+    bytes, so that block's float cells are six words wide; an int column widens at 10**4.
+    """
+    monkeypatch.setattr(reports, "_BLOCK_ROWS", 4)
+    rows = 18  # blocks of 4, 4, 4, 4 and 2 rows
+    floats = np.linspace(-2.0, 3.0, rows)
+    floats[[5, 13]] = [-1.5e-150, -2.5e200]
+    ints = np.array([9] * 8 + [10**4, 12] + [123456] * 8)
+    flags = np.arange(rows) % 3 == 0
+    lead = {"float": floats[::-1].copy(), "int": ints[::-1].copy(), "bool": ~flags}[first]
+    columns = [lead, floats, ints, flags, floats * 1e-3]
+    texts = [[b"%.12e" % v if isinstance(v, float) else (b"true" if v else b"false") if isinstance(v, bool) else b"%d" % v
+              for v in row] for row in zip(*(c.tolist() for c in columns))]
+    lines = [b",".join(row) + b"\n" for row in texts]
+    want = [b"".join(lines[start : start + 4]) for start in range(0, rows, 4)]
+    blocks = list(reports._rows(columns))
+    assert blocks == want
+    # every block is its own object: a later block does not write into an earlier one
+    assert len({id(block) for block in blocks}) == len(blocks)
+
+
+def test_small_columns_of_a_three_axis_table(monkeypatch):
+    """A column smaller than the table picks its cells by the rows' index along each axis it spans."""
+    monkeypatch.setattr(reports, "_BLOCK_ROWS", 5)
+    shape = (2, 3, 4)
+    rng = np.random.default_rng(3)
+    columns = [rng.standard_normal(dims) for dims in [(2, 1, 1), (1, 3, 1), (1, 1, 4), (2, 3, 1), (1, 3, 4), (2, 1, 4), shape]]
+    columns += [np.arange(3).reshape(3, 1) * 7, np.float64(2.5), rng.random((1, 3, 1)) < 0.5]
+    rows = zip(*(np.broadcast_to(c, shape).reshape(-1).tolist() for c in columns))
+    want = "".join(",".join("%.12e" % v if isinstance(v, float) else ("true" if v else "false") if isinstance(v, bool) else "%d" % v
+                            for v in row) + "\n" for row in rows)
+    assert_same_text(reports._rows(columns), want)
+
+
 def test_exact_cells_in_every_column_and_block(monkeypatch):
     """Exact-path cells are patched in by flat index: every float and int column of every block has some."""
     monkeypatch.setattr(reports, "_BLOCK_ROWS", 6)
@@ -233,7 +271,7 @@ def test_exact_cells_in_every_column_and_block(monkeypatch):
 
     def counting(cells, fast, values, spec):
         # a block's columns of one kind go through one call, one after another
-        slow.append((spec, (~fast).reshape(3 if spec == b"%.12e" else 2, -1).any(axis=-1).tolist()))
+        slow.append((spec, (~fast).reshape(3 if spec == b",%.12e" else 2, -1).any(axis=-1).tolist()))
         return original(cells, fast, values, spec)
 
     original = reports._exact
@@ -246,7 +284,7 @@ def test_exact_cells_in_every_column_and_block(monkeypatch):
     want = [b"".join(lines[start : start + 6]) for start in range(0, rows, 6)]
     assert list(reports._rows(columns)) == want
     # per block: one call for the three float columns, then one for the two int columns
-    assert slow == [(b"%.12e", [True] * 3), (b"%d", [True] * 2)] * 4
+    assert slow == [(b",%.12e", [True] * 3), (b"%d", [True] * 2)] * 4
 
 
 def test_renders_without_numpy_string_api(monkeypatch, tmp_path, capsys):

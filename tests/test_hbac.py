@@ -296,6 +296,20 @@ class TestExactMap:
         assert worst == pytest.approx(eps_b**2, rel=1e-6, abs=0)
 
 
+class TestCoolingPolarizations:
+    @pytest.mark.parametrize("eps_b", [0.999, 0.3, 3e-5])
+    @pytest.mark.parametrize("n_rounds", [10, 1074, 1075, 1076, 3000])
+    def test_powers_past_the_underflow_match_every_power(self, eps_b, n_rounds):
+        # a**n is 0.0 from n = 1075 on, so only the powers before it are computed
+        a = (1.0 - eps_b * eps_b) / 2.0
+        limit = 2.0 * eps_b / (1.0 + eps_b * eps_b)
+        target = np.power(a, np.arange(n_rounds + 1)) * (eps_b - limit)
+        reset = eps_b - target[:-1] * (a - 1.0)
+        columns = hbac.cooling_polarizations(eps_b, 0.25, n_rounds)
+        assert columns[0].tobytes() == (target + limit).tobytes()
+        assert columns[1].tobytes() == np.concatenate([[0.25], reset]).tobytes()
+
+
 class TestRunPpa:
     def test_seven_rounds_half_field(self, tce, eps_bath_half):
         trace = run_ppa(thermal_target(tce, 0.5), tce, 0.5, 7)

@@ -1,6 +1,7 @@
 """The row renderers against the per-cell reference renderer, byte for byte."""
 
 import argparse
+import hashlib
 import math
 import os
 import stat
@@ -254,6 +255,29 @@ def test_failed_stream_leaves_the_target_as_it_was(existing, tmp_path):
         assert target.read_bytes() == existing
 
 
+def test_a_failed_cleanup_keeps_the_first_error(tmp_path, monkeypatch):
+    # the temp file cannot be removed either: the rendering error still propagates, not the OSError
+    def refuse(path):
+        raise PermissionError(path)
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    with pytest.raises(RuntimeError, match="rendering failed"):
+        reports.write_atomic(tmp_path / "out.csv", failing_blocks())
+    [left] = tmp_path.iterdir()
+    assert left.name.startswith(".out.csv.") and left.name.endswith(".tmp")
+    assert left.read_bytes() == b"round,eps_target\n"
+
+
+def test_many_blocks_keep_their_bytes(tmp_path, monkeypatch, capsys):
+    # 100001 rows: 49 blocks, the last one short; the round column widens from one word to
+    # two at 10**4, and the cooling powers underflow to zero from round 1075 on
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(["ppa", "--rounds", "100000", "--out", "ppa.csv"]) == 0
+    digest = hashlib.sha256((tmp_path / "ppa.csv").read_bytes()).hexdigest()
+    assert digest == "aa3f0ce77591105acde28ba6d6e44c4d3e3473cf5c6e3c3e07d5ef411d57204c"
+    assert math.ceil(100001 / reports._BLOCK_ROWS) == 49
+
+
 def test_writing_a_long_table_holds_one_block_at_a_time(tce, tmp_path):
     rounds = 10**5
     run = hbac.run_ppa(thermal_marginal_polarization(tce, "C1", 0.5), tce, 0.5, 1000)
@@ -287,9 +311,10 @@ def test_rendering_a_block_touches_little_fresh_memory(tce):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # measured: a peak of 552 kB for 2048-row blocks, against 1.68 MB when each
-    # block held (4, columns, rows) float temporaries and a byte mask of its text,
-    # and 709 kB when the renderer kept its first block while it rendered the rest
+    # measured: a peak of 587 kB for 2048-row blocks that share one text buffer (556 kB
+    # when each block made its text afresh), against 1.68 MB when each block held
+    # (4, columns, rows) float temporaries and a byte mask of its text, and 709 kB
+    # when the renderer kept its first block while it rendered the rest
     assert peak < 640_000
 
 

@@ -15,6 +15,7 @@ from dense import (
     thermal_state,
     zeeman_levels,
 )
+from spinotto.hbac import run_ppa
 from spinotto.spinsys import (
     HBAR,
     ConfigError,
@@ -143,6 +144,19 @@ class TestSpinSystemValidation:
             SpinSystem((q,), {}, 1e304, 300.0)
         with pytest.raises(ConfigError, match=r"^qubit q: Larmor frequency 500\.13 MHz at field scale 1e\+305 overflows"):
             single_spin(500.13).omega("q", 1e305)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_field_scale(self, scale, tce):
+        # such a scale does not overflow: it is no number to scale by
+        with pytest.raises(ConfigError, match=rf"^qubit q: field scale {scale:g} is not finite$"):
+            single_spin(500.13).omega("q", scale)
+        eps = thermal_marginal_polarization(tce, "C1", 0.5)
+        with pytest.raises(ConfigError, match=rf"^qubit H: field scale {scale:g} is not finite$"):
+            run_ppa(eps, tce, scale, 3)
+
+    def test_unknown_label(self, tce):
+        with pytest.raises(KeyError, match=r"unknown qubit label 'X'; register is \('C1', 'C2', 'H'\)"):
+            tce.qubit("X")
 
 
 class TestStaticHamiltonian:
@@ -522,6 +536,10 @@ class TestConfig:
         assert capsys.readouterr().err == (
             "error: ambiguous.cfg: [j_coupling] key 'H-C-H' is ambiguous: 2 of its '-' split it into defined labels\n"
         )
+
+    def test_rejects_a_config_without_qubits(self):
+        with pytest.raises(ConfigError, match=r"^<config>: no \[qubit\.<LABEL>\] sections"):
+            from_config_text("[system]\ntemperature_kelvin = 300.0\n")
 
     def test_missing_field_definition(self):
         text = TCE_CONFIG.replace(
