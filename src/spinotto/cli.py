@@ -210,7 +210,7 @@ def _cmd_ppa(args: argparse.Namespace, system: SpinSystem) -> Outcome:
     above = eps > hbac.shannon_bound(system, field_scale) * (1.0 + 1e-6)
     summary = (
         f"ppa rounds={n_rounds} field_scale={field_scale:g}: "
-        f"final eps_target={eps[-1]:.6e} T_eff={t_eff[-1]:.3f} K "
+        f"final eps_target={eps[-1]:.6e} T_eff={t_eff[-1]:.5g} K "
         f"shannon_crossing_round={np.argmax(above) if above.any() else '-'}"
     )
     return table, summary

@@ -12,6 +12,7 @@ import errno
 import hashlib
 import math
 import os
+from functools import reduce
 from itertools import accumulate
 from operator import add, sub
 from pathlib import Path
@@ -60,11 +61,10 @@ def metadata_lines(title: str, config_lines: Sequence[str], sys: SpinSystem) -> 
 # A float or bool cell carries the comma before it in a spare byte of its own words, so a row
 # of the paper's two-stroke table is 24 words, not 29.  A block lays its words out
 # word-major, then copies them row-major into a text buffer that every block of the table
-# reuses, and bytearray.translate drops the padding.  Measured on that table (6808 rows, 4
-# blocks): the render peaks at 0.59 MB under tracemalloc, and a loop of in-process runs
-# takes 80-105 minor page faults per run (the count moves with the heap's layout), each
-# about 3 us on a 2-vCPU VM.  Only the text buffer is kept: keeping the word-major array
-# too would hold three block-sized arrays at once.
+# reuses, so that a block does not fault in fresh pages, and bytearray.translate drops the
+# padding.  Only the text buffer is kept: keeping the word-major array too would hold three
+# block-sized arrays at once (test_rendering_a_block_touches_little_fresh_memory bounds the
+# render of that table at 640,000 bytes under tracemalloc).
 # Smaller blocks cost long tables more in per-call overhead than they save.
 _BLOCK_ROWS = 1 << 11
 # ASCII digit j of each k < 10**4 in row j, then with NUL for leading zeros but the last
@@ -171,65 +171,6 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
     return cells[cells.any(axis=1).argmax() :]
 
 
-def _format(flat: Sequence[np.ndarray], calls: list, small: dict, start: int, stop: int) -> list:
-    """The cells of rows ``start:stop`` from each of ``calls``, one kernel call per dtype of int and float columns.
-
-    Each call names its dtype's full columns and, formatted only in the first block,
-    its columns smaller than the table, in order; int64 and uint64 would join as
-    float64.  A call's cells hold its full columns' rows side by side, or it is None
-    after the first block if it has no full column.  ``small`` gets each small
-    column's cells: a copy, so that the block's cells are freed with the block.  A
-    float column 0 loses its comma.
-    """
-    rows, cells = stop - start, []
-    for part, smaller in calls:
-        fresh = smaller if start == 0 else []
-        arrays = [flat[k][start:stop] for k in part] + [flat[k] for k in fresh]
-        if not arrays:
-            cells.append(None)
-            continue
-        floats = arrays[0].dtype.kind == "f"
-        joined = (_float_cells if floats else _int_cells)(np.concatenate(arrays, dtype=np.float64 if floats else None))
-        # the row's first cell has no comma before it
-        if floats and part and part[0] == 0:
-            joined[0, :rows] &= _UNLED
-        if fresh:
-            offsets = list(accumulate((len(flat[k]) for k in fresh), initial=len(part) * rows))
-            for k, offset, end in zip(fresh, offsets, offsets[1:]):
-                if floats and k == 0:
-                    joined[0, offset:end] &= _UNLED
-                small[k][0] = joined[:, offset:end].copy()
-        cells.append(joined if part else None)
-    return cells
-
-
-def _fill(block: np.ndarray, cells: list, runs: list, small: dict, starts: list, axis_index: list) -> None:
-    """Write the cells of the full int and float columns, and of the small columns, into their words of ``block``.
-
-    ``block`` is word-major, ``(words, rows)``, and ``starts`` holds each column's first
-    word.  Each of ``runs`` is a full column, how many adjacent full columns of its
-    kernel call it starts (no word lies between them), the call, and the column's place
-    among the call's full columns: one copy a run.  A small column picks its cells by
-    the rows' ``axis_index``.
-    """
-    rows = block.shape[1]
-    for k, run, call, place in runs:
-        joined = cells[call]
-        width = len(joined)
-        block[starts[k] : starts[k] + run * width].reshape(run, width, rows)[...] = (
-            joined[:, place * rows : (place + run) * rows].reshape(width, run, rows).transpose(1, 0, 2)
-        )
-    for k, (column_cells, steps) in small.items():
-        at = starts[k]
-        if not any(steps):
-            block[at : at + len(column_cells)] = column_cells
-            continue
-        # a cell's flat index: each axis index times the column's step along it
-        terms = [i if step == 1 else i * step for i, step in zip(axis_index, steps) if step]
-        # every index is in range: "wrap" skips the bounds check, which also copies through a buffer
-        column_cells.take(sum(terms[1:], terms[0]), axis=1, out=block[at : at + len(column_cells)], mode="wrap")
-
-
 def _rows(columns: Sequence[np.ndarray]) -> Iterator[bytearray]:
     """Lines of ``columns`` as bytes, a block of rows at a time: ``%.12e``, ``%d`` and true/false cells.
 
@@ -237,76 +178,96 @@ def _rows(columns: Sequence[np.ndarray]) -> Iterator[bytearray]:
     full-size column is sliced per block.  A smaller column, such as one value per
     frequency or one per round count, is formatted once, with the first block, and each
     block picks its cells by its rows' axis indices.  Each block makes one kernel call
-    per dtype of its cells: for the CLI's tables, one ``_float_cells`` and one ``_int_cells``.
+    per dtype of its int and float cells, its full columns' rows side by side and, in the
+    first block, the smaller columns after them: for the CLI's tables, one
+    ``_float_cells`` and one ``_int_cells``.  int64 and uint64 would join as float64, so
+    each dtype has its own call.
 
     A float or bool cell carries the comma before it, and a bool the newline after it
     when it ends the row; an int cell has a comma word before it, and a row that does
-    not end in a bool a newline word.  A block's words are laid out word-major, then
-    copied row-major into a buffer that every block of the table reuses, for
-    ``bytearray.translate`` to drop the NUL padding.
+    not end in a bool a newline word.  A block maps each column to its word-major cells
+    and writes them at the column's first word, then copies the block row-major into a
+    buffer that every block of the table reuses, for ``bytearray.translate`` to drop the
+    NUL padding.
     """
     shape = np.broadcast(*columns).shape
     size = math.prod(shape)
     flat = [c.reshape(-1) for c in columns]
     kinds = [c.dtype.kind for c in flat]
     last = len(flat) - 1
-    small, bools, calls = {}, {}, {}
+    # by column: a smaller column's step along each axis, a full bool column's word table and a
+    # smaller column's cells; by dtype: the full and the smaller columns of one kernel call
+    small, bools, fixed, calls = {}, {}, {}, {}
     for k, c in enumerate(flat):
         if c.size < size:
             dims = (1,) * (len(shape) - np.ndim(columns[k])) + np.shape(columns[k])
             # int8 elements make the strides the element steps
-            steps = [step if n > 1 else 0 for n, step in zip(dims, np.empty(dims, np.int8).strides)]
-            small[k] = [None, steps]
+            small[k] = [step if n > 1 else 0 for n, step in zip(dims, np.empty(dims, np.int8).strides)]
         if kinds[k] == "b":
-            bools[k] = _BOOL_WORDS[k > 0, k == last]
+            words = _BOOL_WORDS[k > 0, k == last]
             if k in small:
-                small[k][0] = bools[k].take(c, axis=1)
+                fixed[k] = words.take(c, axis=1)
+            else:
+                bools[k] = words
         else:
             calls.setdefault(c.dtype, ([], []))[k in small].append(k)
-    calls = list(calls.values())
-    # a run of floats of one call with no word between them; an int has a comma word before it
-    runs = []
-    for call, (part, _) in enumerate(calls):
-        for place, k in enumerate(part):
-            if place and kinds[k] == "f" and part[place - 1] == k - 1:
-                runs[-1][1] += 1
-            else:
-                runs.append([k, 1, call, place])
-    call_of = {k: call for call, (part, _) in enumerate(calls) for k in part}
     # a comma word before each int cell but column 0's, and a newline word unless a bool ends the row
-    separated = [k > 0 and kind in "iu" for k, kind in enumerate(kinds)] + [last not in bools]
-    separators = [_COMMA] * sum(separated[:-1]) + [_NEWLINE] * separated[-1]
-    separators = np.array(separators, np.uint32)[:, None] if separators else None
+    separated = [k > 0 and kind in "iu" for k, kind in enumerate(kinds)] + [kinds[last] != "b"]
     # the axes along which a small column moves
-    axes = sorted({a for _, steps in small.values() for a, step in enumerate(steps) if step})
-    call_widths = None
+    axes = sorted({a for steps in small.values() for a, step in enumerate(steps) if step})
+    widths = None
     for start in range(0, size, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, size)
-        cells = _format(flat, calls, small, start, stop)
-        if [c is not None and len(c) for c in cells] != call_widths:
+        rows = stop - start
+        cells, joined = {**bools, **fixed}, None
+        for dtype, (part, smaller) in calls.items():
+            fresh = smaller if start == 0 else []
+            if not part and not fresh:
+                continue
+            arrays = [flat[k][start:stop] for k in part] + [flat[k] for k in fresh]
+            floats = dtype.kind == "f"
+            joined = (_float_cells if floats else _int_cells)(np.concatenate(arrays, dtype=np.float64 if floats else None))
+            offsets = list(accumulate(map(len, arrays), initial=0))
+            for k, begin, end in zip(part + fresh, offsets, offsets[1:]):
+                cells[k] = joined[:, begin:end]
+            for k in fresh:
+                # a copy, so that the block's cells are freed with the block
+                cells[k] = fixed[k] = cells[k].copy()
+        if [len(cells[k]) for k in range(len(flat))] != widths:
             # the first block, or a cell width changed, as an int column's does at 10**4
-            call_widths = [c is not None and len(c) for c in cells]
-            widths = [call_widths[call_of[k]] if k in call_of else 2 if k in bools else len(small[k][0]) for k in range(len(flat))]
+            widths = [len(cells[k]) for k in range(len(flat))]
             ends = list(accumulate(map(add, separated, widths)))
             starts = list(map(sub, ends, widths))
             width = ends[-1] + separated[-1]
-            at_separators = [at - 1 for at, gap in zip(starts, separated) if gap] + [width - 1] * separated[-1]
             buffer = None
-        rows = stop - start
         block = np.empty((width, rows), np.uint32)
-        if separators is not None:
-            block[at_separators] = separators
-        for k, words in bools.items():
-            if k not in small:
-                words.take(flat[k][start:stop], axis=1, out=block[starts[k] : starts[k] + 2], mode="wrap")
+        if separated[-1]:
+            block[-1] = _NEWLINE
         axis_index = [None] * len(shape)
         row = np.arange(start, stop) if axes else None
         for a in axes:
             # the rows' index along axis a, as np.unravel_index gives it, for the axes in use only
             along = row // math.prod(shape[a + 1 :]) if a < len(shape) - 1 else row
             axis_index[a] = along % shape[a] if a else along
-        _fill(block, cells, runs, small, starts, axis_index)
-        del cells
+        for k, column_cells in cells.items():
+            at = starts[k]
+            words = block[at : at + len(column_cells)]
+            if separated[k]:
+                block[at - 1] = _COMMA
+            # every index is in range: "wrap" skips the bounds check, which also copies through a buffer
+            if k in bools:
+                column_cells.take(flat[k][start:stop], axis=1, out=words, mode="wrap")
+            elif any(small.get(k, ())):
+                # a cell's flat index: each axis index times the column's step along it
+                terms = (i if step == 1 else i * step for i, step in zip(axis_index, small[k]) if step)
+                column_cells.take(reduce(add, terms), axis=1, out=words, mode="wrap")
+            else:
+                words[...] = column_cells
+        # the cells, and the loop's views of them and of the block, go before the buffer is made
+        del cells, joined, column_cells, words
+        if kinds[0] == "f":
+            # the row's first cell has no comma before it
+            block[0] &= _UNLED
         if buffer is None:
             # made once the block's cells are freed: the text of every block with these widths
             buffer = bytearray(4 * width * min(size, _BLOCK_ROWS))

@@ -112,6 +112,41 @@ def two_stroke_closed_form(omega_s_mhz: float, n: int) -> dict:
     }
 
 
+def two_stroke_optimum(n: int) -> tuple[float, float]:
+    """The partner frequency (rad/s) of most two-stroke power after ``n`` rounds, and ``eta*``.
+
+    The cycle time does not depend on omega_S, so the power optimum is the work
+    optimum: the maximum of ``(w - omega_T)(eps_n - tanh(c w))``, ``c = hbar/(2 k T)``,
+    where ``eps_n - tanh(c w) = (w - omega_T) c sech^2(c w)``.  In the linear regime
+    that is the positive-work window's midpoint ``omega_T (1 + T/T_n)/2``; Newton steps
+    from there solve it exactly.  ``eta* = (T - T_n)/(T + T_n)`` is the efficiency
+    ``1 - omega_T/omega_S`` at the midpoint.
+    """
+    omega_t = mhz(OMEGA_T_MHZ)
+    eps_n = eps_after_rounds(eps_thermal(mhz(OMEGA_H_MHZ)), n)
+    t_n = spin_temperature(eps_n, omega_t)
+    c = HBAR / (2.0 * KB * BATH_K)
+    w = omega_t * (1.0 + BATH_K / t_n) / 2.0
+    for _ in range(50):
+        tanh, sech2 = math.tanh(c * w), 1.0 / math.cosh(c * w) ** 2
+        gap = eps_n - tanh - (w - omega_t) * c * sech2
+        step = gap / (-2.0 * c * sech2 * (1.0 - c * (w - omega_t) * tanh))
+        w -= step
+        if abs(step) <= 1e-15 * w:
+            break
+    return w, (BATH_K - t_n) / (BATH_K + t_n)
+
+
+def isochoric_crossover(tau_t: float = TAU_T, tau_r: float = TAU_R) -> int:
+    """The first round count from which the isochoric reference out-powers the four-stroke cycle.
+
+    Both do the same work W per cycle: the reference in ``2 tau_T``, the cycle in
+    ``tau_T + tau_R (2n + 1)``.  So the reference dominates exactly when
+    ``n > (tau_T/tau_R - 1)/2``; no energy enters.
+    """
+    return math.floor((tau_t / tau_r - 1.0) / 2.0) + 1
+
+
 # 50 digits of pi, for the decimal oracle
 PI_50 = Decimal("3.14159265358979323846264338327950288419716939937511")
 

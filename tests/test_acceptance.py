@@ -124,6 +124,16 @@ class TestCriterion3:
             ],
         )
 
+    def test_crossover_is_the_closed_form(self, default_four_stroke_table):
+        crossover = isochoric_crossover(default_four_stroke_table)
+        bound = (oracles.TAU_T / oracles.TAU_R - 1.0) / 2.0
+        formula = oracles.isochoric_crossover()
+        check(
+            "3 (isochoric crossover in closed form)",
+            [(f"crossover n={crossover} is the first n > (tau_T/tau_R - 1)/2 = {bound:.2f}, n={formula}",
+              crossover == formula)],
+        )
+
 
 class TestCriterion4:
     def test_two_stroke_optima(self, tce):
@@ -139,6 +149,28 @@ class TestCriterion4:
                 (f"W(580,5) {big:.3e} = 3.0e-6 +-7%", within(big, 3.0e-6, 0.07)),
             ],
         )
+
+    def test_paper_grid_finds_the_closed_form_optimum(self, tce):
+        # the paper grid, 150..1000 MHz in 1 MHz steps, with one round count at a time
+        step, omega_t = mhz(1.0), mhz(oracles.OMEGA_T_MHZ)
+        grid = mhz(np.arange(150.0, 1001.0))
+        conditions = []
+        for n in range(1, 9):
+            table = sweep_two_stroke(tce, grid, [n])
+            best = table.argmax_power()
+            omega_s, eta = table.cell("omega_s", best), table.cell("efficiency", best)
+            optimum, eta_star = oracles.two_stroke_optimum(n)
+            # eta* is 1 - omega_T/omega_S at the window's midpoint, a few hundred Hz from the
+            # optimum; within a grid step of the optimum eta moves by at most this
+            midpoint = omega_t / (1.0 - eta_star)
+            eta_bound = omega_t * (step + abs(optimum - midpoint)) / (min(optimum, midpoint) - step) ** 2
+            conditions += [
+                (f"n={n}: best omega_S {omega_s / TWO_PI / 1e6:.2f} MHz within 1 MHz of "
+                 f"omega_S* {optimum / TWO_PI / 1e6:.4f}", abs(omega_s - optimum) <= step),
+                (f"n={n}: eta {eta:.6f} within {eta_bound:.1e} of eta* {eta_star:.6f}",
+                 abs(eta - eta_star) <= eta_bound),
+            ]
+        check("4 (two-stroke optimum in closed form)", conditions)
 
 
 class TestCriterion5:

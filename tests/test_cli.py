@@ -17,6 +17,7 @@ import spinotto
 from spinotto import cli, engines, reports
 from spinotto.spinsys import StateInvariantError
 
+import oracles
 from test_spinsys import TCE_CONFIG, huge_coupling_config
 
 
@@ -426,6 +427,23 @@ def test_largest_round_count_reaches_the_limit(tmp_path, monkeypatch, capsys):
     # 2 eps_b/(1 + eps_b**2) at the compressed field, to the printed 7 digits
     assert "final eps_target=4.000409e-05 T_eff=37.721 K" in captured.out
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cold_bath_summary_prints_a_nonzero_spin_temperature(tmp_path, monkeypatch, capsys):
+    # the README's INI at a 3 mK bath cools the target to 0.377 mK, which three
+    # fixed decimals printed as T_eff=0.000 K
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    ini = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = tmp_path / "cold.cfg"
+    config.write_text(ini.replace("temperature_kelvin = 300.0", "temperature_kelvin = 0.003"))
+    argv = ["ppa", "--rounds", "50", "--system", str(config), "--format", "summary"]
+    assert run_cli(argv, tmp_path, monkeypatch) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ppa rounds=50 field_scale=0.5: final eps_target=9.993298e-01 T_eff=0.00037721 K shannon_crossing_round=1"
+    ]
+    # the uncoupled closed form, to the printed five digits
+    eps = oracles.eps_after_rounds(oracles.eps_thermal(0.5 * oracles.mhz(oracles.OMEGA_H_MHZ), 0.003), 50)
+    assert f"{oracles.spin_temperature(eps, 0.5 * oracles.mhz(oracles.OMEGA_T_MHZ)):.5g}" == "0.00037721"
 
 
 @pytest.mark.parametrize(

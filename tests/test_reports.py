@@ -278,6 +278,27 @@ def test_many_blocks_keep_their_bytes(tmp_path, monkeypatch, capsys):
     assert math.ceil(100001 / reports._BLOCK_ROWS) == 49
 
 
+@pytest.mark.parametrize(
+    "args,rows,digest",
+    [
+        # the round column widens at 10**4 and again at 10**5, a block after the ppa table's
+        (["four-stroke", "--rounds", "0..100000"], 100001,
+         "1c909ebebc83d90742681ba4e1e0c6a0e977265f83bce75660da0037ff413906"),
+        # 41 round counts x 2441 frequencies: the per-frequency columns move along the last
+        # axis, the round column along the first, and most blocks straddle two round counts
+        (["two-stroke", "--rounds", "0..40", "--omega-s", "150:2590:1"], 41 * 2441,
+         "f82dd30c08c89b1e0992c42e6543a123cd9344753c073afb717e94711d38e04a"),
+    ],
+    ids=["four-stroke", "two-stroke"],
+)
+def test_long_tables_keep_their_bytes(args, rows, digest, tmp_path, monkeypatch, capsys):
+    # with test_many_blocks_keep_their_bytes's ppa table, 49 blocks each
+    monkeypatch.chdir(tmp_path)
+    assert cli.run([*args, "--out", "out.csv"]) == 0
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
+    assert math.ceil(rows / reports._BLOCK_ROWS) == 49
+
+
 def test_writing_a_long_table_holds_one_block_at_a_time(tce, tmp_path):
     rounds = 10**5
     run = hbac.run_ppa(thermal_marginal_polarization(tce, "C1", 0.5), tce, 0.5, 1000)
