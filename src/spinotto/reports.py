@@ -56,8 +56,9 @@ def metadata_lines(title: str, config_lines: Sequence[str], sys: SpinSystem) -> 
     return lines
 
 
-# Tables render in blocks of rows.  A cell is up to five uint32 words of NUL-padded ASCII (two
-# for a bool; a sixth for a float whose exact text needs it), and NUL never occurs in a CSV.
+# A table of more than _ROW_FORMAT_ROWS rows renders in blocks of rows.  A cell is up to five
+# uint32 words of NUL-padded ASCII (two for a bool; a sixth for a float whose exact text needs
+# it), and NUL never occurs in a CSV.
 # A float or bool cell carries the comma before it in a spare byte of its own words, so a row
 # of the paper's two-stroke table is 24 words, not 29.  A block lays its words out
 # word-major, then copies them row-major into a text buffer that every block of the table
@@ -67,6 +68,14 @@ def metadata_lines(title: str, config_lines: Sequence[str], sys: SpinSystem) -> 
 # render of that table at 640,000 bytes under tracemalloc).
 # Smaller blocks cost long tables more in per-call overhead than they save.
 _BLOCK_ROWS = 1 << 11
+# A shorter table is one block of one bytes % per row, which costs about 11-19 us plus 1.6-2.3 us
+# a row against the kernels' 74-96 us plus 0.2-0.5 us a row: the row path is faster up to 35 rows
+# of the four-stroke schema, 50 of the two-stroke and 56 of the ppa (each path timed on 8 to 64
+# rows of each schema, interleaved, best of 20 samples of 100 renders, on 2 shared CPUs).
+_ROW_FORMAT_ROWS = 32
+# a short table's cell spec by dtype kind, and its bool cells' texts
+_ROW_SPECS = {"f": b"%.12e", "i": b"%d", "u": b"%d", "b": b"%s"}
+_BOOL_TEXT = (b"false", b"true")
 # ASCII digit j of each k < 10**4 in row j, then with NUL for leading zeros but the last
 _DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1) + np.uint8(ord("0"))
 _TRIMMED = np.where(np.arange(10**4) < np.array([[1000], [100], [10], [0]]), 0, _DIGITS)
@@ -135,6 +144,8 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     s = np.log10(a)
     s += 100 - 1e-12
     k = s.astype(np.intp)
+    # every take clips, not wraps: an exact-path cell's index may lie far out (INT_MIN for zero,
+    # NaN and inf), and numpy's "wrap" takes time linear in |index| / table size
     m = np.multiply(a, _POW10.take(k, out=s, mode="clip"), out=s)
     r = np.rint(m, out=a)
     m -= r
@@ -162,6 +173,7 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
 def _int_cells(v: np.ndarray) -> np.ndarray:
     """``b"%d" % v`` of each integer as up to five words; the exact path takes v outside [0, 1e8)."""
     high, low = np.divmod(v, 10**4)
+    # clipped as in _float_cells: a big int's high part is a far-out index
     cells = np.zeros((5,) + v.shape, np.uint32)
     # no high word below 1e4; after one, the low word keeps its leading zeros
     np.multiply(_WORDS.take(high, mode="clip"), high > 0, out=cells[3])
@@ -171,8 +183,21 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
     return cells[cells.any(axis=1).argmax() :]
 
 
-def _rows(columns: Sequence[np.ndarray]) -> Iterator[bytearray]:
+def _row_text(columns: Sequence[np.ndarray], shape: tuple[int, ...]) -> bytes:
+    """The lines of a short table, one bytes ``%`` per row."""
+    size = math.prod(shape)
+    spec = b",".join(_ROW_SPECS[c.dtype.kind] for c in columns) + b"\n"
+    # a full column is in row order already, and np.broadcast_to costs about 5 us a call
+    cells = [(c if c.size == size else np.broadcast_to(c, shape)).reshape(-1).tolist() for c in columns]
+    cells = [list(map(_BOOL_TEXT.__getitem__, v)) if c.dtype.kind == "b" else v for c, v in zip(columns, cells)]
+    return b"".join(map(spec.__mod__, zip(*cells)))
+
+
+def _rows(columns: Sequence[np.ndarray]) -> Iterator[bytes | bytearray]:
     """Lines of ``columns`` as bytes, a block of rows at a time: ``%.12e``, ``%d`` and true/false cells.
+
+    A table of at most ``_ROW_FORMAT_ROWS`` rows is one block of one bytes ``%`` per row
+    (``_row_text``); a longer one goes through the kernels as follows, to the same bytes.
 
     The columns broadcast to the table's shape, whose rows run in row-major order.  A
     full-size column is sliced per block.  A smaller column, such as one value per
@@ -192,6 +217,10 @@ def _rows(columns: Sequence[np.ndarray]) -> Iterator[bytearray]:
     """
     shape = np.broadcast(*columns).shape
     size = math.prod(shape)
+    if size <= _ROW_FORMAT_ROWS:
+        if size:
+            yield _row_text(columns, shape)
+        return
     flat = [c.reshape(-1) for c in columns]
     kinds = [c.dtype.kind for c in flat]
     last = len(flat) - 1

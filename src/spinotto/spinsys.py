@@ -340,6 +340,8 @@ def from_config_text(text: str, origin: str = "<config>") -> SpinSystem:
     qubits = []
     for section_name in qubit_sections:
         label = section_name.split(".", 1)[1]
+        if not label.strip():
+            raise ConfigError(f"{origin}: [{section_name}]: empty qubit label")
         section = parser[section_name]
         role_text = section.get("role", "")
         try:

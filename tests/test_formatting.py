@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinotto import cli, engines, reports
-from test_reports import render
+from test_reports import on_each_path, render
 
 # a fixed, small example budget keeps the whole file at about a second
 SETTINGS = settings(derandomize=True, database=None, max_examples=120, deadline=None)
@@ -28,6 +28,12 @@ def assert_same_text(blocks, want):
     got = b"".join(blocks).decode()
     wrong = [(g, w) for g, w in zip(got.splitlines(), want.splitlines()) if g != w]
     assert (wrong[:5], len(got)) == ([], len(want))
+
+
+def assert_same_text_on_each_path(columns, want):
+    """The rows of ``columns`` by one bytes ``%`` per row and through the kernels, each against ``want``."""
+    for blocks in on_each_path(lambda: list(reports._rows(columns))):
+        assert_same_text(blocks, want)
 
 
 def ulps_around(value, count):
@@ -93,7 +99,7 @@ DECIMAL_FLOATS = st.one_of(
 @example([0], [*cli._parse_omega_grid("0.1:3:0.1").tolist(), 5e-324, 1e100, -2.5, 9.9999999999995])
 def test_any_bit_pattern_matches_python(bits, floats):
     values = np.concatenate([as_floats(bits), floats])
-    assert_same_text(reports._rows([values]), expected(values))
+    assert_same_text_on_each_path([values], expected(values))
 
 
 @SETTINGS
@@ -101,7 +107,7 @@ def test_any_bit_pattern_matches_python(bits, floats):
 @example([0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, -1, -7, 2**40, -(2**63)])
 def test_any_int64_matches_python(ints):
     values = np.array(ints, dtype=np.int64)
-    assert_same_text(reports._rows([values]), "".join("%d\n" % n for n in ints))
+    assert_same_text_on_each_path([values], "".join("%d\n" % n for n in ints))
 
 
 @SETTINGS
@@ -112,7 +118,7 @@ def test_mixed_rows_match_python(rows):
     columns = [floats, np.array(ints), floats[::-1].copy(), np.array(flags)]
     lines = zip(floats.tolist(), ints, floats[::-1].tolist(), flags)
     want = "".join("%.12e,%d,%.12e,%s\n" % (a, n, b, "true" if f else "false") for a, n, b, f in lines)
-    assert_same_text(reports._rows(columns), want)
+    assert_same_text_on_each_path(columns, want)
 
 
 def test_most_cells_take_the_vectorised_path(monkeypatch):
@@ -197,6 +203,7 @@ def test_powers_of_ten_take_the_vectorised_path(sign, monkeypatch):
 
 
 def test_rows_span_several_blocks(monkeypatch):
+    monkeypatch.setattr(reports, "_ROW_FORMAT_ROWS", 0)
     monkeypatch.setattr(reports, "_BLOCK_ROWS", 7)
     values = np.linspace(-3.0, 3.0, 50)
     lines = [b"%d,%.12e\n" % pair for pair in zip(range(50), values.tolist())]
@@ -212,6 +219,7 @@ def test_cell_widths_change_between_blocks(first, monkeypatch):
     A negative value with a three-digit exponent and the comma before it take 21
     bytes, so that block's float cells are six words wide; an int column widens at 10**4.
     """
+    monkeypatch.setattr(reports, "_ROW_FORMAT_ROWS", 0)
     monkeypatch.setattr(reports, "_BLOCK_ROWS", 4)
     rows = 18  # blocks of 4, 4, 4, 4 and 2 rows
     floats = np.linspace(-2.0, 3.0, rows)
@@ -231,7 +239,10 @@ def test_cell_widths_change_between_blocks(first, monkeypatch):
 
 
 def test_small_columns_of_a_three_axis_table(monkeypatch):
-    """A column smaller than the table picks its cells by the rows' index along each axis it spans."""
+    """A column smaller than the table picks its cells by the rows' index along each axis it spans.
+
+    The row path broadcasts each such column instead, to the same bytes.
+    """
     monkeypatch.setattr(reports, "_BLOCK_ROWS", 5)
     shape = (2, 3, 4)
     rng = np.random.default_rng(3)
@@ -240,11 +251,12 @@ def test_small_columns_of_a_three_axis_table(monkeypatch):
     rows = zip(*(np.broadcast_to(c, shape).reshape(-1).tolist() for c in columns))
     want = "".join(",".join("%.12e" % v if isinstance(v, float) else ("true" if v else "false") if isinstance(v, bool) else "%d" % v
                             for v in row) + "\n" for row in rows)
-    assert_same_text(reports._rows(columns), want)
+    assert_same_text_on_each_path(columns, want)
 
 
 def test_exact_cells_in_every_column_and_block(monkeypatch):
     """Exact-path cells are patched in by flat index: every float and int column of every block has some."""
+    monkeypatch.setattr(reports, "_ROW_FORMAT_ROWS", 0)
     monkeypatch.setattr(reports, "_BLOCK_ROWS", 6)
     rows = 21  # blocks of 6, 6, 6 and 3 rows
     special_floats = [
@@ -310,4 +322,4 @@ def test_columns_of_different_dtypes():
     # int64 and uint64 cells would concatenate to float64, and float32 values print as Python prints them
     columns = [np.array([1, -2]), np.array([2**64 - 1, 3], np.uint64), np.array([0.1, 2.5], np.float32), np.arange(2.0)]
     want = "".join("%d,%d,%.12e,%.12e\n" % row for row in zip(*(c.tolist() for c in columns)))
-    assert_same_text(reports._rows(columns), want)
+    assert_same_text_on_each_path(columns, want)

@@ -124,8 +124,8 @@ def test_h_first_register_matches_reference(
     assert (tmp_path / "out.csv").read_bytes() == checked_renders[0].encode()
 
 
-def awkward_column(shift, length):
-    return np.roll(np.resize(np.array(AWKWARD), length), shift)
+def awkward_column(shift, length, values=AWKWARD):
+    return np.roll(np.resize(np.array(values), length), shift)
 
 
 def unchecked_table(shape, columns):
@@ -133,29 +133,45 @@ def unchecked_table(shape, columns):
     return SimpleNamespace(columns=columns, column=lambda name: np.broadcast_to(columns[name], shape).reshape(-1))
 
 
-def test_ppa_awkward_cells_match_reference(tce):
-    length = 3 * len(AWKWARD)
+def on_each_path(make):
+    """``make()`` with every table rendered by one bytes ``%`` per row, then with every table through the kernels."""
+    made = []
+    with pytest.MonkeyPatch.context() as patch:
+        for rows in (10**9, 0):
+            patch.setattr(reports, "_ROW_FORMAT_ROWS", rows)
+            made.append(make())
+    return made
+
+
+def ppa_table(length, floats, ints):
     columns = {
-        "n_rounds": np.arange(length),
-        "eps_target": awkward_column(0, length),
-        "eps_reset": awkward_column(-5, length),
-        "T_eff": awkward_column(-9, length),
+        "n_rounds": np.resize(np.array(ints), length),
+        "eps_target": awkward_column(0, length, floats),
+        "eps_reset": awkward_column(-5, length, floats),
+        "T_eff": awkward_column(-9, length, floats),
     }
-    trace = unchecked_table((length,), columns)
-    rendered = text(render("ppa", trace, tce, ["command=ppa"], field_scale=0.5))
-    assert rendered == csv_reference.render_ppa_csv(trace, tce, 0.5, ["command=ppa"])
+    return unchecked_table((length,), columns)
+
+
+def four_stroke_table(length, floats, ints):
+    names = ("q_in", "q_out", "net_work", "power", "cooled_target_temperature")
+    columns = {name: awkward_column(k, length, floats) for k, name in enumerate(names)}
+    columns["n_rounds"] = np.resize(np.array(ints), length)
+    columns["power_isochoric"] = awkward_column(7, length, floats)
+    columns["iso_dominates"] = columns["power_isochoric"] > columns["power"]
+    return unchecked_table((length,), columns)
+
+
+def test_ppa_awkward_cells_match_reference(tce):
+    trace = ppa_table(3 * len(AWKWARD), AWKWARD, range(3 * len(AWKWARD)))
+    want = csv_reference.render_ppa_csv(trace, tce, 0.5, ["command=ppa"])
+    assert on_each_path(lambda: text(render("ppa", trace, tce, ["command=ppa"], field_scale=0.5))) == [want] * 2
 
 
 def test_four_stroke_awkward_cells_match_reference(tce):
-    length = 3 * len(AWKWARD)
-    names = ("q_in", "q_out", "net_work", "power", "cooled_target_temperature")
-    columns = {name: awkward_column(k, length) for k, name in enumerate(names)}
-    columns["n_rounds"] = np.resize(np.array(LARGE_N), length)
-    columns["power_isochoric"] = awkward_column(7, length)
-    columns["iso_dominates"] = columns["power_isochoric"] > columns["power"]
-    table = unchecked_table((length,), columns)
-    rendered = text(render("four-stroke", table, tce, ["command=four-stroke"]))
-    assert rendered == csv_reference.render_four_stroke_csv(table, ["command=four-stroke"], tce)
+    table = four_stroke_table(3 * len(AWKWARD), AWKWARD, LARGE_N)
+    want = csv_reference.render_four_stroke_csv(table, ["command=four-stroke"], tce)
+    assert on_each_path(lambda: text(render("four-stroke", table, tce, ["command=four-stroke"]))) == [want] * 2
 
 
 @pytest.mark.parametrize("tiled", [True, False], ids=["tiled-eta", "signed-zero-eta"])
@@ -183,30 +199,70 @@ def test_two_stroke_awkward_cells_match_reference(tiled, tce):
         "in_window": np.resize([True, False, False], shape),
     }
     table = unchecked_table(shape, columns)
-    rendered = text(render("two-stroke", table, tce, ["command=two-stroke"]))
-    assert rendered == csv_reference.render_two_stroke_csv(table, ["command=two-stroke"], tce)
+    want = csv_reference.render_two_stroke_csv(table, ["command=two-stroke"], tce)
+    assert on_each_path(lambda: text(render("two-stroke", table, tce, ["command=two-stroke"]))) == [want] * 2
 
 
-@pytest.mark.parametrize(
-    "args,float_calls,int_calls",
-    [
-        (["ppa", "--system", "tce", "--rounds", "7", "--field-scale", "0.5"], 1, 1),
-        (["four-stroke", "--rounds", "0..10", "--tau", "0.1"], 1, 1),
-        # 6808 rows: one float call per block of rows, and the round counts in one int call
-        (["two-stroke", "--rounds", "1..8", "--omega-s", "150:1000:1"], math.ceil(8 * 851 / reports._BLOCK_ROWS), 1),
-    ],
-    ids=["ppa", "four-stroke", "two-stroke"],
-)
-def test_readme_commands_make_no_extra_kernel_calls(args, float_calls, int_calls, tmp_path, monkeypatch, capsys):
-    # a per-axis column formatted apart from the first block would add a call
+def counted_kernel_calls(monkeypatch):
+    """The names of the kernels called from here on, in call order."""
     calls = []
     for name in ("_float_cells", "_int_cells"):
         kernel = getattr(reports, name)
         monkeypatch.setattr(reports, name, lambda x, _name=name, _kernel=kernel: calls.append(_name) or _kernel(x))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "args,row_format_rows,float_calls,int_calls",
+    [
+        # the short tables, 8 and 11 rows, take one bytes % per row and no kernel
+        (["ppa", "--system", "tce", "--rounds", "7", "--field-scale", "0.5"], None, 0, 0),
+        (["four-stroke", "--rounds", "0..10", "--tau", "0.1"], None, 0, 0),
+        # 6808 rows: one float call per block of rows, and the round counts in one int call
+        (["two-stroke", "--rounds", "1..8", "--omega-s", "150:1000:1"], None, math.ceil(8 * 851 / reports._BLOCK_ROWS), 1),
+        # the short tables through the kernels: the 0-d bound column rides in the first block's call
+        (["ppa", "--system", "tce", "--rounds", "7", "--field-scale", "0.5"], 0, 1, 1),
+        (["four-stroke", "--rounds", "0..10", "--tau", "0.1"], 0, 1, 1),
+    ],
+    ids=["ppa", "four-stroke", "two-stroke", "ppa-kernels", "four-stroke-kernels"],
+)
+def test_readme_commands_make_no_extra_kernel_calls(args, row_format_rows, float_calls, int_calls, tmp_path, monkeypatch, capsys):
+    # a per-axis column formatted apart from the first block would add a call
+    if row_format_rows is not None:
+        monkeypatch.setattr(reports, "_ROW_FORMAT_ROWS", row_format_rows)
+    calls = counted_kernel_calls(monkeypatch)
     monkeypatch.chdir(tmp_path)
     assert cli.run([*args, "--out", "out.csv"]) == 0
     assert (calls.count("_float_cells"), calls.count("_int_cells")) == (float_calls, int_calls)
     assert float_calls == 4 or args[0] != "two-stroke"
+
+
+# cells the kernels leave to Python's %: signed zeros, non-finite, subnormal and three-digit-exponent
+# floats, and ints outside [0, 1e8); and powers of ten, whose log10 lies on an exponent's edge
+EXACT_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-100, -1e-100, 1e100,
+                *(float("1e%d" % k) for k in range(-3, 5)), -1e-5, 1.0000000000005]
+EXACT_INTS = [10**8, 123456789, 2**62, 2**63 - 1, -1, -(10**4), -(2**63)]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["row-format-less-one", "row-format", "row-format-plus-one"])
+@pytest.mark.parametrize(
+    "command,make,reference",
+    [
+        ("ppa", ppa_table, lambda table, tce: csv_reference.render_ppa_csv(table, tce, 0.5, ["command=ppa"])),
+        ("four-stroke", four_stroke_table, lambda table, tce: csv_reference.render_four_stroke_csv(table, ["command=four-stroke"], tce)),
+    ],
+    ids=["ppa", "four-stroke"],
+)
+def test_tables_at_the_row_format_size_match_reference(command, make, reference, offset, tce, monkeypatch):
+    """Either side of ``_ROW_FORMAT_ROWS``: one bytes ``%`` per row up to it, the kernels above it, the same bytes."""
+    rows = reports._ROW_FORMAT_ROWS + offset
+    table = make(rows, EXACT_FLOATS, EXACT_INTS)
+    calls = counted_kernel_calls(monkeypatch)
+    blocks = list(render(command, table, tce, [f"command={command}"], field_scale=0.5))
+    # the header, then one block
+    assert len(blocks) == 2
+    assert bool(calls) == (offset > 0)
+    assert text(blocks) == reference(table, tce)
 
 
 def test_config_grid_line_matches_reference():

@@ -512,6 +512,10 @@ class TestConfig:
             # text after a header's "]" is not part of the header, and configparser names the line
             (lambda t: t.replace("[system]", "[system]x"), r"line: 1\n'\[system\]x"),
             (lambda t: t.replace("[j_coupling]", "[j_coupling] extra"), r"\[line 24\]: '\[j_coupling\] extra"),
+            # an empty or blank label would print as "# qubit : ..." and couple as "-C2"
+            (lambda t: t.replace("[qubit.C1]", "[qubit.]").replace("C1-", "-"), r"\[qubit\.\]: empty qubit label"),
+            (lambda t: t.replace("[qubit.C1]", "[qubit. ]").replace("C1-C2 = 103.0\nC1-H = 9.0\n", ""),
+             r"\[qubit\. \]: empty qubit label"),
         ],
     )
     def test_rejects_bad_configs(self, mangle, message):
