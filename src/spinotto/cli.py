@@ -11,7 +11,6 @@ from that table without argparse, and help, usage and errors come from the full 
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys as _sys
@@ -230,6 +229,33 @@ def _cmd_four_stroke(args: argparse.Namespace, system: SpinSystem) -> Outcome:
     return table, summary
 
 
+def _window_texts(omega_t: float, edges: list[float]) -> list[str]:
+    """The window text of each upper edge in ``edges`` (MHz, negative for no window)."""
+    head = "(%.2f, " % (omega_t / TWO_PI / 1e6)
+    return ["none" if e < 0 else "%s%.2f) MHz" % (head, e) for e in edges]
+
+
+def _window_lines(rounds: range, omega_t: float, bath_t: float, cooled: np.ndarray) -> list[str]:
+    """The summary's positive-work window lines for the round counts ``rounds`` cooled to ``cooled`` (K).
+
+    One line names each stretch of consecutive round counts whose window prints the same.  The
+    edges are one array pass; the cooling stops changing at n = 1074, so the round counts hold
+    few distinct edges, and one text is formatted per run of equal edges.
+    """
+    # every round count's upper edge in MHz, negative where there is no window
+    edges = engines.window_upper_edges(omega_t, bath_t, cooled) / TWO_PI / 1e6
+    starts = np.flatnonzero(np.concatenate(([True], edges[1:] != edges[:-1])))
+    shown = _window_texts(omega_t, edges[starts].tolist())
+    starts = starts.tolist()
+    # a line starts at each run whose window prints other than the run before
+    heads = [0, *(i for i in range(1, len(shown)) if shown[i] != shown[i - 1])]
+    lines = []
+    for i, end in zip(heads, [*(starts[i] for i in heads[1:]), len(edges)]):
+        first, last = rounds[starts[i]], rounds[end - 1]
+        lines.append(f"positive-work window n={first}{'..%d' % last if last != first else ''}: {shown[i]}")
+    return lines
+
+
 def _cmd_two_stroke(args: argparse.Namespace, system: SpinSystem) -> Outcome:
     rows = len(args.rounds) * len(args.omega_s)
     if rows > MAX_VALUES:
@@ -248,13 +274,8 @@ def _cmd_two_stroke(args: argparse.Namespace, system: SpinSystem) -> Outcome:
         f"n={n}: P={power:.6e} W/mol (W={work:.6e} J/mol, eta={eta:.4g})"
     ]
     omega_t = system.omega(system.label_for_role(Role.TARGET), 1.0)
-    cooled = table.columns["cooled_target_temperature"].ravel().tolist()
-    windows = (engines.positive_work_window(omega_t, system.bath_temperature, t) for t in cooled)
-    shown = ["none" if w is None else "(%.2f, %.2f) MHz" % (w[0] / TWO_PI / 1e6, w[1] / TWO_PI / 1e6) for w in windows]
-    # one line per run of consecutive round counts whose window prints the same
-    for text, run in itertools.groupby(zip(args.rounds, shown), key=lambda pair: pair[1]):
-        first, *rest = (n for n, _ in run)
-        lines.append(f"positive-work window n={first}{'..%d' % rest[-1] if rest else ''}: {text}")
+    cooled = table.columns["cooled_target_temperature"].ravel()
+    lines += _window_lines(args.rounds, omega_t, system.bath_temperature, cooled)
     return table, "\n".join(lines)
 
 

@@ -118,9 +118,17 @@ def positive_work_window(
         raise ValueError(f"temperatures must be positive and finite, got bath {bath_t} and cooled {cooled_t}")
     if not 0 < omega_t < math.inf:
         raise ValueError(f"omega_t must be positive and finite, got {omega_t}")
-    if cooled_t >= bath_t:
-        return None
-    return omega_t, omega_t * bath_t / cooled_t
+    edge = window_upper_edges(omega_t, bath_t, np.float64(cooled_t)).item()
+    return None if edge < 0 else (omega_t, edge)
+
+
+@np.errstate(over="ignore")  # an edge past the float range is inf, as the scalar formula gives
+def window_upper_edges(omega_t: float, bath_t: float, cooled: np.ndarray) -> np.ndarray:
+    """Upper edge (rad/s) of ``positive_work_window`` at each cooled target temperature in ``cooled``.
+
+    The edge is ``omega_t * bath_t / cooled``; it is -1, which no edge is, where the target is not below the bath.
+    """
+    return np.where(cooled < bath_t, omega_t * bath_t / cooled, -1.0)
 
 
 def _round_count(n) -> int:

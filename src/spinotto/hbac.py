@@ -130,9 +130,21 @@ class SweepTable:
         return self._spread(name).reshape(-1)
 
     def cell(self, name: str, row: int):
-        """The value of column ``name`` at ``row``, as a Python scalar; a full column is read in place."""
-        column = self.columns[name]
-        return column.item(row) if column.size == len(self) else self._spread(name).item(row)
+        """The value of column ``name`` at ``row``, as a Python scalar, read in place.
+
+        A smaller column is read at the row's index along each of its axes, 0 along its length-1 ones.
+        """
+        column, size = self.columns[name], len(self)
+        if not -size <= row < size:
+            return self.column(name).item(row)  # raises the IndexError that reading the column in row order raises
+        if column.size == size:
+            return column.item(row)
+        index = []
+        # a negative row's floor divisions give the indices of row + size
+        for n, d in zip(reversed(self.shape), reversed(column.shape)):
+            row, i = divmod(row, n)
+            index.append(i % d)
+        return column.item(*reversed(index))
 
     def argmax_power(self) -> int:
         """Row index of the largest power, the first of equal maxima."""

@@ -342,6 +342,9 @@ def from_config_text(text: str, origin: str = "<config>") -> SpinSystem:
         label = section_name.split(".", 1)[1]
         if not label.strip():
             raise ConfigError(f"{origin}: [{section_name}]: empty qubit label")
+        if label != label.strip():
+            # configparser strips [j_coupling] keys, so no key could name such a label
+            raise ConfigError(f"{origin}: [{section_name}]: qubit label {label!r} has leading or trailing whitespace")
         section = parser[section_name]
         role_text = section.get("role", "")
         try:

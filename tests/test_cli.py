@@ -1,5 +1,7 @@
 import argparse
 import hashlib
+import itertools
+import math
 import os
 import re
 import stat
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import spinotto
 from spinotto import cli, engines, reports
-from spinotto.spinsys import StateInvariantError
+from spinotto.spinsys import TWO_PI, StateInvariantError
 
 import oracles
 from test_spinsys import TCE_CONFIG, huge_coupling_config
@@ -107,6 +109,57 @@ class TestFourStrokeCommand:
         assert float(rows[0][3]) == pytest.approx(2.5e-7, rel=5e-2)
 
 
+# the paper-grid summary of rounds 1..16, as the per-round-count summary printed it
+PAPER_SUMMARY = [
+    "two-stroke max power at omega_s=450.00 MHz, n=1: P=1.479332e-07 W/mol (W=1.553299e-06 J/mol, eta=0.7205)",
+    "positive-work window n=1: (125.77, 750.20) MHz",
+    "positive-work window n=2: (125.77, 875.23) MHz",
+    "positive-work window n=3: (125.77, 937.74) MHz",
+    "positive-work window n=4: (125.77, 969.00) MHz",
+    "positive-work window n=5: (125.77, 984.63) MHz",
+    "positive-work window n=6: (125.77, 992.45) MHz",
+    "positive-work window n=7: (125.77, 996.35) MHz",
+    "positive-work window n=8: (125.77, 998.31) MHz",
+    "positive-work window n=9: (125.77, 999.28) MHz",
+    "positive-work window n=10: (125.77, 999.77) MHz",
+    "positive-work window n=11: (125.77, 1000.02) MHz",
+    "positive-work window n=12: (125.77, 1000.14) MHz",
+    "positive-work window n=13: (125.77, 1000.20) MHz",
+    "positive-work window n=14: (125.77, 1000.23) MHz",
+    "positive-work window n=15: (125.77, 1000.24) MHz",
+    "positive-work window n=16: (125.77, 1000.25) MHz",
+]
+
+
+def reference_window_lines(rounds, omega_t, bath_t, cooled):
+    """The window lines computed one round count at a time: one window and one text each, then grouped."""
+    windows = (engines.positive_work_window(omega_t, bath_t, t) for t in cooled.tolist())
+    shown = ["none" if w is None else "(%.2f, %.2f) MHz" % (w[0] / TWO_PI / 1e6, w[1] / TWO_PI / 1e6) for w in windows]
+    lines = []
+    for text, run in itertools.groupby(zip(rounds, shown), key=lambda pair: pair[1]):
+        first, *rest = (n for n, _ in run)
+        lines.append(f"positive-work window n={first}{'..%d' % rest[-1] if rest else ''}: {text}")
+    return lines
+
+
+@st.composite
+def cooled_columns(draw):
+    """Round counts and a cooled-temperature column of runs of equal values.
+
+    The values include the bath temperature and values above it, temperatures one ulp
+    apart, and temperatures whose edges differ but print alike at two decimals.
+    """
+    omega_t = draw(st.sampled_from([TWO_PI * 125.77e6, TWO_PI * 1e-3, TWO_PI * 3e9]))
+    bath_t = draw(st.sampled_from([300.0, 4.2e-3]))
+    below = draw(st.floats(bath_t / 64, bath_t, exclude_max=True))
+    levels = [bath_t, bath_t * 1.25, math.nextafter(bath_t, math.inf), math.nextafter(bath_t, 0.0),
+              below, math.nextafter(below, 0.0), math.nextafter(below, math.inf), below * (1 + 1e-12), below / 2]
+    runs = draw(st.lists(st.tuples(st.sampled_from(levels), st.integers(1, 4)), min_size=1, max_size=12))
+    cooled = np.repeat([value for value, _ in runs], [count for _, count in runs])
+    start = draw(st.integers(0, 10**6 - cooled.size))
+    return range(start, start + cooled.size), omega_t, bath_t, cooled
+
+
 class TestTwoStrokeCommand:
     def test_sweep_schema_and_windows(self, tmp_path, monkeypatch, capsys):
         rc = run_cli(
@@ -196,19 +249,49 @@ class TestTwoStrokeCommand:
         ]
 
     def test_each_window_is_computed_once(self, tmp_path, monkeypatch, capsys):
-        """80 round counts on 18 frequencies: the summary computes one window per round count, the sweep none."""
-        calls = []
+        """80 round counts on 18 frequencies: one edge computation for the run, one text per distinct edge at most."""
+        calls, texts = [], []
 
         def counting(*args):
-            calls.append(args)
-            return window(*args)
+            calls.append(edges(*args))
+            return calls[-1]
 
-        window = engines.positive_work_window
-        monkeypatch.setattr(engines, "positive_work_window", counting)
+        def recording(omega_t, values):
+            texts.append(window_texts(omega_t, values))
+            return texts[-1]
+
+        edges, window_texts = engines.window_upper_edges, cli._window_texts
+        monkeypatch.setattr(engines, "window_upper_edges", counting)
+        monkeypatch.setattr(cli, "_window_texts", recording)
         rc = run_cli(["two-stroke", "--rounds", "1..80", "--omega-s", "150:1000:50"], tmp_path, monkeypatch)
         assert rc == 0
-        assert len(calls) == 80
+        assert [len(edges) for edges in calls] == [80]
+        # n = 17..80 print alike, but 36 distinct edges lie among them
+        assert [len(shown) for shown in texts] == [len(np.unique(calls[0]))] == [52]
         assert capsys.readouterr().out.splitlines()[2] == "positive-work window n=1: (125.77, 750.20) MHz"
+
+    @pytest.mark.parametrize(
+        "args,lines",
+        [
+            (["--rounds", "1..80", "--omega-s", "150:1000:50"], PAPER_SUMMARY[:17] + ["positive-work window n=17..80: (125.77, 1000.26) MHz"]),
+            (["--rounds", "1..1000000", "--omega-s", "430:430:1"], [
+                "two-stroke max power at omega_s=430.00 MHz, n=1: P=1.480559e-07 W/mol (W=1.554587e-06 J/mol, eta=0.7075)",
+                *PAPER_SUMMARY[1:17], "positive-work window n=17..1000000: (125.77, 1000.26) MHz",
+            ]),
+        ],
+        ids=["80-rounds", "limit-rounds"],
+    )
+    def test_summaries_keep_their_text(self, args, lines, tmp_path, monkeypatch, capsys):
+        # the full stdout, as the per-round-count summary printed it
+        assert run_cli(["two-stroke", *args, "--format", "summary"], tmp_path, monkeypatch) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(case=cooled_columns())
+    def test_window_lines_match_one_window_per_round_count(self, case):
+        rounds, omega_t, bath_t, cooled = case
+        assert cli._window_lines(rounds, omega_t, bath_t, cooled) == reference_window_lines(rounds, omega_t, bath_t, cooled)
 
     def test_bad_grid_exits_2(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -466,6 +549,23 @@ def test_non_finite_config_exits_2(old, new, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "finite" in err
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("header", ["qubit. C1", "qubit.C1 ", "qubit.\tC1"])
+def test_qubit_label_with_whitespace_exits_2(header, tmp_path, monkeypatch, capsys):
+    # the label would print as "# qubit  C1: ..." and "C1-C2" could not couple it
+    config = tmp_path / "spaced.cfg"
+    config.write_text(TCE_CONFIG.replace("[qubit.C1]", f"[{header}]"))
+    rc = run_cli(["two-stroke", "--system", str(config), "--rounds", "1"], tmp_path, monkeypatch)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    label = header.partition(".")[2]
+    assert captured.err.splitlines() == [
+        f"error: {config}: [{header}]: qubit label {label!r} has leading or trailing whitespace"
+    ]
+    assert captured.out == ""
     assert list(tmp_path.iterdir()) == [config]
 
 
@@ -1083,6 +1183,21 @@ def test_heated_target_two_stroke_reports_no_window(tmp_path, monkeypatch, capsy
         ("0", "false"), ("0", "false"), ("1", "true"), ("1", "false")
     ]
     assert float(rows[2][2]) > 0
+
+
+def test_heated_target_summary_keeps_its_text(tmp_path, monkeypatch, capsys):
+    # round 0 leaves the target above the bath, so its window is none
+    args = ["two-stroke", "--system", str(heated_target_config(tmp_path)), "--rounds", "0..5", "--omega-s", "200:200:1"]
+    assert run_cli([*args, "--format", "summary"], tmp_path, monkeypatch) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "two-stroke max power at omega_s=200.00 MHz, n=5: P=-9.615396e-11 W/mol (W=-3.701928e-09 J/mol, eta=0.3711)",
+        "positive-work window n=0: none",
+        "positive-work window n=1: (125.77, 150.00) MHz",
+        "positive-work window n=2: (125.77, 175.00) MHz",
+        "positive-work window n=3: (125.77, 187.50) MHz",
+        "positive-work window n=4: (125.77, 193.75) MHz",
+        "positive-work window n=5: (125.77, 196.88) MHz",
+    ]
 
 
 def test_heated_target_four_stroke_exits_2(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -361,6 +362,15 @@ class TestPositiveWorkWindow:
         assert low / TWO_PI / 1e6 == pytest.approx(125.77, rel=1e-9)
         assert high / TWO_PI / 1e6 == pytest.approx(750.0, abs=1.0)
 
+    def test_upper_edges_are_the_scalar_formula_bit_for_bit(self, tce):
+        omega_t, bath_t = tce.omega("C1"), tce.bath_temperature
+        cooled = np.array([1e-300, 1e-3, 37.869, 299.99999999999994, 300.0, 300.00000000000006, 377.31, 1e300])
+        edges = engines.window_upper_edges(omega_t, bath_t, cooled)
+        assert edges.tolist() == [omega_t * bath_t / t if t < bath_t else -1.0 for t in cooled.tolist()]
+        assert [positive_work_window(omega_t, bath_t, t) for t in cooled.tolist()] == [
+            (omega_t, e) if e > 0 else None for e in edges.tolist()
+        ]
+
     def test_rejects_bad_temperatures(self):
         # a target not below the bath has no window; non-positive inputs are errors
         assert positive_work_window(1.0, 300.0, 300.0) is None
@@ -646,3 +656,19 @@ class TestReportValidation:
         assert table.columns["efficiency"] is per_frequency and not per_frequency.flags.writeable
         assert table.column("efficiency").tolist() == [0.7, 0.8, 0.9] * 2
         assert table.cell("efficiency", 4) == 0.8 and len(table) == 6
+
+    def test_cell_reads_each_column_at_its_own_index(self, tce):
+        # a 3x4 two-stroke table: omega_s and efficiency are (G,), n_rounds and the cycle time (R, 1), the work (R, G)
+        table = sweep_two_stroke(tce, [mhz(w) for w in (200.0, 430.0, 700.0, 900.0)], [1, 2, 5])
+        shapes = {name: column.shape for name, column in table.columns.items()}
+        assert {shapes["omega_s"], shapes["n_rounds"], shapes["net_work"]} == {(4,), (3, 1), (3, 4)}
+        size = len(table)
+        for name in table.columns:
+            column = table.column(name)
+            for row in [*range(-size, size), np.intp(size - 1), np.int64(-size)]:
+                assert table.cell(name, row) == column.item(row), (name, row)
+            for row in (size, -size - 1, 10**12):
+                with pytest.raises(IndexError) as expected:
+                    column.item(row)
+                with pytest.raises(IndexError, match=f"^{re.escape(str(expected.value))}$"):
+                    table.cell(name, row)

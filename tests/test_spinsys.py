@@ -516,6 +516,9 @@ class TestConfig:
             (lambda t: t.replace("[qubit.C1]", "[qubit.]").replace("C1-", "-"), r"\[qubit\.\]: empty qubit label"),
             (lambda t: t.replace("[qubit.C1]", "[qubit. ]").replace("C1-C2 = 103.0\nC1-H = 9.0\n", ""),
              r"\[qubit\. \]: empty qubit label"),
+            # configparser strips [j_coupling] keys, so a label with whitespace around it could not be coupled
+            (lambda t: t.replace("[qubit.C1]", "[qubit. C1]"), r"\[qubit\. C1\]: qubit label ' C1' has leading or trailing whitespace"),
+            (lambda t: t.replace("[qubit.C1]", "[qubit.C1 ]"), r"\[qubit\.C1 \]: qubit label 'C1 ' has leading"),
         ],
     )
     def test_rejects_bad_configs(self, mangle, message):
