@@ -21,8 +21,8 @@ import numpy as np
 
 from . import engines, hbac, reports
 from .engines import COMPRESSED_FIELD_SCALE
-from .spinsys import TWO_PI, ConfigError, Role, SpinSystem, StateInvariantError, load_system
-from .spinsys import thermal_marginal_polarization
+from .spinsys import ConfigError, Role, SpinSystem, StateInvariantError, _positive_finite, load_system
+from .spinsys import mhz_to_rad_s, rad_s_to_mhz, thermal_marginal_polarization
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,11 +70,6 @@ def _parse_rounds(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _rad_s(grid_mhz: np.ndarray) -> np.ndarray:
-    """Angular frequencies (rad/s) of frequencies omega/2pi given in MHz."""
-    return (TWO_PI * 1e6) * grid_mhz
-
-
 def _parse_omega_grid(text: str) -> np.ndarray:
     """The grid points in MHz, as one read-only float64 array."""
     parts = text.split(":")
@@ -98,10 +93,10 @@ def _parse_omega_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"omega grid has more than {MAX_VALUES} points: {text!r}")
     # the sweep runs in rad/s, where the points must stay finite and distinct too; the last point,
     # the largest, is checked first in Python floats, whose overflow raises no warning
-    if not math.isfinite((TWO_PI * 1e6) * (start + int(count) * step)):
+    if not math.isfinite(mhz_to_rad_s(start + int(count) * step)):
         raise argparse.ArgumentTypeError(f"omega grid overflows in rad/s: {text!r}")
     grid = start + np.arange(int(count) + 1) * step
-    rad_s = _rad_s(grid)
+    rad_s = mhz_to_rad_s(grid)
     if (rad_s[1:] <= rad_s[:-1]).any():
         raise argparse.ArgumentTypeError(
             f"omega grid repeats a point in rad/s (step below float resolution): {text!r}"
@@ -115,7 +110,7 @@ def _parse_positive(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
+    if not _positive_finite(value):
         raise argparse.ArgumentTypeError(f"value must be positive and finite, got {value}")
     return value
 
@@ -197,6 +192,7 @@ Outcome = tuple[engines.SweepTable, str]
 Column = tuple[str, str | Callable[[dict[str, np.ndarray], SpinSystem, argparse.Namespace], np.ndarray]]
 
 
+@np.errstate(all="ignore")  # as in the sweeps: a bath too cold for k_B T gives non-finite values, which run_ppa rejects
 def _cmd_ppa(args: argparse.Namespace, system: SpinSystem) -> Outcome:
     if len(args.rounds) != 1:
         raise ConfigError("ppa takes a single round count, not a range")
@@ -229,10 +225,15 @@ def _cmd_four_stroke(args: argparse.Namespace, system: SpinSystem) -> Outcome:
     return table, summary
 
 
+def _mhz_text(mhz: float) -> str:
+    """A frequency in MHz to two decimals, or from 1e15 MHz on, where they stop resolving, to 15 significant digits."""
+    return "%.2f" % mhz if mhz < 1e15 else "%.15g" % mhz
+
+
 def _window_texts(omega_t: float, edges: list[float]) -> list[str]:
     """The window text of each upper edge in ``edges`` (MHz, negative for no window)."""
-    head = "(%.2f, " % (omega_t / TWO_PI / 1e6)
-    return ["none" if e < 0 else "%s%.2f) MHz" % (head, e) for e in edges]
+    head = f"({_mhz_text(rad_s_to_mhz(omega_t))}, "
+    return ["none" if e < 0 else f"{head}{_mhz_text(e)}) MHz" for e in edges]
 
 
 def _window_lines(rounds: range, omega_t: float, bath_t: float, cooled: np.ndarray) -> list[str]:
@@ -243,7 +244,7 @@ def _window_lines(rounds: range, omega_t: float, bath_t: float, cooled: np.ndarr
     few distinct edges, and one text is formatted per run of equal edges.
     """
     # every round count's upper edge in MHz, negative where there is no window
-    edges = engines.window_upper_edges(omega_t, bath_t, cooled) / TWO_PI / 1e6
+    edges = rad_s_to_mhz(engines.window_upper_edges(omega_t, bath_t, cooled))
     starts = np.flatnonzero(np.concatenate(([True], edges[1:] != edges[:-1])))
     shown = _window_texts(omega_t, edges[starts].tolist())
     starts = starts.tolist()
@@ -261,7 +262,7 @@ def _cmd_two_stroke(args: argparse.Namespace, system: SpinSystem) -> Outcome:
     if rows > MAX_VALUES:
         raise ConfigError(f"two-stroke table would have {rows} rows, more than {MAX_VALUES}")
     try:
-        table = engines.sweep_two_stroke(system, _rad_s(args.omega_s), args.rounds)
+        table = engines.sweep_two_stroke(system, mhz_to_rad_s(args.omega_s), args.rounds)
     except engines.NonFiniteCell as exc:
         # the sweep runs in rad/s; name the point as it was passed, in MHz
         raise StateInvariantError(f"{exc} ({args.omega_s[exc.point['omega_s']].item()!r} MHz)") from None
@@ -270,7 +271,7 @@ def _cmd_two_stroke(args: argparse.Namespace, system: SpinSystem) -> Outcome:
         table.cell(k, best) for k in ("omega_s", "n_rounds", "power", "net_work", "efficiency")
     )
     lines = [
-        f"two-stroke max power at omega_s={omega_s / TWO_PI / 1e6:.2f} MHz, "
+        f"two-stroke max power at omega_s={_mhz_text(rad_s_to_mhz(omega_s))} MHz, "
         f"n={n}: P={power:.6e} W/mol (W={work:.6e} J/mol, eta={eta:.4g})"
     ]
     omega_t = system.omega(system.label_for_role(Role.TARGET), 1.0)
@@ -320,7 +321,7 @@ _COMMANDS: dict[str, tuple[str, tuple[Option, ...], Callable[..., Outcome], str,
         ),
         _cmd_two_stroke,
         "two-stroke cycle sweep",
-        (("omega_s_MHz", lambda columns, system, args: columns["omega_s"] / TWO_PI / 1e6), ("n", "n_rounds"),
+        (("omega_s_MHz", lambda columns, system, args: rad_s_to_mhz(columns["omega_s"])), ("n", "n_rounds"),
          ("W_J_per_mol", "net_work"), ("P_W_per_mol", "power"), ("eta", "efficiency"), ("in_window", "in_window")),
     ),
 }

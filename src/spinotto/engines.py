@@ -27,7 +27,6 @@ one cycle is a one-point sweep.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Iterable, Sequence
 
@@ -42,6 +41,7 @@ from .spinsys import (
     Role,
     SpinSystem,
     StateInvariantError,
+    _positive_finite,
     thermal_marginal_polarization,
     thermal_polarization,
 )
@@ -113,10 +113,9 @@ def positive_work_window(
 
     It is None when the target is not below the bath temperature.
     """
-    # each chain is false for NaN, as for zero, negative and infinite values
-    if not (0 < cooled_t < math.inf and 0 < bath_t < math.inf):
+    if not (_positive_finite(cooled_t) and _positive_finite(bath_t)):
         raise ValueError(f"temperatures must be positive and finite, got bath {bath_t} and cooled {cooled_t}")
-    if not 0 < omega_t < math.inf:
+    if not _positive_finite(omega_t):
         raise ValueError(f"omega_t must be positive and finite, got {omega_t}")
     edge = window_upper_edges(omega_t, bath_t, np.float64(cooled_t)).item()
     return None if edge < 0 else (omega_t, edge)

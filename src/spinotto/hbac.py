@@ -164,8 +164,8 @@ def cooling_polarizations(eps_b: float, eps_reset0: float, n_rounds: int) -> np.
     limit = 2.0 * eps_b / (1.0 + eps_b * eps_b)
     columns = np.zeros((2, n_rounds + 1))
     target, reset = columns
-    # |a| <= 1/2 for any polarization, so from n = 1075 on |a**n| <= 2**-1075, which rounds to 0.0
-    powers = min(n_rounds, 1074) + 1 if abs(a) <= 0.5 else n_rounds + 1
+    # eps_b is a tanh, so 0 <= a <= 1/2, and from n = 1075 on a**n <= 2**-1075, which rounds to 0.0
+    powers = min(n_rounds, 1074) + 1
     np.power(a, np.arange(powers), out=target[:powers])
     target *= eps_b - limit
     np.multiply(target[:-1], a - 1.0, out=reset[1:])

@@ -24,9 +24,7 @@ from .spinsys import AVOGADRO, HBAR, K_BOLTZMANN, SpinSystem
 
 
 def fmt(value) -> str:
-    """Deterministic cell formatting: 12-digit scientific for floats."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    """Deterministic text of a metadata or config value: 12-digit scientific for floats."""
     if isinstance(value, float):
         return format(value, ".12e")
     return str(value)
@@ -92,7 +90,7 @@ _POW10 = np.array([*(float("1e%d" % (12 - e)) for e in range(-100, 100)), math.n
 _MARGINS = np.array([0.499 if 0 <= 12 - e <= 22 else 0.495 for e in range(-100, 101)])
 # false and true as two words each, by (comma before, newline after)
 _BOOL_WORDS = {
-    (comma, newline): np.array([b"," * comma + text + b"\n" * newline for text in (b"false", b"true")], "S8")
+    (comma, newline): np.array([b"," * comma + text + b"\n" * newline for text in _BOOL_TEXT], "S8")
     .view(np.uint32).reshape(2, 2).T.copy()
     for comma in (False, True) for newline in (False, True)
 }

@@ -42,6 +42,16 @@ def _positive_finite(value: float) -> bool:
     return math.isfinite(value) and value > 0
 
 
+def mhz_to_rad_s(mhz):
+    """Angular frequency (rad/s) of a frequency omega/2pi in MHz; arrays map elementwise."""
+    return (TWO_PI * 1e6) * mhz
+
+
+def rad_s_to_mhz(omega):
+    """Frequency omega/2pi in MHz of an angular frequency in rad/s; arrays map elementwise."""
+    return omega / TWO_PI / 1e6
+
+
 # CODATA-2018 values.  ``HBAR`` is derived from the exact SI Planck
 # constant rather than written as a truncated decimal.
 HBAR = 6.626_070_15e-34 / (2.0 * math.pi)  # J*s
@@ -110,7 +120,10 @@ class SpinSystem:
             key = (a, b) if a < b else (b, a)
             if key in canonical and canonical[key] != j:
                 raise ConfigError(f"conflicting J values for pair {key}")
-            canonical[key] = float(j)
+            canonical[key] = j = float(j)
+            if not math.isfinite(TWO_PI * j):
+                # register_levels takes 2 pi J in rad/s
+                raise ConfigError(f"coupling {a}-{b}: J {j:g} Hz is not finite in rad/s")
         object.__setattr__(self, "j_over_2pi", canonical)
         object.__setattr__(self, "qubits", tuple(self.qubits))
         for label in labels:
@@ -137,7 +150,7 @@ class SpinSystem:
     def omega(self, label: str, field_scale: float = 1.0) -> float:
         """Larmor angular frequency in rad/s at the scaled field; a ``ConfigError`` if it is not finite."""
         mhz = self.omega_mhz(label)
-        omega = TWO_PI * 1e6 * mhz * field_scale
+        omega = mhz_to_rad_s(mhz) * field_scale
         if not math.isfinite(omega):
             if not math.isfinite(field_scale):
                 raise ConfigError(f"qubit {label}: field scale {field_scale:g} is not finite")
@@ -227,7 +240,8 @@ def register_levels(sys: SpinSystem, field_scale: float = 1.0) -> np.ndarray:
 
 def thermal_polarization(omega, temperature):
     """Equilibrium polarization ``tanh(hbar*omega / 2 k_B T)``; arrays broadcast."""
-    return np.tanh(HBAR * omega / (2.0 * K_BOLTZMANN * temperature))
+    # where 2 k_B T underflows to 0, np.divide gives inf (and tanh 1) where Python's / raises
+    return np.tanh(np.divide(HBAR * omega, 2.0 * K_BOLTZMANN * temperature))
 
 
 def thermal_marginal_polarization(sys: SpinSystem, label: str, field_scale: float = 1.0) -> float:

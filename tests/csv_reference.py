@@ -1,28 +1,36 @@
-"""Reference CSV renderer: every cell through ``reports.fmt``, one call each.
+"""Reference CSV renderer: every cell through Python's ``%``, one call each.
 
 The package renders tables column by column: numpy builds each float's
 ``%.12e`` bytes from a power-of-ten table and a digit table, and only the
 cells that could round wrongly (a digit fraction near one half, zero,
 non-finite, subnormal or three-digit-exponent values) go through
 Python's ``%``.  This per-cell renderer is the reference its bytes must
-match.  The metadata lines are shared with the package.
+match.  Its cell and config-value texts are its own; the metadata lines
+are shared with the package.
 """
 
 import numpy as np
 
 from spinotto.hbac import shannon_bound
-from spinotto.reports import fmt, metadata_lines
+from spinotto.reports import metadata_lines
 from spinotto.spinsys import TWO_PI
+
+
+def _cell(value):
+    """A cell's text: true or false for a bool, ``%.12e`` for a float, ``%d`` for an int."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return ("%.12e" if isinstance(value, float) else "%d") % value
 
 
 def _table(header, rows):
     lines = [",".join(header)]
-    lines += [",".join(fmt(cell) for cell in row) for row in rows]
+    lines += [",".join(map(_cell, row)) for row in rows]
     return lines
 
 
 def _column_rows(*columns):
-    # tolist() yields Python floats, ints and bools, which fmt knows
+    # tolist() yields Python floats, ints and bools, which _cell knows
     return zip(*(column.tolist() for column in columns))
 
 
@@ -36,12 +44,12 @@ def config_lines(args):
     if len(rounds) > 1:
         lines[-1] += f"..{rounds[-1]}"
     if args.command == "ppa":
-        lines.append("field_scale=" + fmt(float(args.field_scale)))
+        lines.append("field_scale=%.12e" % args.field_scale)
     if args.command == "two-stroke":
         grid = args.omega_s
-        lines += [f"omega_s_mhz={fmt(float(grid[0]))}..{fmt(float(grid[-1]))}", f"omega_s_points={len(grid)}"]
+        lines += ["omega_s_mhz=%.12e..%.12e" % (grid[0], grid[-1]), f"omega_s_points={len(grid)}"]
     if args.command == "four-stroke":
-        lines.append("tau=" + fmt(float(args.tau)))
+        lines.append("tau=%.12e" % args.tau)
     return lines
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from spinotto import cli
 from spinotto.engines import sweep_four_stroke, sweep_two_stroke
+from spinotto.spinsys import mhz_to_rad_s
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -63,7 +64,7 @@ def test_tracer_counts_the_cycles_of_one_table(tce):
     tracer._observe_sweep({}, sweep_four_stroke(tce, range(11)))
     assert tracer.cycles == 11
     tracer.begin_op(1)
-    grid = cli._rad_s(cli._parse_omega_grid("150:1000:1"))
+    grid = mhz_to_rad_s(cli._parse_omega_grid("150:1000:1"))
     tracer._observe_sweep({}, sweep_two_stroke(tce, grid, cli._parse_rounds("1..8")))
     assert tracer.cycles == 6808
 

@@ -287,6 +287,34 @@ class TestTwoStrokeCommand:
         assert capsys.readouterr().out.splitlines() == lines
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "edits,args,lines",
+        [
+            ({}, ["--rounds", "1", "--omega-s", "1e290:1e290:1"], [
+                "two-stroke max power at omega_s=1e+290 MHz, n=1: P=-1.900035e+285 W/mol (W=-1.995037e+286 J/mol, eta=1)",
+                "positive-work window n=1: (125.77, 750.20) MHz",
+            ]),
+            # a 1e15 K bath and a 1e15 MHz reset line cool the target to about 125.77 / 2e15 of the bath
+            ({"temperature_kelvin = 300.0": "temperature_kelvin = 1e15", "t1_seconds = 3.5\nomega_mhz = 500.13": "t1_seconds = 3.5\nomega_mhz = 1e15"},
+             ["--rounds", "1..2", "--omega-s", "150:200:50"], [
+                "two-stroke max power at omega_s=200.00 MHz, n=1: P=5.076929e-08 W/mol (W=5.330776e-07 J/mol, eta=0.3711)",
+                "positive-work window n=1: (125.77, 1.50000000007198e+15) MHz",
+                "positive-work window n=2: (125.77, 1.75000000011696e+15) MHz",
+            ]),
+        ],
+        ids=["partner-1e290-MHz", "edge-1e15-MHz"],
+    )
+    def test_huge_frequencies_print_bounded_texts(self, edits, args, lines, tmp_path, monkeypatch, capsys):
+        # %.2f printed 1e290 MHz as 291 digits; from 1e15 MHz on a frequency takes 15 significant digits
+        text = TCE_CONFIG
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        config = tmp_path / "system.cfg"
+        config.write_text(text)
+        assert run_cli(["two-stroke", "--system", str(config), *args, "--format", "summary"], tmp_path, monkeypatch) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(case=cooled_columns())
     def test_window_lines_match_one_window_per_round_count(self, case):
@@ -537,11 +565,12 @@ def test_cold_bath_summary_prints_a_nonzero_spin_temperature(tmp_path, monkeypat
         ("temperature_kelvin = 300.0", "temperature_kelvin = nan"),
         ("C1-C2 = 103.0", "C1-C2 = nan"),
         ("C1-C2 = 103.0", "C1-C2 = -inf"),
+        ("C2-H = 200.8", "C2-H = 1.7e308"),
     ],
-    ids=["t1-nan", "temperature-inf", "temperature-nan", "j-nan", "j-minus-inf"],
+    ids=["t1-nan", "temperature-inf", "temperature-nan", "j-nan", "j-minus-inf", "j-overflows-in-rad-s"],
 )
 def test_non_finite_config_exits_2(old, new, tmp_path, monkeypatch, capsys):
-    # every subcommand loads the system through the same call before it runs
+    # every subcommand loads the system through the same call before it runs; any warning fails the test
     config = tmp_path / "bad.cfg"
     config.write_text(TCE_CONFIG.replace(old, new))
     rc = run_cli(["two-stroke", "--system", str(config), "--rounds", "1"], tmp_path, monkeypatch)
@@ -597,6 +626,27 @@ def test_bath_too_hot_for_a_spin_temperature_exits_3(args, tmp_path, monkeypatch
     assert run_cli([*args, "--system", str(config)], tmp_path, monkeypatch) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "has no finite spin temperature at bath temperature 1e+300 K" in err[0]
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
+    "args,temperature,reset_mhz",
+    [*((args, "5e-302", "500.13") for args in SUBCOMMANDS), (["ppa"], "1e-30", "1e290")],
+    ids=["ppa", "four-stroke", "two-stroke", "ppa-reset-line-1e290-MHz"],
+)
+def test_splittings_past_the_float_range_in_k_t_exit_3_at_round_0(args, temperature, reset_mhz, tmp_path, monkeypatch, capsys):
+    # below about 8.9e-302 K, 2 k_B T underflows to 0.0 and every splitting is infinite in kT;
+    # at 1e-30 K a 1e290 MHz reset line's splitting overflows in kT.  The reset qubit's bath
+    # polarization is then tanh(inf) = 1.0; any warning fails the test
+    config = tmp_path / "frozen.cfg"
+    text = TCE_CONFIG.replace("temperature_kelvin = 300.0", f"temperature_kelvin = {temperature}")
+    config.write_text(text.replace("t1_seconds = 3.5\nomega_mhz = 500.13", f"t1_seconds = 3.5\nomega_mhz = {reset_mhz}"))
+    assert run_cli([*args, "--system", str(config)], tmp_path, monkeypatch) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"numerical invariant violated: round 0: target polarization 1.0 outside (0, 1) at bath temperature {temperature} K"
+    ]
+    assert captured.out == ""
     assert list(tmp_path.iterdir()) == [config]
 
 
@@ -1142,6 +1192,22 @@ def test_readme_shows_the_two_stroke_config_lines():
     lines = cli.canonical_lines(cli._parse_args(README_ARGVS["two-stroke"]))
     shown = [f"# config_hash={reports.config_hash(lines)}", *(f"# config: {line}" for line in lines)]
     assert "\n".join(shown) in readme
+
+
+def test_readme_table_columns_match_the_runs():
+    # the README's Library table: each run's axes, then its other columns, in order
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (.+?) \| (.+?) \|$", readme, flags=re.MULTILINE)
+    tce = spinotto.tce_system()
+    tables = {
+        "run_ppa": spinotto.run_ppa(0.25, tce, 1.0, 2),
+        "sweep_four_stroke": spinotto.sweep_four_stroke(tce, [2]),
+        "sweep_two_stroke": spinotto.sweep_two_stroke(tce, [TWO_PI * 300e6], [2]),
+    }
+    listed = {name: (re.findall(r"`(\w+)`", axes), re.findall(r"`(\w+)`", others)) for name, axes, others in rows}
+    assert listed == {
+        name: (list(table.axes), [c for c in table.columns if c not in table.axes]) for name, table in tables.items()
+    }
 
 
 def test_readme_python_example_runs(capsys):

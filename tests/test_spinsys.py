@@ -519,6 +519,8 @@ class TestConfig:
             # configparser strips [j_coupling] keys, so a label with whitespace around it could not be coupled
             (lambda t: t.replace("[qubit.C1]", "[qubit. C1]"), r"\[qubit\. C1\]: qubit label ' C1' has leading or trailing whitespace"),
             (lambda t: t.replace("[qubit.C1]", "[qubit.C1 ]"), r"\[qubit\.C1 \]: qubit label 'C1 ' has leading"),
+            # finite in Hz, but 2 pi J overflows in rad/s
+            (lambda t: t.replace("C2-H = 200.8", "C2-H = 1.7e308"), r"coupling C2-H: J 1\.7e\+308 Hz is not finite in rad/s"),
         ],
     )
     def test_rejects_bad_configs(self, mangle, message):
