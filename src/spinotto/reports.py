@@ -315,15 +315,12 @@ def render_csv(title: str, columns: Sequence[tuple[str, np.ndarray]], config_lin
 def write_atomic(path: str | Path, blocks: Iterable[bytes]) -> None:
     """Write ``blocks`` to a sibling temp file, then rename: no reader sees partial or failed output.
 
-    The temp file is created as ``open`` creates a file, mode 0o666 less the umask.
+    The temp file is created as ``open`` creates a file, mode 0o666 less the umask.  Missing
+    parent directories are made, and only looked for when the temp file cannot be created.
     """
-    path = os.fspath(Path(path))  # spelled as Path spells it: no "." parts, no trailing slash
+    # spelled as Path spells it: no "." parts, no trailing slash (a Path is already)
+    path = os.fspath(path if isinstance(path, Path) else Path(path))
     parent, name = os.path.split(path)
-    if parent and not os.path.isdir(parent):
-        try:
-            os.makedirs(parent, exist_ok=True)
-        except FileExistsError:  # makedirs' reason for a regular file in place of the parent
-            raise NotADirectoryError(errno.ENOTDIR, f"{parent} is not a directory") from None
     while True:
         tmp_name = os.path.join(parent, f".{name}.{os.urandom(6).hex()}.tmp")
         try:
@@ -331,9 +328,23 @@ def write_atomic(path: str | Path, blocks: Iterable[bytes]) -> None:
             break
         except FileExistsError:
             continue
+        except (FileNotFoundError, NotADirectoryError):  # no parent directory: make it, or say why not
+            if not parent or os.path.isdir(parent):
+                raise
+            try:
+                os.makedirs(parent, exist_ok=True)
+            except FileExistsError:  # makedirs' reason for a regular file in place of the parent
+                raise NotADirectoryError(errno.ENOTDIR, f"{parent} is not a directory") from None
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.writelines(blocks)
+        try:
+            for block in blocks:
+                written = os.write(fd, block)
+                while written < len(block):  # a short write: write the rest
+                    written += os.write(fd, memoryview(block)[written:])
+                # freed before the renderer makes the next block, which can then reuse its pages
+                del block
+        finally:
+            os.close(fd)
         os.replace(tmp_name, path)
     except BaseException:
         try:

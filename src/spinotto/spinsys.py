@@ -256,6 +256,7 @@ def thermal_marginal_polarization(sys: SpinSystem, label: str, field_scale: floa
     d``.  The weights are taken in log space, so no splitting overflows
     them, and no polarization is a difference of two populations near 1/2.
     """
+    sys.qubit(label)  # a KeyError that names the register for a label not in it
     k, axis = len(sys.labels), sys.labels.index(label)  # ordered as np.moveaxis orders, without its checks
     lower, upper = register_levels(sys, field_scale).reshape((2,) * k).transpose(axis, *range(axis), *range(axis + 1, k))
     kt = K_BOLTZMANN * sys.bath_temperature

@@ -155,8 +155,9 @@ class TestSpinSystemValidation:
             run_ppa(eps, tce, scale, 3)
 
     def test_unknown_label(self, tce):
-        with pytest.raises(KeyError, match=r"unknown qubit label 'X'; register is \('C1', 'C2', 'H'\)"):
-            tce.qubit("X")
+        for call in (tce.qubit, lambda label: thermal_marginal_polarization(tce, label)):
+            with pytest.raises(KeyError, match=r"unknown qubit label 'X'; register is \('C1', 'C2', 'H'\)"):
+                call("X")
 
 
 class TestStaticHamiltonian:
