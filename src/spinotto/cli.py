@@ -8,8 +8,6 @@ one entry of a subcommand's table; an argv of ``--flag value`` pairs is parsed
 from that table without argparse, and help, usage and errors come from the full parser.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import os

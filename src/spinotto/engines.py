@@ -25,8 +25,6 @@ field ramps are treated as fast.  The sweeps are the only entry points;
 one cycle is a one-point sweep.
 """
 
-from __future__ import annotations
-
 import operator
 from collections.abc import Iterable, Sequence
 

@@ -33,15 +33,12 @@ A run is a ``SweepTable`` on the axis ``n_rounds``, the table type the
 engines' sweeps return too, with three float columns and no populations.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .spinsys import Role, SpinSystem, StateInvariantError, _effective_temperature, thermal_polarization
+from .spinsys import Role, SpinSystem, StateInvariantError, _effective_temperature, _Record, thermal_polarization
 
 
 _AXIS_UNITS = {"omega_s": " rad/s"}
@@ -55,8 +52,7 @@ class NonFiniteCell(StateInvariantError):
         self.point = point
 
 
-@dataclass(frozen=True, eq=False)
-class SweepTable:
+class SweepTable(_Record):
     """A cooling run or cycles of one engine kind over a parameter grid, stored as named read-only columns.
 
     ``axes`` names the columns that are the grid's axes, such as
@@ -70,16 +66,21 @@ class SweepTable:
     gives a column in row order and ``cell`` one row's value.  The table
     takes the arrays it is given and marks them read-only.  A non-finite
     float cell is a ``NonFiniteCell`` naming its grid point, the first in
-    row order.
+    row order.  Tables compare by identity.
     """
 
     axes: tuple[str, ...]
     engine_kind: str
     columns: dict[str, np.ndarray]
 
+    __match_args__ = ("axes", "engine_kind", "columns")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     @np.errstate(over="ignore", invalid="ignore")  # a column's sum may overflow or meet inf - inf
-    def __post_init__(self):
-        object.__setattr__(self, "columns", {name: np.asarray(values) for name, values in self.columns.items()})
+    def __init__(self, axes, engine_kind, columns):
+        columns = {name: np.asarray(values) for name, values in columns.items()}
+        self.__dict__.update(axes=axes, engine_kind=engine_kind, columns=columns)
         for k, axis in enumerate(self.axes):
             column = self.columns[axis]
             dims = (1,) * (len(self.axes) - column.ndim) + column.shape
@@ -116,7 +117,7 @@ class SweepTable:
         return math.prod(self.shape)
 
     @property
-    def reports(self) -> SweepTable:
+    def reports(self) -> "SweepTable":
         # only perfbench/tracer.py reads this, to count cycles; it goes with that tracer
         return self
 

@@ -6,8 +6,6 @@ row can be traced back to its inputs.  No timestamps: identical inputs
 must produce byte-identical files.
 """
 
-from __future__ import annotations
-
 import errno
 import hashlib
 import math

@@ -13,15 +13,11 @@ package forms is diagonal too, so a qubit's state is its polarization
 its marginals (``thermal_marginal_polarization``).
 
 Systems can be built in code, from the built-in ``tce`` preset, or from
-an INI-style configuration file (see ``from_config_file``).
+an INI-style configuration file (see ``config.from_config_file``).
 """
-
-from __future__ import annotations
 
 import itertools
 import math
-import re
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -59,14 +55,46 @@ K_BOLTZMANN = 1.380_649e-23  # J/K
 AVOGADRO = 6.022_140_76e23  # 1/mol
 
 
+class _Record:
+    """An immutable record: the fields ``__match_args__`` names, set once by ``__init__``.
+
+    Assigning or deleting an attribute raises ``AttributeError``.  Records
+    of one class compare and hash by their fields in order, and ``repr``
+    lists the fields, as a frozen dataclass's do; a changed copy is built
+    with the constructor.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class Role(str, Enum):
     TARGET = "target"
     COMPRESSION = "compression"
     RESET = "reset"
 
 
-@dataclass(frozen=True)
-class QubitSpec:
+class QubitSpec(_Record):
     """One nuclear spin.
 
     ``omega_over_2pi`` optionally pins the Larmor frequency (MHz) at the
@@ -79,9 +107,12 @@ class QubitSpec:
     role: Role
     gamma_over_2pi: float  # MHz/T
     t1: float  # seconds
-    omega_over_2pi: float | None = None  # MHz at field_scale 1
+    omega_over_2pi: float | None  # MHz at field_scale 1
 
-    def __post_init__(self):
+    __match_args__ = ("label", "role", "gamma_over_2pi", "t1", "omega_over_2pi")
+
+    def __init__(self, label, role, gamma_over_2pi, t1, omega_over_2pi=None):
+        self.__dict__.update(label=label, role=role, gamma_over_2pi=gamma_over_2pi, t1=t1, omega_over_2pi=omega_over_2pi)
         if not _positive_finite(self.gamma_over_2pi):
             raise ConfigError(f"qubit {self.label}: gamma must be positive and finite")
         if not _positive_finite(self.t1):
@@ -90,8 +121,7 @@ class QubitSpec:
             raise ConfigError(f"qubit {self.label}: omega must be positive and finite")
 
 
-@dataclass(frozen=True)
-class SpinSystem:
+class SpinSystem(_Record):
     """Ordered qubit register + pairwise couplings + field + bath.
 
     ``j_over_2pi`` maps unordered label pairs to coupling strengths in Hz;
@@ -103,7 +133,11 @@ class SpinSystem:
     b_field: float  # tesla
     bath_temperature: float  # kelvin
 
-    def __post_init__(self):
+    __match_args__ = ("qubits", "j_over_2pi", "b_field", "bath_temperature")
+
+    def __init__(self, qubits, j_over_2pi, b_field, bath_temperature):
+        fields = self.__dict__
+        fields.update(qubits=qubits, j_over_2pi=j_over_2pi, b_field=b_field, bath_temperature=bath_temperature)
         labels = [q.label for q in self.qubits]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate qubit labels: {labels}")
@@ -124,13 +158,12 @@ class SpinSystem:
             if not math.isfinite(TWO_PI * j):
                 # register_levels takes 2 pi J in rad/s
                 raise ConfigError(f"coupling {a}-{b}: J {j:g} Hz is not finite in rad/s")
-        object.__setattr__(self, "j_over_2pi", canonical)
-        object.__setattr__(self, "qubits", tuple(self.qubits))
+        fields.update(j_over_2pi=canonical, qubits=tuple(self.qubits))
         for label in labels:
             self.omega(label)
         # role -> label, resolved once; None when the roles are not one per role
         roles = [q.role for q in self.qubits]
-        object.__setattr__(self, "_role_labels", dict(zip(roles, labels)) if sorted(roles) == sorted(Role) else None)
+        fields["_role_labels"] = dict(zip(roles, labels)) if sorted(roles) == sorted(Role) else None
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -286,159 +319,10 @@ def _effective_temperature(epsilon: np.ndarray, omega: float) -> np.ndarray:
     return HBAR * omega / (2.0 * K_BOLTZMANN * np.arctanh(epsilon))
 
 
-# ---------------------------------------------------------------------------
-# Configuration files
-# ---------------------------------------------------------------------------
-
-_CONFIG_DOC = """\
-INI schema (see README for a complete example):
-
-[system]
-temperature_kelvin = 300.0
-b_field_tesla = 11.774       # or: reference_qubit = H / reference_omega_mhz = 500.13
-
-[qubit.<LABEL>]              # one section per qubit, register order = file order
-role = target                # target | compression | reset
-gamma_mhz_per_tesla = 10.7084
-t1_seconds = 43.0
-omega_mhz = 125.77           # optional explicit Larmor frequency at full field
-
-[j_coupling]                 # optional; keys are unordered label pairs
-C1-C2 = 103.0                # Hz
-"""
-
-# the keys of [system] and of each [qubit.<LABEL>]; those of [j_coupling] are label pairs
-_SECTION_KEYS = {"system": {"temperature_kelvin", "b_field_tesla", "reference_qubit", "reference_omega_mhz"},
-                 "qubit": {"role", "gamma_mhz_per_tesla", "t1_seconds", "omega_mhz"}}
-
-
-def from_config_text(text: str, origin: str = "<config>") -> SpinSystem:
-    """Parse a spin-system definition from INI-formatted text."""
-    import configparser  # only INI files need it, not the presets
-
-    parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#", ";")
-    )
-    parser.optionxform = str  # keep label case
-    # a header is the whole line less whitespace and an inline comment; configparser's pattern matches a prefix
-    parser.SECTCRE = re.compile(r"\[(?P<header>.+)\]\Z")
-    try:
-        parser.read_string(text, source=origin)
-    except configparser.Error as exc:
-        raise ConfigError(f"{origin}: {exc}") from exc
-
-    if "system" not in parser:
-        raise ConfigError(f"{origin}: missing [system] section\n{_CONFIG_DOC}")
-    for name in parser.sections():
-        # a misspelt section or key would otherwise be ignored; an empty section holds nothing to lose
-        unknown = set(parser[name]) - _SECTION_KEYS.get("qubit" if name.startswith("qubit.") else name, set())
-        if unknown and name != "j_coupling":
-            raise ConfigError(f"{origin}: [{name}]: unknown keys {sorted(unknown)}\n{_CONFIG_DOC}")
-    system = parser["system"]
-
-    def _positive(section, key: str, where: str) -> float:
-        try:
-            value = float(section[key])
-        except KeyError:
-            raise ConfigError(f"{origin}: {where} is missing {key}") from None
-        except ValueError:
-            raise ConfigError(f"{origin}: {where}: {key} is not a number") from None
-        if not _positive_finite(value):
-            raise ConfigError(f"{origin}: {where}: {key} must be positive and finite")
-        return value
-
-    temperature = _positive(system, "temperature_kelvin", "[system]")
-
-    qubit_sections = [s for s in parser.sections() if s.startswith("qubit.")]
-    if not qubit_sections:
-        raise ConfigError(f"{origin}: no [qubit.<LABEL>] sections\n{_CONFIG_DOC}")
-    qubits = []
-    for section_name in qubit_sections:
-        label = section_name.split(".", 1)[1]
-        if not label.strip():
-            raise ConfigError(f"{origin}: [{section_name}]: empty qubit label")
-        if label != label.strip():
-            # configparser strips [j_coupling] keys, so no key could name such a label
-            raise ConfigError(f"{origin}: [{section_name}]: qubit label {label!r} has leading or trailing whitespace")
-        section = parser[section_name]
-        role_text = section.get("role", "")
-        try:
-            role = Role(role_text)
-        except ValueError:
-            raise ConfigError(
-                f"{origin}: [{section_name}]: role must be one of "
-                f"{[r.value for r in Role]}, got {role_text!r}"
-            ) from None
-        omega_mhz = None
-        if "omega_mhz" in section:
-            omega_mhz = _positive(section, "omega_mhz", f"[{section_name}]")
-        qubits.append(
-            QubitSpec(
-                label=label,
-                role=role,
-                gamma_over_2pi=_positive(section, "gamma_mhz_per_tesla", f"[{section_name}]"),
-                t1=_positive(section, "t1_seconds", f"[{section_name}]"),
-                omega_over_2pi=omega_mhz,
-            )
-        )
-
-    labels = [q.label for q in qubits]
-    if "b_field_tesla" in system:
-        b_field = _positive(system, "b_field_tesla", "[system]")
-    elif "reference_qubit" in system:
-        ref = system["reference_qubit"].strip()
-        if ref not in labels:
-            raise ConfigError(f"{origin}: reference_qubit {ref!r} is not a defined qubit")
-        ref_omega = _positive(system, "reference_omega_mhz", "[system]")
-        ref_gamma = next(q.gamma_over_2pi for q in qubits if q.label == ref)
-        b_field = ref_omega / ref_gamma
-    else:
-        raise ConfigError(
-            f"{origin}: [system] needs b_field_tesla or "
-            f"reference_qubit + reference_omega_mhz"
-        )
-
-    couplings: dict[tuple[str, str], float] = {}
-    if "j_coupling" in parser:
-        for key, value in parser["j_coupling"].items():
-            # a label may hold "-" too: a key splits at the one "-" that leaves two defined labels
-            pairs = [(key[:i], key[i + 1 :]) for i, c in enumerate(key) if c == "-" and {key[:i], key[i + 1 :]} <= set(labels)]
-            if len(pairs) != 1:
-                why = f"ambiguous: {len(pairs)} of its '-' split it into defined labels" if pairs else "not LABEL-LABEL: unknown label or no '-'"
-                raise ConfigError(f"{origin}: [j_coupling] key {key!r} is {why}")
-            try:
-                j = float(value)
-            except ValueError:
-                raise ConfigError(f"{origin}: [j_coupling] {key}: not a number") from None
-            if not math.isfinite(j):
-                raise ConfigError(f"{origin}: [j_coupling] {key}: must be finite")
-            couplings[pairs[0]] = j
-
-    try:
-        return SpinSystem(
-            qubits=tuple(qubits),
-            j_over_2pi=couplings,
-            b_field=b_field,
-            bath_temperature=temperature,
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"{origin}: {exc}") from exc
-
-
-def from_config_file(path: str | Path) -> SpinSystem:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config not found: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return from_config_text(text, origin=str(path))
-
-
 def load_system(source: str | Path) -> SpinSystem:
-    """Resolve a preset name (e.g. ``tce``) or a config-file path."""
-    name = str(source)
-    if name in PRESETS:
-        return PRESETS[name]()
+    """Resolve a preset name (e.g. ``tce``) or a config-file path; a ``Path`` is always a file."""
+    if isinstance(source, str) and source in PRESETS:
+        return PRESETS[source]()
+    from .config import from_config_file  # only INI files need the reader, not the presets
+
     return from_config_file(source)

@@ -7,10 +7,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from dense import thermal_state
 from spinotto import tce_system
-from spinotto.spinsys import from_config_text
-from test_spinsys import TCE_CONFIG
+from spinotto.config import from_config_text
 
 pytest_plugins = ["pytester"]
+
+
+def changed(value, **fields):
+    """A copy of a ``SpinSystem`` or ``QubitSpec`` with ``fields`` replaced, built through its constructor."""
+    return type(value)(**{**{name: getattr(value, name) for name in value.__match_args__}, **fields})
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +37,8 @@ def tce_thermal_half(tce):
 @pytest.fixture(scope="session")
 def h_first_config_text():
     """The TCE INI text with its qubit sections ordered H, C1, C2."""
+    from test_spinsys import TCE_CONFIG
+
     head, rest = TCE_CONFIG.split("[qubit.C1]", 1)
     carbons, rest = rest.split("[qubit.H]", 1)
     proton, couplings = rest.split("[j_coupling]", 1)

@@ -1097,6 +1097,28 @@ def test_preset_run_leaves_configparser_unimported(tmp_path):
     assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
 
+def test_import_and_preset_leave_the_ini_reader_and_dataclasses_unimported(tmp_path):
+    # the INI reader is loaded for an INI path only, and the records need no dataclass code generation
+    code = (
+        "import sys, numpy; numpy_dataclasses = 'dataclasses' in sys.modules; "
+        "import spinotto; spinotto.load_system('tce'); "
+        "print(*(name in sys.modules for name in ('spinotto.config', 'configparser', 'dataclasses')), numpy_dataclasses); "
+        f"spinotto.load_system({str(tmp_path / 'tce.ini')!r}); "
+        "print(*(name in sys.modules for name in ('spinotto.config', 'configparser')))"
+    )
+    (tmp_path / "tce.ini").write_text(TCE_CONFIG)
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=child_env(), capture_output=True, text=True
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    preset, ini = result.stdout.splitlines()
+    config, configparser, dataclasses, numpy_dataclasses = preset.split()
+    assert (config, configparser) == ("False", "False")
+    if numpy_dataclasses == "False":
+        assert dataclasses == "False"
+    assert ini == "True True"
+
+
 def test_preset_run_leaves_locale_unimported(tmp_path):
     # argparse's messages go through gettext, which imports locale; a run parsed without argparse does not
     code = (

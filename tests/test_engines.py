@@ -1,7 +1,6 @@
 import math
 import re
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 
 import dense
 import oracles
+from conftest import changed
 from dense import (
     apply,
     local_levels,
@@ -233,9 +233,9 @@ def state_work(sweep, *args):
 def heated_target_system(tce):
     """TCE with the reset line at 100 MHz, below the 125.77 MHz target."""
     qubits = tuple(
-        replace(q, omega_over_2pi=100.0) if q.label == "H" else q for q in tce.qubits
+        changed(q, omega_over_2pi=100.0) if q.label == "H" else q for q in tce.qubits
     )
-    return replace(tce, qubits=qubits)
+    return changed(tce, qubits=qubits)
 
 
 def energy(h, rho):

@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 import dense
 import oracles
+from conftest import changed
 from dense import (
     DensityMatrix,
     is_diagonal,
@@ -121,7 +121,7 @@ class TestInitialStage:
 
     def test_rejects_wrong_register(self, tce):
         # cooling needs one target, one compression and one reset qubit
-        bad = replace(tce, qubits=tuple(replace(q, role=Role.TARGET) for q in tce.qubits))
+        bad = changed(tce, qubits=tuple(changed(q, role=Role.TARGET) for q in tce.qubits))
         with pytest.raises(ConfigError, match="exactly one target, one compression and one reset"):
             run_ppa(1e-5, bad, 0.5, 1)
 
@@ -214,7 +214,7 @@ class TestDenseReference:
         order=st.sampled_from(["tce", "tce_h_first"]),
     )
     def test_property_matches_dense_and_never_cools_less(self, request, temperature, field_scale, order):
-        system = replace(request.getfixturevalue(order), bath_temperature=temperature)
+        system = changed(request.getfixturevalue(order), bath_temperature=temperature)
         rho = thermal_state(system, field_scale)
         trace = run_ppa(thermal_target(system, field_scale), system, field_scale, 12)
         expected = dense.cooling_rows(rho, system, field_scale, 12)
@@ -337,20 +337,20 @@ class TestRunPpa:
     def test_saturated_polarization_is_an_invariant_error(self, tce):
         # at 1 mK the first round drives the target polarization to exactly 1.0,
         # which has no finite spin temperature
-        cold = replace(tce, bath_temperature=0.001)
+        cold = changed(tce, bath_temperature=0.001)
         with pytest.raises(StateInvariantError, match=r"round 1: target .* 0\.001 K"):
             run_ppa(thermal_target(cold, 1.0), cold, 1.0, 2)
 
     def test_saturated_bath_stops_at_round_zero(self, tce):
         # at 0.5 mK the bath polarization itself rounds to 1.0
-        cold = replace(tce, bath_temperature=0.0005)
+        cold = changed(tce, bath_temperature=0.0005)
         with pytest.raises(StateInvariantError, match=r"round 0: target polarization 1\.0 .* 0\.0005 K"):
             run_ppa(thermal_target(cold, 1.0), cold, 1.0, 2)
 
     def test_hot_bath_has_no_finite_spin_temperature(self, tce):
         # at 1e300 K the bath polarization is about 1e-302, and hbar omega /
         # (2 k arctanh(eps)) overflows: the run stops at round 0, unwarned
-        hot = replace(tce, bath_temperature=1e300)
+        hot = changed(tce, bath_temperature=1e300)
         message = r"round 0: target polarization 6\.0006\d*e-303 has no finite spin temperature at bath temperature 1e\+300 K"
         with pytest.raises(StateInvariantError, match=message):
             run_ppa(thermal_target(hot, 0.5), hot, 0.5, 2)
@@ -376,7 +376,7 @@ class TestRunPpa:
         # NaN) it is no state: the run names the first round that has one.  A
         # 10 mK bath cools the target to 0.96 in round 1, so that doubling it,
         # as doubling a register's populations doubles its polarizations, leaves (0, 1)
-        cold = replace(tce, bath_temperature=0.01)
+        cold = changed(tce, bath_temperature=0.01)
         honest = hbac.cooling_polarizations
 
         def corrupted(*args):

@@ -1,11 +1,11 @@
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+from conftest import changed
 from dense import (
     DensityMatrix,
     local_levels,
@@ -15,6 +15,7 @@ from dense import (
     thermal_state,
     zeeman_levels,
 )
+from spinotto.config import from_config_text
 from spinotto.hbac import run_ppa
 from spinotto.spinsys import (
     HBAR,
@@ -23,7 +24,6 @@ from spinotto.spinsys import (
     Role,
     SpinSystem,
     effective_temperature,
-    from_config_text,
     load_system,
     register_levels,
     tce_system,
@@ -73,9 +73,9 @@ class TestTcePreset:
         # per role still constructs, and every lookup names its roles: a second
         # compression qubit leaves the register without a target, and so does
         # a fourth qubit with any role
-        qubits = tuple(replace(q, role=Role.COMPRESSION) if q.label == "C1" else q for q in tce.qubits)
-        two_compression = replace(tce, qubits=qubits)
-        extra = replace(tce, qubits=(*tce.qubits, QubitSpec("X", Role.RESET, 10.0, 1.0)))
+        qubits = tuple(changed(q, role=Role.COMPRESSION) if q.label == "C1" else q for q in tce.qubits)
+        two_compression = changed(tce, qubits=qubits)
+        extra = changed(tce, qubits=(*tce.qubits, QubitSpec("X", Role.RESET, 10.0, 1.0)))
         needs = "; cooling needs exactly one target, one compression and one reset qubit"
         cases = [
             (two_compression, "register ('C1', 'C2', 'H') has roles ['compression', 'compression', 'reset']" + needs),
@@ -158,6 +158,64 @@ class TestSpinSystemValidation:
         for call in (tce.qubit, lambda label: thermal_marginal_polarization(tce, label)):
             with pytest.raises(KeyError, match=r"unknown qubit label 'X'; register is \('C1', 'C2', 'H'\)"):
                 call("X")
+
+
+class TestValueSemantics:
+    # the records a caller holds: fields fixed at construction, compared and hashed as a frozen dataclass's
+
+    @pytest.mark.parametrize("name", ["qubits", "b_field", "bath_temperature", "other"])
+    def test_a_system_cannot_be_assigned(self, name):
+        system = tce_system()
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(system, name, 1.0)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(system, name)
+        assert system == tce_system()
+
+    def test_a_qubit_and_a_table_cannot_be_assigned(self, tce):
+        table = run_ppa(1e-5, tce, 0.5, 2)
+        for record, name in ((tce.qubits[0], "t1"), (table, "axes"), (table, "columns")):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(record, name, ())
+
+    def test_systems_and_qubits_compare_by_field(self, tce):
+        assert tce_system() == tce and tce_system() is not tce
+        assert changed(tce, bath_temperature=310.0) != tce
+        assert changed(tce, j_over_2pi={}) != tce
+        q = QubitSpec("a", Role.TARGET, 10.0, 1.0)
+        assert q == QubitSpec(label="a", role=Role.TARGET, gamma_over_2pi=10.0, t1=1.0, omega_over_2pi=None)
+        assert q != QubitSpec("a", Role.TARGET, 10.0, 1.0, 100.0)
+        # only a record of the same class is equal
+        assert q != ("a", Role.TARGET, 10.0, 1.0, None) and tce != tce.qubits
+        assert q.__eq__(object()) is NotImplemented
+
+    def test_a_qubit_hashes_and_a_system_does_not(self, tce):
+        assert hash(QubitSpec("a", Role.TARGET, 10.0, 1.0)) == hash(QubitSpec("a", Role.TARGET, 10.0, 1.0))
+        assert len(set(tce.qubits) | set(tce_system().qubits)) == 3
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(tce)
+
+    def test_repr_lists_the_fields(self, tce):
+        assert repr(tce.qubits[0]) == (
+            "QubitSpec(label='C1', role=<Role.TARGET: 'target'>, gamma_over_2pi=10.7084, t1=43.0, omega_over_2pi=125.77)"
+        )
+        assert repr(tce).startswith(f"SpinSystem(qubits=({tce.qubits[0]!r}, ")
+        assert repr(tce).endswith(f"j_over_2pi={tce.j_over_2pi!r}, b_field={tce.b_field!r}, bath_temperature=300.0)")
+        table = run_ppa(1e-5, tce, 0.5, 1)
+        assert repr(table) == f"SweepTable(axes=('n_rounds',), engine_kind='ppa', columns={table.columns!r})"
+
+    def test_fields_match_positionally(self, tce):
+        match tce.qubits[2]:
+            case QubitSpec(label, Role.RESET, _, t1, omega):
+                assert (label, t1, omega) == ("H", 3.5, 500.13)
+            case _:
+                pytest.fail("QubitSpec did not match its fields positionally")
+
+    def test_tables_compare_by_identity_and_cache_their_shape(self, tce):
+        table, again = run_ppa(1e-5, tce, 0.5, 3), run_ppa(1e-5, tce, 0.5, 3)
+        assert table == table and table != again and len({table, again}) == 2
+        # the check at construction computes the shape once, and it is kept
+        assert table.shape == (4,) and vars(table)["shape"] is table.shape
 
 
 class TestStaticHamiltonian:
@@ -250,7 +308,7 @@ class TestGibbsState:
     # thermal_state is the register's Gibbs state at the bath temperature
 
     def test_infinite_temperature_limit(self, tce):
-        hot = replace(tce, bath_temperature=1e12)
+        hot = changed(tce, bath_temperature=1e12)
         rho = thermal_state(hot, 1.0)
         assert np.max(np.abs(rho.matrix - np.eye(8) / 8)) <= 1e-10
 
@@ -278,7 +336,7 @@ class TestGibbsState:
     def test_rejects_nonpositive_temperature(self, tce):
         # the Gibbs temperature is the system's bath temperature
         with pytest.raises(ValueError, match="bath_temperature"):
-            replace(tce, bath_temperature=0.0)
+            changed(tce, bath_temperature=0.0)
 
     def test_populations_broadcast_over_temperatures(self, tce):
         levels = local_levels(tce, "C1", 0.5)
@@ -482,6 +540,29 @@ class TestConfig:
         path = tmp_path / "custom.cfg"
         path.write_text(TCE_CONFIG)
         assert load_system(path) == tce
+
+    def test_a_file_with_a_byte_order_mark_loads(self, tce, tmp_path, monkeypatch, capsys):
+        # an editor may save UTF-8 with a BOM ahead of "[system]"
+        from spinotto import cli
+
+        path = tmp_path / "bom.ini"
+        path.write_text(TCE_CONFIG, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf[system]")
+        assert load_system(path) == tce
+        monkeypatch.chdir(tmp_path)
+        assert cli.run(["ppa", "--system", "bom.ini", "--format", "summary"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_a_path_is_always_a_file(self, tce, tmp_path, monkeypatch):
+        # only a str names a preset: a Path named like one is the file it names
+        (tmp_path / "tce").write_text(TCE_CONFIG.replace("temperature_kelvin = 300.0", "temperature_kelvin = 310.0"))
+        monkeypatch.chdir(tmp_path)
+        assert load_system(Path("tce")).bath_temperature == 310.0
+        assert load_system("tce") == tce
+        (tmp_path / "empty").mkdir()
+        monkeypatch.chdir(tmp_path / "empty")
+        with pytest.raises(ConfigError, match="^config not found: tce$"):
+            load_system(Path("tce"))
 
     def test_readme_ini_matches_preset(self, tce):
         # its headers carry inline comments, and trailing whitespace leaves a header as it is too
