@@ -22,7 +22,6 @@ from .spinsys import (
     StateInvariantError,
     effective_temperature,
     load_system,
-    register_levels,
     tce_system,
     thermal_marginal_polarization,
     thermal_polarization,

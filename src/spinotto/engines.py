@@ -67,12 +67,13 @@ def _check_energetics(table: SweepTable) -> SweepTable:
     residual, bad = np.empty_like(scale), np.empty(scale.shape, bool)
     for x in terms[1:]:
         np.maximum(scale, np.abs(x, out=residual), out=scale)
-    positive = scale > 0
     tolerance = np.multiply(_CLOSURE_RTOL, scale, out=scale)
+    # every cell is finite (SweepTable checked), so where the scale is 0 each term is +-0 and
+    # the residual exactly 0, never above the tolerance: the comparison needs no mask
     for text, op, a, b in (("q_in - q_out", np.subtract, q_in, q_out), ("w1 + w2", np.add, w1, w2)):
         if a is not None and b is not None:
             np.abs(np.subtract(net_work, op(a, b, out=residual), out=residual), out=residual)
-            if np.logical_and(positive, np.greater(residual, tolerance, out=bad), out=bad).any():
+            if np.greater(residual, tolerance, out=bad).any():
                 raise StateInvariantError(f"first-law violation: net_work != {text}")
     # only meaningfully positive work constrains the efficiency; at the
     # degenerate frequency boundary net_work is a round-off residue

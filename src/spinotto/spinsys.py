@@ -1,4 +1,4 @@
-"""NMR spin-system definition, level energies, and thermal polarizations.
+"""NMR spin-system definition and thermal polarizations.
 
 A ``SpinSystem`` is an ordered register of spin-1/2 nuclei in a static
 field ``B_z`` with weak scalar (Iz-Iz) couplings, in contact with a heat
@@ -6,11 +6,12 @@ bath.  Conventions: ``|0> = spin-up = lower energy`` (``H = -hbar w Iz``
 with ``Iz|0> = +1/2|0>``), so thermal polarizations are positive.
 
 Every Hamiltonian here is a sum of Zeeman and Iz-Iz terms, diagonal in
-the computational basis at any field, so it is stored as its real level
-energies, one per basis state, and never as a matrix.  Every state the
-package forms is diagonal too, so a qubit's state is its polarization
-``P_up - P_down`` and the register's Gibbs state enters only through
-its marginals (``thermal_marginal_polarization``).
+the computational basis at any field, and every state the package forms
+is diagonal too, so a qubit's state is its polarization ``P_up - P_down``.
+The register's Gibbs state enters only through its marginals
+(``thermal_marginal_polarization``), each taken from the qubit's own
+splitting, shifted by its couplings, and never from whole-register
+level energies.
 
 Systems can be built in code, from the built-in ``tce`` preset, or from
 an INI-style configuration file (see ``config.from_config_file``).
@@ -137,7 +138,8 @@ class SpinSystem(_Record):
 
     def __init__(self, qubits, j_over_2pi, b_field, bath_temperature):
         fields = self.__dict__
-        fields.update(qubits=qubits, j_over_2pi=j_over_2pi, b_field=b_field, bath_temperature=bath_temperature)
+        # a tuple first, so that a one-shot iterable of qubits is read once
+        fields.update(qubits=tuple(qubits), j_over_2pi=j_over_2pi, b_field=b_field, bath_temperature=bath_temperature)
         labels = [q.label for q in self.qubits]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate qubit labels: {labels}")
@@ -156,9 +158,9 @@ class SpinSystem(_Record):
                 raise ConfigError(f"conflicting J values for pair {key}")
             canonical[key] = j = float(j)
             if not math.isfinite(TWO_PI * j):
-                # register_levels takes 2 pi J in rad/s
+                # thermal_marginal_polarization takes 2 pi J in rad/s
                 raise ConfigError(f"coupling {a}-{b}: J {j:g} Hz is not finite in rad/s")
-        fields.update(j_over_2pi=canonical, qubits=tuple(self.qubits))
+        fields["j_over_2pi"] = canonical
         for label in labels:
             self.omega(label)
         # role -> label, resolved once; None when the roles are not one per role
@@ -234,39 +236,6 @@ PRESETS = {"tce": tce_system}
 
 
 # ---------------------------------------------------------------------------
-# Level energies
-# ---------------------------------------------------------------------------
-
-
-def register_levels(sys: SpinSystem, field_scale: float = 1.0) -> np.ndarray:
-    """Level energies of the lab-frame register Hamiltonian at a scaled static field.
-
-    ``H = -hbar * sum_i (field_scale * w_i) Iz_i
-    + hbar * sum_{i<j} 2pi J_ij Iz_i Iz_j`` is diagonal in the
-    computational basis, so it is stored as its diagonal, one energy per
-    basis state.  Scaling the field scales every Zeeman term and leaves
-    the scalar couplings untouched.
-    """
-    if field_scale <= 0:
-        raise ValueError(f"field_scale must be positive, got {field_scale}")
-    labels = sys.labels
-    k = len(labels)
-    omegas = [sys.omega(q, field_scale) for q in labels]
-    pairs = [(i, j, TWO_PI * j_hz) for i, j in itertools.combinations(range(k), 2)
-             if (j_hz := sys.j_coupling(labels[i], labels[j])) != 0.0]
-    levels = []
-    # basis order: the first qubit's Iz turns slowest; each sum adds its terms to 0 left to right, uncompensated, which fixes every level's bits
-    for sz in itertools.product((0.5, -0.5), repeat=k):
-        zeeman = coupling = 0
-        for w, s in zip(omegas, sz):
-            zeeman += w * s
-        for i, j, jw in pairs:
-            coupling += jw * sz[i] * sz[j]
-        levels.append(-HBAR * zeeman + HBAR * coupling)
-    return np.array(levels)
-
-
-# ---------------------------------------------------------------------------
 # Thermal polarizations / spin temperature
 # ---------------------------------------------------------------------------
 
@@ -281,21 +250,44 @@ def thermal_marginal_polarization(sys: SpinSystem, label: str, field_scale: floa
     """Polarization of one qubit of the register's Gibbs state at the bath temperature.
 
     The J couplings make the marginal differ from ``thermal_polarization``
-    of the bare line.  Basis states that differ only in ``label``'s bit
-    form a pair with mean energy ``m`` and half-splitting ``d = (E_1 -
-    E_0)/2``, both in units of kT.  A pair holds ``2 e^(-m) cosh d`` of
-    the partition sum and has polarization ``tanh d``, so the marginal is
-    the ``tanh d`` of the pairs averaged with the weights ``e^(-m) cosh
-    d``.  The weights are taken in log space, so no splitting overflows
+    of the bare line.  For each configuration ``s`` of the other qubits,
+    the two basis states that differ only in ``label``'s bit form a pair
+    with half-splitting ``d = hbar (w - sum_j 2pi J_j s_j) / 2kT``, the
+    qubit's own line shifted by its couplings, and mean energy ``m``, the
+    other qubits' Zeeman and coupling energy over kT.  A pair holds ``2
+    e^(-m) cosh d`` of the partition sum and has polarization ``tanh d``,
+    so the marginal is the ``tanh d`` of the pairs averaged with the
+    weights ``e^(-m) cosh d``.  No splitting is a difference of two
+    register energies, which would round a line far below the others
+    away; the weights are taken in log space, so no splitting overflows
     them, and no polarization is a difference of two populations near 1/2.
     """
     sys.qubit(label)  # a KeyError that names the register for a label not in it
-    k, axis = len(sys.labels), sys.labels.index(label)  # ordered as np.moveaxis orders, without its checks
-    lower, upper = register_levels(sys, field_scale).reshape((2,) * k).transpose(axis, *range(axis), *range(axis + 1, k))
+    labels = sys.labels
+    k, slot = len(labels), labels.index(label)
+    omegas = [sys.omega(q, field_scale) for q in labels]
+    pairs = [(i, j, TWO_PI * j_hz) for i, j in itertools.combinations(range(k), 2)
+             if (j_hz := sys.j_coupling(labels[i], labels[j])) != 0.0]
+    splittings, energies = [], []
+    # the other qubits' configurations, the first qubit's Iz turning slowest, with the qubit's own Iz
+    # at 0.0, so its terms add +-0.0; each sum adds its terms to 0 left to right, uncompensated
+    for spins in itertools.product((0.5, -0.5), repeat=k - 1):
+        sz = (*spins[:slot], 0.0, *spins[slot:])
+        shift = zeeman = coupling = 0
+        for w, s in zip(omegas, sz):
+            zeeman += w * s
+        for i, j, jw in pairs:
+            if slot in (i, j):
+                shift += jw * (sz[i] + sz[j])  # 2 pi J times the partner's Iz
+            else:
+                coupling += jw * sz[i] * sz[j]
+        splittings.append(omegas[slot] - shift)
+        energies.append(-HBAR * zeeman + HBAR * coupling)
     kt = K_BOLTZMANN * sys.bath_temperature
-    half_splitting = (upper - lower) / (2.0 * kt)
+    # where k_B T underflows to 0, np.divide gives inf (and nan) where Python's / raises
+    half_splitting = np.divide(HBAR * np.array(splittings), 2.0 * kt)
     # log of e^(-m) cosh d, less log 2
-    log_weights = np.logaddexp(half_splitting, -half_splitting) - (lower + upper) / (2.0 * kt)
+    log_weights = np.logaddexp(half_splitting, -half_splitting) - np.divide(energies, kt)
     weights = np.exp(log_weights - log_weights.max())
     return float((weights * np.tanh(half_splitting)).sum() / weights.sum())
 

@@ -10,13 +10,16 @@ conjugate the full matrix (``apply``), a reset rebuilds the register as
 a ``kron`` of single-qubit partial traces (``reset_channel``), a field
 ramp propagates the state under the time-integrated drive built by
 ``oracles`` (``stroke``), and a stroke's work is ``Tr[H rho]`` at its
-start minus at its end.  ``trace_rows`` rebuilds the registers a
+start minus at its end.  ``register_levels`` tabulates the register's
+level energies, one per basis state, from which ``thermal_state``
+builds the full Gibbs state.  ``trace_rows`` rebuilds the registers a
 cooling trace describes, so the two can be compared population by
 population.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -25,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 import oracles
-from spinotto.spinsys import HBAR, K_BOLTZMANN, Role, StateInvariantError, register_levels
+from spinotto.spinsys import HBAR, K_BOLTZMANN, TWO_PI, Role, StateInvariantError
 
 # ---------------------------------------------------------------------------
 # Density matrices
@@ -279,6 +282,34 @@ def reset_channel(
 # ---------------------------------------------------------------------------
 # Thermal states and field ramps
 # ---------------------------------------------------------------------------
+
+
+def register_levels(sys, field_scale: float = 1.0) -> np.ndarray:
+    """Level energies of the lab-frame register Hamiltonian at a scaled static field.
+
+    ``H = -hbar * sum_i (field_scale * w_i) Iz_i
+    + hbar * sum_{i<j} 2pi J_ij Iz_i Iz_j`` is diagonal in the
+    computational basis, so it is stored as its diagonal, one energy per
+    basis state.  Scaling the field scales every Zeeman term and leaves
+    the scalar couplings untouched.
+    """
+    if field_scale <= 0:
+        raise ValueError(f"field_scale must be positive, got {field_scale}")
+    labels = sys.labels
+    k = len(labels)
+    omegas = [sys.omega(q, field_scale) for q in labels]
+    pairs = [(i, j, TWO_PI * j_hz) for i, j in itertools.combinations(range(k), 2)
+             if (j_hz := sys.j_coupling(labels[i], labels[j])) != 0.0]
+    levels = []
+    # basis order: the first qubit's Iz turns slowest; each sum adds its terms to 0 left to right, uncompensated, which fixes every level's bits
+    for sz in itertools.product((0.5, -0.5), repeat=k):
+        zeeman = coupling = 0
+        for w, s in zip(omegas, sz):
+            zeeman += w * s
+        for i, j, jw in pairs:
+            coupling += jw * sz[i] * sz[j]
+        levels.append(-HBAR * zeeman + HBAR * coupling)
+    return np.array(levels)
 
 
 def thermal_populations(energies, temperature) -> np.ndarray:

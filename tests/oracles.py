@@ -175,44 +175,6 @@ def coupled_marginal_polarization(omegas, j_hz: dict, slot: int, temperature: fl
         return float((up - down) / (up + down))
 
 
-def levels_by_sum(omegas, pairs) -> np.ndarray:
-    """The register's level energies in the package's summation order: the reference for their bits.
-
-    ``omegas`` in rad/s, one per slot (slot 0 = most significant bit of a
-    basis index); ``pairs`` lists ``(i, j, 2pi J_ij)`` in the order the
-    package adds them.  Each level is ``-hbar * (w_0 s_0 + w_1 s_1 + ...)``
-    plus ``hbar * (2pi J_ij s_i s_j + ...)``, each sum added left to right
-    from 0 with no compensation.  Python's ``sum`` adds floats that way only
-    up to 3.11; from 3.12 it compensates, so it is not used here.
-    """
-    k = len(omegas)
-    levels = np.zeros(2**k)
-    for idx in range(2**k):
-        sz = [0.5 if ((idx >> (k - 1 - i)) & 1) == 0 else -0.5 for i in range(k)]
-        zeeman = coupling = 0
-        for w, s in zip(omegas, sz):
-            zeeman += w * s
-        for i, j, jw in pairs:
-            coupling += jw * sz[i] * sz[j]
-        levels[idx] = -HBAR * zeeman + HBAR * coupling
-    return levels
-
-
-def marginal_by_moveaxis(levels: np.ndarray, slot: int, temperature: float = BATH_K) -> float:
-    """Gibbs marginal polarization of ``slot`` from the level energies, pairing levels with ``np.moveaxis``.
-
-    The package's pairing of the levels that differ in one bit, taken as
-    it first took it, so the result is the reference for its bits.
-    """
-    n_qubits = levels.size.bit_length() - 1
-    lower, upper = np.moveaxis(levels.reshape((2,) * n_qubits), slot, 0)
-    kt = KB * temperature
-    half_splitting = (upper - lower) / (2.0 * kt)
-    log_weights = np.logaddexp(half_splitting, -half_splitting) - (lower + upper) / (2.0 * kt)
-    weights = np.exp(log_weights - log_weights.max())
-    return float((weights * np.tanh(half_splitting)).sum() / weights.sum())
-
-
 def iz_hamiltonian(omegas, j_hz: dict) -> np.ndarray:
     """Dense ``-hbar sum_i w_i Iz_i + hbar sum_{i<j} 2pi J_ij Iz_i Iz_j`` by Kronecker products.
 

@@ -17,13 +17,14 @@ from dense import (
     local_levels,
     partial_trace,
     product_state,
+    register_levels,
     single_qubit_state,
     stroke,
     stroke_work,
     thermal_state,
 )
 from spinotto import cli
-from spinotto.spinsys import HBAR, register_levels
+from spinotto.spinsys import HBAR
 from test_qmath import random_density
 
 TAU = 0.1

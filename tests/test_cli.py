@@ -19,6 +19,7 @@ import spinotto
 from spinotto import cli, engines, reports
 from spinotto.spinsys import TWO_PI, StateInvariantError
 
+import exact
 import oracles
 from test_spinsys import TCE_CONFIG, huge_coupling_config
 
@@ -26,6 +27,12 @@ from test_spinsys import TCE_CONFIG, huge_coupling_config
 def run_cli(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     return cli.run(args)
+
+
+def readme_ini() -> str:
+    """The README's INI example, comments and all."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
 
 
 def data_rows(path):
@@ -543,10 +550,8 @@ def test_largest_round_count_reaches_the_limit(tmp_path, monkeypatch, capsys):
 def test_cold_bath_summary_prints_a_nonzero_spin_temperature(tmp_path, monkeypatch, capsys):
     # the README's INI at a 3 mK bath cools the target to 0.377 mK, which three
     # fixed decimals printed as T_eff=0.000 K
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    ini = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     config = tmp_path / "cold.cfg"
-    config.write_text(ini.replace("temperature_kelvin = 300.0", "temperature_kelvin = 0.003"))
+    config.write_text(readme_ini().replace("temperature_kelvin = 300.0", "temperature_kelvin = 0.003"))
     argv = ["ppa", "--rounds", "50", "--system", str(config), "--format", "summary"]
     assert run_cli(argv, tmp_path, monkeypatch) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -648,6 +653,26 @@ def test_splittings_past_the_float_range_in_k_t_exit_3_at_round_0(args, temperat
     ]
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == [config]
+
+
+def test_a_line_far_below_the_reset_line_runs_every_subcommand(tmp_path, monkeypatch, capsys):
+    # the README's INI at 1e20 K with H at 1e20 MHz: each level energy is about 4e17 times
+    # C1's splitting, which a difference of two levels rounded to 0, so every subcommand
+    # exited 3 with "round 0: reset polarization 0.0 outside (0, 1)"
+    ini = readme_ini().replace("temperature_kelvin = 300.0", "temperature_kelvin = 1e20")
+    config = tmp_path / "hot.cfg"
+    config.write_text(ini.replace("t1_seconds = 3.5\nomega_mhz = 500.13", "t1_seconds = 3.5\nomega_mhz = 1e20"))
+    for argv in (
+        ["ppa", "--rounds", "3"],
+        ["four-stroke", "--rounds", "0..3"],
+        ["two-stroke", "--rounds", "1..3", "--omega-s", "150:200:50"],
+    ):
+        assert run_cli([*argv, "--system", str(config)], tmp_path, monkeypatch) == 0
+        assert capsys.readouterr().err == ""
+    # round 0's reset qubit holds the target's Gibbs marginal at half field, to the CSV's 13 digits
+    header, rows = data_rows(tmp_path / "ppa_trace.csv")
+    want = exact.marginal(spinotto.load_system(config), "C1", 0.5)
+    assert rows[0][header.index("eps_reset")] == f"{float(want):.12e}" == "1.509002003342e-23"
 
 
 @pytest.mark.parametrize("args", SUBCOMMANDS, ids=["ppa", "four-stroke", "two-stroke"])

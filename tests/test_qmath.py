@@ -9,9 +9,10 @@ from dense import (
     kron,
     partial_trace,
     product_state,
+    register_levels,
     single_qubit_state,
 )
-from spinotto.spinsys import StateInvariantError, register_levels
+from spinotto.spinsys import StateInvariantError
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
